@@ -8,15 +8,10 @@ Run:  python3 demos/cluster_tilting_walkthrough.py
 from quivalg import (
     cartan_determinant,
     cluster_tilting_verdict,
-    decompose,
     direct_sum,
-    dominant_dimension,
     dual,
-    end_as_quiver_algebra,
     ext_dim,
     format_algebra,
-    global_dimension,
-    hom_basis,
     is_isomorphic,
     is_projective,
     is_selfinjective,
@@ -51,13 +46,15 @@ def main():
     print("== the candidate module and its endomorphism ring ==")
     m = direct_sum(translates)[0]
     print(f"M = sum of the five translates, dim {m.total_dim}")
-    print(f"dim End(M) = {len(hom_basis(m, m))}")
-    summands = decompose(m, seed=0)
-    print(f"indecomposable summands: {[s.rep.total_dim for s in summands]}")
+    # one verdict computes End(M), its decomposition, its presentation
+    # and the dimensions of B; everything below reads it off
+    verdict = cluster_tilting_verdict(m, 2, bound=6, seed=0)
+    pres = verdict.presentation
+    print(f"dim End(M) = {verdict.end_dim}")
+    print(f"indecomposable summands: {[s.rep.total_dim for s in pres.vertex_summands]}")
     print()
 
     print("== End(M) by quiver and relations ==")
-    pres = end_as_quiver_algebra(m, seed=0)
     print(f"vertices: {pres.quiver.num_vertices}, arrows: {len(pres.quiver.arrows)}")
     print("adjacency (row = source summand):")
     for row in pres.adjacency:
@@ -69,16 +66,14 @@ def main():
     print()
 
     print("== homological profile of B = End(M) ==")
-    b = pres.presented
-    print(f"gldim B  = {global_dimension(b, 6)}")
-    print(f"domdim B = {dominant_dimension(b, 6)}")
-    print(f"Cartan determinant = {cartan_determinant(b)}")
+    print(f"gldim B  = {verdict.global_dimension}")
+    print(f"domdim B = {verdict.dominant_dimension}")
+    print(f"Cartan determinant = {cartan_determinant(pres.presented)}")
     print(f"Ext1(DA, A) = {ext_dim(da, regular_module(a), 1)}")
-    print(f"Ext1(M, M)  = {ext_dim(m, m, 1)}")
+    print(f"Ext1(M, M)  = {verdict.ext_dims[1]}")
     print()
 
     print("== verdict ==")
-    verdict = cluster_tilting_verdict(m, 2, bound=6, seed=0)
     print(f"M is 2-cluster-tilting: {verdict.is_cluster_tilting}")
     print(f"B is a higher Auslander algebra: gldim = domdim = {verdict.global_dimension}")
     print()

@@ -30,17 +30,14 @@ certifies before the length cap, NotFiniteDimensionalError is raised.
 
 The per-level arithmetic runs in a small C kernel over int64 when the
 compiled extension is available; the kernel aborts on any overflow and
-the pure Python big-rational sweep redoes the run exactly.  A separate
-truncated echelonization of the materialized ideal span is kept as an
-independent cross-check for tests.
+the pure Python big-rational sweep redoes the run exactly.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +53,6 @@ except ImportError:  # pragma: no cover - compiled kernel is built on install
     _HAVE_C = False
 
 Vec = Dict[int, "QQ"]
-IntRow = Tuple[int, ...]  # flattened (pid, coeff, pid, coeff, ...), pids descending
 
 
 def _excl_cumsum(a: np.ndarray) -> np.ndarray:
@@ -115,9 +111,6 @@ class _Trie:
     def extend_to(self, maxlen: int) -> None:
         while self.max_level < maxlen:
             self._add_level()
-
-    def count_upto(self, maxlen: int) -> int:
-        return self.level_start[maxlen + 1]
 
     def _add_level(self) -> None:
         lvl = self.max_level + 1
@@ -218,154 +211,6 @@ class _Trie:
 
     def path_of(self, pid: int) -> Path:
         return Path(int(self.src[pid]), self.arrows_of(pid), int(self.tgt[pid]))
-
-
-def _closure_py(
-    trie: _Trie, seeds: Sequence[Dict[int, int]], cap: int
-) -> List[Optional[IntRow]]:
-    """Echelonized span of the two-sided ideal image in KQ/J^(cap+1).
-
-    Rows are integer, primitive, with positive leading coefficient; the
-    closure seeds with the truncated relations and saturates under left and
-    right multiplication by arrows, dropping terms beyond the cap.  This is
-    the reference implementation the sweep is cross-checked against.
-    """
-    limit = trie.count_upto(cap)
-    n_arrows = trie.n_arrows
-    pivot_rows: List[Optional[IntRow]] = [None] * limit
-    work: deque = deque()
-    tgt = trie.tgt
-    src = trie.src
-    child_start = trie.child_start
-    left_start = trie.left_start
-    left_ext = trie.left_ext
-    out_rank = trie.out_rank
-    in_rank = trie.in_rank
-
-    def insert(row: Dict[int, int]) -> None:
-        while row:
-            lead = max(row)
-            piv = pivot_rows[lead]
-            if piv is None:
-                g = 0
-                for c in row.values():
-                    g = gcd(g, c)
-                items = sorted(row.items(), reverse=True)
-                if items[0][1] < 0:
-                    g = -g
-                flat: List[int] = []
-                for p, c in items:
-                    flat.append(p)
-                    flat.append(c // g)
-                stored = tuple(flat)
-                pivot_rows[lead] = stored
-                work.append(stored)
-                return
-            c = row.pop(lead)
-            a = piv[1]
-            if a != 1:
-                g = gcd(c, a)
-                scale = a // g
-                factor = c // g
-                if scale != 1:
-                    for k in row:
-                        row[k] *= scale
-            else:
-                factor = c
-            for idx in range(2, len(piv), 2):
-                p = piv[idx]
-                s = row.get(p, 0) - factor * piv[idx + 1]
-                if s:
-                    row[p] = s
-                else:
-                    row.pop(p, None)
-
-    for seed in seeds:
-        trunc = {p: c for p, c in seed.items() if p < limit}
-        if trunc:
-            insert(trunc)
-
-    while work:
-        row = work.popleft()
-        for ai in range(n_arrows):
-            child: Optional[Dict[int, int]] = None
-            for idx in range(0, len(row), 2):
-                pid = row[idx]
-                r = out_rank[tgt[pid] * n_arrows + ai]
-                if r < 0:
-                    continue
-                cs = child_start[pid]
-                if cs < 0:
-                    continue
-                cid = cs + r
-                if cid < limit:
-                    if child is None:
-                        child = {}
-                    child[cid] = row[idx + 1]
-            if child:
-                insert(child)
-            child = None
-            for idx in range(0, len(row), 2):
-                pid = row[idx]
-                r = in_rank[src[pid] * n_arrows + ai]
-                if r < 0:
-                    continue
-                cid = left_ext[left_start[pid] + r]
-                if 0 <= cid < limit:
-                    if child is None:
-                        child = {}
-                    child[cid] = row[idx + 1]
-            if child:
-                insert(child)
-    return pivot_rows
-
-
-def _residue_cascade(get_row: Callable[[int], Optional[Sequence[int]]], pid: int) -> Vec:
-    """Residue of a path over the non-pivot paths, by exact reduction.
-
-    get_row returns the stored integer row of a pivot as a flat
-    (pid, coeff, ...) sequence, or None for non-pivots.
-    """
-    row: Vec = {pid: ONE}
-    out: Vec = {}
-    while row:
-        lead = max(row)
-        piv = get_row(lead)
-        if piv is None:
-            out[lead] = row.pop(lead)
-            continue
-        f = row.pop(lead) / piv[1]
-        for idx in range(2, len(piv), 2):
-            p = piv[idx]
-            s = row.get(p, ZERO) - f * piv[idx + 1]
-            if s:
-                row[p] = s
-            else:
-                row.pop(p, None)
-    return out
-
-
-class _PyClosure:
-    """Truncated-span reference result: a list of stored rows by pid."""
-
-    def __init__(self, trie: _Trie, seeds: Sequence[Dict[int, int]], cap: int):
-        trie.extend_to(cap)
-        self.limit = trie.count_upto(cap)
-        self._rows = _closure_py(trie, seeds, cap)
-
-    def num_pivots(self, lo: int, hi: int) -> int:
-        rows = self._rows
-        return sum(1 for pid in range(lo, hi) if rows[pid] is not None)
-
-    def basis_pids(self) -> List[int]:
-        rows = self._rows
-        return [pid for pid in range(self.limit) if rows[pid] is None]
-
-    def residue(self, pid: int) -> Vec:
-        return _residue_cascade(self._rows.__getitem__, pid)
-
-    def free(self) -> None:
-        self._rows = []
 
 
 # -- level sweep engines ----------------------------------------------------

@@ -10,7 +10,7 @@ is already stored; those relations present the algebra exactly.
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import PresentedAlgebra, build_algebra, build_dimension_only
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .linalg import Matrix, ONE, SpanSolver, extend_independent
 from .modules import ModuleHom, Representation
-from .quiver import Path, PathAlgElement, Quiver, compose_paths
+from .quiver import Path, PathAlgElement, Quiver
 
 
 @dataclass
@@ -192,8 +192,9 @@ def presentation_dimension_check(
     relations: List[PathAlgElement],
     expected: int,
     length_cap: int = 20,
-) -> bool:
-    """True when the presented algebra has exactly the expected dimension.
+) -> Optional[bool]:
+    """True when the presented algebra has exactly the expected dimension,
+    None when the sweep reaches length_cap without stabilizing.
 
     No early abort here: the alive path count can transiently overshoot
     the final dimension while the sweep is still collapsing, so aborting
@@ -202,7 +203,7 @@ def presentation_dimension_check(
     try:
         dim = build_dimension_only(quiver, relations, length_cap=length_cap)
     except NotFiniteDimensionalError:
-        return False
+        return None
     return dim == expected
 
 

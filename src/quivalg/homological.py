@@ -6,10 +6,12 @@ bounded and return sentinel objects (ExceedsBound, AtLeastBound) instead
 of looping forever on infinite-dimension inputs.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Union
 
 from .algebra import PresentedAlgebra
+from .endos import EndStructure, decompose
+from .endquiver import EndPresentation, end_as_quiver_algebra
 from .linalg import Matrix, ZERO, determinant, rank
 from .modules import (
     ModuleHom,
@@ -301,10 +303,14 @@ def cartan_determinant(a: PresentedAlgebra):
 def is_generator_cogenerator(m: Representation, seed: int = 0) -> bool:
     """Every indecomposable projective and injective occurs among the
     direct summands of m (up to isomorphism)."""
-    from .endos import decompose
+    return _covers_projectives_injectives(
+        m.algebra, [s.rep for s in decompose(m, seed=seed)], seed
+    )
 
-    a = m.algebra
-    parts = [p.rep for p in decompose(m, seed=seed)]
+
+def _covers_projectives_injectives(
+    a: PresentedAlgebra, parts: List[Representation], seed: int
+) -> bool:
     for target in indec_projectives(a) + indec_injectives(a):
         if not any(bool(is_isomorphic(target, p, seed=seed)) for p in parts):
             return False
@@ -334,19 +340,21 @@ def _is_connected(quiver) -> bool:
 class ClusterTiltingVerdict:
     """Outcome of the bounded cluster-tilting check for a module.
 
-    is_cluster_tilting is None when the bounded searches could not
-    settle the answer; conclusive records whether it is final.
+    is_cluster_tilting is None when the bounded searches or the
+    presentation could not settle the answer; conclusive records
+    whether it is final.  The dimensions of the endomorphism algebra are
+    None when its presentation is incomplete.
     """
 
     n: int
     is_cluster_tilting: Optional[bool]
     conclusive: bool
     generator_cogenerator: bool
-    global_dimension: Union[int, ExceedsBound]
-    dominant_dimension: Union[int, AtLeastBound]
+    global_dimension: Union[int, ExceedsBound, None]
+    dominant_dimension: Union[int, AtLeastBound, None]
     end_dim: int
-    ext_dims: Dict[int, int] = field(default_factory=dict)
-    presentation: object = None
+    ext_dims: Dict[int, int]
+    presentation: EndPresentation
 
     def __bool__(self) -> bool:
         return self.is_cluster_tilting is True
@@ -375,10 +383,9 @@ def cluster_tilting_verdict(
     endomorphism algebra has global dimension and dominant dimension
     both equal to n + 1, and Ext^i(m, m) = 0 for 0 < i < n.  Bounded
     dimension searches that cannot separate the computed value from
-    n + 1 leave the verdict inconclusive.
+    n + 1 leave the verdict inconclusive, and so does a presentation
+    cut off at max_length, unless another condition already fails.
     """
-    from .endquiver import end_as_quiver_algebra
-
     a = m.algebra
     if n < 2:
         raise ValueError("cluster-tilting degree must be at least 2")
@@ -389,34 +396,35 @@ def cluster_tilting_verdict(
     if m.is_zero():
         raise ValueError("module must be nonzero")
 
-    gen_cog = is_generator_cogenerator(m, seed=seed)
-    pres = end_as_quiver_algebra(m, max_length=max_length, seed=seed)
-    b = pres.presented
-    gdim = global_dimension(b, bound)
-    ddim = dominant_dimension(b, bound)
+    structure = EndStructure(m)
+    pres = end_as_quiver_algebra(m, max_length=max_length, seed=seed, structure=structure)
+    gen_cog = _covers_projectives_injectives(
+        a, [s.rep for s in pres.vertex_summands], seed
+    )
     ext_dims = {i: ext_dim(m, m, i) for i in range(1, n)}
-    ext_ok = all(d == 0 for d in ext_dims.values())
-
-    target = n + 1
-    g_eq = _equals_target(gdim, target)
-    d_eq = _equals_target(ddim, target)
-    if not gen_cog or g_eq is False or d_eq is False or not ext_ok:
+    settled = [gen_cog, all(d == 0 for d in ext_dims.values())]
+    b = pres.presented
+    gdim = ddim = None
+    if b is None:
+        settled.append(None)
+    else:
+        gdim = global_dimension(b, bound)
+        ddim = dominant_dimension(b, bound)
+        settled += [_equals_target(gdim, n + 1), _equals_target(ddim, n + 1)]
+    if any(ok is False for ok in settled):
         verdict: Optional[bool] = False
-        conclusive = True
-    elif g_eq is None or d_eq is None:
+    elif any(ok is None for ok in settled):
         verdict = None
-        conclusive = False
     else:
         verdict = True
-        conclusive = True
     return ClusterTiltingVerdict(
         n=n,
         is_cluster_tilting=verdict,
-        conclusive=conclusive,
+        conclusive=verdict is not None,
         generator_cogenerator=gen_cog,
         global_dimension=gdim,
         dominant_dimension=ddim,
-        end_dim=b.dim,
+        end_dim=structure.dim,
         ext_dims=ext_dims,
         presentation=pres,
     )

@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; the standard library is the fallback
     from fractions import Fraction as QQ
 
 ZERO = QQ(0)

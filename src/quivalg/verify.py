@@ -4,21 +4,23 @@ Runs the whole chain over the built-in two-loop algebra: translates of
 the dual regular module, the candidate module, its endomorphism
 presentation, and every headline invariant, in a fixed order with
 stable report keys.  Deterministic for a fixed seed.
+
+End(M), its decomposition, its presentation, gldim, domdim and
+Ext^1(M, M) come from a single cluster_tilting_verdict, and the report
+reads its checks off that verdict.  When the presentation is cut off at
+max_length, every check that needs the presented algebra is
+inconclusive.
 """
 
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .endos import EndStructure, decompose
-from .endquiver import end_as_quiver_algebra, minimize_relations, presentation_dimension_check
+from .endquiver import minimize_relations, presentation_dimension_check
 from .homological import (
     _equals_target,
     cartan_determinant,
     cluster_tilting_verdict,
-    dominant_dimension,
     ext_dim,
-    global_dimension,
-    is_generator_cogenerator,
     is_selfinjective,
     tau2,
 )
@@ -70,8 +72,12 @@ class VerificationReport:
     def add(self, key: str, value, status: str) -> None:
         self.checks.append(CheckResult(key, str(value), status))
 
-    def check(self, key: str, value, passed: bool) -> None:
-        self.add(key, value, "pass" if passed else "fail")
+    def check(self, key: str, value, passed: Optional[bool]) -> None:
+        """passed None marks the check inconclusive: a bound or cap was hit."""
+        if passed is None:
+            self.add(key, "inconclusive" if value is None else value, "inconclusive")
+        else:
+            self.add(key, value, "pass" if passed else "fail")
 
     @property
     def failed(self) -> bool:
@@ -101,14 +107,6 @@ class VerificationReport:
         return 0
 
 
-def _bounded_check(report: VerificationReport, key: str, value, target: int) -> None:
-    eq = _equals_target(value, target)
-    if eq is None:
-        report.add(key, value, "inconclusive")
-    else:
-        report.check(key, value, eq)
-
-
 def run_verification(
     seed: int = 0, bound: int = 6, max_length: int = 20
 ) -> VerificationReport:
@@ -136,36 +134,42 @@ def run_verification(
     report.check("u4_iso_a", bool(witness), bool(witness))
 
     m = direct_sum(translates)[0]
-    gen_cog = is_generator_cogenerator(m, seed=seed)
+    verdict = cluster_tilting_verdict(m, 2, bound=bound, seed=seed, max_length=max_length)
+    gen_cog = verdict.generator_cogenerator
     report.check("m_generator_cogenerator", gen_cog, gen_cog)
 
-    structure = EndStructure(m)
-    pres = end_as_quiver_algebra(m, max_length=max_length, seed=seed, structure=structure)
+    pres = verdict.presentation
     report.check("end_vertices", pres.quiver.num_vertices, pres.quiver.num_vertices == 5)
     report.check("end_arrows", len(pres.quiver.arrows), len(pres.quiver.arrows) == 10)
     report.add("end_adjacency", pres.adjacency, "info")
     matches = _reversed_adjacency(pres.adjacency) == REFERENCE_ADJACENCY
     report.check("end_adjacency_matches", matches, matches)
 
-    dim_hom = structure.dim
-    dim_presented = pres.presented.dim if pres.presented is not None else -1
+    dim_hom = verdict.end_dim
     report.check("dim_b_hom", dim_hom, dim_hom == 165)
-    report.check("dim_b_presented", dim_presented, dim_presented == 165)
     b = pres.presented
+    if b is None:
+        for key in ("dim_b_presented", "gldim_b", "domdim_b", "cartan_det_b"):
+            report.check(key, None, None)
+    else:
+        report.check("dim_b_presented", b.dim, b.dim == 165)
+        gdim, ddim = verdict.global_dimension, verdict.dominant_dimension
+        report.check("gldim_b", gdim, _equals_target(gdim, 3))
+        report.check("domdim_b", ddim, _equals_target(ddim, 3))
+        det = cartan_determinant(b)
+        report.check("cartan_det_b", det, det == 1)
 
-    _bounded_check(report, "gldim_b", global_dimension(b, bound), 3)
-    _bounded_check(report, "domdim_b", dominant_dimension(b, bound), 3)
-    det = cartan_determinant(b)
-    report.check("cartan_det_b", det, det == 1)
-
-    kept = minimize_relations(pres.quiver, pres.relations, dim_hom, length_cap=max_length)
     report.add("raw_relations", pres.raw_relation_count, "info")
-    report.add("minimized_relations", len(kept), "info")
-    preserved = (
-        len(kept) < pres.raw_relation_count
-        and presentation_dimension_check(pres.quiver, kept, dim_hom, length_cap=max_length)
-    )
-    report.check("minimized_dim_preserved", preserved, preserved)
+    if b is None:
+        for key in ("minimized_relations", "minimized_dim_preserved"):
+            report.check(key, None, None)
+    else:
+        kept = minimize_relations(pres.quiver, pres.relations, dim_hom, length_cap=max_length)
+        report.add("minimized_relations", len(kept), "info")
+        preserved = len(kept) < pres.raw_relation_count and presentation_dimension_check(
+            pres.quiver, kept, dim_hom, length_cap=max_length
+        )
+        report.check("minimized_dim_preserved", preserved, preserved)
 
     ref_quiver = reference_end_quiver()
     ref_ok = presentation_dimension_check(
@@ -175,14 +179,8 @@ def run_verification(
 
     e1 = ext_dim(da, reg, 1)
     report.check("ext1_da_a", e1, e1 == 0)
-    e2 = ext_dim(m, m, 1)
+    e2 = verdict.ext_dims[1]
     report.check("ext1_m_m", e2, e2 == 0)
-
-    verdict = cluster_tilting_verdict(m, 2, bound=bound, seed=seed, max_length=max_length)
-    if verdict.is_cluster_tilting is None:
-        report.add("cluster_tilting", "inconclusive", "inconclusive")
-    else:
-        report.check(
-            "cluster_tilting", verdict.is_cluster_tilting, verdict.is_cluster_tilting
-        )
+    ct = verdict.is_cluster_tilting
+    report.check("cluster_tilting", ct, ct)
     return report

@@ -35,6 +35,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) counts the calls of owner.name during a test.
+
+    A function is rebound in every quivalg namespace that imported it, so
+    calls made inside the package are counted too; a method is rebound on
+    its class.  Returns a dict whose "calls" entry counts the calls.
+    """
+
+    def install(owner, name):
+        orig = getattr(owner, name)
+        counter = {"calls": 0}
+
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return orig(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, counted)
+        else:
+            for modname, mod in list(sys.modules.items()):
+                if modname.split(".")[0] == "quivalg" and vars(mod).get(name) is orig:
+                    monkeypatch.setattr(mod, name, counted)
+        return counter
+
+    return install
+
+
 def element(quiver, *terms):
     """Sum of (coeff, [labels]) pairs as a path algebra element."""
     out = None

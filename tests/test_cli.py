@@ -11,12 +11,14 @@ import pytest
 
 import quivalg
 from quivalg import (
+    IncompletePresentationWarning,
     direct_sum,
     format_algebra,
     format_module,
     indec_projectives,
     simples,
 )
+from quivalg import algebra, endos, endquiver
 from quivalg.cli import main
 
 
@@ -38,12 +40,40 @@ def l2_files(tmp_path_factory, l2):
     return alg_path, mod_path
 
 
-def test_verify_paper_passes(capsys):
+def test_verify_paper_passes(capsys, count_calls):
+    structures = count_calls(endos.EndStructure, "__init__")
+    decompositions = count_calls(endos, "decompose")
+    presentations = count_calls(endquiver, "end_as_quiver_algebra")
+    builds = count_calls(algebra, "build_algebra")
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
     assert "dim_b_hom = 165  [pass]" in out
     assert "gldim_b = 3  [pass]" in out
     assert out.strip().endswith("result = pass")
+    # End(M), its decomposition and presentation once; A and B built once each
+    assert structures["calls"] == 1
+    assert decompositions["calls"] == 1
+    assert presentations["calls"] == 1
+    assert builds["calls"] == 2
+
+
+def test_verify_paper_length_cap_inconclusive(capsys):
+    with pytest.warns(IncompletePresentationWarning):
+        code, out, _ = run_cli(capsys, "verify-paper", "--max-length", "5")
+    assert code == 2
+    for key in (
+        "dim_b_presented",
+        "gldim_b",
+        "domdim_b",
+        "cartan_det_b",
+        "minimized_relations",
+        "minimized_dim_preserved",
+        "reference_presentation_dim_165",
+        "cluster_tilting",
+    ):
+        assert f"{key} = inconclusive  [inconclusive]" in out
+    assert "[fail]" not in out
+    assert out.strip().endswith("result = inconclusive")
 
 
 def test_verify_paper_low_bound_inconclusive(capsys):

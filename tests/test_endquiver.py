@@ -117,7 +117,7 @@ def test_presentation_dimension_check_reference():
 
 def test_presentation_dimension_check_infinite():
     q = Quiver(["v"], [("x", "v", "v")])
-    assert not presentation_dimension_check(q, [], 7, length_cap=6)
+    assert presentation_dimension_check(q, [], 7, length_cap=6) is None
 
 
 def test_incomplete_presentation_warns(l2):

@@ -6,6 +6,7 @@ import pytest
 from quivalg import (
     AtLeastBound,
     ExceedsBound,
+    IncompletePresentationWarning,
     ar_translate,
     cartan_determinant,
     cartan_matrix,
@@ -28,6 +29,7 @@ from quivalg import (
     tau2,
     transpose,
 )
+from quivalg import algebra, endos
 from quivalg.modules import cokernel, dual, radical
 
 
@@ -170,7 +172,10 @@ def test_reference_algebra_dimensions():
     ]
 
 
-def test_cluster_tilting_verdict_on_pipeline(m_module):
+def test_cluster_tilting_verdict_on_pipeline(m_module, count_calls):
+    structures = count_calls(endos.EndStructure, "__init__")
+    decompositions = count_calls(endos, "decompose")
+    builds = count_calls(algebra, "build_algebra")
     verdict = cluster_tilting_verdict(m_module, 2, bound=6, seed=0)
     assert verdict.conclusive
     assert verdict.is_cluster_tilting is True
@@ -178,6 +183,35 @@ def test_cluster_tilting_verdict_on_pipeline(m_module):
     assert verdict.global_dimension == 3
     assert verdict.dominant_dimension == 3
     assert verdict.end_dim == 165
+    assert verdict.presentation.presented.dim == 165
+    # End(M), its decomposition and the presented B, each computed once
+    assert structures["calls"] == 1
+    assert decompositions["calls"] == 1
+    assert builds["calls"] == 1
+
+
+def test_cluster_tilting_inconclusive_when_presentation_capped(m_module):
+    with pytest.warns(IncompletePresentationWarning):
+        verdict = cluster_tilting_verdict(m_module, 2, bound=6, seed=0, max_length=5)
+    assert verdict.presentation.incomplete
+    assert verdict.presentation.presented is None
+    assert verdict.is_cluster_tilting is None
+    assert not verdict.conclusive
+    assert verdict.generator_cogenerator
+    assert verdict.global_dimension is None
+    assert verdict.dominant_dimension is None
+    assert verdict.end_dim == 165
+    assert verdict.ext_dims == {1: 0}
+
+
+def test_cluster_tilting_capped_but_not_cogenerator(translates):
+    # DA alone is no generator, which settles the verdict without B
+    with pytest.warns(IncompletePresentationWarning):
+        verdict = cluster_tilting_verdict(translates[0], 2, bound=6, seed=0, max_length=1)
+    assert verdict.presentation.incomplete
+    assert not verdict.generator_cogenerator
+    assert verdict.conclusive
+    assert verdict.is_cluster_tilting is False
 
 
 def test_cluster_tilting_inconclusive_at_low_bound(m_module):

@@ -28,15 +28,15 @@ Together these prove the table presents exactly KQ/I, so the sweep can
 stop even while longer paths still carry nonzero classes.  If no level
 certifies before the length cap, NotFiniteDimensionalError is raised.
 
-The per-level arithmetic runs in a small C kernel over int64 when the
-compiled extension is available; the kernel aborts on any overflow and
-the pure Python big-rational sweep redoes the run exactly.
+The sweep is plain Python over exact rationals.  Relations enter as
+rational rows over trie path ids; every stored residue is normalized by
+its leading coefficient, so scaling a relation changes nothing.  The
+trie alone uses numpy, to generate whole levels of paths at once.
 """
 
 from __future__ import annotations
 
-from array import array
-from math import gcd
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,12 +45,9 @@ from .errors import MalformedRelationError, NotFiniteDimensionalError
 from .linalg import ONE, QQ, ZERO
 from .quiver import Path, PathAlgElement, Quiver
 
-try:
-    from ._sweep_c import ffi as _ffi, lib as _lib
-
-    _HAVE_C = True
-except ImportError:  # pragma: no cover - compiled kernel is built on install
-    _HAVE_C = False
+# there is no compiled sweep kernel; perfbench/worker.py reads this flag
+# for the environment block of every benchmark run
+_HAVE_C = False
 
 Vec = Dict[int, "QQ"]
 
@@ -213,127 +210,20 @@ class _Trie:
         return Path(int(self.src[pid]), self.arrows_of(pid), int(self.tgt[pid]))
 
 
-# -- level sweep engines ----------------------------------------------------
-
-
-class _SweepOverflow(Exception):
-    """int64 arithmetic overflowed inside the C kernel."""
+# -- level sweep ------------------------------------------------------------
 
 
 class _SweepAbort(Exception):
     """The alive basis count exceeded the requested bound."""
 
 
-class _CSweep:
-    """Sweep state backed by the compiled int64 kernel."""
-
-    def __init__(self, trie: _Trie, basis_bound: int):
-        self.trie = trie
-        self._bufs: List[object] = []
-        self._st = _lib.qs_new(trie.n_arrows, basis_bound)
-        if self._st == _ffi.NULL:
-            raise MemoryError("sweep kernel allocation failed")
-        trie.extend_to(1)
-        self._refresh()
-        n = trie.quiver.num_vertices
-        rc = _lib.qs_init_levels(self._st, n, trie.level_start[2])
-        self._check(rc)
-
-    def _refresh(self) -> None:
-        t = self.trie
-        bufs = [
-            _ffi.from_buffer("int32_t[]", arr)
-            for arr in (
-                t.tgt, t.src, t.parent, t.last, t.first, t.suffix,
-                t.child_start, t.left_start, t.left_ext, t.out_rank, t.in_rank,
-            )
-        ]
-        self._bufs = bufs  # keep the numpy views alive across kernel calls
-        _lib.qs_set_trie(self._st, *bufs)
-
-    @staticmethod
-    def _check(rc: int) -> None:
-        if rc == 0:
-            return
-        if rc == 1:
-            raise _SweepOverflow()
-        if rc == 2:
-            raise MemoryError("sweep kernel out of memory")
-        if rc == 3:
-            raise _SweepAbort()
-        raise RuntimeError(f"sweep kernel failed with code {rc}")
-
-    def add_pin(self, pid: int) -> None:
-        self._check(_lib.qs_add_pin(self._st, pid))
-
-    def run_level(self, lo: int, hi: int, seeds: Sequence[Dict[int, int]]) -> None:
-        self._refresh()
-        flat: List[int] = []
-        for seed in seeds:
-            items = sorted(seed.items(), reverse=True)
-            flat.append(1)  # integer seeds: denominator one
-            flat.append(len(items))
-            for p, c in items:
-                flat.append(p)
-                flat.append(c)
-        buf = array("q", flat)
-        cbuf = _ffi.from_buffer("int64_t[]", buf) if flat else _ffi.NULL
-        self._check(_lib.qs_level(self._st, lo, hi, cbuf, len(flat)))
-
-    def alive(self) -> int:
-        return int(_lib.qs_basis_alive(self._st))
-
-    def last_new_basis(self) -> int:
-        return int(_lib.qs_last_new_basis(self._st))
-
-    def side_kills(self) -> int:
-        return int(_lib.qs_side_total(self._st))
-
-    def basis_pids(self) -> List[int]:
-        n = self.alive()
-        buf = _ffi.new("int64_t[]", max(n, 1))
-        got = _lib.qs_basis_pids(self._st, buf, n)
-        assert got == n
-        return [buf[i] for i in range(n)]
-
-    def action_row(self, bi: int, ai: int) -> Vec:
-        cap = 64
-        while True:
-            pids = _ffi.new("int64_t[]", cap)
-            nums = _ffi.new("int64_t[]", cap)
-            den = _ffi.new("int64_t *")
-            n = _lib.qs_action(self._st, bi, ai, pids, nums, den, cap)
-            if n >= 0:
-                d = den[0]
-                return {pids[i]: QQ(nums[i], d) for i in range(n)}
-            if n == -1:
-                return {}
-            if n == -2:
-                raise _SweepOverflow()
-            if n == -3:
-                cap *= 2
-                continue
-            raise RuntimeError("sweep kernel action extraction failed")
-
-    def free(self) -> None:
-        if self._st is not None:
-            _lib.qs_free(self._st)
-            self._st = None
-
-    def __del__(self):
-        try:
-            self.free()
-        except Exception:
-            pass
-
-
 _BASIS = object()  # window marker for paths kept as basis
 
 
-class _PySweep:
-    """Pure Python sweep with exact rationals; mirrors the C kernel."""
+class _Sweep:
+    """Level-by-level sweep state over exact rationals."""
 
-    def __init__(self, trie: _Trie, basis_bound: int):
+    def __init__(self, trie: _Trie, basis_bound: float):
         self.trie = trie
         self.bound = basis_bound
         self.nA = trie.n_arrows
@@ -346,7 +236,6 @@ class _PySweep:
         self.pins: Dict[int, Optional[Vec]] = {}
         self.nalive = 0
         self.nlast = 0
-        self.side_total = 0
         trie.extend_to(1)
         n = trie.quiver.num_vertices
         lvl1 = trie.level_start[2]
@@ -446,7 +335,6 @@ class _PySweep:
             self.side[lead] = {p: -v / c for p, v in row.items()}
             self.dead[pos] = True
             self.nalive -= 1
-            self.side_total += 1
             self.kills.append(pos)
             return
 
@@ -472,7 +360,7 @@ class _PySweep:
         while self.kills:
             self._inject_translates(self.kills.pop())
 
-    def run_level(self, lo: int, hi: int, seeds: Sequence[Dict[int, int]]) -> None:
+    def run_level(self, lo: int, hi: int, seeds: Sequence[Vec]) -> None:
         t = self.trie
         self.lo, self.hi = lo, hi
         self.cand = {}
@@ -512,7 +400,7 @@ class _PySweep:
         for seed in seeds:
             acc = {}
             for p, c in seed.items():
-                self._iadd(acc, self._class_of(p), QQ(c))
+                self._iadd(acc, self._class_of(p), c)
             self._row_insert(acc)
             self._drain()
 
@@ -594,15 +482,6 @@ class _PySweep:
 
         self.nlast = nb
 
-    def alive(self) -> int:
-        return self.nalive
-
-    def last_new_basis(self) -> int:
-        return self.nlast
-
-    def side_kills(self) -> int:
-        return self.side_total
-
     def basis_pids(self) -> List[int]:
         return [p for i, p in enumerate(self.pid_of) if not self.dead[i]]
 
@@ -618,9 +497,6 @@ class _PySweep:
                 return out
             self._iadd(out, self.side[hit], out.pop(hit))
 
-    def free(self) -> None:
-        pass
-
 
 class _Acceptance:
     __slots__ = ("basis_pids", "action", "loewy", "dim")
@@ -632,7 +508,9 @@ class _Acceptance:
         self.dim = len(basis_pids)
 
 
-def _certify(eng, trie: _Trie, relations: Sequence[PathAlgElement]) -> Optional[_Acceptance]:
+def _certify(
+    eng: _Sweep, trie: _Trie, relations: Sequence[PathAlgElement]
+) -> Optional[_Acceptance]:
     """Prove the extracted table presents KQ/I, or return None.
 
     Checks that every relation folds to zero starting from every basis
@@ -731,24 +609,20 @@ def _certify(eng, trie: _Trie, relations: Sequence[PathAlgElement]) -> Optional[
     return _Acceptance(basis_pids, action, power)
 
 
-def _relations_to_int_vecs(
-    relations: Sequence[PathAlgElement], trie: _Trie
-) -> List[Dict[int, int]]:
+def _relation_vecs(relations: Sequence[PathAlgElement], trie: _Trie) -> List[Vec]:
+    """Each relation as a sparse rational row over trie path ids."""
     out = []
     for r in relations:
         trie.extend_to(r.max_length())
-        den = 1
-        for c in r.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec: Dict[int, int] = {}
+        vec: Vec = {}
         for p, c in r.terms.items():
             pid = trie.walk(p.source, p.arrows)
             if pid < 0:
                 raise MalformedRelationError(
                     f"relation path {p!r} does not live on this quiver"
                 )
-            vec[pid] = vec.get(pid, 0) + int(c * den)
-        out.append({p: c for p, c in vec.items() if c})
+            vec[pid] = c
+        out.append(vec)
     return out
 
 
@@ -773,47 +647,10 @@ def _validate_relations(
     return kept
 
 
-def _sweep_run(
-    trie: _Trie,
-    rel_vecs: Sequence[Dict[int, int]],
-    relations: Sequence[PathAlgElement],
-    length_cap: int,
-    basis_bound: int,
-    engine_cls,
-) -> Tuple[_Trie, _Acceptance]:
-    eng = engine_cls(trie, basis_bound)
-    try:
-        seeds_by_level: Dict[int, List[Dict[int, int]]] = {}
-        for vec in rel_vecs:
-            top = max(int(trie.level[p]) for p in vec)
-            seeds_by_level.setdefault(top, []).append(vec)
-            for p in vec:
-                eng.add_pin(p)
-        level = 1
-        while level < length_cap:
-            level += 1
-            trie.extend_to(level)
-            lo, hi = trie.level_start[level], trie.level_start[level + 1]
-            eng.run_level(lo, hi, seeds_by_level.get(level, ()))
-            if eng.last_new_basis() == 0:
-                acc = _certify(eng, trie, relations)
-                if acc is not None:
-                    return trie, acc
-            if hi == lo:
-                break  # the quiver has no longer paths, nothing can change
-        raise NotFiniteDimensionalError(
-            f"dimension did not stabilize up to path length {length_cap} "
-            f"({eng.alive()} basis paths so far and not certified)"
-        )
-    finally:
-        eng.free()
-
-
 def _stabilize(
     quiver: Quiver,
     relations: Sequence[PathAlgElement],
     length_cap: int,
-    trie: Optional[_Trie] = None,
     abort_above: Optional[int] = None,
 ) -> Optional[Tuple[_Trie, _Acceptance]]:
     """Sweep levels until the quotient is certified, or give up.
@@ -823,21 +660,33 @@ def _stabilize(
     again, so None means the construction was abandoned, not that the
     final dimension provably exceeds the threshold.
     """
-    if trie is None:
-        trie = _Trie(quiver)
-    rel_vecs = _relations_to_int_vecs(relations, trie)
-    bound = (abort_above + 48) if abort_above is not None else (1 << 62)
-    if _HAVE_C:
-        try:
-            return _sweep_run(trie, rel_vecs, relations, length_cap, bound, _CSweep)
-        except _SweepOverflow:
-            pass
-        except _SweepAbort:
-            return None
+    trie = _Trie(quiver)
+    eng = _Sweep(trie, (abort_above + 48) if abort_above is not None else inf)
+    seeds_by_level: Dict[int, List[Vec]] = {}
+    for vec in _relation_vecs(relations, trie):
+        top = max(int(trie.level[p]) for p in vec)
+        seeds_by_level.setdefault(top, []).append(vec)
+        for p in vec:
+            eng.add_pin(p)
+    level = 1
     try:
-        return _sweep_run(trie, rel_vecs, relations, length_cap, bound, _PySweep)
+        while level < length_cap:
+            level += 1
+            trie.extend_to(level)
+            lo, hi = trie.level_start[level], trie.level_start[level + 1]
+            eng.run_level(lo, hi, seeds_by_level.get(level, ()))
+            if eng.nlast == 0:
+                acc = _certify(eng, trie, relations)
+                if acc is not None:
+                    return trie, acc
+            if hi == lo:
+                break  # the quiver has no longer paths, nothing can change
     except _SweepAbort:
         return None
+    raise NotFiniteDimensionalError(
+        f"dimension did not stabilize up to path length {length_cap} "
+        f"({eng.nalive} basis paths so far and not certified)"
+    )
 
 
 class PresentedAlgebra:
@@ -1051,7 +900,6 @@ def build_dimension_only(
     relations: Sequence[PathAlgElement] = (),
     length_cap: int = 20,
     abort_above: Optional[int] = None,
-    _trie: Optional[_Trie] = None,
 ) -> Optional[int]:
     """Stabilized dimension only, skipping algebra construction.
 
@@ -1062,7 +910,7 @@ def build_dimension_only(
     always safe.
     """
     relations = _validate_relations(quiver, relations)
-    result = _stabilize(quiver, relations, length_cap, trie=_trie, abort_above=abort_above)
+    result = _stabilize(quiver, relations, length_cap, abort_above=abort_above)
     if result is None:
         return None
     return result[1].dim

@@ -9,7 +9,7 @@ End(M), its decomposition, its presentation, gldim, domdim and
 Ext^1(M, M) come from a single cluster_tilting_verdict, and the report
 reads its checks off that verdict.  When the presentation is cut off at
 max_length, every check that needs the presented algebra is
-inconclusive.
+inconclusive, and an info line inconclusive_reason names the cap.
 """
 
 from dataclasses import dataclass, field
@@ -183,4 +183,10 @@ def run_verification(
     report.check("ext1_m_m", e2, e2 == 0)
     ct = verdict.is_cluster_tilting
     report.check("cluster_tilting", ct, ct)
+    if pres.incomplete or ref_ok is None:
+        report.add(
+            "inconclusive_reason",
+            f"presentation search stopped at path length {max_length}",
+            "info",
+        )
     return report

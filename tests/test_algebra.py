@@ -2,8 +2,10 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivalg import (
     MalformedRelationError,
@@ -15,6 +17,7 @@ from quivalg import (
     reference_end_algebra,
 )
 from quivalg.linalg import QQ
+from quivalg.quiver import Path
 
 from conftest import element
 
@@ -139,3 +142,89 @@ def test_normal_form_and_vec_round_trip(two_loop):
         vec = two_loop.element_vec(el)
         assert _clean(vec) == _unit(i)
         assert two_loop.vec_to_element(vec) == el
+
+
+# -- differential oracle: the sweep against plain echelonization --------
+
+
+def _paths_by_length(q, n):
+    """paths[k] lists every path of length k, for k = 0..n."""
+    paths = [[q.trivial_path(v) for v in range(q.num_vertices)]]
+    for _ in range(n):
+        paths.append(
+            [
+                Path(p.source, p.arrows + (a.index,), a.target)
+                for p in paths[-1]
+                for a in q.out_arrows[p.target]
+            ]
+        )
+    return paths
+
+
+@st.composite
+def truncated_quotients(draw):
+    """A small quiver, its truncation length N, and relations with J^N in I.
+
+    Random vertex-homogeneous relations have terms of length 2..N-1; every
+    path of length N is added as a monomial relation.
+    """
+    nv = draw(st.integers(1, 2))
+    vertex = st.integers(0, nv - 1).map(lambda v: f"v{v}")
+    arrows = [(f"a{i}", draw(vertex), draw(vertex)) for i in range(draw(st.integers(1, 3)))]
+    q = Quiver([f"v{v}" for v in range(nv)], arrows)
+    n = draw(st.integers(2, 4))
+    paths = _paths_by_length(q, n)
+    by_ends = {}
+    for k in range(2, n):
+        for p in paths[k]:
+            by_ends.setdefault((p.source, p.target), []).append(p)
+    coeffs = st.integers(-3, 3).filter(bool)
+    rels = []
+    for _ in range(draw(st.integers(0, 3)) if by_ends else 0):
+        ends = draw(st.sampled_from(sorted(by_ends)))
+        terms = draw(st.lists(st.sampled_from(by_ends[ends]), min_size=1, max_size=3, unique=True))
+        rels.append(PathAlgElement(q, {p: draw(coeffs) for p in terms}))
+    rels += [PathAlgElement.from_path(q, p) for p in paths[n]]
+    return q, rels, n, paths
+
+
+def _truncated_basis(rels, n, paths):
+    """Paths of length < N that lead no row of span{u*r*v} mod J^N.
+
+    Rows are echelonized with the largest path in length-lex order as the
+    lead, the order the sweep picks its basis by.
+    """
+    short = [p for k in range(n) for p in paths[k]]
+    echelon = {}
+    for r in rels:
+        for u in short:
+            for v in short:
+                row = {}
+                for p, c in r.terms.items():
+                    if u.target != p.source or p.target != v.source:
+                        continue
+                    if u.length + p.length + v.length < n:
+                        w = Path(u.source, u.arrows + p.arrows + v.arrows, v.target)
+                        row[w] = row.get(w, 0) + Fraction(c)
+                row = {w: c for w, c in row.items() if c}
+                while row:
+                    lead = max(row, key=Path.sort_key)
+                    piv = echelon.get(lead)
+                    if piv is None:
+                        echelon[lead] = row
+                        break
+                    f = row[lead] / piv[lead]
+                    for w, c in piv.items():
+                        row[w] = row.get(w, 0) - f * c
+                    row = {w: c for w, c in row.items() if c}
+    return {p for p in short if p not in echelon}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_sweep_matches_truncated_echelon_oracle(case):
+    q, rels, n, paths = case
+    expected = _truncated_basis(rels, n, paths)
+    alg = build_algebra(q, rels, length_cap=n + 2)
+    assert set(alg.basis) == expected
+    assert alg.dim == len(expected)

@@ -1,7 +1,9 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -72,6 +74,7 @@ def test_verify_paper_length_cap_inconclusive(capsys):
         "cluster_tilting",
     ):
         assert f"{key} = inconclusive  [inconclusive]" in out
+    assert "inconclusive_reason = presentation search stopped at path length 5  [info]" in out
     assert "[fail]" not in out
     assert out.strip().endswith("result = inconclusive")
 
@@ -217,6 +220,61 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0, proc.stderr
     assert "gldim = 3" in proc.stdout, proc.stderr
+
+
+def _third_party_imports(tree):
+    """Top-level names of absolute non-stdlib imports, split into those
+    outside and those inside a try block that catches ImportError."""
+    unguarded, guarded = set(), set()
+
+    def catches_import_error(handler):
+        if handler.type is None:
+            return True
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(
+            isinstance(t, ast.Name) and t.id in ("ImportError", "ModuleNotFoundError")
+            for t in types
+        )
+
+    def visit(node, optional):
+        if isinstance(node, ast.Try) and any(catches_import_error(h) for h in node.handlers):
+            for child in node.body:
+                visit(child, True)
+            for child in node.handlers + node.orelse + node.finalbody:
+                visit(child, optional)
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "quivalg":
+                (guarded if optional else unguarded).add(top)
+        for child in ast.iter_child_nodes(node):
+            visit(child, optional)
+
+    visit(tree, False)
+    return unguarded, guarded
+
+
+def test_declared_dependencies_match_imports():
+    """`[project].dependencies` names exactly the packages quivalg imports
+    unconditionally; an import guarded by `except ImportError` is optional."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+        for dep in tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    }
+    unguarded, guarded = set(), set()
+    for path in sorted(Path(quivalg.__file__).resolve().parent.glob("*.py")):
+        found, optional = _third_party_imports(ast.parse(path.read_text(), str(path)))
+        unguarded |= found
+        guarded |= optional
+    assert unguarded == declared, f"optional imports: {sorted(guarded)}"
 
 
 @pytest.mark.skipif(shutil.which("quivalg") is None, reason="no installed quivalg executable on PATH")

@@ -2,7 +2,7 @@
 2-cluster-tilting module and the quiver presentation of its
 endomorphism ring.
 
-Run:  python3 demos/cluster_tilting_walkthrough.py
+Run:  PYTHONPATH=src python3 demos/cluster_tilting_walkthrough.py
 """
 
 from quivalg import (
@@ -62,7 +62,7 @@ def main():
     print(f"raw relations: {pres.raw_relation_count}, "
           f"presented dimension: {pres.presented.dim}")
     kept = minimize_relations(pres.quiver, pres.relations, pres.presented.dim)
-    print(f"after greedy minimization: {len(kept)} relations")
+    print(f"after dropping relations in the ideal of the others: {len(kept)} relations")
     print()
 
     print("== homological profile of B = End(M) ==")

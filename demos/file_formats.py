@@ -4,7 +4,7 @@ Writes an algebra file and a module file to a scratch directory, runs
 the same computations through the Python API and the CLI, and checks
 the round trips agree.
 
-Run:  python3 demos/file_formats.py
+Run:  PYTHONPATH=src python3 demos/file_formats.py
 """
 
 import subprocess

@@ -36,7 +36,6 @@ trie alone uses numpy, to generate whole levels of paths at once.
 
 from __future__ import annotations
 
-from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,19 +212,14 @@ class _Trie:
 # -- level sweep ------------------------------------------------------------
 
 
-class _SweepAbort(Exception):
-    """The alive basis count exceeded the requested bound."""
-
-
 _BASIS = object()  # window marker for paths kept as basis
 
 
 class _Sweep:
     """Level-by-level sweep state over exact rationals."""
 
-    def __init__(self, trie: _Trie, basis_bound: float):
+    def __init__(self, trie: _Trie):
         self.trie = trie
-        self.bound = basis_bound
         self.nA = trie.n_arrows
         self.bpos: Dict[int, int] = {}
         self.pid_of: List[int] = []
@@ -236,6 +230,8 @@ class _Sweep:
         self.pins: Dict[int, Optional[Vec]] = {}
         self.nalive = 0
         self.nlast = 0
+        # input indices of the relations whose rows survived pass 2b
+        self.kept: List[int] = []
         trie.extend_to(1)
         n = trie.quiver.num_vertices
         lvl1 = trie.level_start[2]
@@ -314,7 +310,12 @@ class _Sweep:
         pos = self.bpos.get(pid)
         return pos is not None and not self.dead[pos]
 
-    def _row_insert(self, row: Vec) -> None:
+    def _row_insert(self, row: Vec) -> bool:
+        """Echelonize row against the imposed span.
+
+        True when the row survives, as a new candidate or by killing a
+        basis path; False when it reduces to zero.
+        """
         lo, hi = self.lo, self.hi
         while row:
             lead = max(row)
@@ -323,7 +324,7 @@ class _Sweep:
                 if res is None:
                     c = row.pop(lead)
                     self.cand[lead] = {p: -v / c for p, v in row.items()}
-                    return
+                    return True
                 self._iadd(row, res, row.pop(lead))
                 continue
             if lead in self.side:
@@ -336,7 +337,8 @@ class _Sweep:
             self.dead[pos] = True
             self.nalive -= 1
             self.kills.append(pos)
-            return
+            return True
+        return False
 
     def _inject_translates(self, pos: int) -> None:
         t = self.trie
@@ -360,7 +362,7 @@ class _Sweep:
         while self.kills:
             self._inject_translates(self.kills.pop())
 
-    def run_level(self, lo: int, hi: int, seeds: Sequence[Vec]) -> None:
+    def run_level(self, lo: int, hi: int, seeds: Sequence[Tuple[int, Vec]]) -> None:
         t = self.trie
         self.lo, self.hi = lo, hi
         self.cand = {}
@@ -396,12 +398,15 @@ class _Sweep:
             self._row_insert(acc)
             self._drain()
 
-        # pass 2b: relations topping out at this level
-        for seed in seeds:
+        # pass 2b: relations topping out at this level; every row imposed
+        # so far lies in the ideal of the relations fed so far, so a row
+        # that reduces to zero is a relation already in that ideal
+        for idx, seed in seeds:
             acc = {}
             for p, c in seed.items():
                 self._iadd(acc, self._class_of(p), c)
-            self._row_insert(acc)
+            if self._row_insert(acc):
+                self.kept.append(idx)
             self._drain()
 
         # candidates orphaned by a parent killed during this level
@@ -438,8 +443,6 @@ class _Sweep:
                 self._basis_add(pid)
                 cur[pid] = _BASIS
                 nb += 1
-                if self.nalive > self.bound:
-                    raise _SweepAbort()
             else:
                 acc = {}
                 ai = int(t.last[pid])
@@ -499,13 +502,17 @@ class _Sweep:
 
 
 class _Acceptance:
-    __slots__ = ("basis_pids", "action", "loewy", "dim")
+    """A certified table; kept lists, in input order, the relations whose
+    rows survived the sweep, and the others lie in their ideal."""
 
-    def __init__(self, basis_pids, action, loewy):
+    __slots__ = ("basis_pids", "action", "loewy", "dim", "kept")
+
+    def __init__(self, basis_pids, action, loewy, kept):
         self.basis_pids = basis_pids
         self.action = action
         self.loewy = loewy
         self.dim = len(basis_pids)
+        self.kept = kept
 
 
 def _certify(
@@ -606,7 +613,7 @@ def _certify(
                         nxt.append(stored)
         current = nxt
         power += 1
-    return _Acceptance(basis_pids, action, power)
+    return _Acceptance(basis_pids, action, power, sorted(eng.kept))
 
 
 def _relation_vecs(relations: Sequence[PathAlgElement], trie: _Trie) -> List[Vec]:
@@ -648,41 +655,34 @@ def _validate_relations(
 
 
 def _stabilize(
-    quiver: Quiver,
-    relations: Sequence[PathAlgElement],
-    length_cap: int,
-    abort_above: Optional[int] = None,
-) -> Optional[Tuple[_Trie, _Acceptance]]:
-    """Sweep levels until the quotient is certified, or give up.
+    quiver: Quiver, relations: Sequence[PathAlgElement], length_cap: int
+) -> Tuple[_Trie, _Acceptance]:
+    """Sweep levels until the quotient is certified.
 
-    Returns None when abort_above is given and the alive basis count ever
-    exceeds it by a safety margin; late collapses can shrink the count
-    again, so None means the construction was abandoned, not that the
-    final dimension provably exceeds the threshold.
+    Relations enter at the level of their longest term, tagged with
+    their index in relations; a relation never fed because the sweep
+    certified first lies in the ideal of the fed ones.
     """
     trie = _Trie(quiver)
-    eng = _Sweep(trie, (abort_above + 48) if abort_above is not None else inf)
-    seeds_by_level: Dict[int, List[Vec]] = {}
-    for vec in _relation_vecs(relations, trie):
+    eng = _Sweep(trie)
+    seeds_by_level: Dict[int, List[Tuple[int, Vec]]] = {}
+    for idx, vec in enumerate(_relation_vecs(relations, trie)):
         top = max(int(trie.level[p]) for p in vec)
-        seeds_by_level.setdefault(top, []).append(vec)
+        seeds_by_level.setdefault(top, []).append((idx, vec))
         for p in vec:
             eng.add_pin(p)
     level = 1
-    try:
-        while level < length_cap:
-            level += 1
-            trie.extend_to(level)
-            lo, hi = trie.level_start[level], trie.level_start[level + 1]
-            eng.run_level(lo, hi, seeds_by_level.get(level, ()))
-            if eng.nlast == 0:
-                acc = _certify(eng, trie, relations)
-                if acc is not None:
-                    return trie, acc
-            if hi == lo:
-                break  # the quiver has no longer paths, nothing can change
-    except _SweepAbort:
-        return None
+    while level < length_cap:
+        level += 1
+        trie.extend_to(level)
+        lo, hi = trie.level_start[level], trie.level_start[level + 1]
+        eng.run_level(lo, hi, seeds_by_level.get(level, ()))
+        if eng.nlast == 0:
+            acc = _certify(eng, trie, relations)
+            if acc is not None:
+                return trie, acc
+        if hi == lo:
+            break  # the quiver has no longer paths, nothing can change
     raise NotFiniteDimensionalError(
         f"dimension did not stabilize up to path length {length_cap} "
         f"({eng.nalive} basis paths so far and not certified)"
@@ -874,9 +874,7 @@ def build_algebra(
     """Build the quotient algebra, raising NotFiniteDimensionalError when the
     dimension has not stabilized by the length cap."""
     relations = _validate_relations(quiver, relations)
-    result = _stabilize(quiver, relations, length_cap)
-    assert result is not None  # no abort threshold was given
-    trie, acc = result
+    trie, acc = _stabilize(quiver, relations, length_cap)
     alg = PresentedAlgebra()
     alg.quiver = quiver
     alg.relations = list(relations)
@@ -899,18 +897,7 @@ def build_dimension_only(
     quiver: Quiver,
     relations: Sequence[PathAlgElement] = (),
     length_cap: int = 20,
-    abort_above: Optional[int] = None,
-) -> Optional[int]:
-    """Stabilized dimension only, skipping algebra construction.
-
-    With abort_above set, returns None as soon as the alive basis count
-    exceeds it by a safety margin.  Side collapses can shrink the count at
-    later levels, so None only means the run was abandoned; callers using
-    it to test relation redundancy must treat None as "keep", which is
-    always safe.
-    """
+) -> int:
+    """Stabilized dimension only, skipping algebra construction."""
     relations = _validate_relations(quiver, relations)
-    result = _stabilize(quiver, relations, length_cap, abort_above=abort_above)
-    if result is None:
-        return None
-    return result[1].dim
+    return _stabilize(quiver, relations, length_cap)[1].dim

@@ -13,7 +13,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import PresentedAlgebra, build_algebra, build_dimension_only
+from .algebra import (
+    PresentedAlgebra,
+    _stabilize,
+    _validate_relations,
+    build_algebra,
+    build_dimension_only,
+)
 from .endos import BlockView, EndStructure, Summand, _hom_flat, decompose
 from .errors import (
     DimensionMismatchError,
@@ -194,12 +200,7 @@ def presentation_dimension_check(
     length_cap: int = 20,
 ) -> Optional[bool]:
     """True when the presented algebra has exactly the expected dimension,
-    None when the sweep reaches length_cap without stabilizing.
-
-    No early abort here: the alive path count can transiently overshoot
-    the final dimension while the sweep is still collapsing, so aborting
-    would misreport sparse presentations that do stabilize correctly.
-    """
+    None when the sweep reaches length_cap without stabilizing."""
     try:
         dim = build_dimension_only(quiver, relations, length_cap=length_cap)
     except NotFiniteDimensionalError:
@@ -213,30 +214,60 @@ def minimize_relations(
     reference_dim: int,
     length_cap: int = 20,
 ) -> List[PathAlgElement]:
-    """Greedy pruning of redundant relations.
+    """Drop relations that lie in the ideal of the kept ones, in one sweep.
 
-    Repeatedly tries to delete relations in list order and keeps a
-    deletion whenever the remaining set still presents an algebra of the
-    reference dimension; passes repeat until a fixpoint.  Trial builds
-    abort early once they exceed the reference dimension, and an aborted
-    or infinite trial keeps the relation, which is always safe.
+    The quotient sweep runs once over all relations, each entering at
+    the level of its longest term.  Every row the sweep imposes lies in
+    the ideal of the relations fed so far, so a relation whose row
+    reduces to zero lies in the ideal of those fed before it, and one
+    never fed lies in the ideal of the fed ones; by induction every
+    dropped relation lies in the ideal generated by the kept ones, which
+    therefore present the same algebra.  The kept set is not guaranteed
+    minimal: a kept relation may lie in the ideal of relations fed after
+    it.  ext2_simples_total bounds every generating set from below.
+
+    Returns the kept relations in input order.  Raises
+    DimensionMismatchError when the certified dimension is not
+    reference_dim, and returns the input unchanged when the sweep does
+    not stabilize by length_cap.
     """
-    current = list(relations)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(current):
-            trial = current[:i] + current[i + 1 :]
-            try:
-                dim = build_dimension_only(
-                    quiver, trial, length_cap=length_cap, abort_above=reference_dim
-                )
-            except NotFiniteDimensionalError:
-                dim = None
-            if dim == reference_dim:
-                current = trial
-                changed = True
-            else:
-                i += 1
-    return current
+    valid = _validate_relations(quiver, relations)
+    try:
+        acc = _stabilize(quiver, valid, length_cap)[1]
+    except NotFiniteDimensionalError:
+        return list(relations)
+    if acc.dim != reference_dim:
+        raise DimensionMismatchError(
+            "relations present dimension %d, expected %d" % (acc.dim, reference_dim)
+        )
+    return [valid[i] for i in acc.kept]
+
+
+def ext2_simples_total(
+    quiver: Quiver,
+    relations: List[PathAlgElement],
+    dim: int,
+    length_cap: int = 20,
+) -> Optional[int]:
+    """dim I/(IJ+JI) for the ideal I of the relations and the arrow ideal J,
+    None when KQ/(IJ+JI) does not stabilize by length_cap.
+
+    dim is the dimension of KQ/I.  IJ+JI is the ideal generated by g*a
+    and a*g for every relation g and composable arrow a, so one sweep
+    gives its codimension.  For an admissible I the result is the sum of
+    dim Ext^2(S_i, S_j) over all pairs of simples (Bongartz, 1983), and
+    no generating set of I has fewer elements.
+    """
+    arrows = [
+        PathAlgElement.from_path(quiver, Path(a.source, (a.index,), a.target))
+        for a in quiver.arrows
+    ]
+    products = []
+    for g in _validate_relations(quiver, relations):
+        source, target = g.uniform_endpoints()
+        products += [g * arrows[a.index] for a in quiver.out_arrows[target]]
+        products += [arrows[a.index] * g for a in quiver.in_arrows[source]]
+    try:
+        return build_dimension_only(quiver, products, length_cap=length_cap) - dim
+    except NotFiniteDimensionalError:
+        return None

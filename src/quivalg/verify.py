@@ -15,7 +15,11 @@ inconclusive, and an info line inconclusive_reason names the cap.
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .endquiver import minimize_relations, presentation_dimension_check
+from .endquiver import (
+    ext2_simples_total,
+    minimize_relations,
+    presentation_dimension_check,
+)
 from .homological import (
     _equals_target,
     cartan_determinant,
@@ -161,11 +165,13 @@ def run_verification(
 
     report.add("raw_relations", pres.raw_relation_count, "info")
     if b is None:
-        for key in ("minimized_relations", "minimized_dim_preserved"):
+        for key in ("minimized_relations", "ext2_simples_total", "minimized_dim_preserved"):
             report.check(key, None, None)
     else:
         kept = minimize_relations(pres.quiver, pres.relations, dim_hom, length_cap=max_length)
         report.add("minimized_relations", len(kept), "info")
+        ext2 = ext2_simples_total(pres.quiver, kept, dim_hom, length_cap=max_length)
+        report.add("ext2_simples_total", "inconclusive" if ext2 is None else ext2, "info")
         preserved = len(kept) < pres.raw_relation_count and presentation_dimension_check(
             pres.quiver, kept, dim_hom, length_cap=max_length
         )

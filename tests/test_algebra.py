@@ -14,6 +14,7 @@ from quivalg import (
     Quiver,
     build_algebra,
     build_dimension_only,
+    minimize_relations,
     reference_end_algebra,
 )
 from quivalg.linalg import QQ
@@ -128,12 +129,10 @@ def test_malformed_relation_mixed_endpoints():
         build_algebra(q, [e_u + a])
 
 
-def test_build_dimension_only_matches_and_aborts(two_loop):
+def test_build_dimension_only_matches(two_loop):
     q = two_loop.quiver
     rels = list(two_loop.relations)
     assert build_dimension_only(q, rels, length_cap=20) == 6
-    # the abort threshold is a work cap, None only means "gave up"
-    assert build_dimension_only(q, [], length_cap=30, abort_above=10) is None
 
 
 def test_normal_form_and_vec_round_trip(two_loop):
@@ -228,3 +227,17 @@ def test_sweep_matches_truncated_echelon_oracle(case):
     alg = build_algebra(q, rels, length_cap=n + 2)
     assert set(alg.basis) == expected
     assert alg.dim == len(expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_minimize_relations_keeps_ordered_subset_of_same_ideal(case):
+    q, rels, n, _paths = case
+    full = build_algebra(q, rels, length_cap=n + 2)
+    kept = minimize_relations(q, rels, full.dim, length_cap=n + 2)
+    remaining = iter(rels)
+    assert all(any(k is r for r in remaining) for k in kept)
+    alg = build_algebra(q, kept, length_cap=n + 2)
+    assert alg.basis == full.basis
+    # every dropped relation lies in the ideal of the kept ones
+    assert all(alg.normal_form(r).is_zero() for r in rels)

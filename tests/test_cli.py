@@ -51,6 +51,7 @@ def test_verify_paper_passes(capsys, count_calls):
     assert code == 0
     assert "dim_b_hom = 165  [pass]" in out
     assert "gldim_b = 3  [pass]" in out
+    assert "ext2_simples_total = 10  [info]" in out
     assert out.strip().endswith("result = pass")
     # End(M), its decomposition and presentation once; A and B built once each
     assert structures["calls"] == 1
@@ -69,6 +70,7 @@ def test_verify_paper_length_cap_inconclusive(capsys):
         "domdim_b",
         "cartan_det_b",
         "minimized_relations",
+        "ext2_simples_total",
         "minimized_dim_preserved",
         "reference_presentation_dim_165",
         "cluster_tilting",
@@ -286,3 +288,27 @@ def test_installed_console_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert "gldim = 3" in proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "demo, line",
+    [
+        ("cluster_tilting_walkthrough.py", "M is 2-cluster-tilting: True"),
+        ("file_formats.py", "round trips agree"),
+    ],
+)
+def test_demo_runs_from_source_checkout(demo, line):
+    """Each demo runs as documented: PYTHONPATH=src python3 demos/<name>."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines(), proc.stdout

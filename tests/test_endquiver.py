@@ -5,10 +5,13 @@ import warnings
 import pytest
 
 from quivalg import (
+    DimensionMismatchError,
     IncompletePresentationWarning,
     Quiver,
     element_endomorphism,
     end_as_quiver_algebra,
+    ext2_simples_total,
+    ext_dim,
     indec_projectives,
     minimize_relations,
     path_endomorphism,
@@ -17,8 +20,10 @@ from quivalg import (
     reference_end_quiver,
     reference_end_relations,
     regular_module,
+    simples,
     build_dimension_only,
 )
+from quivalg import algebra
 from quivalg.linalg import Matrix
 
 from conftest import element
@@ -93,6 +98,8 @@ def test_minimize_relations_tiny_loop():
     r3 = element(q, (1, ["x", "x", "x"]))
     kept = minimize_relations(q, [r3, r2], 2, length_cap=10)
     assert kept == [r2]
+    with pytest.raises(DimensionMismatchError):
+        minimize_relations(q, [r3, r2], 3, length_cap=10)
 
 
 def test_minimize_relations_keeps_needed():
@@ -106,6 +113,39 @@ def test_minimize_relations_keeps_needed():
     dim = build_dimension_only(q, rels, length_cap=10)
     kept = minimize_relations(q, rels, dim, length_cap=10)
     assert kept == rels  # all four are independent in the monomial case
+
+
+def test_minimize_relations_unstable_input_unchanged():
+    # K<x, y>/(x^2, y^2) is infinite dimensional: (xy)^k never vanishes
+    q = Quiver(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    rels = [
+        element(q, (1, ["x", "x"])),
+        element(q, (1, ["y", "y"])),
+        element(q, (1, ["x", "x", "x"])),
+    ]
+    assert minimize_relations(q, rels, 7, length_cap=6) == rels
+
+
+def test_minimize_pipeline_relations_in_one_sweep(m_presentation, count_calls):
+    pres = m_presentation
+    sweeps = count_calls(algebra, "_stabilize")
+    kept = minimize_relations(pres.quiver, pres.relations, 165, length_cap=20)
+    assert sweeps["calls"] == 1
+    assert len(kept) <= 50
+    assert presentation_dimension_check(pres.quiver, kept, 165)
+
+
+def test_ext2_simples_total_two_loop(two_loop):
+    s = simples(two_loop)[0]
+    assert ext_dim(s, s, 2) == 2
+    assert ext2_simples_total(two_loop.quiver, two_loop.relations, two_loop.dim) == 2
+
+
+def test_ext2_simples_total_end_algebra(m_presentation):
+    pres = m_presentation
+    assert ext2_simples_total(pres.quiver, pres.relations, 165) == 10
+    q = reference_end_quiver()
+    assert ext2_simples_total(q, reference_end_relations(q), 165) == 10
 
 
 def test_presentation_dimension_check_reference():

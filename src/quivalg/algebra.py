@@ -4,20 +4,32 @@ build_algebra presents KQ/I for the two-sided ideal I generated by the
 given relations, which must be vertex-homogeneous with every term of
 length at least two (so I sits inside the square of the arrow ideal J).
 
-Paths are enumerated level by level in a trie, in length-then-lex order
-by arrow index.  The engine sweeps one length level at a time and keeps,
-for every path seen so far, its class modulo the span of ideal rows
-whose leading path has already occurred: a path is either basis (pivot
-free) or carries a residue row over smaller basis paths.  A level
-imposes three kinds of rows: folds of parent classes under right
-extension, one left-consistency row per path whose suffix is not basis,
-and the relations whose longest term sits at this level.  Rows
-echelonize against the level's undecided paths; a surviving row led by
-an older basis path kills it, and translate rows of the dead path are
-injected until the collapse settles.  The span imposed through level L
-equals the span of all ideal rows with lead length <= L, so basis and
-residues agree with direct echelonization of the whole ideal span under
-the path order.
+Paths are ordered by length, then lex by arrow index.  The engine sweeps
+one length level at a time and keeps, for every stored path, its class
+modulo the span of ideal rows whose leading path has already occurred: a
+path is either basis (pivot free) or carries a residue row over smaller
+basis paths.  A level imposes three kinds of rows: folds of parent
+classes under right extension, one left-consistency row per path whose
+suffix is not basis, and the relations whose longest term sits at this
+level.  Rows echelonize against the level's undecided paths; a surviving
+row led by an older basis path kills it, and translate rows of the dead
+path are injected until the collapse settles.  The span imposed through
+level L equals the span of all ideal rows with lead length <= L, so
+basis and residues agree with direct echelonization of the whole ideal
+span under the path order.
+
+Only a frontier of paths is stored.  Level L holds the paths a*m*b whose
+middle m (the path without its first and last arrow) is a live basis
+path when the level starts: the right children of the basis paths of
+level L-1, which fill the right-extension table, and their left
+extensions, which fill the left one.  The parent and the suffix of a
+frontier path are frontier paths of level L-1.  A path whose middle is
+not basis imposes nothing new: its middle is congruent to smaller paths
+already, so its two folds agree by induction on the lower levels (the
+overlap argument of Bergman's diamond lemma, as in noncommutative
+Groebner bases).  The store therefore holds at most vertices + arrows +
+the sum of indeg(source m) * outdeg(target m) over the basis paths m
+found so far, whatever the length cap.
 
 Acceptance is checked on the extracted multiplication table: once a
 level creates no new basis paths (after which no later level can
@@ -28,17 +40,15 @@ Together these prove the table presents exactly KQ/I, so the sweep can
 stop even while longer paths still carry nonzero classes.  If no level
 certifies before the length cap, NotFiniteDimensionalError is raised.
 
-The sweep is plain Python over exact rationals.  Relations enter as
-rational rows over trie path ids; every stored residue is normalized by
-its leading coefficient, so scaling a relation changes nothing.  The
-trie alone uses numpy, to generate whole levels of paths at once.
+The sweep is plain Python over exact rationals.  A relation enters as
+the sum of its terms' classes, each term folded arrow by arrow through
+the tables; every stored residue is normalized by its leading
+coefficient, so scaling a relation changes nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MalformedRelationError, NotFiniteDimensionalError
 from .linalg import ONE, QQ, ZERO
@@ -51,162 +61,78 @@ _HAVE_C = False
 Vec = Dict[int, "QQ"]
 
 
-def _excl_cumsum(a: np.ndarray) -> np.ndarray:
-    out = np.empty(len(a), dtype=np.int64)
-    if len(a):
-        np.cumsum(a[:-1], out=out[1:])
-        out[0] = 0
-    return out
+class _Paths:
+    """The stored paths of every level, as parallel lists indexed by id.
 
-
-class _Trie:
-    """All paths up to a length cap, as parallel arrays indexed by path id.
-
-    Ids follow the global path order (length, then lex by arrow index).
-    Children of one path are contiguous, so right extension is arithmetic;
-    left extension is a flat lookup filled via suffix links.  Levels are
-    generated wholesale with numpy; path counts grow geometrically, so the
-    per-level concatenation stays linear overall.
+    Ids follow the path order.  right maps (pid, arrow) to the id of
+    pid*arrow and left maps (arrow, pid) to the id of arrow*pid, for the
+    stored paths.
     """
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
         n = quiver.num_vertices
-        nA = len(quiver.arrows)
-        self.n_arrows = nA
-        self.out_rank = np.full(n * nA, -1, dtype=np.int32)
-        self.in_rank = np.full(n * nA, -1, dtype=np.int32)
-        for v in range(n):
-            for r, a in enumerate(quiver.out_arrows[v]):
-                self.out_rank[v * nA + a.index] = r
-            for r, a in enumerate(quiver.in_arrows[v]):
-                self.in_rank[v * nA + a.index] = r
-        self.arrow_tgt = np.array([a.target for a in quiver.arrows] or [0], dtype=np.int32)
-        self.out_deg = np.array([len(quiver.out_arrows[v]) for v in range(n)], dtype=np.int32)
-        self.in_deg = np.array([len(quiver.in_arrows[v]) for v in range(n)], dtype=np.int32)
-        self.out_arrows_idx = [
-            np.array([a.index for a in quiver.out_arrows[v]] or [0], dtype=np.int32)
-            for v in range(n)
-        ]
-        # per-path arrays; level 0 is the trivial path at each vertex
-        vid = np.arange(n, dtype=np.int32)
-        neg = np.full(n, -1, dtype=np.int32)
-        self.parent = neg.copy()
-        self.last = neg.copy()
-        self.first = neg.copy()
-        self.suffix = vid.copy()
-        self.src = vid.copy()
-        self.tgt = vid.copy()
-        self.level = np.zeros(n, dtype=np.int32)
-        self.child_start = neg.copy()
-        self.left_start = _excl_cumsum(self.in_deg).astype(np.int32)
-        self.left_ext = np.full(int(self.in_deg.sum()), -1, dtype=np.int32)
+        # level 0 is the trivial path at each vertex
+        self.parent = [-1] * n
+        self.last = [-1] * n
+        self.first = [-1] * n
+        self.suffix = list(range(n))
+        self.src = list(range(n))
+        self.tgt = list(range(n))
+        self.level = [0] * n
+        self.right: Dict[Tuple[int, int], int] = {}
+        self.left: Dict[Tuple[int, int], int] = {}
         self.level_start: List[int] = [0, n]
-        self.max_level = 0
 
-    def extend_to(self, maxlen: int) -> None:
-        while self.max_level < maxlen:
-            self._add_level()
+    def add_level(self, extend: Callable[[int], bool]) -> Tuple[int, int]:
+        """Store the children x*b of the last level's paths x whose suffix
+        passes extend, and return the id range of the new level.
 
-    def _add_level(self) -> None:
-        lvl = self.max_level + 1
-        nA = self.n_arrows
-        lo, hi = self.level_start[lvl - 1], self.level_start[lvl]
-        base = self.level_start[-1]
-        ptgt = self.tgt[lo:hi]
-        has = self.out_deg[ptgt] > 0
-        parents = (np.arange(lo, hi, dtype=np.int64))[has]
-        counts = self.out_deg[ptgt[has]].astype(np.int64)
-        total = int(counts.sum())
-        starts = base + _excl_cumsum(counts)
-        self.child_start[parents] = starts.astype(np.int32)
-
-        child_parent = np.repeat(parents, counts).astype(np.int32)
-        child_last = np.empty(total, dtype=np.int32)
-        pt = ptgt[has]
-        for v in range(self.quiver.num_vertices):
-            deg = int(self.out_deg[v])
-            if not deg:
+        Children follow their parent's order, then arrow index, so the
+        new ids follow the path order too.
+        """
+        lo, hi = self.level_start[-2], self.level_start[-1]
+        lvl = len(self.level_start) - 1
+        for x in range(lo, hi):
+            if not extend(self.suffix[x]):
                 continue
-            sel = pt == v
-            nv = int(sel.sum())
-            if not nv:
-                continue
-            # children of one parent are contiguous in arrow-rank order
-            idx = ((starts[sel] - base)[:, None] + np.arange(deg, dtype=np.int64)[None, :]).ravel()
-            child_last[idx] = np.tile(self.out_arrows_idx[v], nv)
+            for b in self.quiver.out_arrows[self.tgt[x]]:
+                ai = b.index
+                if lvl == 1:
+                    first, suffix = ai, b.target
+                else:
+                    first, suffix = self.first[x], self.right[self.suffix[x], ai]
+                pid = len(self.parent)
+                self.parent.append(x)
+                self.last.append(ai)
+                self.first.append(first)
+                self.suffix.append(suffix)
+                self.src.append(self.src[x])
+                self.tgt.append(b.target)
+                self.level.append(lvl)
+                self.right[x, ai] = pid
+                self.left[first, suffix] = pid
+        self.level_start.append(len(self.parent))
+        return hi, len(self.parent)
 
-        child_src = self.src[child_parent]
-        child_tgt = self.arrow_tgt[child_last]
-        child_first = child_last if lvl == 1 else self.first[child_parent]
-        if lvl == 1:
-            child_suffix = child_tgt.copy()
-        else:
-            sp = self.suffix[child_parent]
-            child_suffix = (
-                self.child_start[sp]
-                + self.out_rank[self.tgt[sp].astype(np.int64) * nA + child_last]
-            ).astype(np.int32)
-        ideg = self.in_deg[child_src].astype(np.int64)
-        child_left_start = (len(self.left_ext) + _excl_cumsum(ideg)).astype(np.int32)
-
-        self.parent = np.concatenate([self.parent, child_parent])
-        self.last = np.concatenate([self.last, child_last])
-        self.first = np.concatenate([self.first, child_first])
-        self.suffix = np.concatenate([self.suffix, child_suffix])
-        self.src = np.concatenate([self.src, child_src])
-        self.tgt = np.concatenate([self.tgt, child_tgt])
-        self.level = np.concatenate([self.level, np.full(total, lvl, dtype=np.int32)])
-        self.child_start = np.concatenate([self.child_start, np.full(total, -1, dtype=np.int32)])
-        self.left_start = np.concatenate([self.left_start, child_left_start])
-        self.left_ext = np.concatenate(
-            [self.left_ext, np.full(int(ideg.sum()), -1, dtype=np.int32)]
-        )
-        # register each child as the left extension first(child) * suffix(child)
-        slots = (
-            self.left_start[child_suffix].astype(np.int64)
-            + self.in_rank[self.src[child_suffix].astype(np.int64) * nA + child_first]
-        )
-        self.left_ext[slots] = np.arange(base, base + total, dtype=np.int32)
-
-        self.level_start.append(base + total)
-        self.max_level = lvl
-
-    def right_child(self, pid: int, ai: int) -> int:
-        """Id of path*arrow, or -1 if incomposable or not generated."""
-        r = self.out_rank[self.tgt[pid] * self.n_arrows + ai]
-        if r < 0:
-            return -1
-        cs = self.child_start[pid]
-        if cs < 0:
-            return -1
-        return int(cs + r)
-
-    def left_child(self, ai: int, pid: int) -> int:
-        """Id of arrow*path, or -1 if incomposable or not generated."""
-        r = self.in_rank[self.src[pid] * self.n_arrows + ai]
-        if r < 0:
-            return -1
-        return int(self.left_ext[self.left_start[pid] + r])
-
-    def walk(self, vertex: int, arrows: Sequence[int]) -> int:
-        """Id of the path with the given source and arrow list, or -1."""
-        pid = vertex
-        for ai in arrows:
-            pid = self.right_child(pid, ai)
-            if pid < 0:
-                return -1
-        return pid
-
-    def arrows_of(self, pid: int) -> Tuple[int, ...]:
-        out: List[int] = []
-        while self.level[pid] > 0:
-            out.append(int(self.last[pid]))
-            pid = int(self.parent[pid])
-        return tuple(reversed(out))
+    def child(self, pid: int, ai: int, side: int) -> int:
+        """Id of pid*arrow (side 0) or arrow*pid (side 1); -1 when the
+        two do not compose."""
+        cid = self.left.get((ai, pid)) if side else self.right.get((pid, ai))
+        if cid is not None:
+            return cid
+        a = self.quiver.arrows[ai]
+        if (a.target == self.src[pid]) if side else (a.source == self.tgt[pid]):
+            raise RuntimeError(f"path {pid} extended by arrow {ai} is not stored")
+        return -1
 
     def path_of(self, pid: int) -> Path:
-        return Path(int(self.src[pid]), self.arrows_of(pid), int(self.tgt[pid]))
+        src, tgt = self.src[pid], self.tgt[pid]
+        out: List[int] = []
+        while self.level[pid] > 0:
+            out.append(self.last[pid])
+            pid = self.parent[pid]
+        return Path(src, tuple(reversed(out)), tgt)
 
 
 # -- level sweep ------------------------------------------------------------
@@ -218,29 +144,28 @@ _BASIS = object()  # window marker for paths kept as basis
 class _Sweep:
     """Level-by-level sweep state over exact rationals."""
 
-    def __init__(self, trie: _Trie):
-        self.trie = trie
-        self.nA = trie.n_arrows
+    def __init__(self, paths: _Paths):
+        self.paths = paths
+        self.nA = len(paths.quiver.arrows)
         self.bpos: Dict[int, int] = {}
         self.pid_of: List[int] = []
         self.dead: List[bool] = []
         self.tabR: List[List[Optional[Vec]]] = []
         self.tabL: List[List[Optional[Vec]]] = []
         self.side: Dict[int, Vec] = {}
-        self.pins: Dict[int, Optional[Vec]] = {}
         self.nalive = 0
         self.nlast = 0
         # input indices of the relations whose rows survived pass 2b
         self.kept: List[int] = []
-        trie.extend_to(1)
-        n = trie.quiver.num_vertices
-        lvl1 = trie.level_start[2]
-        for pid in range(lvl1):
+        n = paths.quiver.num_vertices
+        for pid in range(n):
             self._basis_add(pid)
+        _, lvl1 = paths.add_level(self.is_live)
         for pid in range(n, lvl1):
-            ai = int(trie.last[pid])
-            self.tabR[self.bpos[int(trie.src[pid])]][ai] = {pid: ONE}
-            self.tabL[self.bpos[int(trie.tgt[pid])]][ai] = {pid: ONE}
+            self._basis_add(pid)
+            ai = paths.last[pid]
+            self.tabR[self.bpos[paths.src[pid]]][ai] = {pid: ONE}
+            self.tabL[self.bpos[paths.tgt[pid]]][ai] = {pid: ONE}
         self.win: List[Tuple[int, int, Dict[int, object]]] = [
             (0, n, {pid: _BASIS for pid in range(n)}),
             (n, lvl1, {pid: _BASIS for pid in range(n, lvl1)}),
@@ -258,8 +183,9 @@ class _Sweep:
         self.tabL.append([None] * self.nA)
         self.nalive += 1
 
-    def add_pin(self, pid: int) -> None:
-        self.pins.setdefault(pid, None)
+    def is_live(self, pid: int) -> bool:
+        pos = self.bpos.get(pid)
+        return pos is not None and not self.dead[pos]
 
     def _class_of(self, pid: int) -> Vec:
         for lo, hi, d in self.win:
@@ -274,14 +200,11 @@ class _Sweep:
                     return {pid: ONE}
                 return v  # type: ignore[return-value]
         pos = self.bpos.get(pid)
-        if pos is not None:
-            if self.dead[pos]:
-                return self.side[pid]
-            return {pid: ONE}
-        row = self.pins.get(pid)
-        if row is None:
+        if pos is None:
             raise RuntimeError(f"class of path {pid} is out of reach")
-        return row
+        if self.dead[pos]:
+            return self.side[pid]
+        return {pid: ONE}
 
     @staticmethod
     def _iadd(acc: Vec, row: Vec, c: "QQ") -> None:
@@ -298,17 +221,27 @@ class _Sweep:
         if tab is not None:
             self._iadd(acc, tab, c)
             return
-        t = self.trie
-        cid = t.left_child(ai, bpid) if side else t.right_child(bpid, ai)
+        cid = self.paths.child(bpid, ai, side)
         if cid < 0:
             return
         self._iadd(acc, self._class_of(cid), c)
 
+    def _times_arrow(self, cls: Vec, ai: int) -> Vec:
+        """Class of cls * arrow, by right extension of its basis paths."""
+        acc: Vec = {}
+        for b, c in cls.items():
+            self._ext_iadd(acc, b, ai, 0, c)
+        return acc
+
+    def _fold(self, p: Path) -> Vec:
+        """Class of a path, its arrows folded one by one through the tables."""
+        cls: Vec = {p.source: ONE}
+        for ai in p.arrows:
+            cls = self._times_arrow(cls, ai)
+        return cls
+
     def _is_live_unit(self, cls: Vec, pid: int) -> bool:
-        if len(cls) != 1 or cls.get(pid) != ONE:
-            return False
-        pos = self.bpos.get(pid)
-        return pos is not None and not self.dead[pos]
+        return len(cls) == 1 and cls.get(pid) == ONE and self.is_live(pid)
 
     def _row_insert(self, row: Vec) -> bool:
         """Echelonize row against the imposed span.
@@ -341,7 +274,6 @@ class _Sweep:
         return False
 
     def _inject_translates(self, pos: int) -> None:
-        t = self.trie
         xpid = self.pid_of[pos]
         for ai in range(self.nA):
             for side in (0, 1):
@@ -349,8 +281,8 @@ class _Sweep:
                 if tab is not None:
                     acc = dict(tab)
                 else:
-                    cid = t.left_child(ai, xpid) if side else t.right_child(xpid, ai)
-                    if cid < 0 or cid >= self.hi:
+                    cid = self.paths.child(xpid, ai, side)
+                    if cid < 0:
                         continue
                     acc = dict(self._class_of(cid))
                 res = self.side[xpid]
@@ -362,8 +294,10 @@ class _Sweep:
         while self.kills:
             self._inject_translates(self.kills.pop())
 
-    def run_level(self, lo: int, hi: int, seeds: Sequence[Tuple[int, Vec]]) -> None:
-        t = self.trie
+    def run_level(
+        self, lo: int, hi: int, seeds: Sequence[Tuple[int, PathAlgElement]]
+    ) -> None:
+        t = self.paths
         self.lo, self.hi = lo, hi
         self.cand = {}
         self.kills = []
@@ -373,25 +307,22 @@ class _Sweep:
 
         # pass 1: fold classes from parents; children of live basis wait
         for pid in range(lo, hi):
-            par = int(t.parent[pid])
+            par = t.parent[pid]
             cls = self._class_of(par)
             if self._is_live_unit(cls, par):
                 continue
-            acc: Vec = {}
-            ai = int(t.last[pid])
-            for b, c in cls.items():
-                self._ext_iadd(acc, b, ai, 0, c)
+            acc = self._times_arrow(cls, t.last[pid])
             cur[pid] = acc
             if any(lo <= p < hi for p in acc):
                 patch.append(pid)
 
         # pass 2a: left-consistency rows
         for pid in range(lo, hi):
-            s = int(t.suffix[pid])
+            s = t.suffix[pid]
             scls = self._class_of(s)
             if self._is_live_unit(scls, s):
                 continue
-            a = int(t.first[pid])
+            a = t.first[pid]
             acc = dict(self._class_of(pid))
             for b, c in scls.items():
                 self._ext_iadd(acc, b, a, 1, -c)
@@ -401,10 +332,10 @@ class _Sweep:
         # pass 2b: relations topping out at this level; every row imposed
         # so far lies in the ideal of the relations fed so far, so a row
         # that reduces to zero is a relation already in that ideal
-        for idx, seed in seeds:
+        for idx, rel in seeds:
             acc = {}
-            for p, c in seed.items():
-                self._iadd(acc, self._class_of(p), c)
+            for p, c in rel.terms.items():
+                self._iadd(acc, self._fold(p), c)
             if self._row_insert(acc):
                 self.kept.append(idx)
             self._drain()
@@ -416,14 +347,13 @@ class _Sweep:
             for pid in range(lo, hi):
                 if pid in cur or pid in winserted:
                     continue
-                par = int(t.parent[pid])
-                pos = self.bpos.get(par)
-                if pos is not None and not self.dead[pos]:
+                par = t.parent[pid]
+                if self.is_live(par):
                     continue
                 winserted.add(pid)
                 changed = True
                 acc = {pid: ONE}
-                ai = int(t.last[pid])
+                ai = t.last[pid]
                 for b, c in self._class_of(par).items():
                     self._ext_iadd(acc, b, ai, 0, -c)
                 self._row_insert(acc)
@@ -444,11 +374,7 @@ class _Sweep:
                 cur[pid] = _BASIS
                 nb += 1
             else:
-                acc = {}
-                ai = int(t.last[pid])
-                for b, c in self._class_of(int(t.parent[pid])).items():
-                    self._ext_iadd(acc, b, ai, 0, c)
-                cur[pid] = acc
+                cur[pid] = self._times_arrow(self._class_of(t.parent[pid]), t.last[pid])
                 patch.append(pid)
 
         # patch stored rows free of killed candidates; killed candidates
@@ -470,27 +396,25 @@ class _Sweep:
                         self._iadd(acc, {p: ONE}, c)
                 cur[ppid] = acc
 
-        # persist tables and pins
+        # persist tables
         for pid in range(lo, hi):
             v = cur[pid]
             row: Vec = {pid: ONE} if v is _BASIS else v  # type: ignore[assignment]
-            bp = self.bpos.get(int(t.parent[pid]))
+            bp = self.bpos.get(t.parent[pid])
             if bp is not None:
-                self.tabR[bp][int(t.last[pid])] = row
-            bs = self.bpos.get(int(t.suffix[pid]))
+                self.tabR[bp][t.last[pid]] = row
+            bs = self.bpos.get(t.suffix[pid])
             if bs is not None:
-                self.tabL[bs][int(t.first[pid])] = row
-            if pid in self.pins and self.pins[pid] is None:
-                self.pins[pid] = row
+                self.tabL[bs][t.first[pid]] = row
 
         self.nlast = nb
 
-    def basis_pids(self) -> List[int]:
-        return [p for i, p in enumerate(self.pid_of) if not self.dead[i]]
+    def live_positions(self) -> List[int]:
+        return [pos for pos, dead in enumerate(self.dead) if not dead]
 
-    def action_row(self, bi: int, ai: int) -> Vec:
-        alive = [i for i in range(len(self.pid_of)) if not self.dead[i]]
-        row = self.tabR[alive[bi]][ai]
+    def action_row(self, pos: int, ai: int) -> Vec:
+        """Class of basis path pid_of[pos] times an arrow, over live paths."""
+        row = self.tabR[pos][ai]
         if row is None:
             return {}
         out = dict(row)
@@ -515,9 +439,7 @@ class _Acceptance:
         self.kept = kept
 
 
-def _certify(
-    eng: _Sweep, trie: _Trie, relations: Sequence[PathAlgElement]
-) -> Optional[_Acceptance]:
+def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional[_Acceptance]:
     """Prove the extracted table presents KQ/I, or return None.
 
     Checks that every relation folds to zero starting from every basis
@@ -527,16 +449,17 @@ def _certify(
     rows lying in the ideal span this identifies the table with KQ/I and
     yields the nilpotency degree of the arrow image as a byproduct.
     """
-    basis_pids = eng.basis_pids()
+    live = eng.live_positions()
+    basis_pids = [eng.pid_of[pos] for pos in live]
     pos_of = {pid: k for k, pid in enumerate(basis_pids)}
-    nA = trie.n_arrows
+    nA = eng.nA
     dim = len(basis_pids)
     action: List[List[Vec]] = [
         [
-            {pos_of[p]: c for p, c in eng.action_row(k, ai).items()}
+            {pos_of[p]: c for p, c in eng.action_row(pos, ai).items()}
             for ai in range(nA)
         ]
-        for k in range(dim)
+        for pos in live
     ]
 
     def apply(vec: Vec, ai: int) -> Vec:
@@ -596,7 +519,7 @@ def _certify(
         return None
 
     current: List[Vec] = [
-        {k: ONE} for k, pid in enumerate(basis_pids) if trie.level[pid] > 0
+        {k: ONE} for k, pid in enumerate(basis_pids) if eng.paths.level[pid] > 0
     ]
     power = 1
     while current:
@@ -616,22 +539,6 @@ def _certify(
     return _Acceptance(basis_pids, action, power, sorted(eng.kept))
 
 
-def _relation_vecs(relations: Sequence[PathAlgElement], trie: _Trie) -> List[Vec]:
-    """Each relation as a sparse rational row over trie path ids."""
-    out = []
-    for r in relations:
-        trie.extend_to(r.max_length())
-        vec: Vec = {}
-        for p, c in r.terms.items():
-            pid = trie.walk(p.source, p.arrows)
-            if pid < 0:
-                raise MalformedRelationError(
-                    f"relation path {p!r} does not live on this quiver"
-                )
-            vec[pid] = c
-        out.append(vec)
-    return out
-
 
 def _validate_relations(
     quiver: Quiver, relations: Sequence[PathAlgElement]
@@ -650,39 +557,44 @@ def _validate_relations(
             raise MalformedRelationError(
                 f"relation {idx} has a term of length < 2: {rel!r}"
             )
+        for p in rel.terms:
+            v = p.source
+            for ai in p.arrows:
+                if not 0 <= ai < len(quiver.arrows) or quiver.arrows[ai].source != v:
+                    raise MalformedRelationError(
+                        f"relation path {p!r} does not live on this quiver"
+                    )
+                v = quiver.arrows[ai].target
         kept.append(rel)
     return kept
 
 
 def _stabilize(
     quiver: Quiver, relations: Sequence[PathAlgElement], length_cap: int
-) -> Tuple[_Trie, _Acceptance]:
+) -> Tuple[_Sweep, _Acceptance]:
     """Sweep levels until the quotient is certified.
 
     Relations enter at the level of their longest term, tagged with
     their index in relations; a relation never fed because the sweep
     certified first lies in the ideal of the fed ones.
     """
-    trie = _Trie(quiver)
-    eng = _Sweep(trie)
-    seeds_by_level: Dict[int, List[Tuple[int, Vec]]] = {}
-    for idx, vec in enumerate(_relation_vecs(relations, trie)):
-        top = max(int(trie.level[p]) for p in vec)
-        seeds_by_level.setdefault(top, []).append((idx, vec))
-        for p in vec:
-            eng.add_pin(p)
+    paths = _Paths(quiver)
+    eng = _Sweep(paths)
+    seeds_by_level: Dict[int, List[Tuple[int, PathAlgElement]]] = {}
+    for idx, rel in enumerate(relations):
+        seeds_by_level.setdefault(rel.max_length(), []).append((idx, rel))
+    last_seed = max(seeds_by_level, default=0)
     level = 1
     while level < length_cap:
         level += 1
-        trie.extend_to(level)
-        lo, hi = trie.level_start[level], trie.level_start[level + 1]
+        lo, hi = paths.add_level(eng.is_live)
         eng.run_level(lo, hi, seeds_by_level.get(level, ()))
         if eng.nlast == 0:
-            acc = _certify(eng, trie, relations)
+            acc = _certify(eng, relations)
             if acc is not None:
-                return trie, acc
-        if hi == lo:
-            break  # the quiver has no longer paths, nothing can change
+                return eng, acc
+        if hi == lo and level >= last_seed:
+            break  # no stored path extends and no relation is left to feed
     raise NotFiniteDimensionalError(
         f"dimension did not stabilize up to path length {length_cap} "
         f"({eng.nalive} basis paths so far and not certified)"
@@ -874,12 +786,12 @@ def build_algebra(
     """Build the quotient algebra, raising NotFiniteDimensionalError when the
     dimension has not stabilized by the length cap."""
     relations = _validate_relations(quiver, relations)
-    trie, acc = _stabilize(quiver, relations, length_cap)
+    eng, acc = _stabilize(quiver, relations, length_cap)
     alg = PresentedAlgebra()
     alg.quiver = quiver
     alg.relations = list(relations)
     alg.length_cap = length_cap
-    alg.basis = [trie.path_of(pid) for pid in acc.basis_pids]
+    alg.basis = [eng.paths.path_of(pid) for pid in acc.basis_pids]
     alg.dim = acc.dim
     alg.loewy_length = acc.loewy
     alg._action = acc.action

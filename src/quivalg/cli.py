@@ -4,7 +4,8 @@ Subcommands: verify-paper (built-in end-to-end pipeline), end-quiver,
 gldim, domdim, tau2, cartan, probe-ext.  Reports are line-oriented
 `key = value` pairs in human format, or a JSON object with the same
 keys in structured format.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 inconclusive (a bound was hit), 3 input error.
+failed, 2 inconclusive (a search bound or the path length cap was hit,
+with the reason on stderr or in the report), 3 input error.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from typing import List, Optional
 
 from .algebra import PresentedAlgebra, build_algebra
 from .endquiver import end_as_quiver_algebra
-from .errors import ParseError, QuivalgError
+from .errors import NotFiniteDimensionalError, ParseError, QuivalgError
 from .homological import (
     AtLeastBound,
     ExceedsBound,
@@ -51,6 +52,8 @@ def _load_algebra(ref: str, length_cap: int = 20) -> PresentedAlgebra:
     try:
         quiver, relations = parse_algebra(text)
         return build_algebra(quiver, relations, length_cap=length_cap)
+    except NotFiniteDimensionalError as exc:
+        raise NotFiniteDimensionalError(f"{ref}: {exc}") from exc
     except QuivalgError as exc:
         raise _InputError(f"{ref}: {exc}") from exc
 
@@ -309,6 +312,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except NotFiniteDimensionalError as exc:
+        sys.stderr.write(f"inconclusive: {exc}\n")
+        return 2
     except QuivalgError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -79,48 +79,48 @@ class _Resolution:
     """Lazily extended minimal projective resolution with cover data.
 
     psums[k] is the k-th term as a _ProjSum, maps[k] is the differential
-    psums[k+1].rep -> psums[k].rep, epi is the augmentation onto the
-    resolved module.
+    psums[k+1].rep -> psums[k].rep, epis[k] is the cover of the k-th
+    syzygy by psums[k]; epis[0] is the augmentation onto the resolved
+    module.  Covers and kernels are taken only as far as asked, and only
+    extend_to composes differentials.
     """
 
     def __init__(self, m: Representation):
         self.module = m
         self.psums: List[_ProjSum] = []
+        self.epis: List[ModuleHom] = []
         self.maps: List[ModuleHom] = []
-        self.epi: Optional[ModuleHom] = None
         self._syzygies: List[Representation] = [m]
         self._incls: List[ModuleHom] = []
 
-    def extend_to(self, k: int) -> None:
-        while len(self.psums) <= k:
-            s = len(self.psums)
-            psum, epi = _cover_data(self._syzygies[s])
-            self.psums.append(psum)
-            if s == 0:
-                self.epi = epi
-            else:
-                self.maps.append(epi * self._incls[s - 1])
-            ker, incl = kernel(epi)
+    def syzygy(self, k: int) -> Representation:
+        while len(self._syzygies) <= k:
+            s = len(self._syzygies) - 1
+            self._cover(s)
+            ker, incl = kernel(self.epis[s])
             self._syzygies.append(ker)
             self._incls.append(incl)
-
-    def syzygy(self, k: int) -> Representation:
-        if k > 0:
-            self.extend_to(k - 1)
         return self._syzygies[k]
+
+    def _cover(self, k: int) -> None:
+        while len(self.psums) <= k:
+            psum, epi = _cover_data(self.syzygy(len(self.psums)))
+            self.psums.append(psum)
+            self.epis.append(epi)
+
+    def extend_to(self, k: int) -> None:
+        """Terms psums[0..k] and differentials maps[0..k-1]."""
+        self._cover(k)
+        while len(self.maps) < k:
+            s = len(self.maps) + 1
+            self.maps.append(self.epis[s] * self._incls[s - 1])
 
 
 def syzygy(m: Representation, k: int) -> Representation:
     """k-th syzygy of m along minimal covers; k = 0 returns m itself."""
     if k < 0:
         raise ValueError("syzygy index must be nonnegative")
-    cur = m
-    for _ in range(k):
-        if cur.is_zero():
-            return cur
-        _, epi = _cover_data(cur)
-        cur = kernel(epi)[0]
-    return cur
+    return _Resolution(m).syzygy(k)
 
 
 @dataclass
@@ -137,7 +137,7 @@ def minimal_presentation(m: Representation) -> MinimalPresentation:
     res = _Resolution(m)
     res.extend_to(1)
     return MinimalPresentation(
-        p1=res.psums[1].rep, p0=res.psums[0].rep, d=res.maps[0], epi=res.epi
+        p1=res.psums[1].rep, p0=res.psums[0].rep, d=res.maps[0], epi=res.epis[0]
     )
 
 
@@ -153,12 +153,11 @@ def transpose(m: Representation) -> Representation:
     between an algebra and its opposite (reversal keeps indices), so the
     presentation components transfer without any coordinate translation.
     """
-    a = m.algebra
-    psum0, epi = _cover_data(m)
-    syz, incl = kernel(epi)
-    psum1, epi1 = _cover_data(syz)
-    comp = _presentation_components(psum1, psum0, epi1 * incl)
-    op = a.opposite
+    res = _Resolution(m)
+    res.extend_to(1)
+    psum0, psum1 = res.psums[0], res.psums[1]
+    comp = _presentation_components(psum1, psum0, res.maps[0])
+    op = m.algebra.opposite
     src = _ProjSum(op, list(psum0.vertices))
     tgt = _ProjSum(op, list(psum1.vertices))
     images = []
@@ -226,11 +225,9 @@ def projective_dimension(
         raise ValueError("bound must be nonnegative")
     if m.is_zero():
         return 0
-    cur = m
+    res = _Resolution(m)
     for k in range(bound + 1):
-        _, epi = _cover_data(cur)
-        cur = kernel(epi)[0]
-        if cur.is_zero():
+        if res.syzygy(k + 1).is_zero():
             return k
     return ExceedsBound(bound)
 

@@ -468,14 +468,7 @@ def extend_independent(base: Matrix, candidates: Matrix) -> List[int]:
     independent set.  Scans candidates in order; deterministic."""
     if base.nrows and base.ncols != candidates.ncols:
         raise ValueError("extend_independent: width mismatch")
-    work = row_space_basis(base) if base.nrows else Matrix(0, candidates.ncols)
-    chosen: List[int] = []
-    current_rank = work.nrows
-    for i in range(candidates.nrows):
-        trial = vstack([work, candidates.take_rows([i])])
-        ech, pivots = rref(trial)
-        if len(pivots) > current_rank:
-            current_rank = len(pivots)
-            work = ech.take_rows(range(current_rank))
-            chosen.append(i)
-    return chosen
+    span = SpanSolver(candidates.ncols)
+    for row in base.rows:
+        span.insert(row)
+    return [i for i, row in enumerate(candidates.rows) if span.insert(row)]

@@ -17,6 +17,7 @@ from quivalg import (
     minimize_relations,
     reference_end_algebra,
 )
+from quivalg.algebra import _stabilize
 from quivalg.linalg import QQ
 from quivalg.quiver import Path
 
@@ -133,6 +134,26 @@ def test_build_dimension_only_matches(two_loop):
     q = two_loop.quiver
     rels = list(two_loop.relations)
     assert build_dimension_only(q, rels, length_cap=20) == 6
+
+
+def test_path_store_holds_only_paths_with_basis_middle():
+    """On the 90-dimensional quantum plane the store stays within vertices +
+    arrows + indeg * outdeg summed over every path that was ever basis;
+    all 524,287 paths up to the last swept length would not."""
+    q = Quiver(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    rels = [
+        element(q, (1, ["x"] * 9)),
+        element(q, (1, ["y"] * 10)),
+        element(q, (1, ["y", "x"]), (Fraction(-2, 3), ["x", "y"])),
+    ]
+    eng, acc = _stabilize(q, rels, 20)
+    assert acc.dim == 90
+    paths = eng.paths
+    bound = q.num_vertices + len(q.arrows) + sum(
+        len(q.in_arrows[paths.src[m]]) * len(q.out_arrows[paths.tgt[m]]) for m in eng.pid_of
+    )
+    assert len(paths.parent) <= bound
+    assert max(paths.level) == 18
 
 
 def test_normal_form_and_vec_round_trip(two_loop):

@@ -183,6 +183,49 @@ def test_input_errors_exit_three(capsys, tmp_path):
     assert code == 3
 
 
+# K<x,y>/(y^3, yx - 2xy) has the basis x^i y^j, j < 3, in every length
+INFINITE_PLANE = "vertices v\narrow x: v -> v\narrow y: v -> v\nrelation y*y*y\nrelation y*x - 2*x*y\n"
+
+
+def test_length_cap_exits_inconclusive(capsys, tmp_path):
+    p = tmp_path / "infplane.alg"
+    p.write_text(INFINITE_PLANE)
+    code, out, err = run_cli(capsys, "gldim", str(p), "--max-length", "12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive: ") and "up to path length 12" in err
+
+
+def _src_env():
+    src = str(Path(quivalg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_non_stabilizing_input_in_bounded_memory(tmp_path):
+    """A length cap far past what every path up to it would fill still
+    ends in exit 2, not an out-of-memory kill, under a 1 GiB address space."""
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "infplane.alg"
+    p.write_text(INFINITE_PLANE)
+
+    def limit_memory():
+        # runs in the child only, between fork and exec
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivalg.cli", "gldim", str(p), "--max-length", "40"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "up to path length 40" in proc.stderr
+
+
 def test_invalid_module_rejected(capsys, tmp_path):
     # x acting as identity breaks x^2 = 0 over the one-loop algebra
     p = tmp_path / "l2.alg"
@@ -211,14 +254,11 @@ def test_console_script_wiring():
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["quivalg"]
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    src = str(Path(quivalg.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "gldim", "builtin:end-reference"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "gldim = 3" in proc.stdout, proc.stderr
@@ -277,6 +317,17 @@ def test_declared_dependencies_match_imports():
         unguarded |= found
         guarded |= optional
     assert unguarded == declared, f"optional imports: {sorted(guarded)}"
+
+
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quivalg; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("quivalg") is None, reason="no installed quivalg executable on PATH")

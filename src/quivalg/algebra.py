@@ -33,12 +33,18 @@ found so far, whatever the length cap.
 
 Acceptance is checked on the extracted multiplication table: once a
 level creates no new basis paths (after which no later level can
-either), the table is certified by (a) the radical span iteration
-reaching zero, which bounds the nilpotency degree of the arrow image,
-and (b) every relation folding to zero from every basis element.
+either), the certificate builds the PresentedAlgebra from the table and
+checks, through that algebra's own multiplication, (a) the radical span
+iteration reaching zero, which bounds the nilpotency degree of the arrow
+image, and (b) every relation folding to zero from every basis element.
 Together these prove the table presents exactly KQ/I, so the sweep can
-stop even while longer paths still carry nonzero classes.  If no level
+stop even while longer paths still carry nonzero classes, and the
+certified algebra is the one build_algebra returns.  If no level
 certifies before the length cap, NotFiniteDimensionalError is raised.
+
+The opposite algebra carries a table of its own: row k, arrow a is the
+product a * basis[k], left multiplication by the arrow in the original
+algebra.
 
 The sweep is plain Python over exact rationals.  A relation enters as
 the sum of its terms' classes, each term folded arrow by arrow through
@@ -59,6 +65,16 @@ from .quiver import Path, PathAlgElement, Quiver
 _HAVE_C = False
 
 Vec = Dict[int, "QQ"]
+
+
+def _iadd(acc: Vec, row: Vec, c: "QQ") -> None:
+    """acc += c * row, dropping entries that cancel."""
+    for p, v in row.items():
+        s = acc.get(p, ZERO) + c * v
+        if s:
+            acc[p] = s
+        else:
+            acc.pop(p, None)
 
 
 class _Paths:
@@ -206,25 +222,16 @@ class _Sweep:
             return self.side[pid]
         return {pid: ONE}
 
-    @staticmethod
-    def _iadd(acc: Vec, row: Vec, c: "QQ") -> None:
-        for p, v in row.items():
-            s = acc.get(p, ZERO) + c * v
-            if s:
-                acc[p] = s
-            else:
-                acc.pop(p, None)
-
     def _ext_iadd(self, acc: Vec, bpid: int, ai: int, side: int, c: "QQ") -> None:
         pos = self.bpos[bpid]
         tab = (self.tabL if side else self.tabR)[pos][ai]
         if tab is not None:
-            self._iadd(acc, tab, c)
+            _iadd(acc, tab, c)
             return
         cid = self.paths.child(bpid, ai, side)
         if cid < 0:
             return
-        self._iadd(acc, self._class_of(cid), c)
+        _iadd(acc, self._class_of(cid), c)
 
     def _times_arrow(self, cls: Vec, ai: int) -> Vec:
         """Class of cls * arrow, by right extension of its basis paths."""
@@ -258,10 +265,10 @@ class _Sweep:
                     c = row.pop(lead)
                     self.cand[lead] = {p: -v / c for p, v in row.items()}
                     return True
-                self._iadd(row, res, row.pop(lead))
+                _iadd(row, res, row.pop(lead))
                 continue
             if lead in self.side:
-                self._iadd(row, self.side[lead], row.pop(lead))
+                _iadd(row, self.side[lead], row.pop(lead))
                 continue
             pos = self.bpos[lead]
             assert not self.dead[pos]
@@ -335,7 +342,7 @@ class _Sweep:
         for idx, rel in seeds:
             acc = {}
             for p, c in rel.terms.items():
-                self._iadd(acc, self._fold(p), c)
+                _iadd(acc, self._fold(p), c)
             if self._row_insert(acc):
                 self.kept.append(idx)
             self._drain()
@@ -391,9 +398,9 @@ class _Sweep:
                 for p, c in row.items():
                     sub = cur[p] if lo <= p < hi else None
                     if isinstance(sub, dict):
-                        self._iadd(acc, sub, c)
+                        _iadd(acc, sub, c)
                     else:
-                        self._iadd(acc, {p: ONE}, c)
+                        _iadd(acc, {p: ONE}, c)
                 cur[ppid] = acc
 
         # persist tables
@@ -422,39 +429,28 @@ class _Sweep:
             hit = next((p for p in out if p in self.side), None)
             if hit is None:
                 return out
-            self._iadd(out, self.side[hit], out.pop(hit))
+            _iadd(out, self.side[hit], out.pop(hit))
 
 
-class _Acceptance:
-    """A certified table; kept lists, in input order, the relations whose
-    rows survived the sweep, and the others lie in their ideal."""
+def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["PresentedAlgebra"]:
+    """Prove the extracted table presents KQ/I and return it as an
+    algebra, or return None.
 
-    __slots__ = ("basis_pids", "action", "loewy", "dim", "kept")
-
-    def __init__(self, basis_pids, action, loewy, kept):
-        self.basis_pids = basis_pids
-        self.action = action
-        self.loewy = loewy
-        self.dim = len(basis_pids)
-        self.kept = kept
-
-
-def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional[_Acceptance]:
-    """Prove the extracted table presents KQ/I, or return None.
-
-    Checks that every relation folds to zero starting from every basis
-    element (so folding kills the whole two-sided ideal) and that the
-    radical span iteration dies out (so long paths fold to zero and every
-    path's fold telescopes back to its class).  Together with the table
-    rows lying in the ideal span this identifies the table with KQ/I and
-    yields the nilpotency degree of the arrow image as a byproduct.
+    Checks, through the algebra's own apply_arrow, that every relation
+    folds to zero starting from every basis element (so folding kills
+    the whole two-sided ideal) and that the radical span iteration dies
+    out (so long paths fold to zero and every path's fold telescopes back
+    to its class).  Together with the table rows lying in the ideal span
+    this identifies the table with KQ/I and yields the nilpotency degree
+    of the arrow image as a byproduct.
     """
     live = eng.live_positions()
-    basis_pids = [eng.pid_of[pos] for pos in live]
-    pos_of = {pid: k for k, pid in enumerate(basis_pids)}
+    pos_of = {eng.pid_of[pos]: k for k, pos in enumerate(live)}
     nA = eng.nA
-    dim = len(basis_pids)
-    action: List[List[Vec]] = [
+    alg = PresentedAlgebra()
+    alg.quiver = eng.paths.quiver
+    alg._set_basis([eng.paths.path_of(eng.pid_of[pos]) for pos in live])
+    alg._action = [
         [
             {pos_of[p]: c for p, c in eng.action_row(pos, ai).items()}
             for ai in range(nA)
@@ -462,34 +458,23 @@ def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional[_Acce
         for pos in live
     ]
 
-    def apply(vec: Vec, ai: int) -> Vec:
-        out: Vec = {}
-        for k, c in vec.items():
-            for k2, d in action[k][ai].items():
-                s = out.get(k2, ZERO) + c * d
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
-        return out
-
+    # a basis element k that does not end at the relation's source has no
+    # table entry for the first arrow of any term, so it folds to zero
+    nv = alg.num_vertices
     for r in relations:
-        for k in range(dim):
-            out: Vec = {}
-            for p, c in r.terms.items():
-                vec: Vec = {k: ONE}
-                for ai in p.arrows:
-                    if not vec:
-                        break
-                    vec = apply(vec, ai)
-                for j, d in vec.items():
-                    s = out.get(j, ZERO) + c * d
-                    if s:
-                        out[j] = s
-                    else:
-                        out.pop(j, None)
-            if out:
-                return None
+        source = r.uniform_endpoints()[0]
+        for u in range(nv):
+            for k in alg.endpoint_basis(u, source):
+                out: Vec = {}
+                for p, c in r.terms.items():
+                    vec: Vec = {k: ONE}
+                    for ai in p.arrows:
+                        if not vec:
+                            break
+                        vec = alg.apply_arrow(vec, ai)
+                    _iadd(out, vec, c)
+                if out:
+                    return None
 
     # radical span iteration: J^1 is spanned by the nontrivial basis
     # elements; J^(k+1) = sum of J^k * arrow
@@ -507,37 +492,28 @@ def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional[_Acce
                     vec = {p: x * inv for p, x in vec.items()}
                 echelon[lead] = vec
                 return vec
-            c = vec.pop(lead)
-            for p, d in piv.items():
-                if p == lead:
-                    continue
-                s = vec.get(p, ZERO) - c * d
-                if s:
-                    vec[p] = s
-                else:
-                    vec.pop(p, None)
+            # piv[lead] is one, so this cancels the lead
+            _iadd(vec, piv, -vec[lead])
         return None
 
-    current: List[Vec] = [
-        {k: ONE} for k, pid in enumerate(basis_pids) if eng.paths.level[pid] > 0
-    ]
+    current: List[Vec] = [{k: ONE} for k, p in enumerate(alg.basis) if p.length > 0]
     power = 1
     while current:
-        if power > dim + 1:
+        if power > alg.dim + 1:
             return None  # not nilpotent: the table cannot be a quotient by J^2-ideals
         echelon.clear()
         nxt: List[Vec] = []
         for vec in current:
             for ai in range(nA):
-                out = apply(vec, ai)
+                out = alg.apply_arrow(vec, ai)
                 if out:
                     stored = span_insert(out)
                     if stored is not None:
                         nxt.append(stored)
         current = nxt
         power += 1
-    return _Acceptance(basis_pids, action, power, sorted(eng.kept))
-
+    alg.loewy_length = power
+    return alg
 
 
 def _validate_relations(
@@ -571,12 +547,15 @@ def _validate_relations(
 
 def _stabilize(
     quiver: Quiver, relations: Sequence[PathAlgElement], length_cap: int
-) -> Tuple[_Sweep, _Acceptance]:
-    """Sweep levels until the quotient is certified.
+) -> Tuple[_Sweep, "PresentedAlgebra"]:
+    """Sweep levels until the quotient is certified; return the sweep
+    and the certified algebra.
 
     Relations enter at the level of their longest term, tagged with
-    their index in relations; a relation never fed because the sweep
-    certified first lies in the ideal of the fed ones.
+    their index in relations.  The sweep's kept lists the indices of the
+    relations whose rows survived; the others, and any relation never
+    fed because the sweep certified first, lie in the ideal of the kept
+    ones.
     """
     paths = _Paths(quiver)
     eng = _Sweep(paths)
@@ -590,9 +569,9 @@ def _stabilize(
         lo, hi = paths.add_level(eng.is_live)
         eng.run_level(lo, hi, seeds_by_level.get(level, ()))
         if eng.nlast == 0:
-            acc = _certify(eng, relations)
-            if acc is not None:
-                return eng, acc
+            alg = _certify(eng, relations)
+            if alg is not None:
+                return eng, alg
         if hi == lo and level >= last_seed:
             break  # no stored path extends and no relation is left to feed
     raise NotFiniteDimensionalError(
@@ -605,15 +584,19 @@ class PresentedAlgebra:
     """Quotient of a path algebra by relations, with a monomial basis.
 
     The basis starts with the trivial paths in vertex order, then the
-    arrows, then longer residue paths in length-then-lex order; basis paths
-    are closed under taking subpaths.  Multiplication is carried by the
+    arrows, then longer residue paths; basis paths are closed under
+    taking subpaths.  Multiplication is carried by one table, the
     right-multiplication-by-arrow rows over the basis; products of longer
     paths fold through them, which stays exact because reduction to the
     basis is a canonical linear projection.
+
+    build_algebra returns the algebra the quotient certificate built and
+    checked.  The opposite carries a table of its own, read off left
+    multiplication by arrows in the original algebra.
     """
 
     def __init__(self):
-        # populated by build_algebra or the opposite constructor
+        # populated by the quotient certificate or the opposite constructor
         self.quiver: Quiver = None  # type: ignore[assignment]
         self.relations: List[PathAlgElement] = []
         self.length_cap: int = 0
@@ -623,19 +606,19 @@ class PresentedAlgebra:
         self._action: List[List[Vec]] = []
         self._by_endpoints: Dict[Tuple[int, int], List[int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Vec] = {}
-        self._mirror: Optional["PresentedAlgebra"] = None
         self._opposite: Optional["PresentedAlgebra"] = None
+
+    def _set_basis(self, basis: List[Path]) -> None:
+        self.basis = basis
+        self.dim = len(basis)
+        for i, p in enumerate(basis):
+            self._by_endpoints.setdefault((p.source, p.target), []).append(i)
 
     # -- structure ------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
         return self.quiver.num_vertices
-
-    @property
-    def zero_length_bound(self) -> int:
-        """Products of total path length >= this bound vanish (J^Z = 0)."""
-        return self.loewy_length
 
     def idempotent_position(self, v: int) -> int:
         # trivial paths are never pivots, so they head the basis in vertex order
@@ -656,31 +639,13 @@ class PresentedAlgebra:
     def apply_arrow(self, vec: Vec, ai: int) -> Vec:
         """Right-multiply a coefficient vector by an arrow."""
         out: Vec = {}
-        if self._mirror is not None:
-            # arrows sit right after the trivial paths, at position nv + ai
-            arrow_pos = self.num_vertices + ai
-            for k, c in vec.items():
-                for k2, d in self.mult_basis(k, arrow_pos).items():
-                    s = out.get(k2, ZERO) + c * d
-                    if s:
-                        out[k2] = s
-                    else:
-                        out.pop(k2, None)
-            return out
         action = self._action
         for k, c in vec.items():
-            for k2, d in action[k][ai].items():
-                s = out.get(k2, ZERO) + c * d
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
+            _iadd(out, action[k][ai], c)
         return out
 
     def mult_basis(self, i: int, j: int) -> Vec:
         """Product of basis elements i and j as a sparse coefficient vector."""
-        if self._mirror is not None:
-            return self._mirror.mult_basis(j, i)
         key = (i, j)
         cached = self._mult_cache.get(key)
         if cached is not None:
@@ -703,20 +668,11 @@ class PresentedAlgebra:
             for j, b in ys.items():
                 prod = self.mult_basis(i, j)
                 if prod:
-                    ab = a * b
-                    for k, c in prod.items():
-                        s = out.get(k, ZERO) + ab * c
-                        if s:
-                            out[k] = s
-                        else:
-                            out.pop(k, None)
+                    _iadd(out, prod, a * b)
         return out
 
     def element_vec(self, el: PathAlgElement) -> Vec:
         """Normal-form coordinates of a free path-algebra element."""
-        if self._mirror is not None:
-            rev = _reverse_element(el, self._mirror.quiver)
-            return self._mirror.element_vec(rev)
         out: Vec = {}
         for p, c in el.terms.items():
             vec: Vec = {self.idempotent_position(p.source): ONE}
@@ -724,12 +680,7 @@ class PresentedAlgebra:
                 if not vec:
                     break
                 vec = self.apply_arrow(vec, ai)
-            for k, d in vec.items():
-                s = out.get(k, ZERO) + c * d
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            _iadd(out, vec, c)
         return out
 
     def vec_to_element(self, vec: Vec) -> PathAlgElement:
@@ -743,7 +694,12 @@ class PresentedAlgebra:
 
     @property
     def opposite(self) -> "PresentedAlgebra":
-        """Opposite algebra with reversed arrows; an involution on the nose."""
+        """Opposite algebra with reversed arrows; an involution on the nose.
+
+        Its basis is the reversed basis paths, in the same positions, and
+        its table row k, arrow a is the product a * basis[k] in this
+        algebra.
+        """
         if self._opposite is None:
             self._opposite = _make_opposite(self)
         return self._opposite
@@ -768,12 +724,20 @@ def _make_opposite(a: PresentedAlgebra) -> PresentedAlgebra:
     op.quiver = a.quiver.reverse()
     op.relations = [_reverse_element(r, op.quiver) for r in a.relations]
     op.length_cap = a.length_cap
-    op.basis = [Path(p.target, tuple(reversed(p.arrows)), p.source) for p in a.basis]
-    op.dim = a.dim
+    op._set_basis([Path(p.target, tuple(reversed(p.arrows)), p.source) for p in a.basis])
     op.loewy_length = a.loewy_length
-    for i, p in enumerate(op.basis):
-        op._by_endpoints.setdefault((p.source, p.target), []).append(i)
-    op._mirror = a
+    # arrows are basis paths since relations lie in J^2; read their
+    # positions off the basis, which orders them by source vertex first.
+    # An arrow not ending where basis[k] starts gives a zero row, which
+    # is not worth a cache entry in a.
+    arrow_pos = {p.arrows[0]: i for i, p in enumerate(a.basis) if p.length == 1}
+    op._action = [
+        [
+            a.mult_basis(arrow_pos[ai], k) if arrow.target == p.source else {}
+            for ai, arrow in enumerate(a.quiver.arrows)
+        ]
+        for k, p in enumerate(a.basis)
+    ]
     op._opposite = a
     return op
 
@@ -786,17 +750,9 @@ def build_algebra(
     """Build the quotient algebra, raising NotFiniteDimensionalError when the
     dimension has not stabilized by the length cap."""
     relations = _validate_relations(quiver, relations)
-    eng, acc = _stabilize(quiver, relations, length_cap)
-    alg = PresentedAlgebra()
-    alg.quiver = quiver
+    alg = _stabilize(quiver, relations, length_cap)[1]
     alg.relations = list(relations)
     alg.length_cap = length_cap
-    alg.basis = [eng.paths.path_of(pid) for pid in acc.basis_pids]
-    alg.dim = acc.dim
-    alg.loewy_length = acc.loewy
-    alg._action = acc.action
-    for i, p in enumerate(alg.basis):
-        alg._by_endpoints.setdefault((p.source, p.target), []).append(i)
     for r in relations:
         if alg.element_vec(r):
             raise MalformedRelationError(
@@ -810,6 +766,6 @@ def build_dimension_only(
     relations: Sequence[PathAlgElement] = (),
     length_cap: int = 20,
 ) -> int:
-    """Stabilized dimension only, skipping algebra construction."""
+    """Certified dimension only, skipping the relation post-check."""
     relations = _validate_relations(quiver, relations)
     return _stabilize(quiver, relations, length_cap)[1].dim

@@ -41,9 +41,11 @@ class _InputError(Exception):
 def _load_algebra(ref: str, length_cap: int = 20) -> PresentedAlgebra:
     if ref.startswith(BUILTIN_PREFIX):
         try:
-            return builtin_algebra(ref[len(BUILTIN_PREFIX) :])
+            return builtin_algebra(ref[len(BUILTIN_PREFIX) :], length_cap)
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
+        except NotFiniteDimensionalError as exc:
+            raise NotFiniteDimensionalError(f"{ref}: {exc}") from exc
     try:
         with open(ref, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -139,61 +139,29 @@ class EndStructure:
     def radical_square(self, summands: Optional[List["Summand"]] = None) -> List[ModuleHom]:
         """Basis of rad^2 as endomorphisms.
 
-        Pass the summand decomposition for large endomorphism algebras:
-        products are then taken blockwise in the adapted coordinates,
-        which avoids quadratically many full-size compositions.
+        Products are taken blockwise in coordinates adapted to the
+        summand decomposition (computed when not given), which avoids
+        quadratically many full-size compositions.
         """
-        if summands is None:
-            summands = self.summands
-        if summands is not None and len(summands) > 1:
-            view = BlockView(self.module, summands)
-            blocks = view.radical_block_spans(self)
-            sq = view.block_span_products(blocks, blocks)
-            out = []
-            for (bu, bv), mat in sorted(sq.items()):
-                for row in mat.rows:
-                    out.append(view.hom_from_block_flat(bu, bv, row))
-            return out
-        rads = self.radical_homs()
-        ncoord = sum(d * d for d in self.module.dims)
-        solver = SpanSolver(ncoord)
-        kept = []
-        for r in rads:
-            for s in rads:
-                p = r * s
-                if solver.insert(_hom_flat(p)):
-                    kept.append(p)
-        return kept
+        view = BlockView(self.module, summands or decompose(self.module, structure=self))
+        blocks = view.radical_block_spans(self)
+        sq = view.block_span_products(blocks, blocks)
+        out = []
+        for (bu, bv), mat in sorted(sq.items()):
+            for row in mat.rows:
+                out.append(view.hom_from_block_flat(bu, bv, row))
+        return out
 
     def radical_nilpotency_index(
         self, summands: Optional[List["Summand"]] = None, max_power: int = 64
     ) -> int:
         """Least k with rad^k = 0 (k = 1 for a semisimple algebra)."""
-        if summands is None:
-            summands = self.summands
-        if summands is not None and len(summands) > 1:
-            view = BlockView(self.module, summands)
-            first = view.radical_block_spans(self)
-            cur = first
-            k = 1
-            while cur:
-                cur = view.block_span_products(cur, first)
-                k += 1
-                if k > max_power:
-                    raise RuntimeError("radical power chain did not terminate")
-            return k
-        homs = self.radical_homs()
+        view = BlockView(self.module, summands or decompose(self.module, structure=self))
+        first = view.radical_block_spans(self)
+        cur = first
         k = 1
-        while homs:
-            nxt = []
-            ncoord = sum(d * d for d in self.module.dims)
-            solver = SpanSolver(ncoord)
-            for r in homs:
-                for s in self.radical_homs():
-                    p = r * s
-                    if solver.insert(_hom_flat(p)):
-                        nxt.append(p)
-            homs = nxt
+        while cur:
+            cur = view.block_span_products(cur, first)
             k += 1
             if k > max_power:
                 raise RuntimeError("radical power chain did not terminate")

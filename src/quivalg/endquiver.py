@@ -233,14 +233,14 @@ def minimize_relations(
     """
     valid = _validate_relations(quiver, relations)
     try:
-        acc = _stabilize(quiver, valid, length_cap)[1]
+        eng, alg = _stabilize(quiver, valid, length_cap)
     except NotFiniteDimensionalError:
         return list(relations)
-    if acc.dim != reference_dim:
+    if alg.dim != reference_dim:
         raise DimensionMismatchError(
-            "relations present dimension %d, expected %d" % (acc.dim, reference_dim)
+            "relations present dimension %d, expected %d" % (alg.dim, reference_dim)
         )
-    return [valid[i] for i in acc.kept]
+    return [valid[i] for i in sorted(eng.kept)]
 
 
 def ext2_simples_total(

@@ -127,14 +127,15 @@ def reference_end_algebra(length_cap: int = 20) -> PresentedAlgebra:
     return build_algebra(q, reference_end_relations(q), length_cap=length_cap)
 
 
-BUILTIN_ALGEBRAS: Dict[str, Callable[[], PresentedAlgebra]] = {
+BUILTIN_ALGEBRAS: Dict[str, Callable[[int], PresentedAlgebra]] = {
     "two-loop-local": two_loop_local_algebra,
     "end-reference": reference_end_algebra,
 }
 
 
-def builtin_algebra(name: str) -> PresentedAlgebra:
-    """Resolve a builtin algebra by registry name."""
+def builtin_algebra(name: str, length_cap: int = 20) -> PresentedAlgebra:
+    """Resolve a builtin algebra by registry name and build it with the
+    given length cap."""
     try:
         factory = BUILTIN_ALGEBRAS[name]
     except KeyError:
@@ -142,4 +143,4 @@ def builtin_algebra(name: str) -> PresentedAlgebra:
             "unknown builtin algebra %r (available: %s)"
             % (name, ", ".join(sorted(BUILTIN_ALGEBRAS)))
         ) from None
-    return factory()
+    return factory(length_cap)

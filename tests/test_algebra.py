@@ -111,9 +111,9 @@ def test_apply_arrow_matches_mult_basis(two_loop):
 def test_opposite_is_involution(two_loop):
     op = two_loop.opposite
     assert op.dim == two_loop.dim
-    back = op.opposite
-    assert back.dim == two_loop.dim
-    assert [p.sort_key for p in back.basis] == [p.sort_key for p in two_loop.basis]
+    assert op.opposite is two_loop
+    reversed_basis = [Path(p.target, tuple(reversed(p.arrows)), p.source) for p in two_loop.basis]
+    assert [p.sort_key() for p in op.basis] == [p.sort_key() for p in reversed_basis]
 
 
 def test_loop_without_relations_is_infinite_dimensional():
@@ -262,3 +262,18 @@ def test_minimize_relations_keeps_ordered_subset_of_same_ideal(case):
     assert alg.basis == full.basis
     # every dropped relation lies in the ideal of the kept ones
     assert all(alg.normal_form(r).is_zero() for r in rels)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_opposite_table_is_left_multiplication(case):
+    """Row k, arrow a of the opposite's table is a * basis[k] in A, with
+    the arrow read at its own basis position (arrows are ordered by
+    source vertex first, not by index)."""
+    q, rels, n, _paths = case
+    a = build_algebra(q, rels, length_cap=n + 2)
+    pos = {p.arrows[0]: i for i, p in enumerate(a.basis) if p.length == 1}
+    op = a.opposite
+    for ai in range(len(q.arrows)):
+        for k in range(a.dim):
+            assert _clean(op.apply_arrow(_unit(k), ai)) == _clean(a.mult_basis(pos[ai], k))

@@ -142,6 +142,29 @@ def test_gldim_and_domdim_builtin(capsys):
     assert code == 0 and "domdim = 3" in out
 
 
+def test_builtin_algebra_honours_max_length(capsys):
+    code, out, err = run_cli(capsys, "gldim", "builtin:end-reference", "--max-length", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive: builtin:end-reference: ")
+    assert "up to path length 5" in err
+
+
+# KQ/(ab, ba) on the 2-cycle is selfinjective, so its dominant dimension
+# is infinite; a listed first makes b the first arrow of the basis
+TWO_CYCLE_ARROWS = ("arrow a: v2 -> v1\n", "arrow b: v1 -> v2\n")
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_domdim_selfinjective_two_cycle_either_arrow_order(capsys, tmp_path, order):
+    p = tmp_path / "cycle.alg"
+    arrows = "".join(TWO_CYCLE_ARROWS[i] for i in order)
+    p.write_text("vertices v1 v2\n" + arrows + "relation a*b\nrelation b*a\n")
+    code, out, _ = run_cli(capsys, "domdim", str(p))
+    assert code == 2
+    assert "domdim = at-least-bound" in out
+
+
 def test_gldim_bound_exit_two(capsys):
     code, out, _ = run_cli(capsys, "gldim", "builtin:two-loop-local", "--bound", "4")
     assert code == 2

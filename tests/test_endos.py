@@ -30,6 +30,19 @@ def test_end_dims_l2_mixed(l2_mixed):
     assert len(e.radical_square()) == 1  # Hom(S,P) then Hom(P,S) survives one step
 
 
+@pytest.mark.parametrize(
+    "parts, square_dim, index",
+    [("SP", 1, 3), ("P", 0, 2), ("PP", 0, 2), ("SSP", 1, 3)],
+)
+def test_radical_powers_pinned(l2, parts, square_dim, index):
+    """rad^2 and the nilpotency index of End over the dual numbers, one
+    summand or several, with the decomposition computed on demand."""
+    pick = {"S": simples(l2)[0], "P": indec_projectives(l2)[0]}
+    e = EndStructure(direct_sum([pick[c] for c in parts])[0])
+    assert len(e.radical_square()) == square_dim
+    assert e.radical_nilpotency_index() == index
+
+
 def test_end_dims_l2_double_projective(l2):
     p = indec_projectives(l2)[0]
     pp = direct_sum([p, p])[0]

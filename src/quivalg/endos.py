@@ -20,9 +20,11 @@ from .linalg import (
     ZERO,
     Matrix,
     SpanSolver,
+    _nonzeros,
     hstack,
     left_kernel_basis,
     invert,
+    rat,
     row_space_basis,
     rref,
     solve_left,
@@ -77,7 +79,12 @@ class EndStructure:
         maps = [Matrix.zero(d, d) for d in m.dims]
         for c, h in zip(coords, self.basis):
             if c:
-                maps = [acc + hv.scale(c) for acc, hv in zip(maps, h.vertex_maps)]
+                c = rat(c)
+                for acc, hv in zip(maps, h.vertex_maps):
+                    for arow, hrow in zip(acc.rows, hv.rows):
+                        for j, x in enumerate(hrow):
+                            if x:
+                                arow[j] += c * x
         return ModuleHom(m, m, maps)
 
     @property
@@ -314,7 +321,8 @@ class _Quotient:
     def __init__(self, structure: EndStructure):
         self.structure = structure
         ech, pivots = rref(structure.radical_coords)
-        self._ech = ech
+        # the nonzero rows of the echelon form, as (lead, nonzero pairs)
+        self._ech = [(lead, _nonzeros(row)) for lead, row in zip(pivots, ech.rows)]
         pivot_set = set(pivots)
         self.nonpivot = [c for c in range(structure.dim) if c not in pivot_set]
         self.dim = len(self.nonpivot)
@@ -329,13 +337,11 @@ class _Quotient:
 
     def project(self, coords: Sequence) -> List:
         residue = list(coords)
-        for row in self._ech.rows:
-            lead = next(i for i, x in enumerate(row) if x)
+        for lead, pairs in self._ech:
             c = residue[lead]
             if c:
-                for i, x in enumerate(row):
-                    if x:
-                        residue[i] -= c * x
+                for i, x in pairs:
+                    residue[i] -= c * x
         return [residue[c] for c in self.nonpivot]
 
     def lift(self, s_coords: Sequence) -> List:

@@ -4,10 +4,17 @@ Every matrix entry is an exact rational (gmpy2.mpq when available,
 fractions.Fraction otherwise); no floats enter at any point.  Vectors are
 rows throughout the package and maps act on the right, so the matrix of
 "f then g" is mat(f) @ mat(g).
+
+The hot loops touch nonzero entries only: products, elimination and the
+span solver first split a row into its nonzero (column, value) pairs.
+rat() returns a value that already is the scalar type unchanged, so
+coercing a row of scalars builds no new rationals (they are immutable,
+so sharing them is safe).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 try:
@@ -20,10 +27,20 @@ ONE = QQ(1)
 
 
 def rat(x) -> "QQ":
-    """Coerce an int, string like '-3/7', Fraction or mpq to the scalar type."""
+    """Coerce an int, string like '-3/7', Fraction or mpq to the scalar type.
+
+    A value of the scalar type itself is returned as it is, not copied.
+    """
+    if type(x) is QQ:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed; use exact rationals")
     return QQ(x)
+
+
+def _nonzeros(row: Sequence) -> List[Tuple[int, "QQ"]]:
+    """The (column, value) pairs of the nonzero entries of row."""
+    return [(j, x) for j, x in enumerate(row) if x]
 
 
 class Matrix:
@@ -117,18 +134,21 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        out = [[ZERO] * other.ncols for _ in range(self.nrows)]
         ocols = other.ncols
         orows = other.rows
-        for i, row in enumerate(self.rows):
-            acc = out[i]
+        # nonzero pairs of each row of other, split on first use
+        opairs: List[Optional[List]] = [None] * other.nrows
+        out = []
+        for row in self.rows:
+            acc = [ZERO] * ocols
             for k, a in enumerate(row):
                 if a:
-                    brow = orows[k]
-                    for j in range(ocols):
-                        b = brow[j]
-                        if b:
-                            acc[j] += a * b
+                    pairs = opairs[k]
+                    if pairs is None:
+                        pairs = opairs[k] = _nonzeros(orows[k])
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.append(acc)
         return Matrix(self.nrows, ocols, out)
 
     def transpose(self) -> "Matrix":
@@ -218,13 +238,14 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
             for j in range(col, ncols):
                 if prow[j]:
                     prow[j] = prow[j] * inv
+        # entries left of col are zero in every row from lead on
+        ppairs = _nonzeros(prow)
         for i in range(nrows):
-            if i != lead and rows[i][col]:
-                c = rows[i][col]
-                target = rows[i]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        target[j] = target[j] - c * prow[j]
+            target = rows[i]
+            c = target[col]
+            if c and i != lead:
+                for j, x in ppairs:
+                    target[j] -= c * x
         pivots.append(col)
         lead += 1
         if lead == nrows:
@@ -363,13 +384,14 @@ def determinant(m: Matrix):
         p = rows[col][col]
         det *= p
         inv = ONE / p
+        ppairs = _nonzeros(rows[col])
         for i in range(col + 1, n):
-            c = rows[i][col]
+            target = rows[i]
+            c = target[col]
             if c:
                 c *= inv
-                for j in range(col, n):
-                    if rows[col][j]:
-                        rows[i][j] -= c * rows[col][j]
+                for j, x in ppairs:
+                    target[j] -= c * x
     return det
 
 
@@ -389,15 +411,18 @@ class SpanSolver:
 
     coefficients_in_span runs a fresh elimination per query; this keeps the
     echelonized span between calls, so inserting d rows and answering q
-    membership queries costs O((d + q) * d * ncols) total instead of a full
-    rref per query.  Rows inserted must keep their order: coords() answers
-    are coefficient lists over the inserted rows in insertion order.
+    membership queries costs O((d + q) * d * nnz) total, where nnz is the
+    number of nonzeros of an echelon row, instead of a full rref per
+    query.  The echelon rows are sparse: each is stored as its nonzero
+    (column, value) pairs, leading 1 first.  Rows inserted must keep their
+    order: coords() answers are coefficient lists over the inserted rows in
+    insertion order.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.nrows = 0
-        self._ech: List[List] = []
+        self._ech: List[List[Tuple[int, "QQ"]]] = []
         self._lead: List[int] = []
         # expression of each echelon row over the inserted rows, sparse
         self._expr: List[dict] = []
@@ -406,7 +431,7 @@ class SpanSolver:
     def rank(self) -> int:
         return len(self._ech)
 
-    def _eliminate(self, row: List) -> Tuple[List, dict]:
+    def _eliminate(self, row: Sequence) -> Tuple[List, dict]:
         """Reduce row against the echelon rows, tracking the combination."""
         row = [rat(x) for x in row]
         if len(row) != self.ncols:
@@ -414,14 +439,12 @@ class SpanSolver:
                 f"row length {len(row)} does not match solver width {self.ncols}"
             )
         used: dict = {}
-        for k, lead in enumerate(self._lead):
+        for lead, pairs, expr in zip(self._lead, self._ech, self._expr):
             c = row[lead]
             if c:
-                ech = self._ech[k]
-                for j in range(lead, self.ncols):
-                    if ech[j]:
-                        row[j] -= c * ech[j]
-                for idx, w in self._expr[k].items():
+                for j, x in pairs:
+                    row[j] -= c * x
+                for idx, w in expr.items():
                     s = used.get(idx, ZERO) + c * w
                     if s:
                         used[idx] = s
@@ -431,7 +454,7 @@ class SpanSolver:
 
     def coords(self, row: Sequence) -> Optional[List]:
         """Coefficients over the inserted rows, or None when not in the span."""
-        residue, used = self._eliminate(list(row))
+        residue, used = self._eliminate(row)
         if any(residue):
             return None
         out = [ZERO] * self.nrows
@@ -441,23 +464,22 @@ class SpanSolver:
 
     def insert(self, row: Sequence) -> bool:
         """Add a row; True when it enlarged the span."""
-        residue, used = self._eliminate(list(row))
+        residue, used = self._eliminate(row)
         index = self.nrows
         self.nrows += 1
-        lead = next((j for j, x in enumerate(residue) if x), None)
-        if lead is None:
+        pairs = _nonzeros(residue)
+        if not pairs:
             return False
-        inv = ONE / residue[lead]
+        lead, pivot = pairs[0]
+        inv = ONE / pivot
         if inv != ONE:
-            residue = [x * inv for x in residue]
+            pairs = [(j, x * inv) for j, x in pairs]
         # row = sum(used) + residue/inv, so residue = inv*(row - sum(used))
         expr = {idx: -inv * w for idx, w in used.items()}
         expr[index] = inv
         # keep echelon rows sorted by leading column for ordered elimination
-        pos = 0
-        while pos < len(self._lead) and self._lead[pos] < lead:
-            pos += 1
-        self._ech.insert(pos, residue)
+        pos = bisect_left(self._lead, lead)
+        self._ech.insert(pos, pairs)
         self._lead.insert(pos, lead)
         self._expr.insert(pos, expr)
         return True

@@ -33,11 +33,9 @@ from .algebra import PresentedAlgebra
 
 def _row_times(row: List, mat: Matrix) -> List:
     out = [ZERO] * mat.ncols
-    for i, c in enumerate(row):
+    for c, mrow in zip(row, mat.rows):
         if c:
-            mrow = mat.rows[i]
-            for j in range(mat.ncols):
-                x = mrow[j]
+            for j, x in enumerate(mrow):
                 if x:
                     out[j] += c * x
     return out
@@ -427,20 +425,38 @@ def _fold_row(row: List, n: Representation, arrows: Sequence[int]) -> List:
     return row
 
 
+def _fold_basis_paths(row: List, n: Representation, v: int) -> Dict[int, List]:
+    """row (at vertex v of n) times every basis path out of v, by basis
+    position.  A path is folded from the row of its prefix, the path one
+    arrow shorter, when that prefix is a basis path, and from row otherwise."""
+    a = n.algebra
+    positions = [p for w in range(a.num_vertices) for p in a.endpoint_basis(v, w)]
+    positions.sort(key=lambda p: len(a.basis[p].arrows))
+    by_arrows: Dict[Tuple[int, ...], List] = {}
+    out: Dict[int, List] = {}
+    for pos in positions:
+        arrows = a.basis[pos].arrows
+        prefix = by_arrows.get(arrows[:-1]) if arrows else None
+        if prefix is not None:
+            folded = _row_times(prefix, n.matrices[arrows[-1]])
+        else:
+            folded = _fold_row(row, n, arrows)
+        by_arrows[arrows] = out[pos] = folded
+    return out
+
+
 def _hom_from_generators(
     psum: _ProjSum, n: Representation, images: Sequence[Sequence]
 ) -> ModuleHom:
     """The hom out of a projective sum sending each generator to the given
     row of n at the matching vertex; basis paths fold through n's action."""
     a = psum.algebra
-    maps = []
-    for w in range(a.num_vertices):
-        rows: List[List] = []
-        for s, v_s in enumerate(psum.vertices):
-            image = [rat(x) for x in images[s]]
-            for pos in a.endpoint_basis(v_s, w):
-                rows.append(_fold_row(image, n, a.basis[pos].arrows))
-        maps.append(Matrix(len(rows), n.dims[w], rows))
+    rows: List[List[List]] = [[] for _ in range(a.num_vertices)]
+    for s, v_s in enumerate(psum.vertices):
+        folded = _fold_basis_paths([rat(x) for x in images[s]], n, v_s)
+        for w in range(a.num_vertices):
+            rows[w].extend(folded[pos] for pos in a.endpoint_basis(v_s, w))
+    maps = [Matrix(len(rows[w]), n.dims[w], rows[w]) for w in range(a.num_vertices)]
     return ModuleHom(psum.rep, n, maps)
 
 

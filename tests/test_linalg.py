@@ -1,5 +1,6 @@
 """Exact linear algebra properties, mostly hypothesis-driven."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivalg.linalg import (
@@ -14,6 +15,7 @@ from quivalg.linalg import (
     kernel_basis,
     left_kernel_basis,
     rank,
+    rat,
     row_space_basis,
     rref,
     solve_left,
@@ -52,6 +54,97 @@ def matrix_chains(draw, max_dim=3):
         ]
         mats.append(Matrix(dims[i], dims[i + 1], rows))
     return mats
+
+
+@st.composite
+def sparse_matrices(draw, nrows=None, ncols=None, max_dim=5):
+    """Mostly zero entries, whole zero rows and columns, and 0 x k shapes."""
+    nr = draw(st.integers(0, max_dim)) if nrows is None else nrows
+    nc = draw(st.integers(0, max_dim)) if ncols is None else ncols
+    zero_rows = draw(st.sets(st.integers(0, max_dim - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max_dim - 1), max_size=2))
+    rows = []
+    for i in range(nr):
+        row = []
+        for j in range(nc):
+            # about three entries in four are zero
+            if i in zero_rows or j in zero_cols or draw(st.integers(0, 3)):
+                row.append(QQ(0))
+            else:
+                row.append(draw(rationals))
+        rows.append(row)
+    return Matrix(nr, nc, rows)
+
+
+@st.composite
+def sparse_products(draw, max_dim=5):
+    """Two sparse matrices whose product is defined."""
+    r, k, c = (draw(st.integers(0, max_dim)) for _ in range(3))
+    return draw(sparse_matrices(r, k)), draw(sparse_matrices(k, c))
+
+
+def _cofactor_determinant(rows):
+    if not rows:
+        return QQ(1)
+    total = QQ(0)
+    for j, x in enumerate(rows[0]):
+        if x:
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            total += (-1) ** j * x * _cofactor_determinant(minor)
+    return total
+
+
+@given(sparse_products())
+def test_sparse_matmul_matches_triple_loop(pair):
+    a, b = pair
+    naive = [
+        [sum((a.rows[i][t] * b.rows[t][j] for t in range(a.ncols)), QQ(0)) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+    assert a @ b == Matrix(a.nrows, b.ncols, naive)
+
+
+@given(sparse_matrices())
+def test_sparse_rref_idempotent_and_keeps_rank(m):
+    ech, pivots = rref(m)
+    assert rref(ech) == (ech, pivots)
+    assert ech.take_rows(range(len(pivots), m.nrows)).is_zero()
+    solver = SpanSolver(m.ncols)
+    for row in m.rows:
+        solver.insert(row)
+    assert len(pivots) == solver.rank == rank(m.transpose())
+
+
+@given(sparse_matrices(), st.data())
+def test_sparse_span_solver_agrees_with_coefficients_in_span(m, data):
+    solver = SpanSolver(m.ncols)
+    independent = [i for i, row in enumerate(m.rows) if solver.insert(row)]
+    assert solver.nrows == m.nrows
+    assert solver.rank == len(independent) == rank(m)
+    basis = m.take_rows(independent)
+    targets = m.rows + data.draw(sparse_matrices(2, m.ncols)).rows
+    for target in targets:
+        direct = coefficients_in_span(basis, target)
+        via_solver = solver.coords(target)
+        assert (direct is None) == (via_solver is None)
+        if via_solver is not None:
+            # coefficients of the rows that did not enlarge the span are 0
+            assert [via_solver[i] for i in independent] == direct
+            assert sum(1 for c in via_solver if c) == sum(1 for c in direct if c)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: sparse_matrices(n, n)))
+def test_sparse_determinant_matches_cofactor_expansion(m):
+    assert determinant(m) == _cofactor_determinant(m.rows)
+
+
+def test_rat_shares_scalars_and_still_coerces():
+    q = QQ(-3, 7)
+    assert rat(q) is q
+    assert rat(5) == QQ(5) and type(rat(5)) is QQ
+    assert rat("-3/7") == q and type(rat("-3/7")) is QQ
+    with pytest.raises(TypeError):
+        rat(0.5)
 
 
 @given(matrices())

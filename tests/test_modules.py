@@ -26,8 +26,11 @@ from quivalg import (
     simples,
     validate,
 )
+from quivalg import Quiver, build_algebra, modules
 from quivalg.linalg import QQ, Matrix
 from quivalg.modules import radical, socle, top, zero_module
+
+from conftest import element
 
 
 def test_validate_accepts_regular(two_loop, a2):
@@ -173,3 +176,39 @@ def test_zero_module_edge_cases(l2):
     assert z.is_zero() and z.total_dim == 0
     assert hom_basis(z, z) == []
     assert is_projective(z) and is_injective(z)
+
+
+def test_hom_basis_folds_each_basis_path_from_its_prefix(count_calls, monkeypatch):
+    # Jordan module K[x]/(x) + ... + K[x]/(x^7) over K[x]/(x^7): every hom
+    # out of a projective sum folds a generator image through the basis
+    # paths x, ..., x^6, each one arrow past the row of its prefix
+    n = 7
+    q = Quiver(["v"], [("x", "v", "v")])
+    a = build_algebra(q, [element(q, (1, ["x"] * n))])
+    size = n * (n + 1) // 2
+    jordan = [[QQ(0)] * size for _ in range(size)]
+    start = 0
+    for block in range(1, n + 1):
+        for k in range(block - 1):
+            jordan[start + k][start + k + 1] = QQ(1)
+        start += block
+    m = Representation(a, [size], [Matrix(size, size, jordan)])
+    assert validate(m) is None
+
+    row_times = count_calls(modules, "_row_times")
+    folds = {"generators": 0, "row_times": 0}
+    hom_from_generators = modules._hom_from_generators
+
+    def counted(psum, target, images):
+        before = row_times["calls"]
+        out = hom_from_generators(psum, target, images)
+        folds["generators"] += len(images)
+        folds["row_times"] += row_times["calls"] - before
+        return out
+
+    monkeypatch.setattr(modules, "_hom_from_generators", counted)
+    homs = hom_basis(m, m)
+    assert len(homs) == n * (n + 1) * (2 * n + 1) // 6
+    # one generator per Jordan block for each hom, plus the covers
+    assert folds["generators"] >= n * len(homs)
+    assert folds["row_times"] == (a.dim - 1) * folds["generators"]

@@ -37,10 +37,15 @@ either), the certificate builds the PresentedAlgebra from the table and
 checks, through that algebra's own multiplication, (a) the radical span
 iteration reaching zero, which bounds the nilpotency degree of the arrow
 image, and (b) every relation folding to zero from every basis element.
-Together these prove the table presents exactly KQ/I, so the sweep can
-stop even while longer paths still carry nonzero classes, and the
-certified algebra is the one build_algebra returns.  If no level
-certifies before the length cap, NotFiniteDimensionalError is raised.
+Check (b) puts the terms of all relations that start at one vertex into
+one prefix tree keyed by arrow index and folds each basis element once
+down the tree, one apply_arrow per edge, pruning the subtree of a prefix
+that folds to zero; the per-relation sums, and so the verdict, are those
+of folding every term separately.  Together (a) and (b) prove the table
+presents exactly KQ/I, so the sweep can stop even while longer paths
+still carry nonzero classes, and the certified algebra is the one
+build_algebra returns.  If no level certifies before the length cap,
+NotFiniteDimensionalError is raised.
 
 The opposite algebra carries a table of its own: row k, arrow a is the
 product a * basis[k], left multiplication by the arrow in the original
@@ -432,6 +437,50 @@ class _Sweep:
             _iadd(out, self.side[hit], out.pop(hit))
 
 
+# a prefix-tree node: children keyed by arrow index, and the
+# (relation index, coefficient) pairs of the terms that end at the node
+_Node = Tuple[Dict[int, "_Node"], List[Tuple[int, "QQ"]]]
+
+
+def _relations_vanish(alg: "PresentedAlgebra", relations: Sequence[PathAlgElement]) -> bool:
+    """True when every relation folds to zero from every basis element.
+
+    The terms of all relations starting at one vertex share one prefix
+    tree.  Each basis element ending at that vertex is folded once along
+    every edge of the tree, by one apply_arrow call, and c * vec is added
+    into the relation's accumulator at each term (c, path) ending there.
+    A prefix that folds to zero prunes its subtree: every term through it
+    folds to zero too.  The accumulators are the sums the terms give when
+    each is folded on its own, so the verdict is the same.  A basis
+    element not ending at a relation's source has no table entry for the
+    first arrow of any term, so it folds every term to zero.
+    """
+    trees: Dict[int, _Node] = {}
+    for idx, r in enumerate(relations):
+        root = trees.setdefault(r.uniform_endpoints()[0], ({}, []))
+        for p, c in r.terms.items():
+            node = root
+            for ai in p.arrows:
+                node = node[0].setdefault(ai, ({}, []))
+            node[1].append((idx, c))
+    for source, root in trees.items():
+        for u in range(alg.num_vertices):
+            for k in alg.endpoint_basis(u, source):
+                acc: Dict[int, Vec] = {}
+                stack: List[Tuple[_Node, Vec]] = [(root, {k: ONE})]
+                while stack:
+                    (children, ends), vec = stack.pop()
+                    for idx, c in ends:
+                        _iadd(acc.setdefault(idx, {}), vec, c)
+                    for ai, child in children.items():
+                        out = alg.apply_arrow(vec, ai)
+                        if out:
+                            stack.append((child, out))
+                if any(acc.values()):
+                    return False
+    return True
+
+
 def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["PresentedAlgebra"]:
     """Prove the extracted table presents KQ/I and return it as an
     algebra, or return None.
@@ -443,6 +492,11 @@ def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["Pres
     to its class).  Together with the table rows lying in the ideal span
     this identifies the table with KQ/I and yields the nilpotency degree
     of the arrow image as a byproduct.
+
+    The relation check (_relations_vanish) folds each basis element once
+    through a prefix tree of the terms of all relations sharing a source
+    vertex, and prunes the subtree of every prefix that folds to zero.
+    Its verdict is the one folding every term on its own would give.
     """
     live = eng.live_positions()
     pos_of = {eng.pid_of[pos]: k for k, pos in enumerate(live)}
@@ -458,23 +512,8 @@ def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["Pres
         for pos in live
     ]
 
-    # a basis element k that does not end at the relation's source has no
-    # table entry for the first arrow of any term, so it folds to zero
-    nv = alg.num_vertices
-    for r in relations:
-        source = r.uniform_endpoints()[0]
-        for u in range(nv):
-            for k in alg.endpoint_basis(u, source):
-                out: Vec = {}
-                for p, c in r.terms.items():
-                    vec: Vec = {k: ONE}
-                    for ai in p.arrows:
-                        if not vec:
-                            break
-                        vec = alg.apply_arrow(vec, ai)
-                    _iadd(out, vec, c)
-                if out:
-                    return None
+    if not _relations_vanish(alg, relations):
+        return None
 
     # radical span iteration: J^1 is spanned by the nontrivial basis
     # elements; J^(k+1) = sum of J^k * arrow
@@ -607,6 +646,8 @@ class PresentedAlgebra:
         self._by_endpoints: Dict[Tuple[int, int], List[int]] = {}
         self._mult_cache: Dict[Tuple[int, int], Vec] = {}
         self._opposite: Optional["PresentedAlgebra"] = None
+        # indecomposable projectives, filled by modules.indec_projectives
+        self._projectives: Optional[list] = None
 
     def _set_basis(self, basis: List[Path]) -> None:
         self.basis = basis

@@ -284,21 +284,28 @@ class BlockView:
         left: Dict[Tuple[int, int], Matrix],
         right: Dict[Tuple[int, int], Matrix],
     ) -> Dict[Tuple[int, int], Matrix]:
-        """Spans of all products left * right, blockwise."""
+        """Spans of all products left * right, blockwise.
+
+        Every span row is cut into its per-vertex block matrices once.
+        """
         nb = len(self.summands)
+
+        def cut(spans: Dict[Tuple[int, int], Matrix]) -> Dict[Tuple[int, int], List[List[Matrix]]]:
+            return {key: [self._block_mats(*key, f) for f in m.rows] for key, m in spans.items()}
+
+        lblocks = cut(left)
+        rblocks = lblocks if right is left else cut(right)
         out = {}
         for bu in range(nb):
             for bv in range(nb):
                 rows = []
                 for bw in range(nb):
-                    lmat = left.get((bu, bw))
-                    rmat = right.get((bw, bv))
-                    if lmat is None or rmat is None:
+                    lrows = lblocks.get((bu, bw))
+                    rrows = rblocks.get((bw, bv))
+                    if lrows is None or rrows is None:
                         continue
-                    for lf in lmat.rows:
-                        lms = self._block_mats(bu, bw, lf)
-                        for rf in rmat.rows:
-                            rms = self._block_mats(bw, bv, rf)
+                    for lms in lrows:
+                        for rms in rrows:
                             prod = [a @ b for a, b in zip(lms, rms)]
                             flat = []
                             for p in prod:

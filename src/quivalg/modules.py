@@ -9,7 +9,6 @@ squares, composed left-to-right like paths.  Everything here is exact.
 from __future__ import annotations
 
 import random
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import QuivalgError
@@ -48,7 +47,7 @@ class Representation:
     validate() checks that the algebra's relations act by zero.
     """
 
-    __slots__ = ("algebra", "dims", "matrices", "__weakref__")
+    __slots__ = ("algebra", "dims", "matrices")
 
     def __init__(
         self,
@@ -273,15 +272,12 @@ def simples(a: PresentedAlgebra) -> List[Representation]:
     return out
 
 
-_proj_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def indec_projectives(a: PresentedAlgebra) -> List[Representation]:
     """P(i) = e_i A, with basis the algebra basis paths starting at i and
-    arrows acting by right multiplication through the algebra's table."""
-    cached = _proj_cache.get(a)
-    if cached is not None:
-        return list(cached)
+    arrows acting by right multiplication through the algebra's table.
+    Cached on the algebra, so the projectives live and die with it."""
+    if a._projectives is not None:
+        return list(a._projectives)
     out = []
     for i in range(a.num_vertices):
         positions = [a.endpoint_basis(i, v) for v in range(a.num_vertices)]
@@ -300,7 +296,7 @@ def indec_projectives(a: PresentedAlgebra) -> List[Representation]:
                     mat.rows[r][k2] = c
             mats.append(mat)
         out.append(Representation(a, dims, mats))
-    _proj_cache[a] = out
+    a._projectives = out
     return list(out)
 
 

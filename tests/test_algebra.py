@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,12 @@ from quivalg import (
     MalformedRelationError,
     NotFiniteDimensionalError,
     PathAlgElement,
+    PresentedAlgebra,
     Quiver,
+    algebra,
     build_algebra,
     build_dimension_only,
+    ext2_simples_total,
     minimize_relations,
     reference_end_algebra,
 )
@@ -277,3 +281,100 @@ def test_opposite_table_is_left_multiplication(case):
     for ai in range(len(q.arrows)):
         for k in range(a.dim):
             assert _clean(op.apply_arrow(_unit(k), ai)) == _clean(a.mult_basis(pos[ai], k))
+
+
+# -- the certificate's relation check against a per-term fold ----------
+
+
+def _relations_vanish_per_term(alg, relations):
+    """Reference relation check: every term of every relation folded on
+    its own from every basis element ending at the relation's source."""
+    for r in relations:
+        source = r.uniform_endpoints()[0]
+        for u in range(alg.num_vertices):
+            for k in alg.endpoint_basis(u, source):
+                out = {}
+                for p, c in r.terms.items():
+                    vec = {k: QQ(1)}
+                    for ai in p.arrows:
+                        if not vec:
+                            break
+                        vec = alg.apply_arrow(vec, ai)
+                    for i, x in vec.items():
+                        out[i] = out.get(i, 0) + c * x
+                if any(out.values()):
+                    return False
+    return True
+
+
+def _checked_relations_vanish(verdicts):
+    """A stand-in for algebra._relations_vanish that asserts agreement
+    with the per-term fold and records each verdict."""
+    tree_check = algebra._relations_vanish
+
+    def check(alg, relations):
+        verdict = tree_check(alg, relations)
+        assert verdict == _relations_vanish_per_term(alg, relations)
+        verdicts.append(verdict)
+        return verdict
+
+    return check
+
+
+def _attempts_logged(attempts):
+    """A stand-in for algebra._certify recording (level, accepted)."""
+    certify = algebra._certify
+
+    def logged(eng, relations):
+        alg = certify(eng, relations)
+        attempts.append((len(eng.paths.level_start) - 2, alg is not None))
+        return alg
+
+    return logged
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_relation_check_matches_per_term_fold(case):
+    """At every level where the sweep attempts a certificate, the prefix
+    tree check and the per-term fold agree, on the relations and on each
+    of their terms taken alone (most of which do not vanish)."""
+    q, rels, n, _paths = case
+    verdicts = []
+    with mock.patch.object(algebra, "_relations_vanish", _checked_relations_vanish(verdicts)):
+        alg = build_algebra(q, rels, length_cap=n + 2)
+    assert verdicts and verdicts[-1] is True
+    check = _checked_relations_vanish(verdicts)
+    for r in rels:
+        for p in r.terms:
+            check(alg, [PathAlgElement.from_path(q, p)])
+    assert check(alg, rels)
+
+
+def test_ext2_product_sweep_rejects_at_level_9_and_accepts_at_10(m_presentation):
+    """The 200 products g*a and a*g of B's 50 kept relations: the first
+    certificate attempt fails the relation check, the next one passes."""
+    pres = m_presentation
+    kept = minimize_relations(pres.quiver, pres.relations, 165)
+    assert len(kept) == 50
+    verdicts, attempts = [], []
+    with mock.patch.object(
+        algebra, "_relations_vanish", _checked_relations_vanish(verdicts)
+    ), mock.patch.object(algebra, "_certify", _attempts_logged(attempts)):
+        assert ext2_simples_total(pres.quiver, kept, 165) == 10
+    assert attempts == [(9, False), (10, True)]
+    assert verdicts == [False, True]
+
+
+def test_certificate_of_raw_relations_folds_shared_prefixes_once(m_presentation, count_calls):
+    """One certificate of the 184 raw relations of B; folding every term
+    of every relation separately makes 45,871 apply_arrow calls."""
+    pres = m_presentation
+    assert len(pres.relations) == 184
+    attempts = []
+    folds = count_calls(PresentedAlgebra, "apply_arrow")
+    with mock.patch.object(algebra, "_certify", _attempts_logged(attempts)):
+        alg = _stabilize(pres.quiver, pres.relations, 20)[1]
+    assert attempts == [(9, True)]
+    assert alg.dim == 165
+    assert folds["calls"] < 20_000

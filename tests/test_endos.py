@@ -12,7 +12,7 @@ from quivalg import (
     regular_module,
     simples,
 )
-from quivalg.endos import EndStructure
+from quivalg.endos import BlockView, EndStructure
 from quivalg.linalg import QQ, Matrix, SpanSolver, rank, vstack
 
 
@@ -41,6 +41,24 @@ def test_radical_powers_pinned(l2, parts, square_dim, index):
     e = EndStructure(direct_sum([pick[c] for c in parts])[0])
     assert len(e.radical_square()) == square_dim
     assert e.radical_nilpotency_index() == index
+
+
+def test_block_span_products_cuts_each_span_row_once(l2, count_calls):
+    """Each span row is cut into block matrices once, not once per product
+    it takes part in."""
+    s, p = simples(l2)[0], indec_projectives(l2)[0]
+    m = direct_sum([s, s, p])[0]
+    e = EndStructure(m)
+    view = BlockView(m, decompose(m, seed=0, structure=e))
+    rad = view.radical_block_spans(e)
+    rows = sum(mat.nrows for mat in rad.values())
+    cuts = count_calls(BlockView, "_block_mats")
+    sq = view.block_span_products(rad, rad)
+    assert cuts["calls"] == rows
+    assert sum(mat.nrows for mat in sq.values()) == len(e.radical_square())
+    cuts["calls"] = 0
+    view.block_span_products(sq, rad)
+    assert cuts["calls"] == rows + sum(mat.nrows for mat in sq.values())
 
 
 def test_end_dims_l2_double_projective(l2):

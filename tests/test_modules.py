@@ -4,6 +4,9 @@ Oracle facts come from the two smallest test algebras: the dual
 numbers (one loop, square zero) and the path algebra of v1 -> v2.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from quivalg import (
@@ -53,6 +56,21 @@ def test_simples_and_projectives_a2(a2):
     assert [x.dims for x in i] == [[1, 0], [1, 1]]
     for x in s + p + i:
         assert validate(x) is None
+
+
+def test_projectives_are_cached_without_keeping_the_algebra_alive():
+    """The cached projectives hold their algebra, so a cache outside the
+    algebra would keep every algebra passed to indec_projectives alive."""
+    q = Quiver(["v"], [("x", "v", "v")])
+    a = build_algebra(q, [element(q, (1, ["x", "x", "x"]))])
+    first = indec_projectives(a)
+    second = indec_projectives(a)
+    assert len(first) == 1 and all(p is r for p, r in zip(first, second))
+    assert indec_injectives(a)[0].algebra is a  # caches on the opposite too
+    ref = weakref.ref(a)
+    del a, first, second
+    gc.collect()
+    assert ref() is None
 
 
 def test_l2_projective_equals_injective(l2):

@@ -37,15 +37,23 @@ either), the certificate builds the PresentedAlgebra from the table and
 checks, through that algebra's own multiplication, (a) the radical span
 iteration reaching zero, which bounds the nilpotency degree of the arrow
 image, and (b) every relation folding to zero from every basis element.
-Check (b) puts the terms of all relations that start at one vertex into
-one prefix tree keyed by arrow index and folds each basis element once
-down the tree, one apply_arrow per edge, pruning the subtree of a prefix
-that folds to zero; the per-relation sums, and so the verdict, are those
-of folding every term separately.  Together (a) and (b) prove the table
-presents exactly KQ/I, so the sweep can stop even while longer paths
-still carry nonzero classes, and the certified algebra is the one
-build_algebra returns.  If no level certifies before the length cap,
-NotFiniteDimensionalError is raised.
+Check (a) first asks that every nontrivial basis path be the unit row of
+its parent times its last arrow, as the sweep's table always has it.  A
+basis path of length >= k is then a product of k arrows, so the basis
+paths of length >= k span part of J^k, and only the rest of J^k, its
+projection onto the shorter basis paths, is carried as echelon vectors.
+That rest is seeded by the table rows p * arrow that are not a basis
+path, read off the table, and grows by its own products with the arrows;
+for a table whose relations are homogeneous it stays empty and check (a)
+multiplies nothing.  Check (b) puts the terms of all relations that
+start at one vertex into one prefix tree keyed by arrow index and folds
+each basis element once down the tree, one apply_arrow per edge, pruning
+the subtree of a prefix that folds to zero; the per-relation sums, and
+so the verdict, are those of folding every term separately.  Together
+(a) and (b) prove the table presents exactly KQ/I, so the sweep can stop
+even while longer paths still carry nonzero classes, and the certified
+algebra is the one build_algebra returns.  If no level certifies before
+the length cap, NotFiniteDimensionalError is raised.
 
 The opposite algebra carries a table of its own: row k, arrow a is the
 product a * basis[k], left multiplication by the arrow in the original
@@ -59,6 +67,8 @@ coefficient, so scaling a relation changes nothing.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MalformedRelationError, NotFiniteDimensionalError
@@ -481,6 +491,80 @@ def _relations_vanish(alg: "PresentedAlgebra", relations: Sequence[PathAlgElemen
     return True
 
 
+def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
+    """Dimensions of the nonzero powers J^1, J^2, ... of the arrow ideal's
+    image, one fewer than the Loewy length; None when the table fails
+    the unit check or J is not nilpotent.
+
+    J^1 is spanned by the nontrivial basis elements and J^(k+1) is the
+    sum of J^k * arrow over the arrows.  The unit check asks that every
+    nontrivial basis path p be the unit row of its parent times its last
+    arrow.  Then a basis path of length >= k is a product of k arrows
+    and lies in J^k, so J^k = span{e_p : |p| >= k} + pi_k(J^k), where
+    pi_k drops the coordinates at the basis paths of length >= k.
+    pi_(k+1)(J^(k+1)) is spanned by pi_(k+1) of the table rows p * arrow
+    for |p| >= k, which are looked up rather than multiplied, and of
+    e * arrow for the echelon vectors e of pi_k(J^k).  A row that is the
+    basis path p*arrow itself projects to zero, and so does a row whose
+    support has no path of length <= k, so only the rows of a
+    nonhomogeneous table and the few echelon vectors do any work.
+    """
+    basis, action = alg.basis, alg._action
+    nA = len(alg.quiver.arrows)
+    length = [p.length for p in basis]
+    pos = {(p.source, p.arrows): k for k, p in enumerate(basis)}
+    # rows_at[k] lists the table rows whose projection joins pi_(k+1)(J^(k+1))
+    rows_at: Dict[int, List[Vec]] = {}
+    for k, p in enumerate(basis):
+        if p.length:
+            par = pos.get((p.source, p.arrows[:-1]))
+            if par is None or action[par][p.arrows[-1]] != {k: ONE}:
+                return None
+        for a in alg.quiver.out_arrows[p.target]:
+            row = action[k][a.index]
+            if row and (p.source, p.arrows + (a.index,)) not in pos:
+                for power in range(max(min(length[i] for i in row), 1), p.length + 1):
+                    rows_at.setdefault(power, []).append(row)
+
+    echelon: Dict[int, Vec] = {}
+
+    def span_insert(vec: Vec) -> Optional[Vec]:
+        while vec:
+            lead = max(vec)
+            piv = echelon.get(lead)
+            if piv is None:
+                c = vec[lead]
+                if c != ONE:
+                    inv = ONE / c
+                    vec = {p: x * inv for p, x in vec.items()}
+                echelon[lead] = vec
+                return vec
+            # piv[lead] is one, so this cancels the lead
+            _iadd(vec, piv, -vec[lead])
+        return None
+
+    per_length = Counter(length)
+    long_paths = alg.dim - per_length[0]  # basis paths of length >= power
+    layer: List[Vec] = []  # echelon vectors of pi_power(J^power)
+    dims: List[int] = []
+    power = 1
+    while long_paths or layer:
+        if power > alg.dim + 1:
+            return None  # not nilpotent: the table cannot be a quotient by J^2-ideals
+        dims.append(long_paths + len(layer))
+        echelon.clear()
+        products = (alg.apply_arrow(e, ai) for e in layer for ai in range(nA))
+        nxt: List[Vec] = []
+        for row in chain(rows_at.get(power, ()), products):
+            stored = span_insert({i: c for i, c in row.items() if length[i] <= power})
+            if stored is not None:
+                nxt.append(stored)
+        layer = nxt
+        long_paths -= per_length[power]
+        power += 1
+    return dims
+
+
 def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["PresentedAlgebra"]:
     """Prove the extracted table presents KQ/I and return it as an
     algebra, or return None.
@@ -497,61 +581,34 @@ def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["Pres
     through a prefix tree of the terms of all relations sharing a source
     vertex, and prunes the subtree of every prefix that folds to zero.
     Its verdict is the one folding every term on its own would give.
+    The radical span iteration (_radical_dims) first checks that every
+    nontrivial basis path is the unit row of its parent times its last
+    arrow, which the sweep's table always satisfies; then the basis paths
+    of length >= k span most of J^k, and only the rest is multiplied.
+
+    The table is read only where it can be nonzero: a basis path times
+    an arrow not leaving its target is zero.
     """
     live = eng.live_positions()
     pos_of = {eng.pid_of[pos]: k for k, pos in enumerate(live)}
-    nA = eng.nA
+    paths = eng.paths
+    out_arrows = paths.quiver.out_arrows
     alg = PresentedAlgebra()
-    alg.quiver = eng.paths.quiver
-    alg._set_basis([eng.paths.path_of(eng.pid_of[pos]) for pos in live])
-    alg._action = [
-        [
-            {pos_of[p]: c for p, c in eng.action_row(pos, ai).items()}
-            for ai in range(nA)
-        ]
-        for pos in live
-    ]
+    alg.quiver = paths.quiver
+    alg._set_basis([paths.path_of(eng.pid_of[pos]) for pos in live])
+    alg._action = []
+    for pos in live:
+        rows: List[Vec] = [{} for _ in range(eng.nA)]
+        for b in out_arrows[paths.tgt[eng.pid_of[pos]]]:
+            rows[b.index] = {pos_of[p]: c for p, c in eng.action_row(pos, b.index).items()}
+        alg._action.append(rows)
 
     if not _relations_vanish(alg, relations):
         return None
-
-    # radical span iteration: J^1 is spanned by the nontrivial basis
-    # elements; J^(k+1) = sum of J^k * arrow
-    echelon: Dict[int, Vec] = {}
-
-    def span_insert(vec: Vec) -> Optional[Vec]:
-        vec = dict(vec)
-        while vec:
-            lead = max(vec)
-            piv = echelon.get(lead)
-            if piv is None:
-                c = vec[lead]
-                if c != ONE:
-                    inv = ONE / c
-                    vec = {p: x * inv for p, x in vec.items()}
-                echelon[lead] = vec
-                return vec
-            # piv[lead] is one, so this cancels the lead
-            _iadd(vec, piv, -vec[lead])
+    dims = _radical_dims(alg)
+    if dims is None:
         return None
-
-    current: List[Vec] = [{k: ONE} for k, p in enumerate(alg.basis) if p.length > 0]
-    power = 1
-    while current:
-        if power > alg.dim + 1:
-            return None  # not nilpotent: the table cannot be a quotient by J^2-ideals
-        echelon.clear()
-        nxt: List[Vec] = []
-        for vec in current:
-            for ai in range(nA):
-                out = alg.apply_arrow(vec, ai)
-                if out:
-                    stored = span_insert(out)
-                    if stored is not None:
-                        nxt.append(stored)
-        current = nxt
-        power += 1
-    alg.loewy_length = power
+    alg.loewy_length = len(dims) + 1
     return alg
 
 

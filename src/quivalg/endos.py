@@ -389,12 +389,9 @@ def _minimal_polynomial(q: _Quotient, x: List, unit: List) -> List:
     solver.insert(unit)
     cur = x
     while True:
-        c = solver.coords(cur)
+        c = solver.coords_or_insert(cur)
         if c is not None:
-            deg = len(powers)
-            coeffs = [-v for v in c] + [ONE]
-            return coeffs
-        solver.insert(cur)
+            return [-v for v in c] + [ONE]
         powers.append(cur)
         cur = q.mult(cur, x)
         if len(powers) > q.dim:

@@ -124,9 +124,8 @@ def end_as_quiver_algebra(
                 continue
             newp = Path(p.source, p.arrows + (i,), v)
             h = hp * ha
-            coords = solver.coords(_hom_flat(h))
+            coords = solver.coords_or_insert(_hom_flat(h))
             if coords is None:
-                solver.insert(_hom_flat(h))
                 entry = (newp, h)
                 stored.append(entry)
                 queue.append(entry)

@@ -457,14 +457,30 @@ class SpanSolver:
         residue, used = self._eliminate(row)
         if any(residue):
             return None
+        return self._over_rows(used)
+
+    def coords_or_insert(self, row: Sequence) -> Optional[List]:
+        """Coefficients over the inserted rows when row is in the span;
+        otherwise insert it and return None.  One elimination either way."""
+        residue, used = self._eliminate(row)
+        if any(residue):
+            self._add(residue, used)
+            return None
+        return self._over_rows(used)
+
+    def insert(self, row: Sequence) -> bool:
+        """Add a row; True when it enlarged the span."""
+        return self._add(*self._eliminate(row))
+
+    def _over_rows(self, used: dict) -> List:
         out = [ZERO] * self.nrows
         for idx, w in used.items():
             out[idx] = w
         return out
 
-    def insert(self, row: Sequence) -> bool:
-        """Add a row; True when it enlarged the span."""
-        residue, used = self._eliminate(row)
+    def _add(self, residue: List, used: dict) -> bool:
+        """Record an eliminated row as the next inserted one; True when
+        its residue enlarged the span."""
         index = self.nrows
         self.nrows += 1
         pairs = _nonzeros(residue)

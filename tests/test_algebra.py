@@ -378,3 +378,190 @@ def test_certificate_of_raw_relations_folds_shared_prefixes_once(m_presentation,
     assert attempts == [(9, True)]
     assert alg.dim == 165
     assert folds["calls"] < 20_000
+
+
+# -- the certificate's radical layers against multiplying every vector ----
+
+
+def _radical_dims_by_products(alg):
+    """Reference radical span iteration: every echelon vector of J^k
+    times every arrow, echelonized into J^(k+1); the dimensions of the
+    nonzero powers, or None when J^(dim+2) is still nonzero."""
+    echelon = {}
+
+    def span_insert(vec):
+        while vec:
+            lead = max(vec)
+            piv = echelon.get(lead)
+            if piv is None:
+                vec = {p: x / vec[lead] for p, x in vec.items()}
+                echelon[lead] = vec
+                return vec
+            f = vec[lead]
+            for p, x in piv.items():
+                vec[p] = vec.get(p, 0) - f * x
+            vec = {p: x for p, x in vec.items() if x}
+        return None
+
+    current = [{k: QQ(1)} for k, p in enumerate(alg.basis) if p.length > 0]
+    dims = []
+    while current:
+        if len(dims) > alg.dim:
+            return None
+        dims.append(len(current))
+        echelon.clear()
+        nxt = []
+        for vec in current:
+            for ai in range(len(alg.quiver.arrows)):
+                out = alg.apply_arrow(vec, ai)
+                if out:
+                    stored = span_insert(dict(out))
+                    if stored is not None:
+                        nxt.append(stored)
+        current = nxt
+    return dims
+
+
+def _checked_radical_dims(log):
+    """A stand-in for algebra._radical_dims that asserts agreement with
+    the reference iteration and records each result."""
+    layered = algebra._radical_dims
+
+    def check(alg):
+        dims = layered(alg)
+        assert dims == _radical_dims_by_products(alg)
+        log.append(dims)
+        return dims
+
+    return check
+
+
+def _built_with_checked_radical_dims(q, rels, length_cap=20):
+    log = []
+    with mock.patch.object(algebra, "_radical_dims", _checked_radical_dims(log)):
+        alg = build_algebra(q, rels, length_cap=length_cap)
+    assert log and log[-1] is not None
+    assert alg.loewy_length == len(log[-1]) + 1
+    return alg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_radical_dims_match_reference_iteration(case):
+    q, rels, n, _paths = case
+    alg = _built_with_checked_radical_dims(q, rels, length_cap=n + 2)
+    assert alg.loewy_length <= n
+
+
+def test_radical_dims_match_reference_on_b_kept_relations(m_presentation):
+    pres = m_presentation
+    kept = minimize_relations(pres.quiver, pres.relations, 165)
+    assert len(kept) == 50
+    alg = _built_with_checked_radical_dims(pres.quiver, kept)
+    assert alg.dim == 165
+    assert alg.loewy_length == 17
+
+
+@pytest.mark.parametrize("lam, mu", [(1, 1), (Fraction(-2, 3), 5), (2, -1), (3, 0)])
+def test_radical_dims_match_reference_on_two_loop_family(lam, mu):
+    """a^2 and ab + lam*b^2 + mu*b^2*a, a relation of mixed length when
+    mu is nonzero; (1, 1) is the two-loop algebra."""
+    q = Quiver(["v"], [("a", "v", "v"), ("b", "v", "v")])
+    terms = [(1, ["a", "b"]), (lam, ["b", "b"]), (mu, ["b", "b", "a"])]
+    rels = [element(q, (1, ["a", "a"])), element(q, *[t for t in terms if t[0]])]
+    alg = _built_with_checked_radical_dims(q, rels)
+    assert (alg.dim, alg.loewy_length) == (6, 4)
+
+
+def _table_algebra(q, basis, action):
+    """A PresentedAlgebra carrying a hand-made table."""
+    alg = PresentedAlgebra()
+    alg.quiver = q
+    alg._set_basis(basis)
+    alg._action = action
+    return alg
+
+
+def test_radical_dims_reject_idempotent_loop():
+    """x * x = x: the table passes the unit check, but J is not nilpotent."""
+    q = Quiver(["v"], [("x", "v", "v")])
+    basis = [q.trivial_path(0), q.path(["x"])]
+    alg = _table_algebra(q, basis, [[{1: QQ(1)}], [{1: QQ(1)}]])
+    assert algebra._radical_dims(alg) is None
+    assert _radical_dims_by_products(alg) is None
+
+
+def test_radical_dims_reject_basis_path_off_its_parent_row():
+    """x * x = 2 xx: nilpotent, but the basis path xx is not the unit row
+    of its parent times its last arrow, so the layers cannot be read off
+    the basis paths."""
+    q = Quiver(["v"], [("x", "v", "v")])
+    basis = [q.trivial_path(0), q.path(["x"]), q.path(["x", "x"])]
+    alg = _table_algebra(q, basis, [[{1: QQ(1)}], [{2: QQ(2)}], [{}]])
+    assert _radical_dims_by_products(alg) == [2, 1]
+    assert algebra._radical_dims(alg) is None
+
+
+def _quantum_plane(p, r, scalar):
+    q = Quiver(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    return q, [
+        element(q, (1, ["x"] * p)),
+        element(q, (1, ["y"] * r)),
+        element(q, (1, ["y", "x"]), (-scalar, ["x", "y"])),
+    ]
+
+
+def _commutative_grid(m, n, seed):
+    """The m-by-n grid quiver with every square commuting up to a seeded
+    nonzero scalar: the tensor product of two linearly oriented A_m, A_n."""
+    rng = random.Random(seed)
+
+    def name(i, j):
+        return f"g{i}_{j}"
+
+    arrows = [(f"h{i}_{j}", name(i, j), name(i + 1, j)) for i in range(m - 1) for j in range(n)]
+    arrows += [(f"w{i}_{j}", name(i, j), name(i, j + 1)) for i in range(m) for j in range(n - 1)]
+    q = Quiver([name(i, j) for i in range(m) for j in range(n)], arrows)
+    rels = [
+        element(
+            q,
+            (1, [f"h{i}_{j}", f"w{i + 1}_{j}"]),
+            (-Fraction(rng.randint(2, 9), rng.randint(2, 9)), [f"w{i}_{j}", f"h{i}_{j + 1}"]),
+        )
+        for i in range(m - 1)
+        for j in range(n - 1)
+    ]
+    return q, rels
+
+
+@pytest.mark.parametrize("p, r", [(9, 9), (9, 10)])
+def test_quantum_plane_loewy_length(p, r):
+    """K<x,y>/(x^p, y^r, yx - q xy) has dimension p*r and Loewy length
+    p + r - 1: the top monomial x^(p-1) y^(r-1) has length p + r - 2."""
+    alg = build_algebra(*_quantum_plane(p, r, Fraction(-3, 7)))
+    assert (alg.dim, alg.loewy_length) == (p * r, p + r - 1)
+
+
+@pytest.mark.parametrize("m, n", [(5, 6), (6, 6)])
+def test_commutative_grid_loewy_length(m, n):
+    """The m-by-n commuting grid has dimension C(m+1, 2) * C(n+1, 2) and
+    Loewy length m + n - 1, one more than its longest path."""
+    alg = build_algebra(*_commutative_grid(m, n, seed=1))
+    assert alg.dim == (m * (m + 1) // 2) * (n * (n + 1) // 2)
+    assert alg.loewy_length == m + n - 1
+
+
+def test_grid_certificate_reads_layers_off_basis_paths(count_calls):
+    """build_algebra of the 6-by-6 grid: multiplying every echelon vector
+    of every J^k by all 60 arrows made 89,200 apply_arrow calls.  The
+    table is read only along the arrows leaving each basis path."""
+    q, rels = _commutative_grid(6, 6, seed=1)
+    attempts = []
+    folds = count_calls(PresentedAlgebra, "apply_arrow")
+    rows = count_calls(algebra._Sweep, "action_row")
+    with mock.patch.object(algebra, "_certify", _attempts_logged(attempts)):
+        alg = build_algebra(q, rels)
+    assert [ok for _level, ok in attempts] == [True]
+    assert alg.dim == 441
+    assert folds["calls"] < 5_000
+    assert rows["calls"] == sum(len(q.out_arrows[p.target]) for p in alg.basis)

@@ -21,10 +21,13 @@ from quivalg import (
     reference_end_relations,
     regular_module,
     simples,
+    build_algebra,
     build_dimension_only,
+    parse_algebra,
+    parse_module,
 )
-from quivalg import algebra
-from quivalg.linalg import Matrix
+from quivalg import algebra, endquiver
+from quivalg.linalg import Matrix, SpanSolver
 
 from conftest import element
 
@@ -133,6 +136,40 @@ def test_minimize_pipeline_relations_in_one_sweep(m_presentation, count_calls):
     assert sweeps["calls"] == 1
     assert len(kept) <= 50
     assert presentation_dimension_check(pres.quiver, kept, 165)
+
+
+def _auslander_module(n):
+    """K[x]/(x) + ... + K[x]/(x^n) over K[x]/(x^n), one Jordan block each."""
+    a = build_algebra(*parse_algebra("vertices v\narrow x: v -> v\nrelation %s\n" % "*".join(["x"] * n)))
+    size = n * (n + 1) // 2
+    mat = [[0] * size for _ in range(size)]
+    off = 0
+    for block in range(1, n + 1):
+        for k in range(block - 1):
+            mat[off + k][off + k + 1] = 1
+        off += block
+    text = "vertex v %d\narrow x\n" % size + "\n".join(" ".join(map(str, r)) for r in mat)
+    return parse_module(text, algebra=a)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_path_search_eliminates_each_product_once(n, monkeypatch):
+    """Each seed (idempotent or arrow) and each product of a stored path
+    with an arrow is eliminated once: a product either becomes a stored
+    path or gives a relation."""
+    calls = []
+
+    class CountingSolver(SpanSolver):
+        def _eliminate(self, row):
+            calls.append(1)
+            return super()._eliminate(row)
+
+    monkeypatch.setattr(endquiver, "SpanSolver", CountingSolver)
+    pres = end_as_quiver_algebra(_auslander_module(n))
+    seeds = pres.quiver.num_vertices + len(pres.quiver.arrows)
+    products = len(pres.path_dictionary) - seeds + pres.raw_relation_count
+    assert pres.presented.dim == n * (n + 1) * (2 * n + 1) // 6
+    assert len(calls) == seeds + products
 
 
 def test_ext2_simples_total_two_loop(two_loop):

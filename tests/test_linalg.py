@@ -244,6 +244,19 @@ def test_span_solver_matches_coefficients_in_span(basis, coeffs):
     assert rebuilt == target
 
 
+@given(sparse_matrices())
+def test_span_solver_coords_or_insert_matches_coords_then_insert(m):
+    """One call per row answers as coords() would, and inserts exactly
+    the rows coords() finds outside the span."""
+    once, twice = SpanSolver(m.ncols), SpanSolver(m.ncols)
+    for row in m.rows + m.rows:
+        expected = twice.coords(row)
+        if expected is None:
+            twice.insert(row)
+        assert once.coords_or_insert(row) == expected
+        assert (once.nrows, once.rank) == (twice.nrows, twice.rank)
+
+
 @given(matrices())
 def test_span_solver_insert_reports_dependence(m):
     solver = SpanSolver(m.ncols)

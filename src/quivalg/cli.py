@@ -26,10 +26,10 @@ from .homological import (
     global_dimension,
     tau2,
 )
-from .modules import direct_sum, dual, regular_module, validate
+from .modules import direct_sum, regular_module, validate
 from .presets import builtin_algebra, two_loop_local_algebra
 from .textio import format_algebra, format_module, parse_algebra, parse_module
-from .verify import run_verification
+from .verify import dual_regular_translates, run_verification
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -282,10 +282,8 @@ def _cmd_probe_ext(args) -> int:
         raise _InputError("--imax must be at least 1")
     a = two_loop_local_algebra(length_cap=args.max_length)
     reg = regular_module(a)
-    da = dual(regular_module(a.opposite))
-    translates = [da]
-    for _ in range(4):
-        translates.append(tau2(translates[-1]))
+    translates = dual_regular_translates(a)
+    da = translates[0]
     m = direct_sum(translates)[0]
     report = _Report(args.format == "structured")
     for i in range(1, args.imax + 1):

@@ -17,7 +17,7 @@ from .modules import (
     ModuleHom,
     Representation,
     _ProjSum,
-    _cover_data,
+    _Resolution,
     _hom_from_generators,
     _induced_hom_matrix,
     _presentation_components,
@@ -28,7 +28,6 @@ from .modules import (
     injective_envelope,
     is_isomorphic,
     is_projective,
-    kernel,
     regular_module,
     simples,
 )
@@ -73,47 +72,6 @@ class AtLeastBound:
 
 
 # -- minimal resolutions ------------------------------------------------
-
-
-class _Resolution:
-    """Lazily extended minimal projective resolution with cover data.
-
-    psums[k] is the k-th term as a _ProjSum, maps[k] is the differential
-    psums[k+1].rep -> psums[k].rep, epis[k] is the cover of the k-th
-    syzygy by psums[k]; epis[0] is the augmentation onto the resolved
-    module.  Covers and kernels are taken only as far as asked, and only
-    extend_to composes differentials.
-    """
-
-    def __init__(self, m: Representation):
-        self.module = m
-        self.psums: List[_ProjSum] = []
-        self.epis: List[ModuleHom] = []
-        self.maps: List[ModuleHom] = []
-        self._syzygies: List[Representation] = [m]
-        self._incls: List[ModuleHom] = []
-
-    def syzygy(self, k: int) -> Representation:
-        while len(self._syzygies) <= k:
-            s = len(self._syzygies) - 1
-            self._cover(s)
-            ker, incl = kernel(self.epis[s])
-            self._syzygies.append(ker)
-            self._incls.append(incl)
-        return self._syzygies[k]
-
-    def _cover(self, k: int) -> None:
-        while len(self.psums) <= k:
-            psum, epi = _cover_data(self.syzygy(len(self.psums)))
-            self.psums.append(psum)
-            self.epis.append(epi)
-
-    def extend_to(self, k: int) -> None:
-        """Terms psums[0..k] and differentials maps[0..k-1]."""
-        self._cover(k)
-        while len(self.maps) < k:
-            s = len(self.maps) + 1
-            self.maps.append(self.epis[s] * self._incls[s - 1])
 
 
 def syzygy(m: Representation, k: int) -> Representation:

@@ -1,9 +1,8 @@
 """Exact rational linear algebra over row vectors.
 
-Every matrix entry is an exact rational (gmpy2.mpq when available,
-fractions.Fraction otherwise); no floats enter at any point.  Vectors are
-rows throughout the package and maps act on the right, so the matrix of
-"f then g" is mat(f) @ mat(g).
+Every matrix entry is an exact rational, a fractions.Fraction; no floats
+enter at any point.  Vectors are rows throughout the package and maps act
+on the right, so the matrix of "f then g" is mat(f) @ mat(g).
 
 The hot loops touch nonzero entries only: products, elimination and the
 span solver first split a row into its nonzero (column, value) pairs.
@@ -15,19 +14,15 @@ so sharing them is safe).
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction as QQ
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # gmpy2 is optional; the standard library is the fallback
-    from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)
 
 
 def rat(x) -> "QQ":
-    """Coerce an int, string like '-3/7', Fraction or mpq to the scalar type.
+    """Coerce an int, string like '-3/7' or Fraction to the scalar type.
 
     A value of the scalar type itself is returned as it is, not copied.
     """
@@ -162,9 +157,6 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
         return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
-    def row(self, i: int) -> List:
-        return self.rows[i][:]
 
     def take_rows(self, indices: Iterable[int]) -> "Matrix":
         rows = [self.rows[i][:] for i in indices]
@@ -320,12 +312,20 @@ def coefficients_in_span(basis: Matrix, target: Sequence) -> Optional[List]:
 
 
 def solve_left(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Solve x @ a = b row by row; None when some row of b is outside the span."""
+    """Solve x @ a = b row by row; None when some row of b is outside the span.
+
+    One SpanSolver over the rows of a answers every row of b.  Like
+    coefficients_in_span, it expresses each row over the first independent
+    rows of a and gives the dependent rows coefficient 0.
+    """
     if a.ncols != b.ncols:
         raise ValueError("solve_left: width mismatch")
+    span = SpanSolver(a.ncols)
+    for row in a.rows:
+        span.insert(row)
     out = []
-    for i in range(b.nrows):
-        coeffs = coefficients_in_span(a, b.rows[i])
+    for row in b.rows:
+        coeffs = span.coords(row)
         if coeffs is None:
             return None
         out.append(coeffs)
@@ -338,16 +338,12 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     for b in blocks:
         if b.nrows != b.ncols:
             raise ValueError("block_diagonal requires square blocks")
-    return _block_diagonal_any(blocks)
+    return block_diagonal_rect(blocks)
 
 
 def block_diagonal_rect(blocks: Sequence[Matrix]) -> Matrix:
     """Diagonal sum of rectangular blocks (row and column offsets both advance)."""
-    return _block_diagonal_any(list(blocks))
-
-
-def _block_diagonal_any(blocks: Sequence[Matrix]) -> Matrix:
-    """Diagonal sum without the squareness constraint (internal)."""
+    blocks = list(blocks)
     total_r = sum(b.nrows for b in blocks)
     total_c = sum(b.ncols for b in blocks)
     out = [[ZERO] * total_c for _ in range(total_r)]
@@ -399,11 +395,7 @@ def invert(m: Matrix) -> Optional[Matrix]:
     """Inverse matrix, or None when singular."""
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.nrows
-    ech, pivots = rref(hstack([m, Matrix.identity(n)]))
-    if len(pivots) < n or (n > 0 and pivots[n - 1] >= n):
-        return None
-    return Matrix(n, n, [row[n:] for row in ech.rows])
+    return solve_left(m, Matrix.identity(m.nrows))
 
 
 class SpanSolver:

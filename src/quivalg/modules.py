@@ -16,15 +16,14 @@ from .linalg import (
     Matrix,
     ONE,
     ZERO,
+    block_diagonal_rect,
     hstack,
-    kernel_basis,
     left_kernel_basis,
     rat,
     row_space_basis,
     rref,
     solve_left,
     vstack,
-    _block_diagonal_any,
 )
 from .quiver import Path, PathAlgElement
 from .algebra import PresentedAlgebra
@@ -182,9 +181,6 @@ class ModuleHom:
         maps = [f @ g for f, g in zip(self.vertex_maps, other.vertex_maps)]
         return ModuleHom(self.source, other.target, maps)
 
-    def then(self, other: "ModuleHom") -> "ModuleHom":
-        return self * other
-
     def __add__(self, other: "ModuleHom") -> "ModuleHom":
         maps = [f + g for f, g in zip(self.vertex_maps, other.vertex_maps)]
         return ModuleHom(self.source, self.target, maps)
@@ -205,7 +201,7 @@ class ModuleHom:
 
     def total_matrix(self) -> Matrix:
         """Block-diagonal matrix over the concatenated vertex spaces."""
-        return _block_diagonal_any(self.vertex_maps)
+        return block_diagonal_rect(self.vertex_maps)
 
     def rank(self) -> int:
         return sum(len(rref(f)[1]) for f in self.vertex_maps)
@@ -308,17 +304,6 @@ def dual(r: Representation) -> Representation:
     return Representation(op, list(r.dims), mats)
 
 
-def dual_hom(
-    h: ModuleHom,
-    dual_source: Optional[Representation] = None,
-    dual_target: Optional[Representation] = None,
-) -> ModuleHom:
-    """Dual of a hom: runs from dual(target) to dual(source), transposed."""
-    src = dual_source if dual_source is not None else dual(h.target)
-    tgt = dual_target if dual_target is not None else dual(h.source)
-    return ModuleHom(src, tgt, [f.transpose() for f in h.vertex_maps])
-
-
 def indec_injectives(a: PresentedAlgebra) -> List[Representation]:
     """I(i) = dual of the i-th indecomposable projective of the opposite."""
     return [dual(p) for p in indec_projectives(a.opposite)]
@@ -343,7 +328,7 @@ def direct_sum(
             raise ValueError("direct_sum over mixed algebras")
     dims = [sum(m.dims[v] for m in ms) for v in range(a.num_vertices)]
     mats = [
-        _block_diagonal_any([m.matrices[ar.index] for m in ms])
+        block_diagonal_rect([m.matrices[ar.index] for m in ms])
         for ar in a.quiver.arrows
     ]
     total = Representation(a, dims, mats)
@@ -394,7 +379,7 @@ class _ProjSum:
                 running[v] += part.dims[v]
         dims = list(running)
         mats = [
-            _block_diagonal_any([p.matrices[ar.index] for p in parts])
+            block_diagonal_rect([p.matrices[ar.index] for p in parts])
             for ar in algebra.quiver.arrows
         ]
         self.rep = Representation(algebra, dims, mats)
@@ -604,6 +589,47 @@ def _cover_data(m: Representation) -> Tuple[_ProjSum, ModuleHom]:
     return psum, epi
 
 
+class _Resolution:
+    """Lazily extended minimal projective resolution with cover data.
+
+    psums[k] is the k-th term as a _ProjSum, maps[k] is the differential
+    psums[k+1].rep -> psums[k].rep, epis[k] is the cover of the k-th
+    syzygy by psums[k]; epis[0] is the augmentation onto the resolved
+    module.  Covers and kernels are taken only as far as asked, and only
+    extend_to composes differentials.
+    """
+
+    def __init__(self, m: Representation):
+        self.module = m
+        self.psums: List[_ProjSum] = []
+        self.epis: List[ModuleHom] = []
+        self.maps: List[ModuleHom] = []
+        self._syzygies: List[Representation] = [m]
+        self._incls: List[ModuleHom] = []
+
+    def syzygy(self, k: int) -> Representation:
+        while len(self._syzygies) <= k:
+            s = len(self._syzygies) - 1
+            self._cover(s)
+            ker, incl = kernel(self.epis[s])
+            self._syzygies.append(ker)
+            self._incls.append(incl)
+        return self._syzygies[k]
+
+    def _cover(self, k: int) -> None:
+        while len(self.psums) <= k:
+            psum, epi = _cover_data(self.syzygy(len(self.psums)))
+            self.psums.append(psum)
+            self.epis.append(epi)
+
+    def extend_to(self, k: int) -> None:
+        """Terms psums[0..k] and differentials maps[0..k-1]."""
+        self._cover(k)
+        while len(self.maps) < k:
+            s = len(self.maps) + 1
+            self.maps.append(self.epis[s] * self._incls[s - 1])
+
+
 def projective_cover(m: Representation) -> Tuple[Representation, ModuleHom]:
     psum, epi = _cover_data(m)
     return psum.rep, epi
@@ -630,63 +656,40 @@ def is_injective(m: Representation) -> bool:
 
 # -- hom spaces ---------------------------------------------------------
 
-# above this many matrix cells the stacked commuting-square system is
-# replaced by the equivalent solve through a minimal projective presentation
-_DIRECT_HOM_CELLS = 200_000
-
-
 def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
-    """Deterministic basis of Hom(m, n).
+    """Deterministic basis of Hom(m, n), solved through a minimal
+    projective presentation P1 -> P0 -> m.
 
-    Small instances solve the stacked commuting-square system directly by
-    kernel_basis; larger ones factor through a minimal projective
-    presentation of m, which gives the same space with far fewer unknowns.
+    Hom is left exact, so Hom(m, n) is the kernel of the induced map
+    Hom(P0, n) -> Hom(P1, n), with one unknown per generator coordinate;
+    each solution factors back through m along sections of the cover.
+    m must be a module over its algebra (validate(m) is None).
     """
     _same_algebra(m, n)
     a = m.algebra
-    unknowns = sum(m.dims[v] * n.dims[v] for v in range(a.num_vertices))
-    if unknowns == 0:
+    if not any(m.dims[v] * n.dims[v] for v in range(a.num_vertices)):
         return []
-    constraints = sum(
-        m.dims[ar.source] * n.dims[ar.target] for ar in a.quiver.arrows
-    )
-    if unknowns * (constraints + unknowns) <= _DIRECT_HOM_CELLS:
-        return _hom_basis_direct(m, n)
-    return _hom_basis_presented(m, n)
-
-
-def _hom_basis_direct(m: Representation, n: Representation) -> List[ModuleHom]:
-    a = m.algebra
-    nv = a.num_vertices
-    offsets = []
-    total = 0
-    for v in range(nv):
-        offsets.append(total)
-        total += m.dims[v] * n.dims[v]
-    rows: List[List] = []
-    for ar in a.quiver.arrows:
-        u, v = ar.source, ar.target
-        ma, na = m.matrices[ar.index], n.matrices[ar.index]
-        for i in range(m.dims[u]):
-            for j in range(n.dims[v]):
-                row = [ZERO] * total
-                for k in range(m.dims[v]):
-                    if ma.rows[i][k]:
-                        row[offsets[v] + k * n.dims[v] + j] += ma.rows[i][k]
-                for l in range(n.dims[u]):
-                    if na.rows[l][j]:
-                        row[offsets[u] + i * n.dims[u] + l] -= na.rows[l][j]
-                rows.append(row)
-    system = Matrix(len(rows), total, rows) if rows else Matrix.zero(0, total)
+    res = _Resolution(m)
+    res.extend_to(1)
+    psum0, epi = res.psums[0], res.epis[0]
+    system = _induced_hom_matrix(res.psums[1], psum0, res.maps[0], n)
+    solutions = left_kernel_basis(system)
+    # sections of the cover epi, one per vertex, to factor homs through m
+    sections = []
+    for v in range(a.num_vertices):
+        sec = solve_left(epi.vertex_maps[v], Matrix.identity(m.dims[v]))
+        assert sec is not None
+        sections.append(sec)
     out = []
-    for sol in kernel_basis(system).rows:
-        maps = []
-        for v in range(nv):
-            block = [
-                sol[offsets[v] + i * n.dims[v] : offsets[v] + (i + 1) * n.dims[v]]
-                for i in range(m.dims[v])
-            ]
-            maps.append(Matrix(m.dims[v], n.dims[v], block))
+    for sol in solutions.rows:
+        images = []
+        cursor = 0
+        for s in range(psum0.num_summands):
+            width = n.dims[psum0.vertices[s]]
+            images.append(sol[cursor : cursor + width])
+            cursor += width
+        g = _hom_from_generators(psum0, n, images)
+        maps = [sections[v] @ g.vertex_maps[v] for v in range(a.num_vertices)]
         out.append(ModuleHom(m, n, maps))
     return out
 
@@ -747,34 +750,6 @@ def _induced_hom_matrix(
                                 row[base + j] += c * x
             rows.append(row)
     return Matrix(len(rows), ncols, rows)
-
-
-def _hom_basis_presented(m: Representation, n: Representation) -> List[ModuleHom]:
-    a = m.algebra
-    psum0, epi = _cover_data(m)
-    syz, incl = kernel(epi)
-    psum1, epi1 = _cover_data(syz)
-    d1 = epi1 * incl
-    system = _induced_hom_matrix(psum1, psum0, d1, n)
-    solutions = left_kernel_basis(system)
-    # sections of the cover epi, one per vertex, to factor homs through m
-    sections = []
-    for v in range(a.num_vertices):
-        sec = solve_left(epi.vertex_maps[v], Matrix.identity(m.dims[v]))
-        assert sec is not None
-        sections.append(sec)
-    out = []
-    for sol in solutions.rows:
-        images = []
-        cursor = 0
-        for s in range(psum0.num_summands):
-            width = n.dims[psum0.vertices[s]]
-            images.append(sol[cursor : cursor + width])
-            cursor += width
-        g = _hom_from_generators(psum0, n, images)
-        maps = [sections[v] @ g.vertex_maps[v] for v in range(a.num_vertices)]
-        out.append(ModuleHom(m, n, maps))
-    return out
 
 
 # -- isomorphism testing ------------------------------------------------

@@ -28,7 +28,15 @@ from .homological import (
     is_selfinjective,
     tau2,
 )
-from .modules import direct_sum, dual, is_isomorphic, is_projective, regular_module
+from .algebra import PresentedAlgebra
+from .modules import (
+    Representation,
+    direct_sum,
+    dual,
+    is_isomorphic,
+    is_projective,
+    regular_module,
+)
 from .presets import (
     reference_end_quiver,
     reference_end_relations,
@@ -111,6 +119,14 @@ class VerificationReport:
         return 0
 
 
+def dual_regular_translates(a: PresentedAlgebra) -> List[Representation]:
+    """DA, tau2(DA), ..., tau2^4(DA): the five summands of the candidate M."""
+    translates = [dual(regular_module(a.opposite))]
+    for _ in range(4):
+        translates.append(tau2(translates[-1]))
+    return translates
+
+
 def run_verification(
     seed: int = 0, bound: int = 6, max_length: int = 20
 ) -> VerificationReport:
@@ -125,10 +141,8 @@ def run_verification(
     report.check("a_selfinjective", selfinj, selfinj is False)
 
     reg = regular_module(a)
-    da = dual(regular_module(a.opposite))
-    translates = [da]
-    for _ in range(4):
-        translates.append(tau2(translates[-1]))
+    translates = dual_regular_translates(a)
+    da = translates[0]
     dims = [u.total_dim for u in translates[1:]]
     report.check("translate_dims", " ".join(map(str, dims)), all(d > 0 for d in dims))
     u4 = translates[4]

@@ -1,13 +1,15 @@
-"""Shared fixtures.
+"""Shared fixtures and hypothesis strategies.
 
 Small oracle algebras are cheap and rebuilt per session anyway; the
 translate pipeline over the two-loop algebra is shared session-wide so
-its cost is paid once.
+its cost is paid once.  truncated_quotients draws small random algebras
+for the property tests of the quotient engine and the module layer.
 """
 
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from quivalg import (
     Quiver,
@@ -21,7 +23,7 @@ from quivalg import (
     two_loop_local_algebra,
 )
 from quivalg.endos import EndStructure
-from quivalg.quiver import PathAlgElement
+from quivalg.quiver import Path, PathAlgElement
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -119,3 +121,44 @@ def m_summands(m_module, m_structure):
 @pytest.fixture(scope="session")
 def m_presentation(m_module, m_structure, m_summands):
     return end_as_quiver_algebra(m_module, max_length=20, seed=0, structure=m_structure)
+
+
+def _paths_by_length(q, n):
+    """paths[k] lists every path of length k, for k = 0..n."""
+    paths = [[q.trivial_path(v) for v in range(q.num_vertices)]]
+    for _ in range(n):
+        paths.append(
+            [
+                Path(p.source, p.arrows + (a.index,), a.target)
+                for p in paths[-1]
+                for a in q.out_arrows[p.target]
+            ]
+        )
+    return paths
+
+
+@st.composite
+def truncated_quotients(draw):
+    """A small quiver, its truncation length N, and relations with J^N in I.
+
+    Random vertex-homogeneous relations have terms of length 2..N-1; every
+    path of length N is added as a monomial relation.
+    """
+    nv = draw(st.integers(1, 2))
+    vertex = st.integers(0, nv - 1).map(lambda v: f"v{v}")
+    arrows = [(f"a{i}", draw(vertex), draw(vertex)) for i in range(draw(st.integers(1, 3)))]
+    q = Quiver([f"v{v}" for v in range(nv)], arrows)
+    n = draw(st.integers(2, 4))
+    paths = _paths_by_length(q, n)
+    by_ends = {}
+    for k in range(2, n):
+        for p in paths[k]:
+            by_ends.setdefault((p.source, p.target), []).append(p)
+    coeffs = st.integers(-3, 3).filter(bool)
+    rels = []
+    for _ in range(draw(st.integers(0, 3)) if by_ends else 0):
+        ends = draw(st.sampled_from(sorted(by_ends)))
+        terms = draw(st.lists(st.sampled_from(by_ends[ends]), min_size=1, max_size=3, unique=True))
+        rels.append(PathAlgElement(q, {p: draw(coeffs) for p in terms}))
+    rels += [PathAlgElement.from_path(q, p) for p in paths[n]]
+    return q, rels, n, paths

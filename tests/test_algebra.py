@@ -25,7 +25,7 @@ from quivalg.algebra import _stabilize
 from quivalg.linalg import QQ
 from quivalg.quiver import Path
 
-from conftest import element
+from conftest import element, truncated_quotients
 
 
 def test_two_loop_frozen_dimensions(two_loop):
@@ -169,47 +169,6 @@ def test_normal_form_and_vec_round_trip(two_loop):
 
 
 # -- differential oracle: the sweep against plain echelonization --------
-
-
-def _paths_by_length(q, n):
-    """paths[k] lists every path of length k, for k = 0..n."""
-    paths = [[q.trivial_path(v) for v in range(q.num_vertices)]]
-    for _ in range(n):
-        paths.append(
-            [
-                Path(p.source, p.arrows + (a.index,), a.target)
-                for p in paths[-1]
-                for a in q.out_arrows[p.target]
-            ]
-        )
-    return paths
-
-
-@st.composite
-def truncated_quotients(draw):
-    """A small quiver, its truncation length N, and relations with J^N in I.
-
-    Random vertex-homogeneous relations have terms of length 2..N-1; every
-    path of length N is added as a monomial relation.
-    """
-    nv = draw(st.integers(1, 2))
-    vertex = st.integers(0, nv - 1).map(lambda v: f"v{v}")
-    arrows = [(f"a{i}", draw(vertex), draw(vertex)) for i in range(draw(st.integers(1, 3)))]
-    q = Quiver([f"v{v}" for v in range(nv)], arrows)
-    n = draw(st.integers(2, 4))
-    paths = _paths_by_length(q, n)
-    by_ends = {}
-    for k in range(2, n):
-        for p in paths[k]:
-            by_ends.setdefault((p.source, p.target), []).append(p)
-    coeffs = st.integers(-3, 3).filter(bool)
-    rels = []
-    for _ in range(draw(st.integers(0, 3)) if by_ends else 0):
-        ends = draw(st.sampled_from(sorted(by_ends)))
-        terms = draw(st.lists(st.sampled_from(by_ends[ends]), min_size=1, max_size=3, unique=True))
-        rels.append(PathAlgElement(q, {p: draw(coeffs) for p in terms}))
-    rels += [PathAlgElement.from_path(q, p) for p in paths[n]]
-    return q, rels, n, paths
 
 
 def _truncated_basis(rels, n, paths):

@@ -326,8 +326,9 @@ def _third_party_imports(tree):
 
 
 def test_declared_dependencies_match_imports():
-    """`[project].dependencies` names exactly the packages quivalg imports
-    unconditionally; an import guarded by `except ImportError` is optional."""
+    """`[project].dependencies` names exactly the packages quivalg imports,
+    and no import is guarded by `except ImportError`: an optional
+    dependency would fork the package into two code paths."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     declared = {
@@ -339,7 +340,8 @@ def test_declared_dependencies_match_imports():
         found, optional = _third_party_imports(ast.parse(path.read_text(), str(path)))
         unguarded |= found
         guarded |= optional
-    assert unguarded == declared, f"optional imports: {sorted(guarded)}"
+    assert unguarded == declared, f"imported {sorted(unguarded)}, declared {sorted(declared)}"
+    assert not guarded, f"optional imports: {sorted(guarded)}"
 
 
 def test_import_leaves_numpy_out():

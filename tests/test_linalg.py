@@ -195,6 +195,37 @@ def test_solve_left_round_trip(x, a):
     assert y @ a == b
 
 
+@st.composite
+def dependent_systems(draw, max_dim=4):
+    """(a, b): the rows of a include combinations of other rows of a, in any
+    order; the rows of b are combinations of rows of a or arbitrary rows."""
+    base = draw(matrices(min_rows=1, min_cols=1, max_dim=max_dim))
+    combos = st.lists(rationals, min_size=base.nrows, max_size=base.nrows)
+
+    def combination(coeffs):
+        return [sum((c * x for c, x in zip(coeffs, col)), QQ(0)) for col in zip(*base.rows)]
+
+    arbitrary = st.lists(rationals, min_size=base.ncols, max_size=base.ncols)
+    rows = base.rows + [combination(draw(combos)) for _ in range(draw(st.integers(1, 3)))]
+    rows = draw(st.permutations(rows))
+    targets = [
+        combination(draw(combos)) if draw(st.booleans()) else draw(arbitrary)
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return Matrix(len(rows), base.ncols, rows), Matrix(len(targets), base.ncols, targets)
+
+
+@given(dependent_systems())
+def test_solve_left_matches_coefficients_in_span_row_by_row(system):
+    a, b = system
+    expected = [coefficients_in_span(a, row) for row in b.rows]
+    got = solve_left(a, b)
+    if any(coeffs is None for coeffs in expected):
+        assert got is None
+    else:
+        assert got == Matrix(b.nrows, a.nrows, expected)
+
+
 @given(square_matrices(), square_matrices())
 def test_determinant_multiplicative(m, n):
     size = min(m.nrows, n.nrows)

@@ -6,8 +6,10 @@ numbers (one loop, square zero) and the path algebra of v1 -> v2.
 
 import gc
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivalg import (
     ModuleHom,
@@ -30,10 +32,10 @@ from quivalg import (
     validate,
 )
 from quivalg import Quiver, build_algebra, modules
-from quivalg.linalg import QQ, Matrix
+from quivalg.linalg import QQ, Matrix, rank
 from quivalg.modules import radical, socle, top, zero_module
 
-from conftest import element
+from conftest import element, truncated_quotients
 
 
 def test_validate_accepts_regular(two_loop, a2):
@@ -230,3 +232,61 @@ def test_hom_basis_folds_each_basis_path_from_its_prefix(count_calls, monkeypatc
     # one generator per Jordan block for each hom, plus the covers
     assert folds["generators"] >= n * len(homs)
     assert folds["row_times"] == (a.dim - 1) * folds["generators"]
+
+
+# -- the presented Hom solve against the commuting-square system --------
+
+
+def _commuting_square_nullity(m, n):
+    """dim Hom(m, n) as the nullity of the stacked commuting-square system.
+
+    The unknowns are the entries of the vertex maps f_v; every arrow
+    a: u -> v contributes the entries of mat_m(a) @ f_v - f_u @ mat_n(a).
+    """
+    a = m.algebra
+    offsets, total = [], 0
+    for v in range(a.num_vertices):
+        offsets.append(total)
+        total += m.dims[v] * n.dims[v]
+    rows = []
+    for ar in a.quiver.arrows:
+        u, v = ar.source, ar.target
+        ma, na = m.matrices[ar.index], n.matrices[ar.index]
+        for i in range(m.dims[u]):
+            for j in range(n.dims[v]):
+                row = [QQ(0)] * total
+                for k in range(m.dims[v]):
+                    row[offsets[v] + k * n.dims[v] + j] += ma.rows[i][k]
+                for l in range(n.dims[u]):
+                    row[offsets[u] + i * n.dims[u] + l] -= na.rows[l][j]
+                rows.append(row)
+    return total - rank(Matrix(len(rows), total, rows))
+
+
+@st.composite
+def hom_pairs(draw, max_total_dim=12):
+    """X and Y over a truncated quotient, each an indecomposable projective,
+    injective or simple, or a direct sum of two of them."""
+    q, rels, n, _paths = draw(truncated_quotients())
+    a = build_algebra(q, rels, length_cap=n + 2)
+    base = indec_projectives(a) + indec_injectives(a) + simples(a)
+    picks = [(i,) for i in range(len(base))]
+    picks += combinations_with_replacement(range(len(base)), 2)
+    picks = [p for p in picks if sum(base[i].total_dim for i in p) <= max_total_dim]
+
+    def module(pick):
+        return direct_sum([base[i] for i in pick])[0]
+
+    return module(draw(st.sampled_from(picks))), module(draw(st.sampled_from(picks)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hom_pairs())
+def test_hom_basis_matches_commuting_square_nullity(pair):
+    x, y = pair
+    homs = hom_basis(x, y)
+    assert len(homs) == _commuting_square_nullity(x, y)
+    assert all(h.is_valid() for h in homs)
+    flat = [[c for f in h.vertex_maps for c in f.flatten()] for h in homs]
+    width = sum(x.dims[v] * y.dims[v] for v in range(len(x.dims)))
+    assert rank(Matrix(len(flat), width, flat)) == len(homs)

@@ -20,7 +20,7 @@ from .linalg import (
     ZERO,
     Matrix,
     SpanSolver,
-    _nonzeros,
+    _iadd,
     hstack,
     left_kernel_basis,
     invert,
@@ -33,11 +33,40 @@ from .linalg import (
 from .modules import ModuleHom, Representation, _sub_rep, hom_basis
 
 
-def _hom_flat(h: ModuleHom) -> List:
-    out = []
-    for mat in h.vertex_maps:
-        out.extend(mat.flatten())
+def _flat(mats: Sequence[Matrix]) -> List:
+    """The matrices flattened row-major and concatenated, as the sorted
+    (position, value) pairs of their nonzero entries."""
+    out: List = []
+    base = 0
+    for mat in mats:
+        for r in mat.pairs:
+            out.extend([(base + j, x) for j, x in r])
+            base += mat.ncols
     return out
+
+
+def _unflat(flat: Sequence, shapes: Sequence[Tuple[int, int]]) -> List[Matrix]:
+    """Inverse of _flat: cut sorted (position, value) pairs into matrices
+    of the given (nrows, ncols) shapes."""
+    mats = []
+    k = 0
+    base = 0
+    for nr, nc in shapes:
+        rows: List[List] = [[] for _ in range(nr)]
+        stop = base + nr * nc
+        while k < len(flat) and flat[k][0] < stop:
+            pos, x = flat[k]
+            r, j = divmod(pos - base, nc)
+            rows[r].append((j, x))
+            k += 1
+        mats.append(Matrix._from_pairs(nr, nc, rows))
+        base = stop
+    return mats
+
+
+def _hom_flat(h: ModuleHom) -> Dict[int, "QQ"]:
+    """The vertex maps flattened, as a sparse dict for SpanSolver."""
+    return dict(_flat(h.vertex_maps))
 
 
 class EndStructure:
@@ -56,8 +85,11 @@ class EndStructure:
         self.dim = len(self.basis)
         ncoord = sum(d * d for d in m.dims)
         self._solver = SpanSolver(ncoord)
-        for h in self.basis:
-            self._solver.insert(_hom_flat(h))
+        self._flats = Matrix._from_pairs(
+            self.dim, ncoord, [_flat(h.vertex_maps) for h in self.basis]
+        )
+        for flat in self._flats.pairs:
+            self._solver.insert(dict(flat))
         if self._solver.rank != self.dim:
             raise ValueError("endomorphism basis is not linearly independent")
         self._gram: Optional[Matrix] = None
@@ -76,16 +108,11 @@ class EndStructure:
 
     def hom_from_coords(self, coords: Sequence) -> ModuleHom:
         m = self.module
-        maps = [Matrix.zero(d, d) for d in m.dims]
-        for c, h in zip(coords, self.basis):
+        acc: Dict[int, "QQ"] = {}
+        for c, flat in zip(coords, self._flats.pairs):
             if c:
-                c = rat(c)
-                for acc, hv in zip(maps, h.vertex_maps):
-                    for arow, hrow in zip(acc.rows, hv.rows):
-                        for j, x in enumerate(hrow):
-                            if x:
-                                arow[j] += c * x
-        return ModuleHom(m, m, maps)
+                _iadd(acc, flat, rat(c))
+        return ModuleHom(m, m, _unflat(sorted(acc.items()), [(d, d) for d in m.dims]))
 
     @property
     def identity_coords(self) -> List:
@@ -98,29 +125,11 @@ class EndStructure:
     @property
     def gram(self) -> Matrix:
         if self._gram is None:
-            n = self.dim
-            pairs = []
-            tdicts = []
-            for h in self.basis:
-                flat = _hom_flat(h)
-                pairs.append([(i, x) for i, x in enumerate(flat) if x])
-                flat_t = []
-                for mat in h.vertex_maps:
-                    flat_t.extend(mat.transpose().flatten())
-                tdicts.append({i: x for i, x in enumerate(flat_t) if x})
-            rows = [[ZERO] * n for _ in range(n)]
-            for i in range(n):
-                pi = pairs[i]
-                for j in range(i, n):
-                    td = tdicts[j]
-                    acc = ZERO
-                    for k, x in pi:
-                        y = td.get(k)
-                        if y is not None:
-                            acc += x * y
-                    rows[i][j] = acc
-                    rows[j][i] = acc
-            self._gram = Matrix(n, n, rows)
+            # entry (i, j) is trace(h_i h_j), the flat of h_i dotted with
+            # the flat of the transpose of h_j
+            flats_t = [_flat([mat.transpose() for mat in h.vertex_maps]) for h in self.basis]
+            t = Matrix._from_pairs(self.dim, self._flats.ncols, flats_t)
+            self._gram = self._flats @ t.transpose()
         return self._gram
 
     @property
@@ -155,7 +164,7 @@ class EndStructure:
         sq = view.block_span_products(blocks, blocks)
         out = []
         for (bu, bv), mat in sorted(sq.items()):
-            for row in mat.rows:
+            for row in mat.pairs:
                 out.append(view.hom_from_block_flat(bu, bv, row))
         return out
 
@@ -204,14 +213,19 @@ class BlockView:
         self.C = []
         self.D = []
         self.offsets: List[List[int]] = []
+        # coordinate at each vertex -> (its summand, index inside it)
+        self._owner: List[List[Tuple[int, int]]] = []
         for v in range(nv):
             running = 0
             offs = []
-            for s in self.summands:
+            owner = []
+            for b, s in enumerate(self.summands):
                 offs.append(running)
                 running += s.rep.dims[v]
+                owner.extend((b, k) for k in range(s.rep.dims[v]))
             assert running == m.dims[v]
             self.offsets.append(offs)
+            self._owner.append(owner)
             self.C.append(vstack([s.inclusion.vertex_maps[v] for s in self.summands]))
             self.D.append(hstack([s.projection.vertex_maps[v] for s in self.summands]))
 
@@ -220,63 +234,65 @@ class BlockView:
             c @ hv @ d for c, hv, d in zip(self.C, h.vertex_maps, self.D)
         ]
 
-    def block_flat(self, mats: Sequence[Matrix], bu: int, bv: int) -> List:
-        """Entries of the (bu, bv) summand block, all vertices, one row."""
-        out = []
+    def _block_shapes(self, bu: int, bv: int) -> List[Tuple[int, int]]:
+        """Shape of the (bu, bv) summand block at every vertex."""
+        return [
+            (self.summands[bu].rep.dims[v], self.summands[bv].rep.dims[v])
+            for v in range(len(self.C))
+        ]
+
+    def block_flats(self, mats: Sequence[Matrix]) -> Dict[Tuple[int, int], List]:
+        """Every nonzero (bu, bv) summand block of mats, its matrices at
+        all vertices flattened like _flat into sorted (position, value)
+        pairs, in one pass over the entries."""
+        dims = [s.rep.dims for s in self.summands]
+        nb = len(dims)
+        out: Dict[Tuple[int, int], List] = {}
+        base = [[0] * nb for _ in range(nb)]
         for v, mat in enumerate(mats):
-            r0 = self.offsets[v][bu]
-            c0 = self.offsets[v][bv]
-            for r in range(r0, r0 + self.summands[bu].rep.dims[v]):
-                row = mat.rows[r]
-                out.extend(row[c0 : c0 + self.summands[bv].rep.dims[v]])
+            owner = self._owner[v]
+            for i, r in enumerate(mat.pairs):
+                if r:
+                    bu, ri = owner[i]
+                    for j, x in r:
+                        bv, cj = owner[j]
+                        pos = base[bu][bv] + ri * dims[bv][v] + cj
+                        out.setdefault((bu, bv), []).append((pos, x))
+            for bu in range(nb):
+                for bv in range(nb):
+                    base[bu][bv] += dims[bu][v] * dims[bv][v]
         return out
 
+    def _block_width(self, bu: int, bv: int) -> int:
+        return sum(ru * cv for ru, cv in self._block_shapes(bu, bv))
+
     def _block_mats(self, bu: int, bv: int, flat: Sequence) -> List[Matrix]:
-        mats = []
-        pos = 0
-        for v in range(len(self.C)):
-            ru = self.summands[bu].rep.dims[v]
-            cv = self.summands[bv].rep.dims[v]
-            rows = []
-            for _ in range(ru):
-                rows.append(list(flat[pos : pos + cv]))
-                pos += cv
-            mats.append(Matrix(ru, cv, rows))
-        return mats
+        return _unflat(flat, self._block_shapes(bu, bv))
 
     def hom_from_block_flat(self, bu: int, bv: int, flat: Sequence) -> ModuleHom:
         """Endomorphism of m supported on one summand block."""
         m = self.module
         blocks = self._block_mats(bu, bv, flat)
         maps = []
-        for v in range(len(self.C)):
-            full = Matrix.zero(m.dims[v], m.dims[v])
+        for v, blk in enumerate(blocks):
+            d = m.dims[v]
             r0 = self.offsets[v][bu]
             c0 = self.offsets[v][bv]
-            blk = blocks[v]
-            for r in range(blk.nrows):
-                row = full.rows[r0 + r]
-                for c in range(blk.ncols):
-                    row[c0 + c] = blk.rows[r][c]
+            rows: List[List] = [[] for _ in range(d)]
+            rows[r0 : r0 + blk.nrows] = [[(c0 + c, x) for c, x in r] for r in blk.pairs]
+            full = Matrix._from_pairs(d, d, rows)
             maps.append(self.D[v] @ full @ self.C[v])
         return ModuleHom(m, m, maps)
 
     def radical_block_spans(self, structure: EndStructure) -> Dict[Tuple[int, int], Matrix]:
         """Per-(block, block) row spaces of the conjugated radical."""
         spans: Dict[Tuple[int, int], List[List]] = {}
-        nb = len(self.summands)
         for h in structure.radical_homs():
-            mats = self.conjugate(h)
-            for bu in range(nb):
-                for bv in range(nb):
-                    flat = self.block_flat(mats, bu, bv)
-                    if any(flat):
-                        spans.setdefault((bu, bv), []).append(flat)
+            for key, flat in self.block_flats(self.conjugate(h)).items():
+                spans.setdefault(key, []).append(flat)
         out = {}
         for key, rows in spans.items():
-            mat = row_space_basis(Matrix(len(rows), len(rows[0]), rows))
-            if mat.nrows:
-                out[key] = mat
+            out[key] = row_space_basis(Matrix._from_pairs(len(rows), self._block_width(*key), rows))
         return out
 
     def block_span_products(
@@ -291,7 +307,7 @@ class BlockView:
         nb = len(self.summands)
 
         def cut(spans: Dict[Tuple[int, int], Matrix]) -> Dict[Tuple[int, int], List[List[Matrix]]]:
-            return {key: [self._block_mats(*key, f) for f in m.rows] for key, m in spans.items()}
+            return {key: [self._block_mats(*key, f) for f in m.pairs] for key, m in spans.items()}
 
         lblocks = cut(left)
         rblocks = lblocks if right is left else cut(right)
@@ -306,16 +322,12 @@ class BlockView:
                         continue
                     for lms in lrows:
                         for rms in rrows:
-                            prod = [a @ b for a, b in zip(lms, rms)]
-                            flat = []
-                            for p in prod:
-                                flat.extend(p.flatten())
-                            if any(flat):
+                            flat = _flat([a @ b for a, b in zip(lms, rms)])
+                            if flat:
                                 rows.append(flat)
                 if rows:
-                    mat = row_space_basis(Matrix(len(rows), len(rows[0]), rows))
-                    if mat.nrows:
-                        out[(bu, bv)] = mat
+                    width = self._block_width(bu, bv)
+                    out[(bu, bv)] = row_space_basis(Matrix._from_pairs(len(rows), width, rows))
         return out
 
 
@@ -329,7 +341,7 @@ class _Quotient:
         self.structure = structure
         ech, pivots = rref(structure.radical_coords)
         # the nonzero rows of the echelon form, as (lead, nonzero pairs)
-        self._ech = [(lead, _nonzeros(row)) for lead, row in zip(pivots, ech.rows)]
+        self._ech = list(zip(pivots, ech.pairs))
         pivot_set = set(pivots)
         self.nonpivot = [c for c in range(structure.dim) if c not in pivot_set]
         self.dim = len(self.nonpivot)
@@ -450,8 +462,9 @@ def _split_idempotent(
     if cdim <= 1:
         return None
 
+    corner_basis = corner.rows
     commutative = all(
-        q.mult(corner.rows[i], corner.rows[j]) == q.mult(corner.rows[j], corner.rows[i])
+        q.mult(corner_basis[i], corner_basis[j]) == q.mult(corner_basis[j], corner_basis[i])
         for i in range(cdim)
         for j in range(i + 1, cdim)
     )
@@ -485,7 +498,7 @@ def _split_idempotent(
         return None
 
     for i in range(cdim):
-        res = try_element(list(corner.rows[i]))
+        res = try_element(list(corner_basis[i]))
         if res is not None:
             split, primitive = res
             if primitive:
@@ -493,7 +506,7 @@ def _split_idempotent(
             return split
     for _ in range(max_attempts):
         x = [ZERO] * q.dim
-        for row in corner.rows:
+        for row in corner_basis:
             c = QQ(rng.randint(-4, 4))
             if c:
                 x = [a + c * b for a, b in zip(x, row)]

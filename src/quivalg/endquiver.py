@@ -83,7 +83,7 @@ def end_as_quiver_algebra(
             if base is None:
                 base = Matrix(0, cand.ncols)
             for i in extend_independent(base, cand):
-                arrow_specs.append((u, v, view.hom_from_block_flat(u, v, cand.rows[i])))
+                arrow_specs.append((u, v, view.hom_from_block_flat(u, v, cand.pairs[i])))
     adjacency = [[0] * nb for _ in range(nb)]
     for u, v, _h in arrow_specs:
         adjacency[u][v] += 1

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Union
 from .algebra import PresentedAlgebra
 from .endos import EndStructure, decompose
 from .endquiver import EndPresentation, end_as_quiver_algebra
-from .linalg import Matrix, ZERO, determinant, rank
+from .linalg import Matrix, determinant, rank
 from .modules import (
     ModuleHom,
     Representation,
@@ -121,15 +121,13 @@ def transpose(m: Representation) -> Representation:
     images = []
     for s in range(psum0.num_summands):
         v_s = psum0.vertices[s]
-        row = [ZERO] * tgt.rep.dims[v_s]
+        row = []
         for t in range(psum1.num_summands):
             coeffs, positions = comp[t][s]
             start, stop = tgt.block_slice(t, v_s)
             assert stop - start == len(positions)
             assert op.endpoint_basis(psum1.vertices[t], v_s) == list(positions)
-            for off, c in enumerate(coeffs):
-                if c:
-                    row[start + off] += c
+            row.extend((start + k, c) for k, c in coeffs)
         images.append(row)
     phi = _hom_from_generators(src, tgt.rep, images)
     return cokernel(phi)[0]

@@ -1,24 +1,30 @@
-"""Exact rational linear algebra over row vectors.
+"""Exact rational linear algebra over sparse row vectors.
 
 Every matrix entry is an exact rational, a fractions.Fraction; no floats
 enter at any point.  Vectors are rows throughout the package and maps act
 on the right, so the matrix of "f then g" is mat(f) @ mat(g).
 
-The hot loops touch nonzero entries only: products, elimination and the
-span solver first split a row into its nonzero (column, value) pairs.
-rat() returns a value that already is the scalar type unchanged, so
-coercing a row of scalars builds no new rationals (they are immutable,
-so sharing them is safe).
+A Matrix stores each row as its nonzero (column, value) pairs, sorted by
+column, and no stored value is zero: module-hom matrices are a few
+percent nonzero, so products, elimination and the span solver touch
+nonzero entries only.  Inside the package a sparse vector is such a
+sorted pair list, or a dict {column: value} while it is accumulated.
+The dense view Matrix.rows is built on access for the callers that read
+a matrix whole.  rat() returns a value that already is the scalar type
+unchanged, so coercing a row of scalars builds no new rationals (they
+are immutable, so sharing them is safe).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction as QQ
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 ZERO = QQ(0)
 ONE = QQ(1)
+
+Pairs = List[Tuple[int, "QQ"]]
 
 
 def rat(x) -> "QQ":
@@ -33,34 +39,88 @@ def rat(x) -> "QQ":
     return QQ(x)
 
 
-def _nonzeros(row: Sequence) -> List[Tuple[int, "QQ"]]:
-    """The (column, value) pairs of the nonzero entries of row."""
-    return [(j, x) for j, x in enumerate(row) if x]
+def _iadd(acc: Dict[int, "QQ"], row: Iterable[Tuple[int, "QQ"]], c: "QQ") -> None:
+    """acc += c * row, dropping entries that cancel; acc is a sparse dict
+    and row its (column, value) pairs, such as a dict's items()."""
+    for j, x in row:
+        y = acc.get(j)
+        if y is None:
+            acc[j] = c * x
+        else:
+            y += c * x
+            if y:
+                acc[j] = y
+            else:
+                del acc[j]
+
+
+def _row_times(row: Pairs, m: "Matrix") -> Pairs:
+    """row @ m for a sparse row: the sorted nonzero pairs of the product."""
+    mrows = m.pairs
+    if len(row) == 1:
+        k, a = row[0]
+        if a is ONE or a == ONE:
+            return mrows[k]
+        return [(j, a * b) for j, b in mrows[k]]
+    acc: Dict[int, "QQ"] = {}
+    for k, a in row:
+        for j, b in mrows[k]:
+            y = acc.get(j)
+            acc[j] = a * b if y is None else y + a * b
+    return [(j, x) for j, x in sorted(acc.items()) if x]
 
 
 class Matrix:
-    """Dense exact-rational matrix.  Zero row or column counts are legal.
+    """Exact-rational matrix stored as sparse rows.  Zero row or column
+    counts are legal.
 
-    Rows are stored as lists but instances are treated as read-only; all
-    operations return new matrices.
+    pairs[i] lists the nonzero entries of row i as (column, value) pairs
+    in increasing column order, and no stored value is zero.  Matrices
+    are immutable: every operation returns a new one, and matrices share
+    row lists, so a row list is never changed in place.  The constructor
+    and from_rows take dense rows.  rows is a dense view built on every
+    access, a new list holding one tuple per row, so writing through it
+    raises TypeError and cannot change the matrix.
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "pairs")
 
-    def __init__(self, nrows: int, ncols: int, rows: Optional[List[List]] = None):
+    def __init__(self, nrows: int, ncols: int, rows: Optional[Sequence[Sequence]] = None):
         if nrows < 0 or ncols < 0:
             raise ValueError("negative matrix dimensions")
         self.nrows = nrows
         self.ncols = ncols
         if rows is None:
-            self.rows = [[ZERO] * ncols for _ in range(nrows)]
-        else:
-            if len(rows) != nrows:
-                raise ValueError("row count mismatch")
-            for r in rows:
-                if len(r) != ncols:
-                    raise ValueError("column count mismatch")
-            self.rows = rows
+            self.pairs = [[] for _ in range(nrows)]
+            return
+        if len(rows) != nrows:
+            raise ValueError("row count mismatch")
+        self.pairs = []
+        for r in rows:
+            if len(r) != ncols:
+                raise ValueError("column count mismatch")
+            self.pairs.append([(j, x) for j, x in enumerate(r) if x])
+
+    @staticmethod
+    def _from_pairs(nrows: int, ncols: int, pairs: List[Pairs]) -> "Matrix":
+        """The matrix with sparse rows pairs, taken as they are: each must
+        be sorted by column, free of zeros and never changed afterwards."""
+        m = Matrix.__new__(Matrix)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.pairs = pairs
+        return m
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """Dense view: a new list of one tuple per row."""
+        out = []
+        for prow in self.pairs:
+            row = [ZERO] * self.ncols
+            for j, x in prow:
+                row[j] = x
+            out.append(tuple(row))
+        return out
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ncols: Optional[int] = None) -> "Matrix":
@@ -75,15 +135,14 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        return Matrix(n, n, rows)
+        return Matrix._from_pairs(n, n, [[(i, ONE)] for i in range(n)])
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
         return Matrix(nrows, ncols)
 
     def copy(self) -> "Matrix":
-        return Matrix(self.nrows, self.ncols, [row[:] for row in self.rows])
+        return Matrix._from_pairs(self.nrows, self.ncols, list(self.pairs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -91,11 +150,11 @@ class Matrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.pairs == other.pairs
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
+        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.pairs)))
 
     def __repr__(self) -> str:
         if self.nrows == 0 or self.ncols == 0:
@@ -104,63 +163,59 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        rows = [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return Matrix(self.nrows, self.ncols, rows)
+        return self._plus(other, ONE)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, -ONE)
+
+    def _plus(self, other: "Matrix", c: "QQ") -> "Matrix":
+        """self + c * other."""
         self._same_shape(other)
-        rows = [
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return Matrix(self.nrows, self.ncols, rows)
+        rows = []
+        for p, q in zip(self.pairs, other.pairs):
+            if q:
+                acc = dict(p)
+                _iadd(acc, q, c)
+                p = sorted(acc.items())
+            rows.append(p)
+        return Matrix._from_pairs(self.nrows, self.ncols, rows)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.nrows, self.ncols, [[-a for a in r] for r in self.rows])
+        return self.scale(-ONE)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix(self.nrows, self.ncols, [[c * a for a in r] for r in self.rows])
+        if not c:
+            return Matrix(self.nrows, self.ncols)
+        rows = [[(j, c * x) for j, x in r] for r in self.pairs]
+        return Matrix._from_pairs(self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        ocols = other.ncols
-        orows = other.rows
-        # nonzero pairs of each row of other, split on first use
-        opairs: List[Optional[List]] = [None] * other.nrows
-        out = []
-        for row in self.rows:
-            acc = [ZERO] * ocols
-            for k, a in enumerate(row):
-                if a:
-                    pairs = opairs[k]
-                    if pairs is None:
-                        pairs = opairs[k] = _nonzeros(orows[k])
-                    for j, b in pairs:
-                        acc[j] += a * b
-            out.append(acc)
-        return Matrix(self.nrows, ocols, out)
+        rows = [_row_times(r, other) if r else [] for r in self.pairs]
+        return Matrix._from_pairs(self.nrows, other.ncols, rows)
 
     def transpose(self) -> "Matrix":
-        rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Matrix(self.ncols, self.nrows, rows)
+        cols: List[Pairs] = [[] for _ in range(self.ncols)]
+        for i, r in enumerate(self.pairs):
+            for j, x in r:
+                cols[j].append((i, x))
+        return Matrix._from_pairs(self.ncols, self.nrows, cols)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self.pairs)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
+        return sum((x for i, r in enumerate(self.pairs) for j, x in r if j == i), ZERO)
 
     def take_rows(self, indices: Iterable[int]) -> "Matrix":
-        rows = [self.rows[i][:] for i in indices]
-        return Matrix(len(rows), self.ncols, rows)
+        rows = [self.pairs[i] for i in indices]
+        return Matrix._from_pairs(len(rows), self.ncols, rows)
 
     def flatten(self) -> List:
         """Concatenate the rows into a single list, row-major."""
@@ -174,17 +229,21 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
+def _shifted(r: Pairs, offset: int) -> Pairs:
+    return [(j + offset, x) for j, x in r] if offset else r
+
+
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     mats = list(mats)
     if not mats:
         return Matrix(0, 0)
     ncols = mats[0].ncols
-    rows: List[List] = []
+    rows: List[Pairs] = []
     for m in mats:
         if m.ncols != ncols:
             raise ValueError("vstack: column counts differ")
-        rows.extend(r[:] for r in m.rows)
-    return Matrix(len(rows), ncols, rows)
+        rows.extend(m.pairs)
+    return Matrix._from_pairs(len(rows), ncols, rows)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -197,11 +256,13 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
             raise ValueError("hstack: row counts differ")
     rows = []
     for i in range(nrows):
-        row: List = []
+        row: Pairs = []
+        offset = 0
         for m in mats:
-            row.extend(m.rows[i])
+            row.extend(_shifted(m.pairs[i], offset))
+            offset += m.ncols
         rows.append(row)
-    return Matrix(nrows, sum(m.ncols for m in mats), rows)
+    return Matrix._from_pairs(nrows, sum(m.ncols for m in mats), rows)
 
 
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
@@ -211,38 +272,31 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     in increasing order).  Pivot entries are 1 and clear their column; zero
     rows are moved to the bottom.  rref is idempotent.
     """
-    rows = [r[:] for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: List[int] = []
-    lead = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(lead, nrows):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    # pivot column -> the rest of its row, right of the pivot; every such
+    # rest is zero in the other pivot columns (Gauss-Jordan, row by row)
+    ech: Dict[int, Dict[int, "QQ"]] = {}
+    for r in m.pairs:
+        row = dict(r)
+        for lead in [j for j in row if j in ech]:
+            _iadd(row, ech[lead].items(), -row.pop(lead))
+        if not row:
             continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        prow = rows[lead]
-        inv = ONE / prow[col]
-        if inv != ONE:
-            for j in range(col, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        # entries left of col are zero in every row from lead on
-        ppairs = _nonzeros(prow)
-        for i in range(nrows):
-            target = rows[i]
-            c = target[col]
-            if c and i != lead:
-                for j, x in ppairs:
-                    target[j] -= c * x
-        pivots.append(col)
-        lead += 1
-        if lead == nrows:
+        lead = min(row)
+        pivot = row.pop(lead)
+        if pivot != ONE:
+            inv = ONE / pivot
+            row = {j: x * inv for j, x in row.items()}
+        for rest in ech.values():
+            c = rest.pop(lead, None)
+            if c is not None:
+                _iadd(rest, row.items(), -c)
+        ech[lead] = row
+        if len(ech) == m.ncols:
             break
-    return Matrix(nrows, ncols, rows), pivots
+    pivots = sorted(ech)
+    rows = [[(lead, ONE)] + sorted(ech[lead].items()) for lead in pivots]
+    rows.extend([] for _ in range(m.nrows - len(pivots)))
+    return Matrix._from_pairs(m.nrows, m.ncols, rows), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -262,20 +316,16 @@ def kernel_basis(m: Matrix) -> Matrix:
     rref; for a zero or empty matrix they are the standard basis.
     """
     ech, pivots = rref(m)
-    ncols = m.ncols
     pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    rows = []
-    for f in free_cols:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        # pivot row r has its pivot in column pivots[r]; solve for it
-        for r, pc in enumerate(pivots):
-            coeff = ech.rows[r][f]
-            if coeff:
-                v[pc] = -coeff
-        rows.append(v)
-    return Matrix(len(rows), ncols, rows)
+    # free column f -> its vector; the pivot row of column pc solves for
+    # that column, and its entries right of the pivot are in free columns
+    vecs: Dict[int, Pairs] = {f: [] for f in range(m.ncols) if f not in pivot_set}
+    for pc, r in zip(pivots, ech.pairs):
+        for f, x in r[1:]:
+            vecs[f].append((pc, -x))
+    for f, v in vecs.items():
+        v.append((f, ONE))
+    return Matrix._from_pairs(len(vecs), m.ncols, list(vecs.values()))
 
 
 def left_kernel_basis(m: Matrix) -> Matrix:
@@ -306,8 +356,10 @@ def coefficients_in_span(basis: Matrix, target: Sequence) -> Optional[List]:
     if last in pivots:
         return None
     coeffs = [ZERO] * basis.nrows
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = ech.rows[r][last]
+    for pc, r in zip(pivots, ech.pairs):
+        j, x = r[-1]
+        if j == last:
+            coeffs[pc] = x
     return coeffs
 
 
@@ -321,15 +373,15 @@ def solve_left(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if a.ncols != b.ncols:
         raise ValueError("solve_left: width mismatch")
     span = SpanSolver(a.ncols)
-    for row in a.rows:
-        span.insert(row)
+    for r in a.pairs:
+        span.insert(dict(r))
     out = []
-    for row in b.rows:
-        coeffs = span.coords(row)
-        if coeffs is None:
+    for r in b.pairs:
+        residue, used = span._eliminate(dict(r))
+        if residue:
             return None
-        out.append(coeffs)
-    return Matrix(b.nrows, a.nrows, out)
+        out.append([(i, w) for i, w in sorted(used.items()) if w])
+    return Matrix._from_pairs(b.nrows, a.nrows, out)
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
@@ -343,18 +395,12 @@ def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
 
 def block_diagonal_rect(blocks: Sequence[Matrix]) -> Matrix:
     """Diagonal sum of rectangular blocks (row and column offsets both advance)."""
-    blocks = list(blocks)
-    total_r = sum(b.nrows for b in blocks)
-    total_c = sum(b.ncols for b in blocks)
-    out = [[ZERO] * total_c for _ in range(total_r)]
-    r0 = 0
+    rows: List[Pairs] = []
     c0 = 0
     for b in blocks:
-        for i in range(b.nrows):
-            out[r0 + i][c0 : c0 + b.ncols] = [x for x in b.rows[i]]
-        r0 += b.nrows
+        rows.extend(_shifted(r, c0) for r in b.pairs)
         c0 += b.ncols
-    return Matrix(total_r, total_c, out)
+    return Matrix._from_pairs(len(rows), c0, rows)
 
 
 def determinant(m: Matrix):
@@ -362,32 +408,23 @@ def determinant(m: Matrix):
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
-    if n == 0:
-        return ONE
-    rows = [r[:] for r in m.rows]
+    rows = [dict(r) for r in m.pairs]
     det = ONE
     for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if rows[i][col]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(col, n) if col in rows[i]), None)
         if pivot_row is None:
             return ZERO
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
-        p = rows[col][col]
+        prow = rows[col]
+        p = prow.pop(col)
         det *= p
         inv = ONE / p
-        ppairs = _nonzeros(rows[col])
         for i in range(col + 1, n):
-            target = rows[i]
-            c = target[col]
-            if c:
-                c *= inv
-                for j, x in ppairs:
-                    target[j] -= c * x
+            c = rows[i].pop(col, None)
+            if c is not None:
+                _iadd(rows[i], prow.items(), -c * inv)
     return det
 
 
@@ -405,16 +442,18 @@ class SpanSolver:
     echelonized span between calls, so inserting d rows and answering q
     membership queries costs O((d + q) * d * nnz) total, where nnz is the
     number of nonzeros of an echelon row, instead of a full rref per
-    query.  The echelon rows are sparse: each is stored as its nonzero
-    (column, value) pairs, leading 1 first.  Rows inserted must keep their
-    order: coords() answers are coefficient lists over the inserted rows in
-    insertion order.
+    query.  A row is handed over dense, as a sequence of ncols scalars,
+    or sparse, as a dict {column: value} of its nonzero entries.  The
+    echelon rows are sparse too: each is kept as its leading column and
+    the dict of its other nonzeros, its leading entry being 1.  Rows
+    inserted must keep their order: coords() answers are coefficient
+    lists over the inserted rows in insertion order.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.nrows = 0
-        self._ech: List[List[Tuple[int, "QQ"]]] = []
+        self._ech: List[Dict[int, "QQ"]] = []
         self._lead: List[int] = []
         # expression of each echelon row over the inserted rows, sparse
         self._expr: List[dict] = []
@@ -423,46 +462,53 @@ class SpanSolver:
     def rank(self) -> int:
         return len(self._ech)
 
-    def _eliminate(self, row: Sequence) -> Tuple[List, dict]:
-        """Reduce row against the echelon rows, tracking the combination."""
-        row = [rat(x) for x in row]
+    def _sparse(self, row) -> Dict[int, "QQ"]:
+        """A new dict of the nonzero entries of a dense or sparse row."""
+        if isinstance(row, dict):
+            return dict(row)
         if len(row) != self.ncols:
             raise ValueError(
                 f"row length {len(row)} does not match solver width {self.ncols}"
             )
+        out = {}
+        for j, x in enumerate(row):
+            x = rat(x)
+            if x:
+                out[j] = x
+        return out
+
+    def _eliminate(self, row: Dict[int, "QQ"]) -> Tuple[Dict[int, "QQ"], dict]:
+        """Reduce a sparse row in place against the echelon rows; returns
+        the residue, without zeros, and the combination used."""
         used: dict = {}
-        for lead, pairs, expr in zip(self._lead, self._ech, self._expr):
-            c = row[lead]
-            if c:
-                for j, x in pairs:
-                    row[j] -= c * x
+        for lead, rest, expr in zip(self._lead, self._ech, self._expr):
+            c = row.pop(lead, None)
+            if c is not None:
+                _iadd(row, rest.items(), -c)
                 for idx, w in expr.items():
-                    s = used.get(idx, ZERO) + c * w
-                    if s:
-                        used[idx] = s
-                    else:
-                        used.pop(idx, None)
+                    s = used.get(idx)
+                    used[idx] = c * w if s is None else s + c * w
         return row, used
 
-    def coords(self, row: Sequence) -> Optional[List]:
+    def coords(self, row) -> Optional[List]:
         """Coefficients over the inserted rows, or None when not in the span."""
-        residue, used = self._eliminate(row)
-        if any(residue):
+        residue, used = self._eliminate(self._sparse(row))
+        if residue:
             return None
         return self._over_rows(used)
 
-    def coords_or_insert(self, row: Sequence) -> Optional[List]:
+    def coords_or_insert(self, row) -> Optional[List]:
         """Coefficients over the inserted rows when row is in the span;
         otherwise insert it and return None.  One elimination either way."""
-        residue, used = self._eliminate(row)
-        if any(residue):
+        residue, used = self._eliminate(self._sparse(row))
+        if residue:
             self._add(residue, used)
             return None
         return self._over_rows(used)
 
-    def insert(self, row: Sequence) -> bool:
+    def insert(self, row) -> bool:
         """Add a row; True when it enlarged the span."""
-        return self._add(*self._eliminate(row))
+        return self._add(*self._eliminate(self._sparse(row)))
 
     def _over_rows(self, used: dict) -> List:
         out = [ZERO] * self.nrows
@@ -470,24 +516,23 @@ class SpanSolver:
             out[idx] = w
         return out
 
-    def _add(self, residue: List, used: dict) -> bool:
+    def _add(self, residue: Dict[int, "QQ"], used: dict) -> bool:
         """Record an eliminated row as the next inserted one; True when
         its residue enlarged the span."""
         index = self.nrows
         self.nrows += 1
-        pairs = _nonzeros(residue)
-        if not pairs:
+        if not residue:
             return False
-        lead, pivot = pairs[0]
-        inv = ONE / pivot
+        lead = min(residue)
+        inv = ONE / residue.pop(lead)
         if inv != ONE:
-            pairs = [(j, x * inv) for j, x in pairs]
+            residue = {j: x * inv for j, x in residue.items()}
         # row = sum(used) + residue/inv, so residue = inv*(row - sum(used))
-        expr = {idx: -inv * w for idx, w in used.items()}
+        expr = {idx: -inv * w for idx, w in used.items() if w}
         expr[index] = inv
         # keep echelon rows sorted by leading column for ordered elimination
         pos = bisect_left(self._lead, lead)
-        self._ech.insert(pos, pairs)
+        self._ech.insert(pos, residue)
         self._lead.insert(pos, lead)
         self._expr.insert(pos, expr)
         return True
@@ -499,6 +544,6 @@ def extend_independent(base: Matrix, candidates: Matrix) -> List[int]:
     if base.nrows and base.ncols != candidates.ncols:
         raise ValueError("extend_independent: width mismatch")
     span = SpanSolver(candidates.ncols)
-    for row in base.rows:
-        span.insert(row)
-    return [i for i, row in enumerate(candidates.rows) if span.insert(row)]
+    for r in base.pairs:
+        span.insert(dict(r))
+    return [i for i, r in enumerate(candidates.pairs) if span.insert(dict(r))]

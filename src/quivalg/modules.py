@@ -4,6 +4,8 @@ A representation assigns a row-vector space to every vertex and a matrix to
 every arrow; arrows act on the right (x at source(a) maps to x @ mat(a) at
 target(a)).  Homomorphisms are per-vertex matrices subject to commuting
 squares, composed left-to-right like paths.  Everything here is exact.
+The internal helpers pass vectors as sparse rows, the sorted nonzero
+(column, value) pairs that linalg.Matrix stores.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from .errors import QuivalgError
 from .linalg import (
     Matrix,
     ONE,
-    ZERO,
+    _iadd,
+    _row_times,
     block_diagonal_rect,
     hstack,
     left_kernel_basis,
@@ -27,16 +30,6 @@ from .linalg import (
 )
 from .quiver import Path, PathAlgElement
 from .algebra import PresentedAlgebra
-
-
-def _row_times(row: List, mat: Matrix) -> List:
-    out = [ZERO] * mat.ncols
-    for c, mrow in zip(row, mat.rows):
-        if c:
-            for j, x in enumerate(mrow):
-                if x:
-                    out[j] += c * x
-    return out
 
 
 class Representation:
@@ -284,13 +277,16 @@ def indec_projectives(a: PresentedAlgebra) -> List[Representation]:
         dims = [len(plist) for plist in positions]
         mats = []
         for ar in a.quiver.arrows:
-            mat = Matrix.zero(dims[ar.source], dims[ar.target])
-            for r, pos in enumerate(positions[ar.source]):
+            rows = []
+            for pos in positions[ar.source]:
+                row = []
                 for pos2, c in a.apply_arrow({pos: ONE}, ar.index).items():
                     v2, k2 = local[pos2]
                     assert v2 == ar.target
-                    mat.rows[r][k2] = c
-            mats.append(mat)
+                    if c:
+                        row.append((k2, c))
+                rows.append(sorted(row))
+            mats.append(Matrix._from_pairs(dims[ar.source], dims[ar.target], rows))
         out.append(Representation(a, dims, mats))
     a._projectives = out
     return list(out)
@@ -339,9 +335,8 @@ def direct_sum(
         inj_maps = []
         proj_maps = []
         for v in range(a.num_vertices):
-            inj = Matrix.zero(m.dims[v], dims[v])
-            for i in range(m.dims[v]):
-                inj.rows[i][offset[v] + i] = ONE
+            units = [[(offset[v] + i, ONE)] for i in range(m.dims[v])]
+            inj = Matrix._from_pairs(m.dims[v], dims[v], units)
             inj_maps.append(inj)
             proj_maps.append(inj.transpose())
         injections.append(ModuleHom(m, total, inj_maps))
@@ -401,15 +396,17 @@ class _ProjSum:
 
 
 def _fold_row(row: List, n: Representation, arrows: Sequence[int]) -> List:
+    """A sparse row of n folded through the given arrows in turn."""
     for ai in arrows:
         row = _row_times(row, n.matrices[ai])
     return row
 
 
 def _fold_basis_paths(row: List, n: Representation, v: int) -> Dict[int, List]:
-    """row (at vertex v of n) times every basis path out of v, by basis
-    position.  A path is folded from the row of its prefix, the path one
-    arrow shorter, when that prefix is a basis path, and from row otherwise."""
+    """A sparse row (at vertex v of n) times every basis path out of v, by
+    basis position.  A path is folded from the row of its prefix, the path
+    one arrow shorter, when that prefix is a basis path, and from row
+    otherwise."""
     a = n.algebra
     positions = [p for w in range(a.num_vertices) for p in a.endpoint_basis(v, w)]
     positions.sort(key=lambda p: len(a.basis[p].arrows))
@@ -430,14 +427,15 @@ def _hom_from_generators(
     psum: _ProjSum, n: Representation, images: Sequence[Sequence]
 ) -> ModuleHom:
     """The hom out of a projective sum sending each generator to the given
-    row of n at the matching vertex; basis paths fold through n's action."""
+    sparse row of n at the matching vertex; basis paths fold through n's
+    action."""
     a = psum.algebra
     rows: List[List[List]] = [[] for _ in range(a.num_vertices)]
     for s, v_s in enumerate(psum.vertices):
-        folded = _fold_basis_paths([rat(x) for x in images[s]], n, v_s)
+        folded = _fold_basis_paths(images[s], n, v_s)
         for w in range(a.num_vertices):
             rows[w].extend(folded[pos] for pos in a.endpoint_basis(v_s, w))
-    maps = [Matrix(len(rows[w]), n.dims[w], rows[w]) for w in range(a.num_vertices)]
+    maps = [Matrix._from_pairs(len(rows[w]), n.dims[w], rows[w]) for w in range(a.num_vertices)]
     return ModuleHom(psum.rep, n, maps)
 
 
@@ -458,7 +456,7 @@ def _sub_rep(
             raise QuivalgError("internal: subspace is not arrow-stable")
         mats.append(sol)
     sub = Representation(a, dims, mats)
-    incl = ModuleHom(sub, m, [rm.copy() for rm in rows_list])
+    incl = ModuleHom(sub, m, rows_list)
     return sub, incl
 
 
@@ -470,20 +468,18 @@ def _quotient_data(sub: Matrix, ambient: int) -> Tuple[Matrix, Matrix]:
     ech, pivots = rref(sub)
     pivot_set = set(pivots)
     np_cols = [j for j in range(ambient) if j not in pivot_set]
-    lift = Matrix.zero(len(np_cols), ambient)
-    for r, j in enumerate(np_cols):
-        lift.rows[r][j] = ONE
-    proj = Matrix.zero(ambient, len(np_cols))
-    pivot_row = {pc: k for k, pc in enumerate(pivots)}
+    lift = Matrix._from_pairs(len(np_cols), ambient, [[(j, ONE)] for j in np_cols])
+    # a pivot row is zero in the other pivot columns, so past its pivot
+    # it holds non-pivot columns only
+    np_index = {j: c for c, j in enumerate(np_cols)}
+    pivot_rows = dict(zip(pivots, ech.pairs))
+    rows = []
     for i in range(ambient):
         if i in pivot_set:
-            ech_row = ech.rows[pivot_row[i]]
-            for c, j in enumerate(np_cols):
-                if ech_row[j]:
-                    proj.rows[i][c] = -ech_row[j]
+            rows.append([(np_index[j], -x) for j, x in pivot_rows[i][1:]])
         else:
-            proj.rows[i][np_cols.index(i)] = ONE
-    return lift, proj
+            rows.append([(np_index[i], ONE)])
+    return lift, Matrix._from_pairs(ambient, len(np_cols), rows)
 
 
 def _quotient_rep(
@@ -580,10 +576,8 @@ def _cover_data(m: Representation) -> Tuple[_ProjSum, ModuleHom]:
         pivot_set = set(pivots)
         for j in range(m.dims[v]):
             if j not in pivot_set:
-                row = [ZERO] * m.dims[v]
-                row[j] = ONE
                 vertices.append(v)
-                images.append(row)
+                images.append([(j, ONE)])
     psum = _ProjSum(a, vertices)
     epi = _hom_from_generators(psum, m, images)
     return psum, epi
@@ -680,14 +674,14 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
         sec = solve_left(epi.vertex_maps[v], Matrix.identity(m.dims[v]))
         assert sec is not None
         sections.append(sec)
+    # solution column -> (summand, coordinate of its generator image)
+    owner = [(s, k) for s, v in enumerate(psum0.vertices) for k in range(n.dims[v])]
     out = []
-    for sol in solutions.rows:
-        images = []
-        cursor = 0
-        for s in range(psum0.num_summands):
-            width = n.dims[psum0.vertices[s]]
-            images.append(sol[cursor : cursor + width])
-            cursor += width
+    for sol in solutions.pairs:
+        images: List[List] = [[] for _ in psum0.vertices]
+        for j, x in sol:
+            s, k = owner[j]
+            images[s].append((k, x))
         g = _hom_from_generators(psum0, n, images)
         maps = [sections[v] @ g.vertex_maps[v] for v in range(a.num_vertices)]
         out.append(ModuleHom(m, n, maps))
@@ -698,16 +692,17 @@ def _presentation_components(
     psum_hi: _ProjSum, psum_lo: _ProjSum, d: ModuleHom
 ) -> List[List[Tuple[List, List[int]]]]:
     """comp[t][s] = (coefficients, basis positions) of the element of
-    e_{v_s} A e_{v_t} carried by the map's (t, s) component."""
+    e_{v_s} A e_{v_t} carried by the map's (t, s) component; the
+    coefficients are sparse, (index into the positions, value) pairs."""
     a = psum_lo.algebra
     comp = []
     for t in range(psum_hi.num_summands):
         v_t, row_idx = psum_hi.generator_row(t)
-        gen_row = d.vertex_maps[v_t].rows[row_idx]
+        gen_row = d.vertex_maps[v_t].pairs[row_idx]
         per_s = []
         for s in range(psum_lo.num_summands):
             lo_start, lo_stop = psum_lo.block_slice(s, v_t)
-            coeffs = gen_row[lo_start:lo_stop]
+            coeffs = [(j - lo_start, c) for j, c in gen_row if lo_start <= j < lo_stop]
             positions = a.endpoint_basis(psum_lo.vertices[s], v_t)
             per_s.append((coeffs, positions))
         comp.append(per_s)
@@ -734,22 +729,20 @@ def _induced_hom_matrix(
     for s in range(psum_lo.num_summands):
         v_s = psum_lo.vertices[s]
         for beta in range(n.dims[v_s]):
-            unit = [ZERO] * n.dims[v_s]
-            unit[beta] = ONE
-            row = [ZERO] * ncols
+            unit = [(beta, ONE)]
+            folded_at: Dict[int, List] = {}
+            row: dict = {}
             for t in range(psum_hi.num_summands):
-                coeffs, positions = comp[t][s]
-                if not any(coeffs):
-                    continue
                 base = col_offsets[t]
-                for c, pos in zip(coeffs, positions):
-                    if c:
-                        folded = _fold_row(unit, n, a.basis[pos].arrows)
-                        for j, x in enumerate(folded):
-                            if x:
-                                row[base + j] += c * x
-            rows.append(row)
-    return Matrix(len(rows), ncols, rows)
+                coeffs, positions = comp[t][s]
+                for k, c in coeffs:
+                    pos = positions[k]
+                    folded = folded_at.get(pos)
+                    if folded is None:
+                        folded = folded_at[pos] = _fold_row(unit, n, a.basis[pos].arrows)
+                    _iadd(row, ((base + j, x) for j, x in folded), c)
+            rows.append(sorted(row.items()))
+    return Matrix._from_pairs(len(rows), ncols, rows)
 
 
 # -- isomorphism testing ------------------------------------------------

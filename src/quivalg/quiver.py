@@ -8,7 +8,7 @@ every echelon computation in the package.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomposableError
 from .linalg import QQ, ZERO, rat

@@ -14,9 +14,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import PresentedAlgebra
 from .errors import IncomposableError, ParseError
-from .linalg import QQ, ZERO, Matrix
+from .linalg import QQ, Matrix
 from .modules import Representation
-from .quiver import Path, PathAlgElement, Quiver, compose_paths
+from .quiver import Path, PathAlgElement, Quiver
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+/\d+|\d+|->|[-+*:]")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

@@ -344,6 +344,47 @@ def test_declared_dependencies_match_imports():
     assert not guarded, f"optional imports: {sorted(guarded)}"
 
 
+def _annotation_names(node):
+    """Names an annotation refers to, inside string annotations too."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def _unused_imports(tree):
+    """Names a module imports but never references; `from __future__`
+    imports are exempt."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        for field in ("annotation", "returns"):
+            ann = getattr(node, field, None)
+            if ann is not None:
+                used |= _annotation_names(ann)
+    return imported - used
+
+
+def test_no_unused_imports():
+    """Every name a quivalg module imports is referenced in that module;
+    `__init__.py`, whose imports are re-exports, is exempt."""
+    unused = {}
+    for path in sorted(Path(quivalg.__file__).resolve().parent.glob("*.py")):
+        if path.name != "__init__.py":
+            names = _unused_imports(ast.parse(path.read_text(), str(path)))
+            if names:
+                unused[path.name] = sorted(names)
+    assert not unused, f"unused imports: {unused}"
+
+
 def test_import_leaves_numpy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, quivalg; print('numpy' in sys.modules)"],

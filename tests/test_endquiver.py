@@ -1,6 +1,7 @@
 """Quiver presentations of endomorphism algebras."""
 
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from quivalg import (
     parse_module,
 )
 from quivalg import algebra, endquiver
+from quivalg.endos import EndStructure
 from quivalg.linalg import Matrix, SpanSolver
 
 from conftest import element
@@ -170,6 +172,29 @@ def test_path_search_eliminates_each_product_once(n, monkeypatch):
     products = len(pres.path_dictionary) - seeds + pres.raw_relation_count
     assert pres.presented.dim == n * (n + 1) * (2 * n + 1) // 6
     assert len(calls) == seeds + products
+
+
+def test_end_presentation_tests_few_entries_for_zero():
+    """Matrices keep only their nonzero entries, so computing End of the
+    Auslander module of K[x]/(x^4) and presenting it tests few scalars
+    for zero: 74,471 Fraction.__bool__ calls when rows were stored dense,
+    and the bound below is a fifth of that."""
+    m = _auslander_module(4)
+    calls = 0
+    original = Fraction.__bool__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    Fraction.__bool__ = counted
+    try:
+        pres = end_as_quiver_algebra(m, structure=EndStructure(m))
+    finally:
+        Fraction.__bool__ = original
+    assert pres.presented.dim == 30
+    assert calls <= 74_471 // 5
 
 
 def test_ext2_simples_total_two_loop(two_loop):

@@ -1,13 +1,18 @@
 """Exact linear algebra properties, mostly hypothesis-driven."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quivalg
 from quivalg.linalg import (
     QQ,
     Matrix,
     SpanSolver,
     block_diagonal,
+    block_diagonal_rect,
     coefficients_in_span,
     determinant,
     extend_independent,
@@ -19,6 +24,7 @@ from quivalg.linalg import (
     row_space_basis,
     rref,
     solve_left,
+    hstack,
     vstack,
 )
 
@@ -351,3 +357,111 @@ def test_zero_and_identity_edge_cases():
     assert coefficients_in_span(z, [QQ(1), QQ(0), QQ(0)]) is None
     assert determinant(Matrix.identity(4)) == 1
     assert invert(Matrix.identity(4)) == Matrix.identity(4)
+
+
+def _assert_canonical(m):
+    """Stored rows are sorted by column, in range, and hold no zero; the
+    dense view rebuilds an equal matrix with an equal hash."""
+    assert len(m.pairs) == m.nrows
+    for r in m.pairs:
+        cols = [j for j, _ in r]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < m.ncols for j in cols)
+        assert all(x for _, x in r)
+    again = Matrix(m.nrows, m.ncols, m.rows)
+    assert again == m and hash(again) == hash(m)
+
+
+@given(sparse_products(), st.data())
+def test_stored_pairs_stay_canonical(pair, data):
+    a, b = pair
+    same = data.draw(sparse_matrices(a.nrows, a.ncols))
+    for m in (a, b, same):
+        _assert_canonical(m)
+    c = data.draw(rationals)
+    # (a | a) @ (b ; -b), a - a and a + (-a) cancel every entry they touch
+    cancelled = [hstack([a, a]) @ vstack([b, -b]), a - a, a + (-a)]
+    assert all(m.is_zero() for m in cancelled)
+    results = cancelled + [
+        a @ b,
+        a + same,
+        a - same,
+        a.scale(c),
+        a.scale(0),
+        -a,
+        a.transpose(),
+        a.take_rows(range(a.nrows - 1, -1, -1)),
+        vstack([a, same]),
+        hstack([a, same]),
+        block_diagonal_rect([a, b]),
+        rref(a)[0],
+        kernel_basis(a),
+        left_kernel_basis(a),
+        Matrix.identity(a.nrows),
+    ]
+    square = Matrix(a.nrows, a.nrows, [row[: a.nrows] + (QQ(0),) * (a.nrows - a.ncols) for row in a.rows])
+    results.append(square)
+    inverse = invert(square)
+    if inverse is not None:
+        results.append(inverse)
+    x = data.draw(sparse_matrices(ncols=a.nrows))
+    solved = solve_left(a, x @ a)
+    assert solved is not None and solved @ a == x @ a
+    results.append(solved)
+    for m in results:
+        _assert_canonical(m)
+    assert a.flatten() == [x for row in a.rows for x in row]
+    assert a.is_zero() == all(not x for row in a.rows for x in row)
+    assert square.trace() == sum((square.rows[i][i] for i in range(a.nrows)), QQ(0))
+    assert determinant(square) == _cofactor_determinant(square.rows)
+
+
+def test_rows_view_is_read_only():
+    m = Matrix.from_rows([[1, 0], [0, 2]])
+    before = Matrix.from_rows([[1, 0], [0, 2]])
+    view = m.rows
+    with pytest.raises(TypeError):
+        view[0][1] = QQ(5)
+    with pytest.raises(TypeError):
+        m.rows[1][1] = QQ(5)
+    # replacing a whole row of the view changes only the view
+    view[0] = (QQ(7), QQ(7))
+    assert m == before and m.rows == [(QQ(1), QQ(0)), (QQ(0), QQ(2))]
+
+
+def _rows_subscript_writes(tree):
+    """Line numbers where a subscript of some `.rows` is assigned or deleted."""
+
+    def writes_into_rows(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(writes_into_rows(t) for t in target.elts)
+        if not isinstance(target, ast.Subscript):
+            return False
+        base = target
+        while isinstance(base, ast.Subscript):
+            base = base.value
+        return isinstance(base, ast.Attribute) and base.attr == "rows"
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(writes_into_rows(t) for t in targets):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_writes_through_the_rows_view():
+    """Matrix.rows is a view built on access, so a write into it would be
+    lost; the package builds sparse rows instead."""
+    assert _rows_subscript_writes(ast.parse("m.rows[i][j] = 1\nm.rows[i] += [2]")) == [1, 2]
+    found = {}
+    for path in sorted(Path(quivalg.__file__).resolve().parent.glob("*.py")):
+        lines = _rows_subscript_writes(ast.parse(path.read_text(), str(path)))
+        if lines:
+            found[path.name] = lines
+    assert not found, f"writes into .rows: {found}"

@@ -29,6 +29,7 @@ from quivalg import (
     radical_top_socle,
     regular_module,
     simples,
+    syzygy,
     validate,
 )
 from quivalg import Quiver, build_algebra, modules
@@ -263,21 +264,36 @@ def _commuting_square_nullity(m, n):
     return total - rank(Matrix(len(rows), total, rows))
 
 
-@st.composite
-def hom_pairs(draw, max_total_dim=12):
-    """X and Y over a truncated quotient, each an indecomposable projective,
-    injective or simple, or a direct sum of two of them."""
+def _small_sums(draw, max_total_dim):
+    """The indecomposable projectives, injectives and simples over a drawn
+    truncated quotient, and the picks of one or two of them whose direct
+    sum has total dimension at most max_total_dim."""
     q, rels, n, _paths = draw(truncated_quotients())
     a = build_algebra(q, rels, length_cap=n + 2)
     base = indec_projectives(a) + indec_injectives(a) + simples(a)
     picks = [(i,) for i in range(len(base))]
     picks += combinations_with_replacement(range(len(base)), 2)
     picks = [p for p in picks if sum(base[i].total_dim for i in p) <= max_total_dim]
+    return base, picks
+
+
+@st.composite
+def hom_pairs(draw, max_total_dim=12):
+    """X and Y over a truncated quotient, each an indecomposable projective,
+    injective or simple, or a direct sum of two of them."""
+    base, picks = _small_sums(draw, max_total_dim)
 
     def module(pick):
         return direct_sum([base[i] for i in pick])[0]
 
     return module(draw(st.sampled_from(picks))), module(draw(st.sampled_from(picks)))
+
+
+@st.composite
+def small_modules(draw, max_total_dim=12):
+    """One module as in hom_pairs."""
+    base, picks = _small_sums(draw, max_total_dim)
+    return direct_sum([base[i] for i in draw(st.sampled_from(picks))])[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -290,3 +306,25 @@ def test_hom_basis_matches_commuting_square_nullity(pair):
     flat = [[c for f in h.vertex_maps for c in f.flatten()] for h in homs]
     width = sum(x.dims[v] * y.dims[v] for v in range(len(x.dims)))
     assert rank(Matrix(len(flat), width, flat)) == len(homs)
+
+
+# -- duality and syzygies on the sparse matrices ----------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_modules())
+def test_double_dual_is_isomorphic(x):
+    """D(D(X)) lives over the opposite of the opposite, which is the
+    algebra itself, and is isomorphic to X (it is X, entry by entry)."""
+    xx = dual(dual(x))
+    assert xx.algebra is x.algebra
+    assert is_isomorphic(xx, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_modules())
+def test_syzygy_dimension_is_cover_minus_module(x):
+    """0 -> Omega(X) -> P(X) -> X -> 0 is exact: dim Omega(X) = dim P(X) - dim X."""
+    cover, epi = projective_cover(x)
+    assert epi.rank() == x.total_dim
+    assert syzygy(x, 1).total_dim == cover.total_dim - x.total_dim

@@ -72,7 +72,7 @@ from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MalformedRelationError, NotFiniteDimensionalError
-from .linalg import ONE, QQ, ZERO
+from .linalg import ONE, QQ, _iadd
 from .quiver import Path, PathAlgElement, Quiver
 
 # there is no compiled sweep kernel; perfbench/worker.py reads this flag
@@ -80,16 +80,6 @@ from .quiver import Path, PathAlgElement, Quiver
 _HAVE_C = False
 
 Vec = Dict[int, "QQ"]
-
-
-def _iadd(acc: Vec, row: Vec, c: "QQ") -> None:
-    """acc += c * row, dropping entries that cancel."""
-    for p, v in row.items():
-        s = acc.get(p, ZERO) + c * v
-        if s:
-            acc[p] = s
-        else:
-            acc.pop(p, None)
 
 
 class _Paths:
@@ -241,12 +231,12 @@ class _Sweep:
         pos = self.bpos[bpid]
         tab = (self.tabL if side else self.tabR)[pos][ai]
         if tab is not None:
-            _iadd(acc, tab, c)
+            _iadd(acc, tab.items(), c)
             return
         cid = self.paths.child(bpid, ai, side)
         if cid < 0:
             return
-        _iadd(acc, self._class_of(cid), c)
+        _iadd(acc, self._class_of(cid).items(), c)
 
     def _times_arrow(self, cls: Vec, ai: int) -> Vec:
         """Class of cls * arrow, by right extension of its basis paths."""
@@ -280,10 +270,10 @@ class _Sweep:
                     c = row.pop(lead)
                     self.cand[lead] = {p: -v / c for p, v in row.items()}
                     return True
-                _iadd(row, res, row.pop(lead))
+                _iadd(row, res.items(), row.pop(lead))
                 continue
             if lead in self.side:
-                _iadd(row, self.side[lead], row.pop(lead))
+                _iadd(row, self.side[lead].items(), row.pop(lead))
                 continue
             pos = self.bpos[lead]
             assert not self.dead[pos]
@@ -357,7 +347,7 @@ class _Sweep:
         for idx, rel in seeds:
             acc = {}
             for p, c in rel.terms.items():
-                _iadd(acc, self._fold(p), c)
+                _iadd(acc, self._fold(p).items(), c)
             if self._row_insert(acc):
                 self.kept.append(idx)
             self._drain()
@@ -412,10 +402,7 @@ class _Sweep:
                 acc = {}
                 for p, c in row.items():
                     sub = cur[p] if lo <= p < hi else None
-                    if isinstance(sub, dict):
-                        _iadd(acc, sub, c)
-                    else:
-                        _iadd(acc, {p: ONE}, c)
+                    _iadd(acc, sub.items() if isinstance(sub, dict) else ((p, ONE),), c)
                 cur[ppid] = acc
 
         # persist tables
@@ -444,7 +431,7 @@ class _Sweep:
             hit = next((p for p in out if p in self.side), None)
             if hit is None:
                 return out
-            _iadd(out, self.side[hit], out.pop(hit))
+            _iadd(out, self.side[hit].items(), out.pop(hit))
 
 
 # a prefix-tree node: children keyed by arrow index, and the
@@ -481,7 +468,7 @@ def _relations_vanish(alg: "PresentedAlgebra", relations: Sequence[PathAlgElemen
                 while stack:
                     (children, ends), vec = stack.pop()
                     for idx, c in ends:
-                        _iadd(acc.setdefault(idx, {}), vec, c)
+                        _iadd(acc.setdefault(idx, {}), vec.items(), c)
                     for ai, child in children.items():
                         out = alg.apply_arrow(vec, ai)
                         if out:
@@ -540,7 +527,7 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
                 echelon[lead] = vec
                 return vec
             # piv[lead] is one, so this cancels the lead
-            _iadd(vec, piv, -vec[lead])
+            _iadd(vec, piv.items(), -vec[lead])
         return None
 
     per_length = Counter(length)
@@ -651,7 +638,7 @@ def _stabilize(
     their index in relations.  The sweep's kept lists the indices of the
     relations whose rows survived; the others, and any relation never
     fed because the sweep certified first, lie in the ideal of the kept
-    ones.
+    ones; the algebra lists them, in input order, as kept_relations.
     """
     paths = _Paths(quiver)
     eng = _Sweep(paths)
@@ -667,6 +654,7 @@ def _stabilize(
         if eng.nlast == 0:
             alg = _certify(eng, relations)
             if alg is not None:
+                alg.kept_relations = [relations[i] for i in sorted(eng.kept)]
                 return eng, alg
         if hi == lo and level >= last_seed:
             break  # no stored path extends and no relation is left to feed
@@ -687,14 +675,17 @@ class PresentedAlgebra:
     basis is a canonical linear projection.
 
     build_algebra returns the algebra the quotient certificate built and
-    checked.  The opposite carries a table of its own, read off left
-    multiplication by arrows in the original algebra.
+    checked; its kept_relations, the relations whose rows survived the
+    sweep, in input order, generate the same ideal.  The opposite carries
+    a table of its own, read off left multiplication by arrows in the
+    original algebra, and the reversed relations.
     """
 
     def __init__(self):
         # populated by the quotient certificate or the opposite constructor
         self.quiver: Quiver = None  # type: ignore[assignment]
         self.relations: List[PathAlgElement] = []
+        self.kept_relations: List[PathAlgElement] = []
         self.length_cap: int = 0
         self.basis: List[Path] = []
         self.dim: int = 0
@@ -739,7 +730,7 @@ class PresentedAlgebra:
         out: Vec = {}
         action = self._action
         for k, c in vec.items():
-            _iadd(out, action[k][ai], c)
+            _iadd(out, action[k][ai].items(), c)
         return out
 
     def mult_basis(self, i: int, j: int) -> Vec:
@@ -766,7 +757,7 @@ class PresentedAlgebra:
             for j, b in ys.items():
                 prod = self.mult_basis(i, j)
                 if prod:
-                    _iadd(out, prod, a * b)
+                    _iadd(out, prod.items(), a * b)
         return out
 
     def element_vec(self, el: PathAlgElement) -> Vec:
@@ -778,7 +769,7 @@ class PresentedAlgebra:
                 if not vec:
                     break
                 vec = self.apply_arrow(vec, ai)
-            _iadd(out, vec, c)
+            _iadd(out, vec.items(), c)
         return out
 
     def vec_to_element(self, vec: Vec) -> PathAlgElement:
@@ -821,6 +812,7 @@ def _make_opposite(a: PresentedAlgebra) -> PresentedAlgebra:
     op = PresentedAlgebra()
     op.quiver = a.quiver.reverse()
     op.relations = [_reverse_element(r, op.quiver) for r in a.relations]
+    op.kept_relations = [_reverse_element(r, op.quiver) for r in a.kept_relations]
     op.length_cap = a.length_cap
     op._set_basis([Path(p.target, tuple(reversed(p.arrows)), p.source) for p in a.basis])
     op.loewy_length = a.loewy_length

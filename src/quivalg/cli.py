@@ -5,7 +5,9 @@ gldim, domdim, tau2, cartan, probe-ext.  Reports are line-oriented
 `key = value` pairs in human format, or a JSON object with the same
 keys in structured format.  Exit codes: 0 all checks pass, 1 a check
 failed, 2 inconclusive (a search bound or the path length cap was hit,
-with the reason on stderr or in the report), 3 input error.
+with the reason on stderr or in the report), 3 input error, usage
+errors and out-of-range options included.  Each subcommand takes only
+the options it reads.
 """
 
 import argparse
@@ -108,62 +110,57 @@ class _Report:
                 out.write(f"{k} = {v}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="decomposition seed")
-    parser.add_argument("--bound", type=int, default=6, help="dimension search bound")
-    parser.add_argument(
-        "--max-length", type=int, default=20, help="path length cap"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("human", "structured"),
-        default="human",
-        help="human renders key = value lines, structured renders JSON",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 3); argparse's own exit 2 is
+    this CLI's code for an inconclusive run."""
+
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quivalg",
         description="exact computations with presented algebras and their modules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "verify-paper",
-        help="run the built-in end-to-end verification pipeline",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("end-quiver", help="present End(module) by quiver and relations")
-    p.add_argument("module", help="module file")
-    _add_common(p)
-
-    p = sub.add_parser("gldim", help="bounded global dimension of an algebra")
-    p.add_argument("algebra", help="algebra file or builtin:<name>")
-    _add_common(p)
-
-    p = sub.add_parser("domdim", help="bounded dominant dimension of an algebra")
-    p.add_argument("algebra", help="algebra file or builtin:<name>")
-    _add_common(p)
-
-    p = sub.add_parser("tau2", help="second translate of a module")
-    p.add_argument("module", help="module file")
-    p.add_argument("--out", help="write the translate as a module file")
-    _add_common(p)
-
-    p = sub.add_parser("cartan", help="Cartan matrix and determinant of an algebra")
-    p.add_argument("algebra", help="algebra file or builtin:<name>")
-    _add_common(p)
-
-    p = sub.add_parser(
-        "probe-ext",
-        help="Ext dimensions for the built-in pipeline modules",
-    )
-    p.add_argument(
-        "--imax", type=int, default=2, help="largest Ext degree to report"
-    )
-    _add_common(p)
+    algebra = ("algebra", dict(help="algebra file or builtin:<name>"))
+    module = ("module", dict(help="module file"))
+    seed = ("--seed", dict(type=int, default=0, help="decomposition seed"))
+    bound = {
+        low: ("--bound", dict(type=_int_at_least(low), default=6, help="dimension search bound"))
+        for low in (0, 1)
+    }
+    out = ("--out", dict(help="write the translate as a module file"))
+    imax = ("--imax", dict(type=_int_at_least(1), default=2, help="largest Ext degree to report"))
+    max_length = ("--max-length", dict(type=int, default=20, help="path length cap"))
+    styles = "human renders key = value lines, structured renders JSON"
+    formats = ("--format", dict(choices=("human", "structured"), default="human", help=styles))
+    commands = {
+        "verify-paper": ("run the built-in end-to-end verification pipeline", [seed, bound[1]]),
+        "end-quiver": ("present End(module) by quiver and relations", [module, seed]),
+        "gldim": ("bounded global dimension of an algebra", [algebra, bound[0]]),
+        "domdim": ("bounded dominant dimension of an algebra", [algebra, bound[1]]),
+        "tau2": ("second translate of a module", [module, out]),
+        "cartan": ("Cartan matrix and determinant of an algebra", [algebra]),
+        "probe-ext": ("Ext dimensions for the built-in pipeline modules", [imax]),
+    }
+    # each subcommand takes --max-length, --format and what its _cmd_* reads
+    for name, (text, arguments) in commands.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in arguments + [max_length, formats]:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -278,8 +275,6 @@ def _cmd_cartan(args) -> int:
 
 
 def _cmd_probe_ext(args) -> int:
-    if args.imax < 1:
-        raise _InputError("--imax must be at least 1")
     a = two_loop_local_algebra(length_cap=args.max_length)
     reg = regular_module(a)
     translates = dual_regular_translates(a)
@@ -306,8 +301,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -225,21 +225,23 @@ def minimize_relations(
     minimal: a kept relation may lie in the ideal of relations fed after
     it.  ext2_simples_total bounds every generating set from below.
 
+    The sweep is build_algebra's, which records the same set on the
+    algebra as kept_relations; verify-paper reads it there.
+
     Returns the kept relations in input order.  Raises
     DimensionMismatchError when the certified dimension is not
     reference_dim, and returns the input unchanged when the sweep does
     not stabilize by length_cap.
     """
-    valid = _validate_relations(quiver, relations)
     try:
-        eng, alg = _stabilize(quiver, valid, length_cap)
+        alg = _stabilize(quiver, _validate_relations(quiver, relations), length_cap)[1]
     except NotFiniteDimensionalError:
         return list(relations)
     if alg.dim != reference_dim:
         raise DimensionMismatchError(
             "relations present dimension %d, expected %d" % (alg.dim, reference_dim)
         )
-    return [valid[i] for i in sorted(eng.kept)]
+    return alg.kept_relations
 
 
 def ext2_simples_total(

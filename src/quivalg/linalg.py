@@ -41,7 +41,10 @@ def rat(x) -> "QQ":
 
 def _iadd(acc: Dict[int, "QQ"], row: Iterable[Tuple[int, "QQ"]], c: "QQ") -> None:
     """acc += c * row, dropping entries that cancel; acc is a sparse dict
-    and row its (column, value) pairs, such as a dict's items()."""
+    and row its (column, value) pairs, such as a dict's items().  The
+    package's one sparse axpy: a column new to acc is stored without a
+    zero test, so c must be nonzero and row zero-free, as every caller's
+    is (stored rows hold no zero; PathAlgElement drops zero terms)."""
     for j, x in row:
         y = acc.get(j)
         if y is None:

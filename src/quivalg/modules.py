@@ -404,9 +404,11 @@ def _fold_row(row: List, n: Representation, arrows: Sequence[int]) -> List:
 
 def _fold_basis_paths(row: List, n: Representation, v: int) -> Dict[int, List]:
     """A sparse row (at vertex v of n) times every basis path out of v, by
-    basis position.  A path is folded from the row of its prefix, the path
-    one arrow shorter, when that prefix is a basis path, and from row
-    otherwise."""
+    basis position.  Each nontrivial path is folded from the row of its
+    prefix, the path one arrow shorter, which is a basis path: the basis
+    of a certified algebra is closed under prefixes (its certificate
+    rejects a table otherwise), and so is the reversed basis of its
+    opposite."""
     a = n.algebra
     positions = [p for w in range(a.num_vertices) for p in a.endpoint_basis(v, w)]
     positions.sort(key=lambda p: len(a.basis[p].arrows))
@@ -414,11 +416,7 @@ def _fold_basis_paths(row: List, n: Representation, v: int) -> Dict[int, List]:
     out: Dict[int, List] = {}
     for pos in positions:
         arrows = a.basis[pos].arrows
-        prefix = by_arrows.get(arrows[:-1]) if arrows else None
-        if prefix is not None:
-            folded = _row_times(prefix, n.matrices[arrows[-1]])
-        else:
-            folded = _fold_row(row, n, arrows)
+        folded = _row_times(by_arrows[arrows[:-1]], n.matrices[arrows[-1]]) if arrows else row
         by_arrows[arrows] = out[pos] = folded
     return out
 

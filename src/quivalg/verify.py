@@ -7,7 +7,8 @@ stable report keys.  Deterministic for a fixed seed.
 
 End(M), its decomposition, its presentation, gldim, domdim and
 Ext^1(M, M) come from a single cluster_tilting_verdict, and the report
-reads its checks off that verdict.  When the presentation is cut off at
+reads its checks off that verdict; the minimized relations are the ones
+the sweep presenting B kept.  When the presentation is cut off at
 max_length, every check that needs the presented algebra is
 inconclusive, and an info line inconclusive_reason names the cap.
 """
@@ -15,11 +16,8 @@ inconclusive, and an info line inconclusive_reason names the cap.
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .endquiver import (
-    ext2_simples_total,
-    minimize_relations,
-    presentation_dimension_check,
-)
+from . import endquiver
+from .endquiver import ext2_simples_total, presentation_dimension_check
 from .homological import (
     _equals_target,
     cartan_determinant,
@@ -42,6 +40,10 @@ from .presets import (
     reference_end_relations,
     two_loop_local_algebra,
 )
+
+# run_verification never calls the minimizer; the name stays bound for
+# callers that reach it as quivalg.verify.minimize_relations
+minimize_relations = endquiver.minimize_relations
 
 # arrow counts of the reference endomorphism quiver, vertex k = the
 # k-th translate counted from the projective one (see REVERSAL below)
@@ -182,7 +184,8 @@ def run_verification(
         for key in ("minimized_relations", "ext2_simples_total", "minimized_dim_preserved"):
             report.check(key, None, None)
     else:
-        kept = minimize_relations(pres.quiver, pres.relations, dim_hom, length_cap=max_length)
+        # the set minimize_relations would find by sweeping the raw relations again
+        kept = b.kept_relations
         report.add("minimized_relations", len(kept), "info")
         ext2 = ext2_simples_total(pres.quiver, kept, dim_hom, length_cap=max_length)
         report.add("ext2_simples_total", "inconclusive" if ext2 is None else ext2, "info")

@@ -225,6 +225,36 @@ def test_minimize_relations_keeps_ordered_subset_of_same_ideal(case):
     assert alg.basis == full.basis
     # every dropped relation lies in the ideal of the kept ones
     assert all(alg.normal_form(r).is_zero() for r in rels)
+    # the build's own sweep records the same kept set
+    assert full.kept_relations == kept
+
+
+def _zero_free(vec):
+    return all(c != 0 for c in vec.values())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_products_store_no_zero_value(case):
+    """The sparse axpy stores a column new to its accumulator without a
+    zero test, so every table row and every product must stay zero-free,
+    on the algebra and on its opposite.  The alternating signs make
+    cancellations likely."""
+    q, rels, n, _paths = case
+    a = build_algebra(q, rels, length_cap=n + 2)
+    for alg in (a, a.opposite):
+        assert all(_zero_free(row) for rows in alg._action for row in rows)
+        signs = {k: QQ((-1) ** k) for k in range(alg.dim)}
+        for ai in range(len(alg.quiver.arrows)):
+            assert _zero_free(alg.apply_arrow(signs, ai))
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                assert _zero_free(alg.mult_basis(i, j))
+        assert _zero_free(alg.multiply_vec(signs, signs))
+        for r in alg.relations:
+            assert alg.element_vec(r) == {}
+            for p in r.terms:
+                assert _zero_free(alg.element_vec(PathAlgElement.from_path(alg.quiver, p)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,12 +1,15 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import ast
+import inspect
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ from quivalg import (
     indec_projectives,
     simples,
 )
-from quivalg import algebra, endos, endquiver
+from quivalg import algebra, cli, endos, endquiver
 from quivalg.cli import main
 
 
@@ -47,6 +50,7 @@ def test_verify_paper_passes(capsys, count_calls):
     decompositions = count_calls(endos, "decompose")
     presentations = count_calls(endquiver, "end_as_quiver_algebra")
     builds = count_calls(algebra, "build_algebra")
+    sweeps = count_calls(algebra, "_stabilize")
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
     assert "dim_b_hom = 165  [pass]" in out
@@ -58,6 +62,9 @@ def test_verify_paper_passes(capsys, count_calls):
     assert decompositions["calls"] == 1
     assert presentations["calls"] == 1
     assert builds["calls"] == 2
+    # A, B's raw relations (whose sweep also gives the kept set), the Ext^2
+    # products, the kept set rebuilt and the reference presentation
+    assert sweeps["calls"] == 5
 
 
 def test_verify_paper_length_cap_inconclusive(capsys):
@@ -204,6 +211,59 @@ def test_input_errors_exit_three(capsys, tmp_path):
     assert code == 3 and "unknown arrow" in err
     code, _, err = run_cli(capsys, "probe-ext", "--imax", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cartan"], ["gldim", "builtin:two-loop-local", "--bogus"]],
+    ids=["missing-argument", "unknown-flag"],
+)
+def test_usage_errors_exit_three(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: quivalg") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gldim", "--help"])
+    assert exc.value.code == 0
+    assert "--bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, low",
+    [
+        (["verify-paper", "--bound", "0"], 1),
+        (["domdim", "builtin:two-loop-local", "--bound", "0"], 1),
+        (["gldim", "builtin:two-loop-local", "--bound", "-1"], 0),
+    ],
+    ids=["verify-paper", "domdim", "gldim"],
+)
+def test_out_of_range_bound_is_an_input_error(capsys, argv, low):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: quivalg {argv[0]}: argument --bound: must be at least {low}, got {argv[-1]}\n"
+
+
+def _args_read(fn):
+    """Names of the args.<name> attributes a command function reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_each_subcommand_takes_only_what_it_reads():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._COMMANDS)
+    for name, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests == _args_read(cli._COMMANDS[name]), name
 
 
 # K<x,y>/(y^3, yx - 2xy) has the basis x^i y^j, j < 3, in every length

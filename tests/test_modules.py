@@ -235,6 +235,19 @@ def test_hom_basis_folds_each_basis_path_from_its_prefix(count_calls, monkeypatc
     assert folds["row_times"] == (a.dim - 1) * folds["generators"]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_basis_paths_hold_their_prefixes(case):
+    """Every nontrivial basis path, of a built algebra and of its
+    opposite, has its one-arrow-shorter prefix in the basis: the hom folds
+    fold each basis path from its prefix's row."""
+    q, rels, n, _paths = case
+    a = build_algebra(q, rels, length_cap=n + 2)
+    for alg in (a, a.opposite):
+        basis = {(p.source, p.arrows) for p in alg.basis}
+        assert all((src, arrows[:-1]) in basis for src, arrows in basis if arrows)
+
+
 # -- the presented Hom solve against the commuting-square system --------
 
 

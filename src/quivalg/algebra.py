@@ -72,7 +72,7 @@ from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MalformedRelationError, NotFiniteDimensionalError
-from .linalg import ONE, QQ, _iadd
+from .linalg import ONE, QQ, _iadd, div
 from .quiver import Path, PathAlgElement, Quiver
 
 # there is no compiled sweep kernel; perfbench/worker.py reads this flag
@@ -268,7 +268,7 @@ class _Sweep:
                 res = self.cand.get(lead)
                 if res is None:
                     c = row.pop(lead)
-                    self.cand[lead] = {p: -v / c for p, v in row.items()}
+                    self.cand[lead] = {p: div(-v, c) for p, v in row.items()}
                     return True
                 _iadd(row, res.items(), row.pop(lead))
                 continue
@@ -278,7 +278,7 @@ class _Sweep:
             pos = self.bpos[lead]
             assert not self.dead[pos]
             c = row.pop(lead)
-            self.side[lead] = {p: -v / c for p, v in row.items()}
+            self.side[lead] = {p: div(-v, c) for p, v in row.items()}
             self.dead[pos] = True
             self.nalive -= 1
             self.kills.append(pos)
@@ -522,8 +522,7 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
             if piv is None:
                 c = vec[lead]
                 if c != ONE:
-                    inv = ONE / c
-                    vec = {p: x * inv for p, x in vec.items()}
+                    vec = {p: div(x, c) for p, x in vec.items()}
                 echelon[lead] = vec
                 return vec
             # piv[lead] is one, so this cancels the lead
@@ -658,9 +657,13 @@ def _stabilize(
                 return eng, alg
         if hi == lo and level >= last_seed:
             break  # no stored path extends and no relation is left to feed
+    nalive = eng.nalive
+    # the error's traceback holds this frame: drop the sweep, so that an
+    # error kept by the caller does not keep every stored path alive
+    del eng, paths
     raise NotFiniteDimensionalError(
         f"dimension did not stabilize up to path length {length_cap} "
-        f"({eng.nalive} basis paths so far and not certified)"
+        f"({nalive} basis paths so far and not certified)"
     )
 
 
@@ -843,11 +846,6 @@ def build_algebra(
     alg = _stabilize(quiver, relations, length_cap)[1]
     alg.relations = list(relations)
     alg.length_cap = length_cap
-    for r in relations:
-        if alg.element_vec(r):
-            raise MalformedRelationError(
-                f"relation {r!r} does not vanish in the constructed quotient"
-            )
     return alg
 
 
@@ -856,6 +854,7 @@ def build_dimension_only(
     relations: Sequence[PathAlgElement] = (),
     length_cap: int = 20,
 ) -> int:
-    """Certified dimension only, skipping the relation post-check."""
+    """The certified dimension of build_algebra's quotient, without
+    keeping the algebra."""
     relations = _validate_relations(quiver, relations)
     return _stabilize(quiver, relations, length_cap)[1].dim

@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     SpanSolver,
     _iadd,
+    div,
     hstack,
     left_kernel_basis,
     invert,
@@ -437,8 +438,7 @@ def _factor_minpoly(coeffs: Sequence):
 def _sympy_poly_coeffs(poly) -> List:
     out = []
     for c in reversed(poly.all_coeffs()):
-        r = c
-        out.append(QQ(int(r.p), int(r.q)))
+        out.append(div(int(c.p), int(c.q)))
     return out
 
 
@@ -507,7 +507,7 @@ def _split_idempotent(
     for _ in range(max_attempts):
         x = [ZERO] * q.dim
         for row in corner_basis:
-            c = QQ(rng.randint(-4, 4))
+            c = rng.randint(-4, 4)
             if c:
                 x = [a + c * b for a, b in zip(x, row)]
         if not any(x):
@@ -552,7 +552,7 @@ def _lift_to_idempotent(h: ModuleHom, max_iter: int = 64) -> ModuleHom:
         sq = f * f
         if sq == f:
             return f
-        f = (sq * f).scale(QQ(-2)) + sq.scale(QQ(3))
+        f = (sq * f).scale(-2) + sq.scale(3)
     raise RuntimeError("idempotent lifting did not converge")
 
 
@@ -587,12 +587,12 @@ def decompose(
         f = E.hom_from_coords(q.lift(sbar))
         f = _lift_to_idempotent(f)
         if partial is not None:
-            co = ident + partial.scale(QQ(-1))
+            co = ident + partial.scale(-1)
             f = co * f * co
             f = _lift_to_idempotent(f)
         idems.append(f)
         partial = f if partial is None else partial + f
-    last = ident if partial is None else ident + partial.scale(QQ(-1))
+    last = ident if partial is None else ident + partial.scale(-1)
     assert last * last == last
     idems.append(last)
     for f, sbar in zip(idems, prim):

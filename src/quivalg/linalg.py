@@ -1,8 +1,15 @@
 """Exact rational linear algebra over sparse row vectors.
 
-Every matrix entry is an exact rational, a fractions.Fraction; no floats
-enter at any point.  Vectors are rows throughout the package and maps act
-on the right, so the matrix of "f then g" is mat(f) @ mat(g).
+Every matrix entry is an exact rational from Python's own number types:
+an int when the value is a whole number, a fractions.Fraction when it is
+not.  Most entries are whole, and int arithmetic costs far less than
+Fraction arithmetic.  The two mix freely: a sum or product of Fractions
+can be a whole Fraction (1/2 + 1/2), which compares and hashes equal to
+the int, so no result depends on which of the two it is.  The one true
+division is div(), which returns an int when the quotient is whole and
+a Fraction otherwise; no floats enter at any point.  Vectors are rows
+throughout the package and maps act on the right, so the matrix of
+"f then g" is mat(f) @ mat(g).
 
 A Matrix stores each row as its nonzero (column, value) pairs, sorted by
 column, and no stored value is zero: module-hom matrices are a few
@@ -10,9 +17,9 @@ percent nonzero, so products, elimination and the span solver touch
 nonzero entries only.  Inside the package a sparse vector is such a
 sorted pair list, or a dict {column: value} while it is accumulated.
 The dense view Matrix.rows is built on access for the callers that read
-a matrix whole.  rat() returns a value that already is the scalar type
-unchanged, so coercing a row of scalars builds no new rationals (they
-are immutable, so sharing them is safe).
+a matrix whole.  rat() returns an int or a non-whole Fraction unchanged,
+so coercing a row of scalars builds no new rationals (they are
+immutable, so sharing them is safe).
 """
 
 from __future__ import annotations
@@ -21,22 +28,36 @@ from bisect import bisect_left
 from fractions import Fraction as QQ
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-ZERO = QQ(0)
-ONE = QQ(1)
+ZERO = 0
+ONE = 1
 
 Pairs = List[Tuple[int, "QQ"]]
 
 
 def rat(x) -> "QQ":
-    """Coerce an int, string like '-3/7' or Fraction to the scalar type.
+    """Coerce an int, string like '-3/7' or Fraction to a scalar: an int
+    when the value is whole, a Fraction otherwise.
 
-    A value of the scalar type itself is returned as it is, not copied.
+    An int, or a Fraction that is not whole, is returned as it is, not
+    copied.
     """
-    if type(x) is QQ:
+    if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise TypeError("floats are not allowed; use exact rationals")
-    return QQ(x)
+    if type(x) is not QQ:
+        if isinstance(x, float):
+            raise TypeError("floats are not allowed; use exact rationals")
+        x = QQ(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a, b) -> "QQ":
+    """a / b for scalars a and b: an int when the quotient is whole, a
+    Fraction otherwise, never a float.  The package's one division."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return QQ(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def _iadd(acc: Dict[int, "QQ"], row: Iterable[Tuple[int, "QQ"]], c: "QQ") -> None:
@@ -287,8 +308,7 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
         lead = min(row)
         pivot = row.pop(lead)
         if pivot != ONE:
-            inv = ONE / pivot
-            row = {j: x * inv for j, x in row.items()}
+            row = {j: div(x, pivot) for j, x in row.items()}
         for rest in ech.values():
             c = rest.pop(lead, None)
             if c is not None:
@@ -423,11 +443,10 @@ def determinant(m: Matrix):
         prow = rows[col]
         p = prow.pop(col)
         det *= p
-        inv = ONE / p
         for i in range(col + 1, n):
             c = rows[i].pop(col, None)
             if c is not None:
-                _iadd(rows[i], prow.items(), -c * inv)
+                _iadd(rows[i], prow.items(), div(-c, p))
     return det
 
 
@@ -527,12 +546,12 @@ class SpanSolver:
         if not residue:
             return False
         lead = min(residue)
-        inv = ONE / residue.pop(lead)
-        if inv != ONE:
-            residue = {j: x * inv for j, x in residue.items()}
-        # row = sum(used) + residue/inv, so residue = inv*(row - sum(used))
-        expr = {idx: -inv * w for idx, w in used.items() if w}
-        expr[index] = inv
+        p = residue.pop(lead)
+        if p != ONE:
+            residue = {j: div(x, p) for j, x in residue.items()}
+        # row = sum(used) + p*residue, so residue = (row - sum(used))/p
+        expr = {idx: div(-w, p) for idx, w in used.items() if w}
+        expr[index] = div(ONE, p)
         # keep echelon rows sorted by leading column for ordered elimination
         pos = bisect_left(self._lead, lead)
         self._ech.insert(pos, residue)

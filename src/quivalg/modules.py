@@ -402,16 +402,30 @@ def _fold_row(row: List, n: Representation, arrows: Sequence[int]) -> List:
     return row
 
 
-def _fold_basis_paths(row: List, n: Representation, v: int) -> Dict[int, List]:
-    """A sparse row (at vertex v of n) times every basis path out of v, by
-    basis position.  Each nontrivial path is folded from the row of its
-    prefix, the path one arrow shorter, which is a basis path: the basis
-    of a certified algebra is closed under prefixes (its certificate
-    rejects a table otherwise), and so is the reversed basis of its
-    opposite."""
-    a = n.algebra
+def _paths_out_of(a: PresentedAlgebra, v: int, wanted: Optional[set] = None) -> List[int]:
+    """Positions of the basis paths out of v, shorter paths first; with
+    wanted, a set of such positions, only those and their prefixes.  The
+    basis of a certified algebra is closed under prefixes (its
+    certificate rejects a table otherwise), and so is the reversed basis
+    of its opposite, so every prefix has a position."""
     positions = [p for w in range(a.num_vertices) for p in a.endpoint_basis(v, w)]
+    if wanted is not None:
+        at = {a.basis[p].arrows: p for p in positions}
+        keep = set()
+        for p in wanted:
+            arrows = a.basis[p].arrows
+            keep.update(at[arrows[:k]] for k in range(len(arrows) + 1))
+        positions = [p for p in positions if p in keep]
     positions.sort(key=lambda p: len(a.basis[p].arrows))
+    return positions
+
+
+def _fold_basis_paths(row: List, n: Representation, positions: Sequence[int]) -> Dict[int, List]:
+    """A sparse row of n, at some vertex v, times each basis path out of v
+    at positions, by position.  positions lists every path after its
+    prefix, the path one arrow shorter, as _paths_out_of gives them; each
+    nontrivial path is folded from its prefix's row."""
+    a = n.algebra
     by_arrows: Dict[Tuple[int, ...], List] = {}
     out: Dict[int, List] = {}
     for pos in positions:
@@ -421,20 +435,31 @@ def _fold_basis_paths(row: List, n: Representation, v: int) -> Dict[int, List]:
     return out
 
 
+def _generator_maps(
+    psum: _ProjSum, n: Representation, images: Sequence[Sequence], positions: Sequence[Sequence[int]]
+) -> List[Matrix]:
+    """Vertex maps of the hom out of a projective sum sending generator s
+    to the sparse row images[s] of n; only the rows at the basis
+    positions in positions[s] are folded through n's action, the others
+    are left zero."""
+    a = psum.algebra
+    rows: List[List[List]] = [[] for _ in range(a.num_vertices)]
+    for s, v_s in enumerate(psum.vertices):
+        folded = _fold_basis_paths(images[s], n, positions[s])
+        for w in range(a.num_vertices):
+            rows[w].extend(folded.get(pos, []) for pos in a.endpoint_basis(v_s, w))
+    return [Matrix._from_pairs(len(rows[w]), n.dims[w], rows[w]) for w in range(a.num_vertices)]
+
+
 def _hom_from_generators(
     psum: _ProjSum, n: Representation, images: Sequence[Sequence]
 ) -> ModuleHom:
     """The hom out of a projective sum sending each generator to the given
     sparse row of n at the matching vertex; basis paths fold through n's
     action."""
-    a = psum.algebra
-    rows: List[List[List]] = [[] for _ in range(a.num_vertices)]
-    for s, v_s in enumerate(psum.vertices):
-        folded = _fold_basis_paths(images[s], n, v_s)
-        for w in range(a.num_vertices):
-            rows[w].extend(folded[pos] for pos in a.endpoint_basis(v_s, w))
-    maps = [Matrix._from_pairs(len(rows[w]), n.dims[w], rows[w]) for w in range(a.num_vertices)]
-    return ModuleHom(psum.rep, n, maps)
+    paths = {v: _paths_out_of(psum.algebra, v) for v in set(psum.vertices)}
+    positions = [paths[v] for v in psum.vertices]
+    return ModuleHom(psum.rep, n, _generator_maps(psum, n, images, positions))
 
 
 # -- substructures and quotients ----------------------------------------
@@ -672,6 +697,16 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
         sec = solve_left(epi.vertex_maps[v], Matrix.identity(m.dims[v]))
         assert sec is not None
         sections.append(sec)
+    # fold only the rows of P0 that the sections read, and their prefixes
+    read = [{j for r in sec.pairs for j, _ in r} for sec in sections]
+    positions = []
+    for s, v_s in enumerate(psum0.vertices):
+        wanted = set()
+        for w in range(a.num_vertices):
+            start = psum0.offsets[s][w]
+            block = a.endpoint_basis(v_s, w)
+            wanted.update(p for i, p in enumerate(block, start) if i in read[w])
+        positions.append(_paths_out_of(a, v_s, wanted))
     # solution column -> (summand, coordinate of its generator image)
     owner = [(s, k) for s, v in enumerate(psum0.vertices) for k in range(n.dims[v])]
     out = []
@@ -680,9 +715,8 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
         for j, x in sol:
             s, k = owner[j]
             images[s].append((k, x))
-        g = _hom_from_generators(psum0, n, images)
-        maps = [sections[v] @ g.vertex_maps[v] for v in range(a.num_vertices)]
-        out.append(ModuleHom(m, n, maps))
+        g = _generator_maps(psum0, n, images, positions)
+        out.append(ModuleHom(m, n, [sec @ gv for sec, gv in zip(sections, g)]))
     return out
 
 

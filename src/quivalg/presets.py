@@ -17,7 +17,7 @@ from .quiver import PathAlgElement, Quiver
 def _element(quiver: Quiver, *terms: Tuple) -> PathAlgElement:
     out = PathAlgElement(quiver)
     for coeff, *labels in terms:
-        out = out + PathAlgElement.from_path(quiver, quiver.path(list(labels)), QQ(coeff))
+        out = out + PathAlgElement.from_path(quiver, quiver.path(list(labels)), coeff)
     return out
 
 

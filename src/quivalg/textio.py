@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import PresentedAlgebra
 from .errors import IncomposableError, ParseError
-from .linalg import QQ, Matrix
+from .linalg import Matrix, div
 from .modules import Representation
 from .quiver import Path, PathAlgElement, Quiver
 
@@ -100,7 +100,7 @@ def _parse_rational(token: str):
     den = int(m.group(3)) if m.group(3) else 1
     if den == 0:
         raise ValueError("zero denominator")
-    return QQ(num, den)
+    return div(num, den)
 
 
 def _rational_token(line: _Line, index: int):
@@ -123,10 +123,10 @@ def _parse_relation_terms(line: _Line, quiver: Quiver) -> PathAlgElement:
     i = 0
     first = True
     while i < len(tokens):
-        sign = QQ(1)
+        sign = 1
         if tokens[i] in ("+", "-"):
             if tokens[i] == "-":
-                sign = QQ(-1)
+                sign = -1
             i += 1
         elif not first:
             raise line.error("expected + or - between terms", offset + i)
@@ -312,9 +312,9 @@ def parse_module(
             row = []
             i = 0
             while i < len(line.tokens):
-                sign = QQ(1)
+                sign = 1
                 if line.tokens[i] == "-":
-                    sign = QQ(-1)
+                    sign = -1
                     i += 1
                     if i >= len(line.tokens):
                         raise line.error("dangling sign", i - 1)

@@ -1,6 +1,7 @@
 """Quotient construction oracles and multiplication invariants."""
 
 import random
+import traceback
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -124,6 +125,21 @@ def test_loop_without_relations_is_infinite_dimensional():
     q = Quiver(["v"], [("x", "v", "v")])
     with pytest.raises(NotFiniteDimensionalError):
         build_algebra(q, [], length_cap=6)
+
+
+def test_not_finite_error_does_not_keep_the_sweep():
+    """The error's traceback holds the frames it passed through; none of
+    them still holds the sweep and its stored paths."""
+    q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "w", "u")])
+    with pytest.raises(NotFiniteDimensionalError) as info:
+        build_algebra(q, [], length_cap=8)
+    held = [
+        v
+        for frame, _ in traceback.walk_tb(info.value.__traceback__)
+        for v in frame.f_locals.values()
+    ]
+    assert held
+    assert not [v for v in held if isinstance(v, (algebra._Sweep, algebra._Paths))]
 
 
 def test_malformed_relation_mixed_endpoints():
@@ -338,6 +354,26 @@ def test_relation_check_matches_per_term_fold(case):
         for p in r.terms:
             check(alg, [PathAlgElement.from_path(q, p)])
     assert check(alg, rels)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_every_relation_vanishes_in_the_built_algebra(case):
+    """build_algebra returns only a certified quotient, and the
+    certificate folds each relation from every basis element ending at
+    its source, the idempotent there included; so each relation, folded
+    from its source idempotent, is zero in the algebra built."""
+    q, rels, n, _paths = case
+    alg = build_algebra(q, rels, length_cap=n + 2)
+    assert all(not alg.element_vec(r) for r in rels)
+    assert all(not alg.opposite.element_vec(r) for r in alg.opposite.relations)
+
+
+def test_raw_relations_of_b_vanish_in_the_built_algebra(m_presentation):
+    pres = m_presentation
+    alg = build_algebra(pres.quiver, pres.relations)
+    assert len(alg.relations) == 184 and alg.dim == 165
+    assert all(not alg.element_vec(r) for r in alg.relations)
 
 
 def test_ext2_product_sweep_rejects_at_level_9_and_accepts_at_10(m_presentation):

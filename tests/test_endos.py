@@ -5,12 +5,16 @@ import pytest
 from quivalg import (
     DecompositionInconclusiveError,
     ModuleHom,
+    Quiver,
+    Representation,
+    build_algebra,
     decompose,
     direct_sum,
     indec_projectives,
     is_isomorphic,
     regular_module,
     simples,
+    validate,
 )
 from quivalg.endos import BlockView, EndStructure
 from quivalg.linalg import QQ, Matrix, SpanSolver, rank, vstack
@@ -172,3 +176,23 @@ def test_m_summands_match_translates(m_summands, translates):
     assert [s.rep.total_dim for s in m_summands] == [t.total_dim for t in translates]
     for s, t in zip(m_summands, translates):
         assert bool(is_isomorphic(s.rep, t))
+
+
+def test_kronecker_module_with_a_field_of_endomorphisms():
+    """On the Kronecker quiver, x = Q^2 => Q^2 with a = I and b = [[0, 2],
+    [1, 0]] has End(x) = Q[b] with b^2 = 2, the field Q(sqrt 2): the
+    minimal polynomial t^2 - 2 of b is irreducible of the corner's
+    degree, so decompose certifies x indecomposable.  Its double splits
+    into two copies of x."""
+    q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
+    kronecker = build_algebra(q, [])
+    x = Representation(
+        kronecker, [2, 2], [Matrix.identity(2), Matrix.from_rows([[0, 2], [1, 0]])]
+    )
+    assert validate(x) is None
+    e = EndStructure(x)
+    assert e.dim == 2 and e.radical_dim == 0
+    assert len(decompose(x)) == 1
+    parts = decompose(direct_sum([x, x])[0])
+    assert len(parts) == 2
+    assert all(is_isomorphic(p.rep, x) for p in parts)

@@ -15,6 +15,7 @@ from quivalg.linalg import (
     block_diagonal_rect,
     coefficients_in_span,
     determinant,
+    div,
     extend_independent,
     invert,
     kernel_basis,
@@ -147,10 +148,82 @@ def test_sparse_determinant_matches_cofactor_expansion(m):
 def test_rat_shares_scalars_and_still_coerces():
     q = QQ(-3, 7)
     assert rat(q) is q
-    assert rat(5) == QQ(5) and type(rat(5)) is QQ
+    assert rat(5) == 5 and type(rat(5)) is int
+    assert rat(QQ(10, 2)) == 5 and type(rat(QQ(10, 2))) is int
     assert rat("-3/7") == q and type(rat("-3/7")) is QQ
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+def test_div_is_exact_and_whole_quotients_are_ints():
+    assert div(6, 3) == 2 and type(div(6, 3)) is int
+    assert div(-7, 2) == QQ(-7, 2) and type(div(-7, 2)) is QQ
+    assert div(QQ(3, 2), QQ(1, 2)) == 3 and type(div(QQ(3, 2), QQ(1, 2))) is int
+    assert div(1, QQ(-2, 3)) == QQ(-3, 2)
+    assert div(QQ(4, 3), 2) == QQ(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        div(1, 0)
+
+
+@st.composite
+def whole_heavy_matrices(draw, nrows=None, ncols=None, max_dim=4):
+    """Entries drawn as often from the integers -4..4 as from rationals,
+    so that eliminations divide ints by ints."""
+    nr = draw(st.integers(0, max_dim)) if nrows is None else nrows
+    nc = draw(st.integers(0, max_dim)) if ncols is None else ncols
+    entries = st.one_of(st.integers(-4, 4), rationals)
+    return Matrix.from_rows([[draw(entries) for _ in range(nc)] for _ in range(nr)], nc)
+
+
+def _int_canonical(m):
+    """m with its whole entries as ints, as rat() gives them."""
+    return Matrix.from_rows(m.rows, m.ncols)
+
+
+def _all_fractions(m):
+    """m with every entry a Fraction, whole ones included."""
+    return Matrix(m.nrows, m.ncols, [[QQ(x) for x in r] for r in m.rows])
+
+
+def _scalars(result):
+    """Every scalar in a nest of tuples, lists and matrices."""
+    if isinstance(result, Matrix):
+        return [x for r in result.pairs for _, x in r]
+    if isinstance(result, (tuple, list)):
+        return [x for part in result for x in _scalars(part)]
+    return [] if result is None else [result]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(sparse_matrices(), whole_heavy_matrices()), st.integers(0, 4), st.data())
+def test_int_scalars_give_the_results_of_fraction_scalars(m, n, data):
+    """Whole entries as ints give the same results as every entry a
+    Fraction, and no operation makes a float."""
+    b = data.draw(whole_heavy_matrices(ncols=m.ncols))
+    in_span = data.draw(whole_heavy_matrices(2, m.nrows)) @ m
+    square = data.draw(whole_heavy_matrices(n, n))
+    canonical = _int_canonical(m)
+    assert all(type(x) is int or x.denominator > 1 for x in _scalars(canonical))
+    results = []
+    for convert in (_int_canonical, _all_fractions):
+        a, rhs, ins, sq = (convert(x) for x in (m, b, in_span, square))
+        solver = SpanSolver(a.ncols)
+        for r in a.rows:
+            solver.insert(r)
+        results.append(
+            (
+                rref(a),
+                kernel_basis(a),
+                solve_left(a, rhs),
+                solve_left(a, ins),
+                determinant(sq),
+                invert(sq),
+                [solver.coords(r) for r in rhs.rows + ins.rows],
+            )
+        )
+    assert results[0] == results[1]
+    assert results[0][3] is not None
+    assert not [x for x in _scalars(results) if isinstance(x, float)]
 
 
 @given(matrices())
@@ -465,3 +538,38 @@ def test_no_module_writes_through_the_rows_view():
         if lines:
             found[path.name] = lines
     assert not found, f"writes into .rows: {found}"
+
+
+def _divisions(tree, helper=None):
+    """Line numbers of the / and /= operations in a module, except those
+    inside its top-level function named helper."""
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == helper:
+            allowed = {id(n) for n in ast.walk(node)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div)
+        and id(node) not in allowed
+    )
+
+
+def test_division_goes_through_the_exact_helper():
+    """int / int is a float in Python, so every division in the package
+    is linalg.div, which returns an int or a Fraction."""
+    snippet = ast.parse("x = a / b\ny /= 2\ndef div(a, b):\n    return a / b")
+    assert _divisions(snippet) == [1, 2, 4]
+    assert _divisions(snippet, "div") == [1, 2]
+    package = Path(quivalg.__file__).resolve().parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        helper = "div" if path.name == "linalg.py" else None
+        lines = _divisions(tree, helper)
+        if lines:
+            found[path.name] = lines
+        if helper:
+            assert len(_divisions(tree)) == 1, "linalg.div divides once"
+    assert not found, f"divisions outside linalg.div: {found}"

@@ -695,7 +695,6 @@ class PresentedAlgebra:
         self.loewy_length: int = 0
         self._action: List[List[Vec]] = []
         self._by_endpoints: Dict[Tuple[int, int], List[int]] = {}
-        self._mult_cache: Dict[Tuple[int, int], Vec] = {}
         self._opposite: Optional["PresentedAlgebra"] = None
         # indecomposable projectives, filled by modules.indec_projectives
         self._projectives: Optional[list] = None
@@ -738,20 +737,14 @@ class PresentedAlgebra:
 
     def mult_basis(self, i: int, j: int) -> Vec:
         """Product of basis elements i and j as a sparse coefficient vector."""
-        key = (i, j)
-        cached = self._mult_cache.get(key)
-        if cached is not None:
-            return cached
         p, q = self.basis[i], self.basis[j]
         if p.target != q.source:
-            out: Vec = {}
-        else:
-            out = {i: ONE}
-            for ai in q.arrows:
-                if not out:
-                    break
-                out = self.apply_arrow(out, ai)
-        self._mult_cache[key] = out
+            return {}
+        out: Vec = {i: ONE}
+        for ai in q.arrows:
+            if not out:
+                break
+            out = self.apply_arrow(out, ai)
         return out
 
     def multiply_vec(self, xs: Vec, ys: Vec) -> Vec:
@@ -821,8 +814,7 @@ def _make_opposite(a: PresentedAlgebra) -> PresentedAlgebra:
     op.loewy_length = a.loewy_length
     # arrows are basis paths since relations lie in J^2; read their
     # positions off the basis, which orders them by source vertex first.
-    # An arrow not ending where basis[k] starts gives a zero row, which
-    # is not worth a cache entry in a.
+    # An arrow not ending where basis[k] starts gives a zero row.
     arrow_pos = {p.arrows[0]: i for i, p in enumerate(a.basis) if p.length == 1}
     op._action = [
         [

@@ -62,14 +62,6 @@ def _load_algebra(ref: str, length_cap: int = 20) -> PresentedAlgebra:
         raise _InputError(f"{ref}: {exc}") from exc
 
 
-def _module_algebra_ref(text: str) -> str:
-    for raw in text.splitlines():
-        words = raw.split("#", 1)[0].split(None, 1)
-        if words and words[0] == "algebra":
-            return words[1].strip() if len(words) > 1 else ""
-    return ""
-
-
 def _load_module(path: str, length_cap: int = 20):
     """Parsed and validated representation plus its algebra reference."""
     try:
@@ -77,16 +69,20 @@ def _load_module(path: str, length_cap: int = 20):
             text = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
+    refs: List[str] = []
+
+    def load(ref: str) -> PresentedAlgebra:
+        refs.append(ref)
+        return _load_algebra(ref, length_cap)
+
     try:
-        rep = parse_module(
-            text, algebra_loader=lambda ref: _load_algebra(ref, length_cap)
-        )
+        rep = parse_module(text, algebra_loader=load)
     except ParseError as exc:
         raise _InputError(f"{path}: {exc}") from exc
     problem = validate(rep)
     if problem is not None:
         raise _InputError(f"{path}: not a module over its algebra: {problem}")
-    return rep, _module_algebra_ref(text)
+    return rep, refs[0]
 
 
 class _Report:

@@ -33,6 +33,14 @@ from .linalg import (
 )
 from .modules import ModuleHom, Representation, _sub_rep, hom_basis
 
+# random corner elements tried before a corner of the semisimple
+# quotient is reported neither split nor certified primitive
+MAX_SPLIT_ATTEMPTS = 64
+# powers of the radical taken before radical_nilpotency_index gives up
+MAX_RADICAL_POWER = 64
+# steps of f -> 3f^2 - 2f^3 before lifting an idempotent is given up
+MAX_LIFT_ITERATIONS = 64
+
 
 def _flat(mats: Sequence[Matrix]) -> List:
     """The matrices flattened row-major and concatenated, as the sorted
@@ -76,6 +84,11 @@ class EndStructure:
     basis holds ModuleHom objects; coords expresses an arbitrary
     endomorphism in that basis.  The Gram matrix of the trace form of
     the action on m has the radical as its left kernel.
+
+    basis defaults to hom_basis(m, m).  Passing another linearly
+    independent spanning set of End(m) lets a caller fix the basis that
+    decompose(m, structure=...) searches for idempotents, which is how
+    the tests reach its random-combination and lifting branches.
     """
 
     def __init__(self, m: Representation, basis: Optional[Sequence[ModuleHom]] = None):
@@ -97,7 +110,6 @@ class EndStructure:
         self._radical_coords: Optional[Matrix] = None
         self._radical_homs: Optional[List[ModuleHom]] = None
         self._identity_coords: Optional[List] = None
-        self.summands: Optional[List["Summand"]] = None
 
     # -- coordinates ----------------------------------------------------
 
@@ -169,9 +181,7 @@ class EndStructure:
                 out.append(view.hom_from_block_flat(bu, bv, row))
         return out
 
-    def radical_nilpotency_index(
-        self, summands: Optional[List["Summand"]] = None, max_power: int = 64
-    ) -> int:
+    def radical_nilpotency_index(self, summands: Optional[List["Summand"]] = None) -> int:
         """Least k with rad^k = 0 (k = 1 for a semisimple algebra)."""
         view = BlockView(self.module, summands or decompose(self.module, structure=self))
         first = view.radical_block_spans(self)
@@ -180,7 +190,7 @@ class EndStructure:
         while cur:
             cur = view.block_span_products(cur, first)
             k += 1
-            if k > max_power:
+            if k > MAX_RADICAL_POWER:
                 raise RuntimeError("radical power chain did not terminate")
         return k
 
@@ -442,12 +452,11 @@ def _sympy_poly_coeffs(poly) -> List:
     return out
 
 
-def _split_idempotent(
-    q: _Quotient, u: List, rng: random.Random, max_attempts: int
-) -> Optional[Tuple[List, List]]:
+def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tuple[List, List]]:
     """Split u into two orthogonal idempotents of the semisimple
     quotient, or return None when u is certified primitive.  Raises
-    DecompositionInconclusiveError when neither happens in budget."""
+    DecompositionInconclusiveError when neither happens within
+    MAX_SPLIT_ATTEMPTS random combinations."""
     import sympy
 
     # corner basis: row space of u * e_i * u over the quotient basis
@@ -504,7 +513,7 @@ def _split_idempotent(
             if primitive:
                 return None
             return split
-    for _ in range(max_attempts):
+    for _ in range(MAX_SPLIT_ATTEMPTS):
         x = [ZERO] * q.dim
         for row in corner_basis:
             c = rng.randint(-4, 4)
@@ -520,20 +529,18 @@ def _split_idempotent(
             return split
     raise DecompositionInconclusiveError(
         "could not split a corner of dimension %d after %d attempts"
-        % (cdim, max_attempts)
+        % (cdim, MAX_SPLIT_ATTEMPTS)
     )
 
 
-def _primitive_idempotents(
-    q: _Quotient, rng: random.Random, max_attempts: int
-) -> List[List]:
+def _primitive_idempotents(q: _Quotient, rng: random.Random) -> List[List]:
     """Primitive orthogonal idempotents of the semisimple quotient
     summing to the unit, in a deterministic refinement order."""
     queue = [q.unit]
     final = []
     while queue:
         u = queue.pop(0)
-        split = _split_idempotent(q, u, rng, max_attempts)
+        split = _split_idempotent(q, u, rng)
         if split is None:
             final.append(u)
         else:
@@ -544,11 +551,11 @@ def _primitive_idempotents(
 # -- idempotent lifting -------------------------------------------------
 
 
-def _lift_to_idempotent(h: ModuleHom, max_iter: int = 64) -> ModuleHom:
+def _lift_to_idempotent(h: ModuleHom) -> ModuleHom:
     """Iterate f -> 3f^2 - 2f^3 until exactly idempotent.  Converges
     because f^2 - f lies in the nilpotent radical."""
     f = h
-    for _ in range(max_iter):
+    for _ in range(MAX_LIFT_ITERATIONS):
         sq = f * f
         if sq == f:
             return f
@@ -560,7 +567,6 @@ def decompose(
     m: Representation,
     seed: int = 0,
     structure: Optional[EndStructure] = None,
-    max_attempts: int = 64,
 ) -> List[Summand]:
     """Direct sum decomposition of m into indecomposable summands.
 
@@ -569,16 +575,14 @@ def decompose(
     polynomial identities, and the returned inclusions stack to an
     invertible change of basis.  Raises DecompositionInconclusiveError
     when a corner of the semisimple quotient cannot be split or
-    certified primitive within the attempt budget.
+    certified primitive within MAX_SPLIT_ATTEMPTS random combinations.
     """
     if m.is_zero():
         return []
     E = structure if structure is not None else EndStructure(m)
-    if E.summands is not None:
-        return E.summands
     rng = random.Random(seed)
     q = _Quotient(E)
-    prim = _primitive_idempotents(q, rng, max_attempts)
+    prim = _primitive_idempotents(q, rng)
 
     idems: List[ModuleHom] = []
     partial: Optional[ModuleHom] = None
@@ -614,5 +618,4 @@ def decompose(
         stacked = vstack([s.inclusion.vertex_maps[v] for s in summands])
         assert stacked.nrows == m.dims[v]
         assert invert(stacked) is not None
-    E.summands = summands
     return summands

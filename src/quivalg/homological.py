@@ -35,40 +35,35 @@ from .modules import (
 DEFAULT_BOUND = 6
 
 
-class ExceedsBound:
+class _Bound:
+    """A bounded search's answer in place of a value; equal to an
+    instance of the same sentinel class with the same bound."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int):
+        self.bound = bound
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and other.bound == self.bound
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.bound))
+
+    def __repr__(self) -> str:
+        return "%s(%d)" % (type(self).__name__, self.bound)
+
+
+class ExceedsBound(_Bound):
     """Sentinel: the true value is strictly greater than `bound`."""
 
-    __slots__ = ("bound",)
-
-    def __init__(self, bound: int):
-        self.bound = bound
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExceedsBound) and other.bound == self.bound
-
-    def __hash__(self) -> int:
-        return hash(("ExceedsBound", self.bound))
-
-    def __repr__(self) -> str:
-        return "ExceedsBound(%d)" % self.bound
+    __slots__ = ()
 
 
-class AtLeastBound:
+class AtLeastBound(_Bound):
     """Sentinel: the true value is at least `bound` (possibly infinite)."""
 
-    __slots__ = ("bound",)
-
-    def __init__(self, bound: int):
-        self.bound = bound
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AtLeastBound) and other.bound == self.bound
-
-    def __hash__(self) -> int:
-        return hash(("AtLeastBound", self.bound))
-
-    def __repr__(self) -> str:
-        return "AtLeastBound(%d)" % self.bound
+    __slots__ = ()
 
 
 # -- minimal resolutions ------------------------------------------------

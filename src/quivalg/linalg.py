@@ -148,6 +148,8 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ncols: Optional[int] = None) -> "Matrix":
+        """Matrix of dense rows.  ncols is read only when rows is empty:
+        it is the one way to build a 0 x n matrix from rows."""
         rows = [[rat(x) for x in r] for r in rows]
         if rows:
             width = len(rows[0])
@@ -164,9 +166,6 @@ class Matrix:
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
         return Matrix(nrows, ncols)
-
-    def copy(self) -> "Matrix":
-        return Matrix._from_pairs(self.nrows, self.ncols, list(self.pairs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

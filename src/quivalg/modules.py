@@ -779,12 +779,12 @@ def _induced_hom_matrix(
 
 # -- isomorphism testing ------------------------------------------------
 
+# random combinations of the hom basis tried before a probabilistic "no"
+ISO_ATTEMPTS = 24
+
 
 def is_isomorphic(
-    m: Representation,
-    n: Representation,
-    seed: int = 0,
-    attempts: int = 24,
+    m: Representation, n: Representation, seed: int = 0
 ) -> Union[ModuleHom, NotIsomorphic]:
     """Invertible hom witness, or a falsy NotIsomorphic.
 
@@ -806,7 +806,7 @@ def is_isomorphic(
         if h.is_isomorphism():
             return h
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(ISO_ATTEMPTS):
         coeffs = [rng.randint(-4, 4) for _ in homs]
         combo = None
         for c, h in zip(coeffs, homs):

@@ -38,9 +38,7 @@ class Quiver:
         self.vertex_labels: List[str] = [str(v) for v in vertices]
         if len(set(self.vertex_labels)) != len(self.vertex_labels):
             raise ValueError("duplicate vertex label")
-        self._vertex_index: Dict[str, int] = {
-            v: i for i, v in enumerate(self.vertex_labels)
-        }
+        vertex_index = {v: i for i, v in enumerate(self.vertex_labels)}
         self.arrows: List[Arrow] = []
         seen = set()
         for label, src, tgt in arrows:
@@ -48,12 +46,12 @@ class Quiver:
             if label in seen:
                 raise ValueError(f"duplicate arrow label {label!r}")
             seen.add(label)
-            if src not in self._vertex_index:
+            if src not in vertex_index:
                 raise ValueError(f"arrow {label!r}: unknown source vertex {src!r}")
-            if tgt not in self._vertex_index:
+            if tgt not in vertex_index:
                 raise ValueError(f"arrow {label!r}: unknown target vertex {tgt!r}")
             self.arrows.append(
-                Arrow(len(self.arrows), label, self._vertex_index[src], self._vertex_index[tgt])
+                Arrow(len(self.arrows), label, vertex_index[src], vertex_index[tgt])
             )
         self._arrow_index: Dict[str, int] = {a.label: a.index for a in self.arrows}
         self.out_arrows: List[List[Arrow]] = [[] for _ in self.vertex_labels]
@@ -65,12 +63,6 @@ class Quiver:
     @property
     def num_vertices(self) -> int:
         return len(self.vertex_labels)
-
-    def vertex_index(self, label: str) -> int:
-        try:
-            return self._vertex_index[label]
-        except KeyError:
-            raise ValueError(f"unknown vertex {label!r}") from None
 
     def arrow(self, label: str) -> Arrow:
         try:
@@ -188,10 +180,6 @@ class PathAlgElement:
     @staticmethod
     def from_path(quiver: Quiver, p: Path, coeff=1) -> "PathAlgElement":
         return PathAlgElement(quiver, {p: rat(coeff)})
-
-    @staticmethod
-    def zero(quiver: Quiver) -> "PathAlgElement":
-        return PathAlgElement(quiver)
 
     def is_zero(self) -> bool:
         return not self.terms

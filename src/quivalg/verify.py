@@ -13,6 +13,7 @@ max_length, every check that needs the presented algebra is
 inconclusive, and an info line inconclusive_reason names the cap.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -45,18 +46,10 @@ from .presets import (
 # callers that reach it as quivalg.verify.minimize_relations
 minimize_relations = endquiver.minimize_relations
 
-# arrow counts of the reference endomorphism quiver, vertex k = the
-# k-th translate counted from the projective one (see REVERSAL below)
-REFERENCE_ADJACENCY = {
-    (0, 1): 1,
-    (0, 3): 1,
-    (1, 2): 1,
-    (1, 4): 1,
-    (2, 3): 1,
-    (3, 0): 2,
-    (3, 4): 1,
-    (4, 1): 2,
-}
+# arrow counts per (source, target) of the reference endomorphism
+# quiver, vertex k = the k-th translate counted from the projective one
+# (see _reversed_adjacency below)
+REFERENCE_ADJACENCY = Counter((ar.source, ar.target) for ar in reference_end_quiver().arrows)
 
 # Computed vertex order is translate order (dual regular module first);
 # the reference labels run the opposite way, so vertex k of the

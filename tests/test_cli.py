@@ -445,6 +445,49 @@ def test_no_unused_imports():
     assert not unused, f"unused imports: {unused}"
 
 
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _named(tree):
+    """Every name a module refers to: names, attributes, imported names,
+    and the parts of strings that are dotted names, which is how
+    perfbench's TRACED and count_calls look functions up."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED_NAME.fullmatch(node.value):
+                names |= set(node.value.split("."))
+    return names
+
+
+def test_no_dead_definitions():
+    """Every function, method and class defined in quivalg is named
+    somewhere in src, tests, perfbench, demos or pyproject.toml, apart
+    from its own definition; dunder methods are exempt."""
+    root = Path(__file__).resolve().parents[1]
+    defined = {}
+    for path in sorted(Path(quivalg.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, path.name)
+    named = set(re.findall(r"\w+", (root / "pyproject.toml").read_text()))
+    for part in ("src", "tests", "perfbench", "demos"):
+        for path in sorted((root / part).rglob("*.py")):
+            named |= _named(ast.parse(path.read_text(), str(path)))
+    dead = sorted(
+        f"{where}:{name}"
+        for name, where in defined.items()
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not dead, f"defined but never named: {dead}"
+
+
 def test_import_leaves_numpy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, quivalg; print('numpy' in sys.modules)"],

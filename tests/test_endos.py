@@ -1,5 +1,7 @@
 """Endomorphism algebra structure, radicals, and decomposition."""
 
+import random
+
 import pytest
 
 from quivalg import (
@@ -10,12 +12,15 @@ from quivalg import (
     build_algebra,
     decompose,
     direct_sum,
+    hom_basis,
     indec_projectives,
+    invert,
     is_isomorphic,
     regular_module,
     simples,
     validate,
 )
+from quivalg import endos
 from quivalg.endos import BlockView, EndStructure
 from quivalg.linalg import QQ, Matrix, SpanSolver, rank, vstack
 
@@ -196,3 +201,93 @@ def test_kronecker_module_with_a_field_of_endomorphisms():
     parts = decompose(direct_sum([x, x])[0])
     assert len(parts) == 2
     assert all(is_isomorphic(p.rep, x) for p in parts)
+
+
+def test_decompose_falls_back_to_random_combinations(l2, count_calls):
+    """End(S + S) over the dual numbers is M_2(Q).  In the basis I, E12,
+    2 E12 + E21 and [[1, 1], [-1, 2]] no element has a minimal polynomial
+    that splits (t - 1, t^2, t^2 - 2, t^2 - 3t + 3), and the corner is not
+    commutative, so no basis element splits the unit or certifies it
+    primitive: decompose has to try random combinations."""
+    s = simples(l2)[0]
+    m = direct_sum([s, s])[0]
+    basis = [
+        ModuleHom(m, m, [Matrix.from_rows(rows)])
+        for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 2], [1, 0]], [[1, 1], [-1, 2]])
+    ]
+    draws = count_calls(random.Random, "randint")
+    parts = decompose(m, seed=0, structure=EndStructure(m, basis=basis))
+    assert draws["calls"] > 0
+    assert len(parts) == 2
+    assert all(is_isomorphic(p.rep, s) for p in parts)
+
+
+def test_decompose_lifts_and_reduces_a_basis_with_radical_parts(l2, monkeypatch):
+    """End(P + S) over the dual numbers in a basis whose elements outside
+    the radical carry a radical part: the lifted idempotent is not yet
+    idempotent, so the lifting iteration runs, and the quotient
+    projection has radical coordinates to reduce."""
+    s, p = simples(l2)[0], indec_projectives(l2)[0]
+    m = direct_sum([p, s])[0]
+    r = EndStructure(m).radical_homs()[0]
+    basis = [h + r if i % 2 == 0 else h for i, h in enumerate(hom_basis(m, m))]
+
+    lifted = []
+    lift = endos._lift_to_idempotent
+
+    def spy_lift(h):
+        lifted.append(h * h == h)
+        return lift(h)
+
+    reduced = []
+    project = endos._Quotient.project
+
+    def spy_project(q, coords):
+        # the echelon rows are reduced, so each lead coordinate stays as
+        # given until its own row is subtracted
+        reduced.append(sum(1 for lead, _ in q._ech if coords[lead]))
+        return project(q, coords)
+
+    monkeypatch.setattr(endos, "_lift_to_idempotent", spy_lift)
+    monkeypatch.setattr(endos._Quotient, "project", spy_project)
+    parts = decompose(m, seed=0, structure=EndStructure(m, basis=basis))
+    assert False in lifted
+    assert sum(reduced) > 0
+    assert sorted(part.rep.dims for part in parts) == [[1], [2]]
+    for part in parts:
+        assert is_isomorphic(part.rep, p if part.rep.dims == [2] else s)
+
+
+def test_decompose_factors_a_quartic_into_two_quadratics(monkeypatch):
+    """Q(sqrt 2) + Q(sqrt 3) on the Kronecker quiver, with a = I and b the
+    block-diagonal [[0, 2], [1, 0]] and [[0, 3], [1, 0]], conjugated by
+    one invertible P at both vertices.  The first minimal polynomial
+    decompose factors is the quartic (t^2 - 2)(t^2 - 3), which has no
+    rational root, so splitting it needs its quadratic factors."""
+    q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
+    kronecker = build_algebra(q, [])
+    fields = [
+        Representation(kronecker, [2, 2], [Matrix.identity(2), Matrix.from_rows([[0, d], [1, 0]])])
+        for d in (2, 3)
+    ]
+    b = Matrix.from_rows([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]])
+    change = Matrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 2, 0], [0, 1, 1, 1]])
+    x = Representation(kronecker, [4, 4], [Matrix.identity(4), change @ b @ invert(change)])
+    assert validate(x) is None
+
+    factored = []
+    factor = endos._factor_minpoly
+
+    def spy_factor(coeffs):
+        poly, factors = factor(coeffs)
+        factored.append((len(coeffs) - 1, sorted(f.degree() for f, _ in factors)))
+        return poly, factors
+
+    monkeypatch.setattr(endos, "_factor_minpoly", spy_factor)
+    parts = decompose(x)
+    assert factored[0] == (4, [2, 2])
+    assert len(parts) == 2
+    assert sorted([bool(is_isomorphic(p.rep, f)) for f in fields] for p in parts) == [
+        [False, True],
+        [True, False],
+    ]

@@ -203,6 +203,13 @@ def test_ext2_simples_total_two_loop(two_loop):
     assert ext2_simples_total(two_loop.quiver, two_loop.relations, two_loop.dim) == 2
 
 
+@pytest.mark.parametrize("length_cap, total", [(3, None), (5, 2)])
+def test_ext2_simples_total_is_none_until_the_sweep_stabilizes(two_loop, length_cap, total):
+    """KQ/(IJ + JI) for the two-loop relations needs paths of length 5."""
+    q = two_loop.quiver
+    assert ext2_simples_total(q, two_loop.relations, two_loop.dim, length_cap=length_cap) == total
+
+
 def test_ext2_simples_total_end_algebra(m_presentation):
     pres = m_presentation
     assert ext2_simples_total(pres.quiver, pres.relations, 165) == 10

@@ -7,10 +7,13 @@ from quivalg import (
     AtLeastBound,
     ExceedsBound,
     IncompletePresentationWarning,
+    Quiver,
     ar_translate,
+    build_algebra,
     cartan_determinant,
     cartan_matrix,
     cluster_tilting_verdict,
+    direct_sum,
     dominant_dimension,
     ext_dim,
     global_dimension,
@@ -188,6 +191,26 @@ def test_cluster_tilting_verdict_on_pipeline(m_module, count_calls):
     assert structures["calls"] == 1
     assert decompositions["calls"] == 1
     assert builds["calls"] == 1
+
+
+def test_cluster_tilting_verdict_rejects_an_isolated_vertex():
+    q = Quiver(["u", "w", "z"], [("a", "u", "w")])
+    a = build_algebra(q, [])
+    with pytest.raises(ValueError, match="connected quiver"):
+        cluster_tilting_verdict(regular_module(a), 2)
+
+
+def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2):
+    """Over the path algebra of v1 -> v2 the sum of its three
+    indecomposables passes the connectivity check; its Auslander algebra
+    has gldim = domdim = 2, so M is not 2-cluster-tilting."""
+    m = direct_sum(indec_projectives(a2) + simples(a2)[:1])[0]
+    verdict = cluster_tilting_verdict(m, 2, bound=6, seed=0)
+    assert verdict.conclusive
+    assert verdict.is_cluster_tilting is False
+    assert verdict.generator_cogenerator
+    assert verdict.global_dimension == 2
+    assert verdict.dominant_dimension == 2
 
 
 def test_cluster_tilting_inconclusive_when_presentation_capped(m_module):

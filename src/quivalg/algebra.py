@@ -67,9 +67,10 @@ coefficient, so scaling a relation changes nothing.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import MalformedRelationError, NotFiniteDimensionalError
 from .linalg import ONE, QQ, _iadd, div
@@ -695,7 +696,9 @@ class PresentedAlgebra:
         self.loewy_length: int = 0
         self._action: List[List[Vec]] = []
         self._by_endpoints: Dict[Tuple[int, int], List[int]] = {}
-        self._opposite: Optional["PresentedAlgebra"] = None
+        # the opposite this algebra built, or a weak link back to the
+        # algebra that built this one, so the pair forms no cycle
+        self._opposite: Union["PresentedAlgebra", weakref.ref, None] = None
         # indecomposable projectives, filled by modules.indec_projectives
         self._projectives: Optional[list] = None
 
@@ -783,11 +786,15 @@ class PresentedAlgebra:
 
         Its basis is the reversed basis paths, in the same positions, and
         its table row k, arrow a is the product a * basis[k] in this
-        algebra.
+        algebra.  An opposite links back weakly, so a.opposite.opposite
+        is a while a is alive, and is built afresh otherwise.
         """
-        if self._opposite is None:
-            self._opposite = _make_opposite(self)
-        return self._opposite
+        op = self._opposite
+        if isinstance(op, weakref.ref):
+            op = op()
+        if op is None:
+            op = self._opposite = _make_opposite(self)
+        return op
 
     def __repr__(self) -> str:
         return (
@@ -823,7 +830,7 @@ def _make_opposite(a: PresentedAlgebra) -> PresentedAlgebra:
         ]
         for k, p in enumerate(a.basis)
     ]
-    op._opposite = a
+    op._opposite = weakref.ref(a)
     return op
 
 

@@ -250,17 +250,14 @@ def cartan_determinant(a: PresentedAlgebra):
 
 def is_generator_cogenerator(m: Representation, seed: int = 0) -> bool:
     """Every indecomposable projective and injective occurs among the
-    direct summands of m (up to isomorphism)."""
-    return _covers_projectives_injectives(
-        m.algebra, [s.rep for s in decompose(m, seed=seed)], seed
-    )
+    direct summands of m (up to isomorphism).  The answer is certain;
+    seed only drives the idempotent splitting of decompose."""
+    return _covers_projectives_injectives(m.algebra, [s.rep for s in decompose(m, seed=seed)])
 
 
-def _covers_projectives_injectives(
-    a: PresentedAlgebra, parts: List[Representation], seed: int
-) -> bool:
+def _covers_projectives_injectives(a: PresentedAlgebra, parts: List[Representation]) -> bool:
     for target in indec_projectives(a) + indec_injectives(a):
-        if not any(bool(is_isomorphic(target, p, seed=seed)) for p in parts):
+        if not any(is_isomorphic(target, p) for p in parts):
             return False
     return True
 
@@ -346,9 +343,7 @@ def cluster_tilting_verdict(
 
     structure = EndStructure(m)
     pres = end_as_quiver_algebra(m, max_length=max_length, seed=seed, structure=structure)
-    gen_cog = _covers_projectives_injectives(
-        a, [s.rep for s in pres.vertex_summands], seed
-    )
+    gen_cog = _covers_projectives_injectives(a, [s.rep for s in pres.vertex_summands])
     ext_dims = {i: ext_dim(m, m, i) for i in range(1, n)}
     settled = [gen_cog, all(d == 0 for d in ext_dims.values())]
     b = pres.presented

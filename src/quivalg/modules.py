@@ -10,8 +10,7 @@ The internal helpers pass vectors as sparse rows, the sorted nonzero
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import QuivalgError
 from .linalg import (
@@ -216,23 +215,6 @@ class ModuleHom:
 
     def __repr__(self) -> str:
         return f"ModuleHom({self.source!r} -> {self.target!r})"
-
-
-class NotIsomorphic:
-    """Negative outcome of is_isomorphic; falsy.  certain is True only when
-    a dimension obstruction rules the isomorphism out, otherwise the answer
-    is probabilistic (no invertible combination was found)."""
-
-    __slots__ = ("certain",)
-
-    def __init__(self, certain: bool):
-        self.certain = certain
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return f"NotIsomorphic(certain={self.certain})"
 
 
 def _same_algebra(m: Representation, n: Representation) -> None:
@@ -548,25 +530,26 @@ def _radical_rows(m: Representation) -> List[Matrix]:
     return rows
 
 
+def _socle_rows(m: Representation) -> List[Matrix]:
+    a = m.algebra
+    rows = []
+    for v in range(a.num_vertices):
+        outgoing = [m.matrices[ar.index] for ar in a.quiver.out_arrows[v]]
+        if outgoing:
+            rows.append(left_kernel_basis(hstack(outgoing)))
+        else:
+            rows.append(Matrix.identity(m.dims[v]))
+    return rows
+
+
 def radical_top_socle(m: Representation):
     """((rad, inclusion), (top, projection), (soc, inclusion)).
 
     rad at v is the sum of incoming arrow images, soc at v the intersection
     of outgoing arrow kernels; top = m / rad carries the zero action.
     """
-    a = m.algebra
     rad_rows = _radical_rows(m)
-    rad = _sub_rep(m, rad_rows)
-    top = _quotient_rep(m, rad_rows)
-    soc_rows = []
-    for v in range(a.num_vertices):
-        outgoing = [m.matrices[ar.index] for ar in a.quiver.out_arrows[v]]
-        if outgoing:
-            soc_rows.append(left_kernel_basis(hstack(outgoing)))
-        else:
-            soc_rows.append(Matrix.identity(m.dims[v]))
-    soc = _sub_rep(m, soc_rows)
-    return rad, top, soc
+    return _sub_rep(m, rad_rows), _quotient_rep(m, rad_rows), socle(m)
 
 
 def radical(m: Representation) -> Tuple[Representation, ModuleHom]:
@@ -578,7 +561,7 @@ def top(m: Representation) -> Tuple[Representation, ModuleHom]:
 
 
 def socle(m: Representation) -> Tuple[Representation, ModuleHom]:
-    return radical_top_socle(m)[2]
+    return _sub_rep(m, _socle_rows(m))
 
 
 # -- covers, envelopes, projectivity ------------------------------------
@@ -779,40 +762,53 @@ def _induced_hom_matrix(
 
 # -- isomorphism testing ------------------------------------------------
 
-# random combinations of the hom basis tried before a probabilistic "no"
-ISO_ATTEMPTS = 24
 
+def _indecomposable_iso(x: Representation, y: Representation) -> Optional[ModuleHom]:
+    """The first element of the basis of Hom(x, y) that is an isomorphism,
+    or None; for x indecomposable, None proves x and y not isomorphic.
 
-def is_isomorphic(
-    m: Representation, n: Representation, seed: int = 0
-) -> Union[ModuleHom, NotIsomorphic]:
-    """Invertible hom witness, or a falsy NotIsomorphic.
-
-    Positive answers are certain (the witness is verified invertible);
-    negative answers are probabilistic unless a dimension obstruction or an
-    empty hom space makes them certain.  Deterministic for a fixed seed.
+    Proof (Fitting's lemma; Auslander-Reiten-Smalo, I.4): End(x) is
+    local, so its non-units form a proper subspace, the radical.  Given
+    an isomorphism phi: x -> y, f -> f * phi^-1 maps Hom(x, y) linearly
+    onto End(x), so it carries the basis to a basis of End(x), which
+    cannot lie in the radical.  Some basis element f thus has f * phi^-1
+    a unit, and f is an isomorphism.
     """
+    if x.dims != y.dims:
+        return None
+    return next((f for f in hom_basis(x, y) if f.is_isomorphism()), None)
+
+
+def is_isomorphic(m: Representation, n: Representation) -> Optional[ModuleHom]:
+    """A verified isomorphism m -> n, or None when there is none; both
+    answers are certain.
+
+    A nonzero module with a simple top or a simple socle is indecomposable
+    and goes straight to _indecomposable_iso.  Other modules are split
+    into indecomposable summands on both sides, matched greedily, which
+    decides isomorphism by Krull-Schmidt, and the witness sums the
+    matched summands' isomorphisms; decompose may raise
+    DecompositionInconclusiveError there.
+    """
+    from .endos import decompose
+
     _same_algebra(m, n)
     if m.dims != n.dims:
-        return NotIsomorphic(certain=True)
-    if m.total_dim == 0:
-        return ModuleHom.zero(m, n)
-    if m is n:
-        return ModuleHom.identity(m)
-    homs = hom_basis(m, n)
-    if not homs:
-        return NotIsomorphic(certain=True)
-    for h in homs:
-        if h.is_isomorphism():
-            return h
-    rng = random.Random(seed)
-    for _ in range(ISO_ATTEMPTS):
-        coeffs = [rng.randint(-4, 4) for _ in homs]
-        combo = None
-        for c, h in zip(coeffs, homs):
-            if c:
-                part = h.scale(c)
-                combo = part if combo is None else combo + part
-        if combo is not None and combo.is_isomorphism():
-            return combo
-    return NotIsomorphic(certain=False)
+        return None
+    top_dim = m.total_dim - sum(r.nrows for r in _radical_rows(m))
+    if top_dim == 1 or sum(r.nrows for r in _socle_rows(m)) == 1:
+        return _indecomposable_iso(m, n)
+    witness = ModuleHom.zero(m, n)
+    unmatched = decompose(n)
+    for s in decompose(m):
+        for i, t in enumerate(unmatched):
+            f = _indecomposable_iso(s.rep, t.rep)
+            if f is not None:
+                witness = witness + s.projection * f * t.inclusion
+                del unmatched[i]
+                break
+        else:
+            return None
+    if not witness.is_isomorphism():
+        raise QuivalgError("internal: matched summands do not sum to an isomorphism")
+    return witness

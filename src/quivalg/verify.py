@@ -3,7 +3,9 @@
 Runs the whole chain over the built-in two-loop algebra: translates of
 the dual regular module, the candidate module, its endomorphism
 presentation, and every headline invariant, in a fixed order with
-stable report keys.  Deterministic for a fixed seed.
+stable report keys.  Deterministic for a fixed seed, which only the
+idempotent splitting of End(M) reads; the isomorphism checks behind
+u4_iso_a and m_generator_cogenerator are certain either way.
 
 End(M), its decomposition, its presentation, gldim, domdim and
 Ext^1(M, M) come from a single cluster_tilting_verdict, and the report
@@ -143,7 +145,7 @@ def run_verification(
     u4 = translates[4]
     proj = is_projective(u4)
     report.check("u4_projective", proj, proj)
-    witness = is_isomorphic(u4, reg, seed=seed)
+    witness = is_isomorphic(u4, reg)
     report.check("u4_iso_a", bool(witness), bool(witness))
 
     m = direct_sum(translates)[0]

@@ -488,6 +488,24 @@ def test_no_dead_definitions():
     assert not dead, f"defined but never named: {dead}"
 
 
+def test_only_idempotent_splitting_imports_random():
+    """Idempotent splitting in endos.py is the one randomized step left;
+    every other answer, isomorphism included, comes from a deterministic
+    test, so no other quivalg module imports random."""
+    importers = set()
+    for path in sorted(Path(quivalg.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.add(path.name)
+    assert importers == {"endos.py"}
+
+
 def test_import_leaves_numpy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, quivalg; print('numpy' in sys.modules)"],

@@ -76,6 +76,23 @@ def test_projectives_are_cached_without_keeping_the_algebra_alive():
     assert ref() is None
 
 
+def test_opposite_links_back_without_a_cycle():
+    """An algebra whose injectives were built is freed as soon as its last
+    reference goes, without the cyclic garbage collector: its opposite
+    points back to it only weakly."""
+    q = Quiver(["v"], [("x", "v", "v")])
+    a = build_algebra(q, [element(q, (1, ["x", "x", "x"]))])
+    assert a.opposite.opposite is a
+    gc.disable()
+    try:
+        indec_injectives(a)
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_l2_projective_equals_injective(l2):
     p = indec_projectives(l2)[0]
     i = indec_injectives(l2)[0]
@@ -179,7 +196,33 @@ def test_is_isomorphic_negative_certainty(l2):
     s = simples(l2)[0]
     verdict = is_isomorphic(p, s)
     assert not verdict
-    assert verdict.certain  # dimension mismatch is conclusive
+    assert verdict is None  # every negative answer is certain
+
+
+def test_is_isomorphic_no_between_projective_and_two_simples(l2):
+    """P and S + S over the dual numbers have equal dimensions and a
+    two-dimensional Hom space both ways, yet are not isomorphic: the
+    answer is None either way round, with no search to run out."""
+    p = indec_projectives(l2)[0]
+    s = simples(l2)[0]
+    ss = direct_sum([s, s])[0]
+    assert len(hom_basis(p, ss)) == len(hom_basis(ss, p)) == 2
+    assert is_isomorphic(p, ss) is None
+    assert is_isomorphic(ss, p) is None
+
+
+def test_is_isomorphic_matches_summands(l2):
+    """S + S has neither a simple top nor a simple socle, and no element
+    of the Hom basis between two copies of it is invertible, so the
+    witness comes from matching the summands of both sides."""
+    s = simples(l2)[0]
+    x = direct_sum([s, s])[0]
+    y = direct_sum([s, s])[0]
+    assert x is not y
+    assert not any(h.is_isomorphism() for h in hom_basis(x, y))
+    witness = is_isomorphic(x, y)
+    assert witness.is_isomorphism() and witness.is_valid()
+    assert witness.source is x and witness.target is y
 
 
 def test_is_isomorphic_finds_nontrivial_witness(l2, two_loop):
@@ -197,6 +240,7 @@ def test_zero_module_edge_cases(l2):
     assert z.is_zero() and z.total_dim == 0
     assert hom_basis(z, z) == []
     assert is_projective(z) and is_injective(z)
+    assert is_isomorphic(z, zero_module(l2)).is_isomorphism()  # empty decompositions
 
 
 def _jordan_module(n):
@@ -344,6 +388,19 @@ def test_hom_basis_matches_commuting_square_nullity(pair):
     flat = [[c for f in h.vertex_maps for c in f.flatten()] for h in homs]
     width = sum(x.dims[v] * y.dims[v] for v in range(len(x.dims)))
     assert rank(Matrix(len(flat), width, flat)) == len(homs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hom_pairs())
+def test_is_isomorphic_is_symmetric_and_swaps_sums(pair):
+    """X + Y is isomorphic to Y + X through a verified witness, and X is
+    isomorphic to Y exactly when Y is isomorphic to X."""
+    x, y = pair
+    xy, yx = direct_sum([x, y])[0], direct_sum([y, x])[0]
+    witness = is_isomorphic(xy, yx)
+    assert witness.is_isomorphism() and witness.is_valid()
+    assert witness.source is xy and witness.target is yx
+    assert (is_isomorphic(x, y) is None) == (is_isomorphic(y, x) is None)
 
 
 # -- duality and syzygies on the sparse matrices ----------------------

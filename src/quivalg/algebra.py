@@ -36,24 +36,29 @@ level creates no new basis paths (after which no later level can
 either), the certificate builds the PresentedAlgebra from the table and
 checks, through that algebra's own multiplication, (a) the radical span
 iteration reaching zero, which bounds the nilpotency degree of the arrow
-image, and (b) every relation folding to zero from every basis element.
-Check (a) first asks that every nontrivial basis path be the unit row of
-its parent times its last arrow, as the sweep's table always has it.  A
+image, and (b) the ideal I of the relations folding to zero.  Check (a)
+first asks that every nontrivial basis path be the unit row of its
+parent times its last arrow, as the sweep's table always has it.  A
 basis path of length >= k is then a product of k arrows, so the basis
 paths of length >= k span part of J^k, and only the rest of J^k, its
-projection onto the shorter basis paths, is carried as echelon vectors.
+projection onto the shorter basis paths, is carried as echelon vectors,
+multiplied only by the arrows leaving the targets of their support.
 That rest is seeded by the table rows p * arrow that are not a basis
-path, read off the table, and grows by its own products with the arrows;
-for a table whose relations are homogeneous it stays empty and check (a)
-multiplies nothing.  Check (b) puts the terms of all relations that
-start at one vertex into one prefix tree keyed by arrow index and folds
-each basis element once down the tree, one apply_arrow per edge, pruning
-the subtree of a prefix that folds to zero; the per-relation sums, and
-so the verdict, are those of folding every term separately.  Together
-(a) and (b) prove the table presents exactly KQ/I, so the sweep can stop
-even while longer paths still carry nonzero classes, and the certified
-algebra is the one build_algebra returns.  If no level certifies before
-the length cap, NotFiniteDimensionalError is raised.
+path, read off the table; for a table whose relations are homogeneous
+it stays empty and check (a) multiplies nothing.  Check (b) uses the
+diamond lemma once more.  The kernel K of folding from the idempotents
+is the right ideal generated by the table relations p*a - row(p, a).
+For every arrow b and every such p starting at b's target, e_b folded
+along p*a must equal e_b folded along row(p, a); every row must start
+where its basis path does, so that b * (p*a - row(p, a)) is zero for
+the other p.  Then b * K lies in K, and K is a two-sided ideal.  So
+each relation need only fold to zero from its source idempotent, not
+from every basis element, for I to lie in K.  The sweep's rows lie in
+I, so K = I: (a) and (b) prove the table presents exactly KQ/I and
+multiplies associatively, the sweep can stop even while longer paths
+still carry nonzero classes, and the certified algebra is the one
+build_algebra returns.  If no level certifies before the length cap,
+NotFiniteDimensionalError is raised.
 
 The opposite algebra carries a table of its own: row k, arrow a is the
 product a * basis[k], left multiplication by the arrow in the original
@@ -62,7 +67,9 @@ algebra.
 The sweep is plain Python over exact rationals.  A relation enters as
 the sum of its terms' classes, each term folded arrow by arrow through
 the tables; every stored residue is normalized by its leading
-coefficient, so scaling a relation changes nothing.
+coefficient, so scaling a relation changes nothing.  A residue that
+names a path killed since is rewritten over live paths once, when next
+read, and stored back.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from itertools import chain
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import MalformedRelationError, NotFiniteDimensionalError
@@ -162,6 +170,10 @@ class _Paths:
 
 _BASIS = object()  # window marker for paths kept as basis
 
+# the table row of a basis path and an arrow not leaving its target,
+# shared by every table, and read-only so that no write can reach it
+_ZERO_ROW: "Vec" = MappingProxyType({})
+
 
 class _Sweep:
     """Level-by-level sweep state over exact rationals."""
@@ -218,15 +230,42 @@ class _Sweep:
                 if v is _BASIS:
                     pos = self.bpos.get(pid)
                     if pos is not None and self.dead[pos]:
-                        return self.side[pid]
+                        return self._residue(pid)
                     return {pid: ONE}
                 return v  # type: ignore[return-value]
         pos = self.bpos.get(pid)
         if pos is None:
             raise RuntimeError(f"class of path {pid} is out of reach")
         if self.dead[pos]:
-            return self.side[pid]
+            return self._residue(pid)
         return {pid: ONE}
+
+    def _residue(self, pid: int) -> Vec:
+        """side[pid] over live paths.  A residue naming a path killed since
+        is rewritten once, into a new dict, and stored back, after the
+        residues it names (all of smaller paths), by an explicit stack."""
+        side = self.side
+        todo = [pid]
+        while todo:
+            res = side[todo[-1]]
+            stale = [p for p in res if p in side]
+            deeper = [p for p in stale if any(q in side for q in side[p])]
+            if deeper:
+                todo += deeper
+                continue
+            x = todo.pop()
+            if stale:
+                side[x] = self._over_live(res)
+        return side[pid]
+
+    def _over_live(self, row: Vec) -> Vec:
+        """A new dict: row with each killed path replaced by its residue."""
+        side = self.side
+        out = {p: c for p, c in row.items() if p not in side}
+        for p, c in row.items():
+            if p in side:
+                _iadd(out, self._residue(p).items(), c)
+        return out
 
     def _ext_iadd(self, acc: Vec, bpid: int, ai: int, side: int, c: "QQ") -> None:
         pos = self.bpos[bpid]
@@ -274,7 +313,7 @@ class _Sweep:
                 _iadd(row, res.items(), row.pop(lead))
                 continue
             if lead in self.side:
-                _iadd(row, self.side[lead].items(), row.pop(lead))
+                _iadd(row, self._residue(lead).items(), row.pop(lead))
                 continue
             pos = self.bpos[lead]
             assert not self.dead[pos]
@@ -298,8 +337,9 @@ class _Sweep:
                     if cid < 0:
                         continue
                     acc = dict(self._class_of(cid))
-                res = self.side[xpid]
-                for b, c in list(res.items()):
+                # residues are replaced, never changed in place
+                res = self._residue(xpid)
+                for b, c in res.items():
                     self._ext_iadd(acc, b, ai, side, -c)
                 self._row_insert(acc)
 
@@ -425,58 +465,7 @@ class _Sweep:
     def action_row(self, pos: int, ai: int) -> Vec:
         """Class of basis path pid_of[pos] times an arrow, over live paths."""
         row = self.tabR[pos][ai]
-        if row is None:
-            return {}
-        out = dict(row)
-        while True:
-            hit = next((p for p in out if p in self.side), None)
-            if hit is None:
-                return out
-            _iadd(out, self.side[hit].items(), out.pop(hit))
-
-
-# a prefix-tree node: children keyed by arrow index, and the
-# (relation index, coefficient) pairs of the terms that end at the node
-_Node = Tuple[Dict[int, "_Node"], List[Tuple[int, "QQ"]]]
-
-
-def _relations_vanish(alg: "PresentedAlgebra", relations: Sequence[PathAlgElement]) -> bool:
-    """True when every relation folds to zero from every basis element.
-
-    The terms of all relations starting at one vertex share one prefix
-    tree.  Each basis element ending at that vertex is folded once along
-    every edge of the tree, by one apply_arrow call, and c * vec is added
-    into the relation's accumulator at each term (c, path) ending there.
-    A prefix that folds to zero prunes its subtree: every term through it
-    folds to zero too.  The accumulators are the sums the terms give when
-    each is folded on its own, so the verdict is the same.  A basis
-    element not ending at a relation's source has no table entry for the
-    first arrow of any term, so it folds every term to zero.
-    """
-    trees: Dict[int, _Node] = {}
-    for idx, r in enumerate(relations):
-        root = trees.setdefault(r.uniform_endpoints()[0], ({}, []))
-        for p, c in r.terms.items():
-            node = root
-            for ai in p.arrows:
-                node = node[0].setdefault(ai, ({}, []))
-            node[1].append((idx, c))
-    for source, root in trees.items():
-        for u in range(alg.num_vertices):
-            for k in alg.endpoint_basis(u, source):
-                acc: Dict[int, Vec] = {}
-                stack: List[Tuple[_Node, Vec]] = [(root, {k: ONE})]
-                while stack:
-                    (children, ends), vec = stack.pop()
-                    for idx, c in ends:
-                        _iadd(acc.setdefault(idx, {}), vec.items(), c)
-                    for ai, child in children.items():
-                        out = alg.apply_arrow(vec, ai)
-                        if out:
-                            stack.append((child, out))
-                if any(acc.values()):
-                    return False
-    return True
+        return {} if row is None else self._over_live(row)
 
 
 def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
@@ -492,15 +481,17 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
     pi_k drops the coordinates at the basis paths of length >= k.
     pi_(k+1)(J^(k+1)) is spanned by pi_(k+1) of the table rows p * arrow
     for |p| >= k, which are looked up rather than multiplied, and of
-    e * arrow for the echelon vectors e of pi_k(J^k).  A row that is the
-    basis path p*arrow itself projects to zero, and so does a row whose
-    support has no path of length <= k, so only the rows of a
-    nonhomogeneous table and the few echelon vectors do any work.
+    e * arrow for the echelon vectors e of pi_k(J^k) and the arrows
+    leaving the targets of e's support; the table row of a path and an
+    arrow not leaving its target is zero.  A row that is the basis path
+    p*arrow itself projects to zero, and so does a row whose support has
+    no path of length <= k, so only the rows of a nonhomogeneous table
+    and the few echelon vectors do any work.
     """
     basis, action = alg.basis, alg._action
-    nA = len(alg.quiver.arrows)
+    out_arrows = alg.quiver.out_arrows
     length = [p.length for p in basis]
-    pos = {(p.source, p.arrows): k for k, p in enumerate(basis)}
+    pos = alg._pos
     # rows_at[k] lists the table rows whose projection joins pi_(k+1)(J^(k+1))
     rows_at: Dict[int, List[Vec]] = {}
     for k, p in enumerate(basis):
@@ -508,7 +499,7 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
             par = pos.get((p.source, p.arrows[:-1]))
             if par is None or action[par][p.arrows[-1]] != {k: ONE}:
                 return None
-        for a in alg.quiver.out_arrows[p.target]:
+        for a in out_arrows[p.target]:
             row = action[k][a.index]
             if row and (p.source, p.arrows + (a.index,)) not in pos:
                 for power in range(max(min(length[i] for i in row), 1), p.length + 1):
@@ -540,7 +531,12 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
             return None  # not nilpotent: the table cannot be a quotient by J^2-ideals
         dims.append(long_paths + len(layer))
         echelon.clear()
-        products = (alg.apply_arrow(e, ai) for e in layer for ai in range(nA))
+        # e * arrow is zero unless the arrow leaves the target of a path in e
+        products = (
+            alg.apply_arrow(e, ai)
+            for e in layer
+            for ai in sorted({a.index for i in e for a in out_arrows[basis[i].target]})
+        )
         nxt: List[Vec] = []
         for row in chain(rows_at.get(power, ()), products):
             stored = span_insert({i: c for i, c in row.items() if length[i] <= power})
@@ -552,30 +548,61 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
     return dims
 
 
-def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["PresentedAlgebra"]:
-    """Prove the extracted table presents KQ/I and return it as an
-    algebra, or return None.
+def _ideal_vanishes(alg: "PresentedAlgebra", relations: Sequence[PathAlgElement]) -> bool:
+    """True when folding from the idempotents kills the two-sided ideal
+    of the relations, for a table that passed the unit check of
+    _radical_dims and whose entries for an arrow not leaving a basis
+    path's target are zero, as every table built here has them.
 
-    Checks, through the algebra's own apply_arrow, that every relation
-    folds to zero starting from every basis element (so folding kills
-    the whole two-sided ideal) and that the radical span iteration dies
-    out (so long paths fold to zero and every path's fold telescopes back
-    to its class).  Together with the table rows lying in the ideal span
-    this identifies the table with KQ/I and yields the nilpotency degree
-    of the arrow image as a byproduct.
-
-    The relation check (_relations_vanish) folds each basis element once
-    through a prefix tree of the terms of all relations sharing a source
-    vertex, and prunes the subtree of every prefix that folds to zero.
-    Its verdict is the one folding every term on its own would give.
-    The radical span iteration (_radical_dims) first checks that every
-    nontrivial basis path is the unit row of its parent times its last
-    arrow, which the sweep's table always satisfies; then the basis paths
-    of length >= k span most of J^k, and only the rest is multiplied.
-
-    The table is read only where it can be nonzero: a basis path times
-    an arrow not leaving its target is zero.
+    Folding maps a path x from vertex u to e_u * x.  Its kernel K is the
+    right ideal generated by the table relations p*a - row(p, a), for a
+    basis path p and an arrow a with p*a off the basis.  For every arrow
+    b and every such p starting at b's target, e_b is folded along p*a
+    and along the basis paths of row(p, a): b * (p*a - row(p, a)) lies
+    in K exactly when the two agree.  Each p is checked, also where
+    e_b * p folds to zero, since e_b * row(p, a) need not.  For p
+    starting elsewhere, b * (p*a - row(p, a)) is zero once every row
+    starts where its basis path does (checked here); a path from b's
+    target in such a row would escape the check.  K is then closed
+    under left multiplication by arrows, so the two-sided ideal of the
+    vertex-homogeneous relations lies in K as soon as each relation
+    does, which its fold from its source idempotent decides.
     """
+    basis, action = alg.basis, alg._action
+    out_arrows = alg.quiver.out_arrows
+    pos = alg._pos
+    starting: Dict[int, List[int]] = {}  # basis positions by source, in basis order
+    off_basis: Dict[int, List[Tuple[int, int]]] = {}  # (p, a) with p*a off the basis
+    for k, p in enumerate(basis):
+        starting.setdefault(p.source, []).append(k)
+        for a in out_arrows[p.target]:
+            if (p.source, p.arrows + (a.index,)) not in pos:
+                if any(basis[i].source != p.source for i in action[k][a.index]):
+                    return False
+                off_basis.setdefault(p.source, []).append((k, a.index))
+    for b in alg.quiver.arrows:
+        fold: Dict[int, Vec] = {}  # e_b folded along the basis paths from b's target
+        for k in starting.get(b.target, ()):
+            p = basis[k]
+            bp = pos.get((b.source, (b.index,) + p.arrows))
+            if bp is not None:
+                fold[k] = {bp: ONE}
+            else:
+                prefix = fold[pos[p.source, p.arrows[:-1]]]
+                fold[k] = alg.apply_arrow(prefix, p.arrows[-1]) if prefix else {}
+        for k, ai in off_basis.get(b.target, ()):
+            acc = alg.apply_arrow(fold[k], ai) if fold[k] else {}
+            for i, c in action[k][ai].items():
+                if fold.get(i):
+                    _iadd(acc, fold[i].items(), -c)
+            if acc:
+                return False
+    return not any(alg.element_vec(r) for r in relations)
+
+
+def _table_of(eng: _Sweep) -> "PresentedAlgebra":
+    """The sweep's live basis and table as an algebra, not yet checked;
+    a basis path times an arrow not leaving its target is _ZERO_ROW."""
     live = eng.live_positions()
     pos_of = {eng.pid_of[pos]: k for k, pos in enumerate(live)}
     paths = eng.paths
@@ -585,15 +612,32 @@ def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["Pres
     alg._set_basis([paths.path_of(eng.pid_of[pos]) for pos in live])
     alg._action = []
     for pos in live:
-        rows: List[Vec] = [{} for _ in range(eng.nA)]
+        rows: List[Vec] = [_ZERO_ROW] * eng.nA
         for b in out_arrows[paths.tgt[eng.pid_of[pos]]]:
             rows[b.index] = {pos_of[p]: c for p, c in eng.action_row(pos, b.index).items()}
         alg._action.append(rows)
+    return alg
 
-    if not _relations_vanish(alg, relations):
-        return None
+
+def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["PresentedAlgebra"]:
+    """Prove the extracted table presents KQ/I and return it as an
+    algebra, or return None.
+
+    _radical_dims checks that every nontrivial basis path is the unit
+    row of its parent times its last arrow, which the sweep's table
+    always satisfies, and that the radical span iteration dies out, so
+    long paths fold to zero; its length is the Loewy length less one.
+    _ideal_vanishes then proves that the kernel of folding contains the
+    ideal I of the relations, by resolving the ambiguities b * (p*a) of
+    the table on arrow generators b and folding each relation from its
+    source idempotent, not from every basis element.  So the table's
+    span is a quotient of KQ/I.  The sweep's table rows lie in the ideal
+    span, so the kernel lies in I: it is I, the table presents KQ/I,
+    and its product is associative.
+    """
+    alg = _table_of(eng)
     dims = _radical_dims(alg)
-    if dims is None:
+    if dims is None or not _ideal_vanishes(alg, relations):
         return None
     alg.loewy_length = len(dims) + 1
     return alg
@@ -696,6 +740,8 @@ class PresentedAlgebra:
         self.loewy_length: int = 0
         self._action: List[List[Vec]] = []
         self._by_endpoints: Dict[Tuple[int, int], List[int]] = {}
+        # basis position of each basis path, keyed by source and arrows
+        self._pos: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         # the opposite this algebra built, or a weak link back to the
         # algebra that built this one, so the pair forms no cycle
         self._opposite: Union["PresentedAlgebra", weakref.ref, None] = None
@@ -705,6 +751,7 @@ class PresentedAlgebra:
     def _set_basis(self, basis: List[Path]) -> None:
         self.basis = basis
         self.dim = len(basis)
+        self._pos = {(p.source, p.arrows): i for i, p in enumerate(basis)}
         for i, p in enumerate(basis):
             self._by_endpoints.setdefault((p.source, p.target), []).append(i)
 
@@ -760,11 +807,19 @@ class PresentedAlgebra:
         return out
 
     def element_vec(self, el: PathAlgElement) -> Vec:
-        """Normal-form coordinates of a free path-algebra element."""
+        """Normal-form coordinates of a free path-algebra element.
+
+        A basis path is its own normal form, the unit row of its
+        position, so each path is folded on from its longest prefix in
+        the basis."""
         out: Vec = {}
+        pos = self._pos
         for p, c in el.terms.items():
-            vec: Vec = {self.idempotent_position(p.source): ONE}
-            for ai in p.arrows:
+            n = len(p.arrows)
+            while (p.source, p.arrows[:n]) not in pos:
+                n -= 1
+            vec: Vec = {pos[p.source, p.arrows[:n]]: ONE}
+            for ai in p.arrows[n:]:
                 if not vec:
                     break
                 vec = self.apply_arrow(vec, ai)
@@ -825,7 +880,7 @@ def _make_opposite(a: PresentedAlgebra) -> PresentedAlgebra:
     arrow_pos = {p.arrows[0]: i for i, p in enumerate(a.basis) if p.length == 1}
     op._action = [
         [
-            a.mult_basis(arrow_pos[ai], k) if arrow.target == p.source else {}
+            a.mult_basis(arrow_pos[ai], k) if arrow.target == p.source else _ZERO_ROW
             for ai, arrow in enumerate(a.quiver.arrows)
         ]
         for k, p in enumerate(a.basis)

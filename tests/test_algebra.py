@@ -1,5 +1,6 @@
 """Quotient construction oracles and multiplication invariants."""
 
+import hashlib
 import random
 import traceback
 from collections import Counter
@@ -21,6 +22,8 @@ from quivalg import (
     ext2_simples_total,
     minimize_relations,
     reference_end_algebra,
+    reference_end_quiver,
+    reference_end_relations,
 )
 from quivalg.algebra import _stabilize
 from quivalg.linalg import QQ
@@ -312,18 +315,15 @@ def _relations_vanish_per_term(alg, relations):
     return True
 
 
-def _checked_relations_vanish(verdicts):
-    """A stand-in for algebra._relations_vanish that asserts agreement
-    with the per-term fold and records each verdict."""
-    tree_check = algebra._relations_vanish
+def _old_verdict(alg, relations):
+    """The certificate's verdict by the per-term fold from every basis
+    element, with the radical check."""
+    return _relations_vanish_per_term(alg, relations) and algebra._radical_dims(alg) is not None
 
-    def check(alg, relations):
-        verdict = tree_check(alg, relations)
-        assert verdict == _relations_vanish_per_term(alg, relations)
-        verdicts.append(verdict)
-        return verdict
 
-    return check
+def _new_verdict(alg, relations):
+    """The certificate's verdict as _certify reaches it on a table."""
+    return algebra._radical_dims(alg) is not None and algebra._ideal_vanishes(alg, relations)
 
 
 def _attempts_logged(attempts):
@@ -338,31 +338,44 @@ def _attempts_logged(attempts):
     return logged
 
 
+def _checked_certify(attempts):
+    """_attempts_logged, asserting at each attempt that _certify agrees
+    with the per-term fold plus the radical check on the same table."""
+    logged = _attempts_logged(attempts)
+
+    def check(eng, relations):
+        alg = logged(eng, relations)
+        assert (alg is not None) == _old_verdict(algebra._table_of(eng), relations)
+        return alg
+
+    return check
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(truncated_quotients())
 def test_relation_check_matches_per_term_fold(case):
-    """At every level where the sweep attempts a certificate, the prefix
-    tree check and the per-term fold agree, on the relations and on each
-    of their terms taken alone (most of which do not vanish)."""
+    """At every level where the sweep attempts a certificate, _certify
+    and the per-term fold plus the radical check agree; so do the two
+    relation checks on the certified table, for the relations and for
+    each of their terms taken alone (most of which do not vanish)."""
     q, rels, n, _paths = case
-    verdicts = []
-    with mock.patch.object(algebra, "_relations_vanish", _checked_relations_vanish(verdicts)):
+    attempts = []
+    with mock.patch.object(algebra, "_certify", _checked_certify(attempts)):
         alg = build_algebra(q, rels, length_cap=n + 2)
-    assert verdicts and verdicts[-1] is True
-    check = _checked_relations_vanish(verdicts)
+    assert attempts and attempts[-1][1] is True
     for r in rels:
         for p in r.terms:
-            check(alg, [PathAlgElement.from_path(q, p)])
-    assert check(alg, rels)
+            single = [PathAlgElement.from_path(q, p)]
+            assert _new_verdict(alg, single) == _old_verdict(alg, single)
+    assert _new_verdict(alg, rels) and _old_verdict(alg, rels)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(truncated_quotients())
 def test_every_relation_vanishes_in_the_built_algebra(case):
     """build_algebra returns only a certified quotient, and the
-    certificate folds each relation from every basis element ending at
-    its source, the idempotent there included; so each relation, folded
-    from its source idempotent, is zero in the algebra built."""
+    certificate folds each relation from its source idempotent; so each
+    relation, folded from there, is zero in the algebra built."""
     q, rels, n, _paths = case
     alg = build_algebra(q, rels, length_cap=n + 2)
     assert all(not alg.element_vec(r) for r in rels)
@@ -376,24 +389,141 @@ def test_raw_relations_of_b_vanish_in_the_built_algebra(m_presentation):
     assert all(not alg.element_vec(r) for r in alg.relations)
 
 
+def _mutated(alg, data):
+    """A copy of alg's table with one or two composable entries replaced:
+    by zero, by a multiple of the old row, or by a random row over the
+    paths with the entry's endpoints or over the whole basis.  Entries
+    p * a off the basis are preferred: changing the row of a basis path
+    fails the unit check."""
+    action = [list(rows) for rows in alg._action]
+    paths = {(p.source, p.arrows) for p in alg.basis}
+    entries = [(k, a) for k, p in enumerate(alg.basis) for a in alg.quiver.out_arrows[p.target]]
+    off_basis = [
+        (k, a)
+        for k, a in entries
+        if (alg.basis[k].source, alg.basis[k].arrows + (a.index,)) not in paths
+    ]
+    entries = off_basis or entries
+    coeffs = st.integers(-2, 2).filter(bool)
+    for _ in range(data.draw(st.integers(1, 2))):
+        k, a = data.draw(st.sampled_from(entries))
+        old = action[k][a.index]
+        ends = (alg.basis[k].source, a.target)
+        pool = [i for i, p in enumerate(alg.basis) if (p.source, p.target) == ends]
+        kinds = ["zero", "scaled"] * bool(old) + ["same ends"] * bool(pool) + ["any"]
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "zero":
+            row = {}
+        elif kind == "scaled":
+            row = {i: c * data.draw(st.sampled_from([-2, -1, 2])) for i, c in old.items()}
+        else:
+            pool = pool if kind == "same ends" else range(alg.dim)
+            support = data.draw(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+            )
+            row = {i: data.draw(coeffs) for i in support}
+        action[k][a.index] = row
+    return _table_algebra(alg.quiver, alg.basis, action)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients(), st.data())
+def test_certificate_accepts_no_mutated_table_the_per_term_fold_rejects(case, data):
+    """Mutate one or two entries of a certified table: when the check of
+    _certify accepts the result, the per-term fold from every basis
+    element plus the radical check accepts it too.  Both are asked about
+    the relations and about those shorter than the truncation alone; the
+    monomials of length N fold many entries from the idempotents, so
+    without them a check that only folds relations from the idempotents
+    is caught accepting a table the per-term fold rejects."""
+    q, rels, n, _paths = case
+    alg = build_algebra(q, rels, length_cap=n + 2)
+    table = _mutated(alg, data)
+    for some in (rels, [r for r in rels if r.max_length() < n]):
+        assert _new_verdict(alg, some) and _old_verdict(alg, some)
+        if _new_verdict(table, some):
+            assert _old_verdict(table, some)
+
+
+def test_certificate_rejects_an_ambiguity_behind_a_zero_prefix():
+    """b: u -> v, c: v -> w, a: w -> z, d: v -> z, with b*c = 0, c*a = d
+    and b*d a basis path: (b*c)*a = 0 but b*(c*a) = b*d, so the table is
+    not associative.  The relation b*c folds to zero from u, and from
+    every basis element ending at u, so only the ambiguity of b, c and a
+    can reject; its prefix e_b * c folds to zero while e_b * d does not,
+    and a walk that pruned zero prefixes would accept."""
+    arrows = [("b", "u", "v"), ("c", "v", "w"), ("a", "w", "z"), ("d", "v", "z")]
+    q = Quiver(["u", "v", "w", "z"], arrows)
+    basis = [q.trivial_path(v) for v in range(4)]
+    basis += [q.path(x) for x in (["b"], ["c"], ["d"], ["a"], ["b", "d"])]
+    action = [[{}] * 4 for _ in basis]
+    action[0][0], action[1][1], action[1][3], action[2][2] = {4: 1}, {5: 1}, {6: 1}, {7: 1}
+    action[4][3] = {8: 1}  # b * d
+    action[5][2] = {6: 1}  # c * a = d, off the basis
+    table = _table_algebra(q, basis, action)
+    rels = [element(q, (1, ["b", "c"]))]
+    assert table.apply_arrow({4: 1}, 1) == {}
+    assert _old_verdict(table, rels)
+    assert algebra._radical_dims(table) is not None
+    assert not algebra._ideal_vanishes(table, rels)
+
+
+def test_certificate_rejects_a_row_leaving_its_source():
+    """b: u -> s, c: s -> 1, a: 1 -> 2, f: 2 -> 3, g: v -> 2, h: s -> 3,
+    with c*a = g and g*f = h: rows that start at another vertex than
+    their basis path.  The relation c*a*f - h folds to zero from s, and
+    every ambiguity b * (p*a) with p starting at s resolves, but
+    b * (c*a*f - h) folds to -b*h, so the per-term fold rejects.  The
+    check for p starting elsewhere, here b * (g*f - h), needs the rows
+    to start where their basis paths do."""
+    arrows = [("b", "u", "s"), ("c", "s", "1"), ("a", "1", "2")]
+    arrows += [("f", "2", "3"), ("g", "v", "2"), ("h", "s", "3")]
+    q = Quiver(["u", "s", "v", "1", "2", "3"], arrows)
+    basis = [q.trivial_path(v) for v in range(6)]
+    basis += [q.path(x) for x in (["b"], ["c"], ["a"], ["f"], ["g"], ["h"])]
+    basis += [q.path(x) for x in (["b", "c"], ["b", "h"], ["a", "f"])]
+    action = [[{}] * 6 for _ in basis]
+    action[0][0], action[1][1], action[1][5] = {6: 1}, {7: 1}, {11: 1}
+    action[2][4], action[3][2], action[4][3] = {10: 1}, {8: 1}, {9: 1}
+    action[6][1], action[6][5], action[8][3] = {12: 1}, {13: 1}, {14: 1}
+    action[7][2] = {10: 1}  # c * a = g
+    action[10][3] = {11: 1}  # g * f = h
+    table = _table_algebra(q, basis, action)
+    rels = [element(q, (1, ["c", "a", "f"]), (-1, ["h"]))]
+    assert not table.element_vec(rels[0])
+    assert algebra._radical_dims(table) is not None
+    assert not _old_verdict(table, rels)
+    assert not algebra._ideal_vanishes(table, rels)
+
+
 def test_ext2_product_sweep_rejects_at_level_9_and_accepts_at_10(m_presentation):
     """The 200 products g*a and a*g of B's 50 kept relations: the first
-    certificate attempt fails the relation check, the next one passes."""
+    certificate attempt passes the radical check and fails the relation
+    check, the next one passes; the per-term fold agrees at both."""
     pres = m_presentation
     kept = minimize_relations(pres.quiver, pres.relations, 165)
     assert len(kept) == 50
-    verdicts, attempts = [], []
-    with mock.patch.object(
-        algebra, "_relations_vanish", _checked_relations_vanish(verdicts)
-    ), mock.patch.object(algebra, "_certify", _attempts_logged(attempts)):
+    attempts, verdicts = [], []
+    ideal_vanishes = algebra._ideal_vanishes
+
+    def recorded(alg, relations):
+        verdict = ideal_vanishes(alg, relations)
+        verdicts.append((verdict, _relations_vanish_per_term(alg, relations)))
+        return verdict
+
+    with mock.patch.object(algebra, "_ideal_vanishes", recorded), mock.patch.object(
+        algebra, "_certify", _checked_certify(attempts)
+    ):
         assert ext2_simples_total(pres.quiver, kept, 165) == 10
     assert attempts == [(9, False), (10, True)]
-    assert verdicts == [False, True]
+    assert verdicts == [(False, False), (True, True)]
 
 
 def test_certificate_of_raw_relations_folds_shared_prefixes_once(m_presentation, count_calls):
     """One certificate of the 184 raw relations of B; folding every term
-    of every relation separately makes 45,871 apply_arrow calls."""
+    of every relation separately from every basis element makes 45,871
+    apply_arrow calls.  Each relation is folded from its source
+    idempotent only."""
     pres = m_presentation
     assert len(pres.relations) == 184
     attempts = []
@@ -402,7 +532,61 @@ def test_certificate_of_raw_relations_folds_shared_prefixes_once(m_presentation,
         alg = _stabilize(pres.quiver, pres.relations, 20)[1]
     assert attempts == [(9, True)]
     assert alg.dim == 165
-    assert folds["calls"] < 20_000
+    assert folds["calls"] < 3_000
+
+
+# the reference algebra's basis, table and kept relations, as built from
+# the frozen eleven relations
+REFERENCE_DIGEST = "32063adb6a4685795b57ff85634bab31f866eedbba5eaa702dbc804dabb3c90a"
+
+
+def _reference_digest(alg):
+    """sha256 of the basis, the table and the kept relations, with every
+    scalar written as a reduced fraction."""
+    lines = [repr([(p.source, p.arrows, p.target) for p in alg.basis])]
+    lines += [
+        repr([sorted((i, str(Fraction(c))) for i, c in row.items()) for row in rows])
+        for rows in alg._action
+    ]
+    lines += [
+        repr(sorted((p.source, p.arrows, str(Fraction(c))) for p, c in r.terms.items()))
+        for r in alg.kept_relations
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_reference_sweep_output_pinned():
+    alg = reference_end_algebra()
+    assert (alg.dim, alg.loewy_length, len(alg.kept_relations)) == (165, 17, 11)
+    assert _reference_digest(alg) == REFERENCE_DIGEST
+
+
+def test_reference_sweep_work_counters(count_calls):
+    """The reference sweep certifies once; its radical layers multiply
+    echelon vectors only by arrows that compose, and the compressed
+    residues change no row the sweep imposes."""
+    q = reference_end_quiver()
+    rels = reference_end_relations(q)
+    attempts, radical = [], {"calls": 0}
+    folds = count_calls(PresentedAlgebra, "apply_arrow")
+    rows = count_calls(algebra._Sweep, "_row_insert")
+    radical_dims = algebra._radical_dims
+
+    def counted_radical_dims(alg):
+        before = folds["calls"]
+        dims = radical_dims(alg)
+        radical["calls"] += folds["calls"] - before
+        return dims
+
+    with mock.patch.object(algebra, "_certify", _attempts_logged(attempts)), mock.patch.object(
+        algebra, "_radical_dims", counted_radical_dims
+    ):
+        alg = build_algebra(q, rels)
+    assert [ok for _level, ok in attempts] == [True]
+    assert alg.dim == 165
+    assert folds["calls"] <= 2_000
+    assert radical["calls"] <= 1_000
+    assert rows["calls"] == 2_408
 
 
 # -- the certificate's radical layers against multiplying every vector ----

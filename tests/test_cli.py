@@ -67,6 +67,18 @@ def test_verify_paper_passes(capsys, count_calls):
     assert sweeps["calls"] == 5
 
 
+def test_verify_paper_leaves_the_shared_zero_row_empty(capsys):
+    """Every table, certified or opposite, holds one shared empty row for
+    a basis path and an arrow not leaving its target; nothing writes to
+    it during a verify-paper run."""
+    code, _out, _ = run_cli(capsys, "verify-paper")
+    assert code == 0
+    assert algebra._ZERO_ROW == {}
+    b = quivalg.reference_end_algebra()
+    for alg in (b, b.opposite):
+        assert any(row is algebra._ZERO_ROW for rows in alg._action for row in rows)
+
+
 def test_verify_paper_length_cap_inconclusive(capsys):
     with pytest.warns(IncompletePresentationWarning):
         code, out, _ = run_cli(capsys, "verify-paper", "--max-length", "5")

@@ -146,15 +146,12 @@ class _Paths:
         return hi, len(self.parent)
 
     def child(self, pid: int, ai: int, side: int) -> int:
-        """Id of pid*arrow (side 0) or arrow*pid (side 1); -1 when the
-        two do not compose."""
+        """Id of pid*arrow (side 0) or arrow*pid (side 1), which must
+        compose and be stored."""
         cid = self.left.get((ai, pid)) if side else self.right.get((pid, ai))
-        if cid is not None:
-            return cid
-        a = self.quiver.arrows[ai]
-        if (a.target == self.src[pid]) if side else (a.source == self.tgt[pid]):
+        if cid is None:
             raise RuntimeError(f"path {pid} extended by arrow {ai} is not stored")
-        return -1
+        return cid
 
     def path_of(self, pid: int) -> Path:
         src, tgt = self.src[pid], self.tgt[pid]
@@ -273,10 +270,7 @@ class _Sweep:
         if tab is not None:
             _iadd(acc, tab.items(), c)
             return
-        cid = self.paths.child(bpid, ai, side)
-        if cid < 0:
-            return
-        _iadd(acc, self._class_of(cid).items(), c)
+        _iadd(acc, self._class_of(self.paths.child(bpid, ai, side)).items(), c)
 
     def _times_arrow(self, cls: Vec, ai: int) -> Vec:
         """Class of cls * arrow, by right extension of its basis paths."""
@@ -327,16 +321,17 @@ class _Sweep:
 
     def _inject_translates(self, pos: int) -> None:
         xpid = self.pid_of[pos]
-        for ai in range(self.nA):
+        # the (arrow, side) pairs that compose with xpid, in that order
+        ends = (self.paths.tgt[xpid], self.paths.src[xpid])
+        for ai, a in enumerate(self.paths.quiver.arrows):
             for side in (0, 1):
+                if (a.target if side else a.source) != ends[side]:
+                    continue
                 tab = (self.tabL if side else self.tabR)[pos][ai]
                 if tab is not None:
                     acc = dict(tab)
                 else:
-                    cid = self.paths.child(xpid, ai, side)
-                    if cid < 0:
-                        continue
-                    acc = dict(self._class_of(cid))
+                    acc = dict(self._class_of(self.paths.child(xpid, ai, side)))
                 # residues are replaced, never changed in place
                 res = self._residue(xpid)
                 for b, c in res.items():

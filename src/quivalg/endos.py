@@ -7,10 +7,20 @@ action matrices (characteristic zero makes the trace-radical equal the
 Jacobson radical for any faithful representation).  Idempotents are
 found exactly: split in the semisimple quotient by minimal polynomial
 factorization, then lifted through the nilpotent radical.
+
+The factorization is exact integer arithmetic: Kronecker's search finds
+the factors of degree 1 and 2, and a cofactor of degree <= 5 without
+them is irreducible.  So every minimal polynomial of degree <= 5 is
+factored completely; one of degree >= 6 with no factor of degree <= 2 is
+left undecided, and that element neither splits its corner nor certifies
+it primitive.  A split evaluates the extended-gcd idempotent, 1 mod g^k
+and 0 mod f / g^k, for the first irreducible factor g of f (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 15-16).
 """
 
 import random
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DecompositionInconclusiveError
@@ -431,25 +441,118 @@ def _poly_eval(q: _Quotient, coeffs: Sequence, x: List, unit: List) -> List:
     return acc
 
 
-def _factor_minpoly(coeffs: Sequence):
-    """sympy factorization of an ascending-coefficient rational poly."""
-    import sympy
-
-    t = sympy.Symbol("t")
-    expr = sum(
-        sympy.Rational(int(c.numerator), int(c.denominator)) * t**i
-        for i, c in enumerate(coeffs)
-    )
-    poly = sympy.Poly(expr, t)
-    _, factors = poly.factor_list()
-    return poly, factors
+def _primitive(coeffs: Sequence) -> List[int]:
+    """The primitive integer multiple of a monic rational polynomial."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
 
 
-def _sympy_poly_coeffs(poly) -> List:
-    out = []
-    for c in reversed(poly.all_coeffs()):
-        out.append(div(int(c.p), int(c.q)))
+def _pmul(f: Sequence, g: Sequence) -> List:
+    out = [ZERO] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
     return out
+
+
+def _pdivmod(f: Sequence, g: Sequence) -> Tuple[List, List]:
+    """Quotient and remainder of ascending-coefficient polynomials over
+    Q; whole coefficients stay ints, as div keeps them."""
+    r = list(f)
+    quo = [ZERO] * max(len(f) - len(g) + 1, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = div(r[i + len(g) - 1], g[-1])
+        for j, x in enumerate(g):
+            r[i + j] -= c * x
+    r = r[: len(g) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return quo, r
+
+
+def _idempotent(g: Sequence, h: Sequence) -> List:
+    """The e of degree below deg g + deg h with e = 1 mod g and e = 0
+    mod h, for coprime g and h: the extended Euclidean algorithm gives
+    s with s h = 1 mod g and deg s < deg g, and e = s h."""
+    r0, r1 = list(g), _pdivmod(h, g)[1]
+    s0, s1 = [ZERO], [ONE]
+    while len(r1) > 1:
+        quo, rem = _pdivmod(r0, r1)
+        s = [-c for c in _pmul(quo, s1)]  # longer than s0
+        for i, c in enumerate(s0):
+            s[i] += c
+        r0, r1, s0, s1 = r1, rem, s1, s
+    return _pmul([div(c, r1[0]) for c in s1], h)
+
+
+def _divisors(n: int) -> List[int]:
+    """The divisors, of both signs, of the nonzero integer n, by trial
+    division."""
+    n, p, out = abs(n), 2, [1]
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        if k:
+            out = [d * p**i for d in out for i in range(k + 1)]
+        p += 1 if p == 2 else 2
+    out += [d * n for d in out] if n > 1 else []
+    return out + [-d for d in out]
+
+
+def _kronecker(f: List[int], d: int):
+    """Kronecker's candidates for a primitive factor of degree d (1 or 2),
+    leading coefficient positive, of the integer polynomial f with f(0) !=
+    0 and, for d = 2, no rational root: its leading and constant terms
+    divide f's, and its values at 1 and -1 divide f(1) and f(-1)."""
+    leads = [l for l in _divisors(f[-1]) if l > 0]
+    consts = _divisors(f[0])
+    if d == 1:
+        return ([n, l] for l in leads for n in consts if gcd(l, n) == 1)
+    at_one = _divisors(sum(f))
+    at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(f))
+    return (
+        [n, v - l - n, l]
+        for l in leads
+        for n in consts
+        for v in at_one
+        if 2 * (l + n) != v
+        and at_minus_one % (2 * (l + n) - v) == 0
+        and gcd(l, n, v) == 1
+    )
+
+
+def _factor(f: List[int]) -> Tuple[List[Tuple[List[int], int]], int]:
+    """Irreducible factors over Q of the primitive integer polynomial f,
+    as primitive integer polynomials with multiplicities, in the order of
+    sympy's factor_list: by degree, multiplicity, then coefficients from
+    the leading one down.  Factors of degree 1 and 2 come from _kronecker,
+    and a cofactor of degree <= 5 without them is irreducible; one of
+    degree >= 6 is left undecided, unlisted, and its degree is returned
+    second (0 when there is none)."""
+    found = []
+    k = next(i for i, c in enumerate(f) if c)
+    if k:
+        found.append(([0, 1], k))
+        f = f[k:]
+    for d in (1, 2):
+        for g in _kronecker(f, d) if len(f) > 2 * d else ():
+            k = 0
+            while True:
+                quo, rem = _pdivmod(f, g)
+                if rem:
+                    break
+                f, k = quo, k + 1
+            if k:
+                found.append((g, k))
+    rest = len(f) - 1
+    if 0 < rest <= 5:
+        found.append((f, 1))
+        rest = 0
+    found.sort(key=lambda fk: (len(fk[0]), fk[1], fk[0][::-1]))
+    return found, rest
 
 
 def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tuple[List, List]]:
@@ -457,8 +560,6 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
     quotient, or return None when u is certified primitive.  Raises
     DecompositionInconclusiveError when neither happens within
     MAX_SPLIT_ATTEMPTS random combinations."""
-    import sympy
-
     # corner basis: row space of u * e_i * u over the quotient basis
     units = [[ONE if i == j else ZERO for j in range(q.dim)] for i in range(q.dim)]
     corner_rows = []
@@ -478,30 +579,31 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
         for j in range(i + 1, cdim)
     )
 
+    undecided = set()  # degrees of minimal polynomials _factor left open
+
     def try_element(x: List) -> Optional[Tuple[Optional[Tuple[List, List]], bool]]:
-        coeffs = _minimal_polynomial(q, x, u)
-        poly, factors = _factor_minpoly(coeffs)
-        if len(factors) >= 2:
-            t = poly.gen
-            g = factors[0][0] ** factors[0][1]
-            h = sympy.Poly(1, t)
-            for fac, mult in factors[1:]:
-                h = h * fac**mult
-            s, tt, gcd = g.gcdex(h)
-            assert gcd.is_one
-            part = tt * h
-            u1 = _poly_eval(q, _sympy_poly_coeffs(part), x, u)
+        f = _primitive(_minimal_polynomial(q, x, u))
+        factors, rest = _factor(f)
+        if len(factors) + bool(rest) >= 2:
+            # split off the primary component of the first factor
+            g = [ONE]
+            for _ in range(factors[0][1]):
+                g = _pmul(g, factors[0][0])
+            u1 = _poly_eval(q, _idempotent(g, _pdivmod(f, g)[0]), x, u)
             assert q.mult(u1, u1) == u1
             u2 = q.sub(u, u1)
             if q.is_zero(u1) or q.is_zero(u2):
                 return None
             return (u1, u2), False
+        if not factors:
+            undecided.add(rest)
+            return None
         # single irreducible factor of full corner degree in a
         # commutative corner: the corner is a field, u is primitive
         if (
             commutative
             and factors[0][1] == 1
-            and factors[0][0].degree() == cdim
+            and len(factors[0][0]) - 1 == cdim
         ):
             return None, True
         return None
@@ -527,10 +629,12 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
             if primitive:
                 return None
             return split
-    raise DecompositionInconclusiveError(
-        "could not split a corner of dimension %d after %d attempts"
-        % (cdim, MAX_SPLIT_ATTEMPTS)
-    )
+    reason = f"could not split a corner of dimension {cdim} after {MAX_SPLIT_ATTEMPTS} attempts"
+    if undecided:
+        degrees = ", ".join(map(str, sorted(undecided)))
+        reason += f"; minimal polynomials of degree {degrees} with no factor of degree <= 2"
+        reason += " are left undecided"
+    raise DecompositionInconclusiveError(reason)
 
 
 def _primitive_idempotents(q: _Quotient, rng: random.Random) -> List[List]:

@@ -529,6 +529,23 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_verify_paper_leaves_sympy_out():
+    """quivalg has no runtime dependency: a whole verify-paper run, which
+    decomposes End(M) and so factors minimal polynomials, imports no
+    sympy module."""
+    script = (
+        "import sys\n"
+        "from quivalg.cli import main\n"
+        "code = main(['verify-paper'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.skipif(shutil.which("quivalg") is None, reason="no installed quivalg executable on PATH")
 def test_installed_console_script():
     proc = subprocess.run(

@@ -1,8 +1,10 @@
 """Endomorphism algebra structure, radicals, and decomposition."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivalg import (
     DecompositionInconclusiveError,
@@ -276,14 +278,14 @@ def test_decompose_factors_a_quartic_into_two_quadratics(monkeypatch):
     assert validate(x) is None
 
     factored = []
-    factor = endos._factor_minpoly
+    factor = endos._factor
 
-    def spy_factor(coeffs):
-        poly, factors = factor(coeffs)
-        factored.append((len(coeffs) - 1, sorted(f.degree() for f, _ in factors)))
-        return poly, factors
+    def spy_factor(f):
+        factors, rest = factor(f)
+        factored.append((len(f) - 1, sorted(len(g) - 1 for g, _ in factors)))
+        return factors, rest
 
-    monkeypatch.setattr(endos, "_factor_minpoly", spy_factor)
+    monkeypatch.setattr(endos, "_factor", spy_factor)
     parts = decompose(x)
     assert factored[0] == (4, [2, 2])
     assert len(parts) == 2
@@ -291,3 +293,103 @@ def test_decompose_factors_a_quartic_into_two_quadratics(monkeypatch):
         [False, True],
         [True, False],
     ]
+
+
+def _kronecker_field(kronecker, p):
+    """Q^d => Q^d with a = I and b the companion matrix of the monic
+    irreducible p (ascending coefficients), so End = Q[t]/(p)."""
+    d = len(p) - 1
+    rows = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d - 1)]
+    b = Matrix.from_rows(rows + [[-c for c in p[:-1]]])
+    return Representation(kronecker, [d, d], [Matrix.identity(d), b])
+
+
+@st.composite
+def _unimodular(draw, n):
+    """An integer matrix with an integer inverse: a unit lower times a unit
+    upper triangular matrix, its rows permuted."""
+    entry = st.integers(-2, 2)
+    low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    rows = (Matrix.from_rows(low) @ Matrix.from_rows(up)).rows
+    return Matrix.from_rows([rows[i] for i in draw(st.permutations(range(n)))])
+
+
+# t - 1, t + 2, t^2 - 2, t^2 - 3, t^2 + t + 1
+_FIELD_POLYS = ([-1, 1], [2, 1], [-2, 0, 1], [-3, 0, 1], [1, 1, 1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_decompose_returns_the_kronecker_fields_it_was_given(data):
+    """A direct sum of one or two Kronecker modules whose endomorphisms
+    are fields Q[t]/(p), disguised by unimodular changes of basis at both
+    vertices, decomposes into exactly those field modules.  The minimal
+    polynomials decompose meets have degrees 2 to 4, the product of two
+    irreducible quadratics among them."""
+    q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
+    kronecker = build_algebra(q, [])
+    fields = [_kronecker_field(kronecker, p) for p in _FIELD_POLYS]
+    picks = data.draw(st.lists(st.integers(0, len(fields) - 1), min_size=1, max_size=2))
+    x = direct_sum([fields[k] for k in picks])[0]
+    n = x.dims[0]
+    left, right = data.draw(_unimodular(n)), data.draw(_unimodular(n))
+    y = Representation(kronecker, [n, n], [left @ m @ invert(right) for m in x.matrices])
+    assert validate(y) is None
+    # distinct field modules have no nonzero map between them, and one
+    # to a field module of the same dimensions is an isomorphism
+    matched = []
+    for part in decompose(y):
+        found = [k for k in set(picks) if fields[k].dims == part.rep.dims]
+        found = [k for k in found if hom_basis(part.rep, fields[k])]
+        assert len(found) == 1
+        matched += found
+    assert sorted(matched) == sorted(picks)
+
+
+# primitive irreducible polynomials over Q, ascending coefficients: t,
+# t - 1, t + 2, 2t - 3, 3t + 1, t^2 - 2, t^2 + t + 1, 2t^2 + 3, and of
+# higher degree t^3 - 2, t^3 + t + 1, t^4 + 1, t^4 - 10t^2 + 1 and
+# t^5 - t - 1
+_LOW = ([0, 1], [-1, 1], [2, 1], [-3, 2], [1, 3], [-2, 0, 1], [1, 1, 1], [3, 0, 2])
+_HIGH = ([-2, 0, 0, 1], [1, 1, 0, 1], [1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, -1, 0, 0, 0, 1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(st.sampled_from(range(len(_LOW))), st.integers(1, 3), max_size=3),
+    st.sampled_from([()] + [(i,) for i in range(len(_HIGH))] + [(0, 1), (0, 0)]),
+)
+def test_factor_returns_known_irreducibles_in_order(low, high):
+    """_factor of a product of known irreducibles lists them with their
+    multiplicities, sorted by degree, then multiplicity, then
+    coefficients from the leading one down.  A cofactor of degree 6 with
+    no factor of degree <= 2, (t^3 - 2)(t^3 + t + 1) or (t^3 - 2)^2,
+    stays unlisted and its degree is returned."""
+    f = [1]
+    for i, k in low.items():
+        for _ in range(k):
+            f = endos._pmul(f, _LOW[i])
+    for i in high:
+        f = endos._pmul(f, _HIGH[i])
+    if len(f) == 1:
+        return
+    expected = [(_LOW[i], k) for i, k in low.items()]
+    if len(high) == 1:
+        expected.append((_HIGH[high[0]], 1))
+    expected.sort(key=lambda gk: (len(gk[0]), gk[1], gk[0][::-1]))
+    assert endos._factor(f) == (expected, 6 if len(high) == 2 else 0)
+
+
+def test_decompose_leaves_a_sextic_field_undecided():
+    """x with a = I and b the companion matrix of t^6 - 2 has End(x) =
+    Q(2^(1/6)).  Its minimal polynomials of full degree 6 have no factor
+    of degree <= 2, which the factor search leaves undecided, so
+    decompose reports the degree instead of certifying x indecomposable,
+    and does so quickly."""
+    q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
+    x = _kronecker_field(build_algebra(q, []), [-2, 0, 0, 0, 0, 0, 1])
+    start = time.perf_counter()
+    with pytest.raises(DecompositionInconclusiveError, match="of degree 6 with no factor"):
+        decompose(x)
+    assert time.perf_counter() - start < 10

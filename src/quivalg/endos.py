@@ -9,18 +9,18 @@ found exactly: split in the semisimple quotient by minimal polynomial
 factorization, then lifted through the nilpotent radical.
 
 The factorization is exact integer arithmetic: Kronecker's search finds
-the factors of degree 1 and 2, and a cofactor of degree <= 5 without
-them is irreducible.  So every minimal polynomial of degree <= 5 is
-factored completely; one of degree >= 6 with no factor of degree <= 2 is
-left undecided, and that element neither splits its corner nor certifies
-it primitive.  A split evaluates the extended-gcd idempotent, 1 mod g^k
-and 0 mod f / g^k, for the first irreducible factor g of f (von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 15-16).
+the factors of degree 1 and 2, so it decides every minimal polynomial of
+degree <= 5 within its bounds (TRIAL_BOUND, MAX_CANDIDATES).  One of
+degree >= 6 with no factor of degree <= 2, or one past the bounds, is
+left undecided, and that element neither splits its corner nor
+certifies it primitive.  A split evaluates the extended-gcd idempotent,
+1 mod g^k and 0 mod f / g^k, for the first irreducible factor g of f
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15-16).
 """
 
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DecompositionInconclusiveError
@@ -48,6 +48,10 @@ from .modules import ModuleHom, Representation, _sub_rep, hom_basis
 MAX_SPLIT_ATTEMPTS = 64
 # powers of the radical taken before radical_nilpotency_index gives up
 MAX_RADICAL_POWER = 64
+# factor search bounds: trial division stops at TRIAL_BOUND, and no search
+# lists more than MAX_CANDIDATES divisors or candidate factors
+TRIAL_BOUND = 10**4
+MAX_CANDIDATES = 10**5
 # steps of f -> 3f^2 - 2f^3 before lifting an idempotent is given up
 MAX_LIFT_ITERATIONS = 64
 
@@ -487,11 +491,13 @@ def _idempotent(g: Sequence, h: Sequence) -> List:
     return _pmul([div(c, r1[0]) for c in s1], h)
 
 
-def _divisors(n: int) -> List[int]:
-    """The divisors, of both signs, of the nonzero integer n, by trial
-    division."""
+def _divisors(n: int) -> Optional[List[int]]:
+    """The divisors, of both signs, of the nonzero integer n by trial
+    division, or None past TRIAL_BOUND or MAX_CANDIDATES."""
     n, p, out = abs(n), 2, [1]
     while p * p <= n:
+        if p > TRIAL_BOUND or len(out) > MAX_CANDIDATES:
+            return None
         k = 0
         while n % p == 0:
             n, k = n // p, k + 1
@@ -506,53 +512,54 @@ def _kronecker(f: List[int], d: int):
     """Kronecker's candidates for a primitive factor of degree d (1 or 2),
     leading coefficient positive, of the integer polynomial f with f(0) !=
     0 and, for d = 2, no rational root: its leading and constant terms
-    divide f's, and its values at 1 and -1 divide f(1) and f(-1)."""
-    leads = [l for l in _divisors(f[-1]) if l > 0]
-    consts = _divisors(f[0])
-    if d == 1:
-        return ([n, l] for l in leads for n in consts if gcd(l, n) == 1)
-    at_one = _divisors(sum(f))
-    at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(f))
-    return (
-        [n, v - l - n, l]
-        for l in leads
-        for n in consts
-        for v in at_one
-        if 2 * (l + n) != v
-        and at_minus_one % (2 * (l + n) - v) == 0
-        and gcd(l, n, v) == 1
-    )
+    divide f's, a linear one has a root of f, and a quadratic one's values
+    at 1, -1 and 2 divide f's.  None when the divisors cannot be listed or
+    the candidates number more than MAX_CANDIDATES."""
+    lists = [_divisors(f[-1]), _divisors(f[0])] + [_divisors(sum(f))] * (d - 1)
+    if None in lists or prod(map(len, lists)) > MAX_CANDIDATES:
+        return None
+    leads, consts = [l for l in lists[0] if l > 0], lists[1]
+    if d == 1:  # l t + n with f(-n / l) = 0
+        root = lambda n, l: sum(c * (-n) ** i * l ** (len(f) - 1 - i) for i, c in enumerate(f))
+        return ([n, l] for l in leads for n in consts if gcd(l, n) == 1 and not root(n, l))
+    # g = l t^2 + (v - l - n) t + n has g(1) = v, g(-1) = 2(l + n) - v and
+    # g(2) = 2(l + v) - n; f(-1) and f(2) are nonzero, f having no root
+    f_minus_one = sum(c * (-1) ** i for i, c in enumerate(f))
+    f_two = sum(c << i for i, c in enumerate(f))
+    return ([n, v - l - n, l] for l in leads for n in consts for v in lists[2]
+            if 2 * (l + n) != v and f_minus_one % (2 * (l + n) - v) == 0 and gcd(l, n, v) == 1
+            and 2 * (l + v) != n and f_two % (2 * (l + v) - n) == 0)
 
 
-def _factor(f: List[int]) -> Tuple[List[Tuple[List[int], int]], int]:
+def _factor(f: List[int]) -> Tuple[List[Tuple[List[int], int]], str]:
     """Irreducible factors over Q of the primitive integer polynomial f,
     as primitive integer polynomials with multiplicities, in the order of
     sympy's factor_list: by degree, multiplicity, then coefficients from
     the leading one down.  Factors of degree 1 and 2 come from _kronecker,
-    and a cofactor of degree <= 5 without them is irreducible; one of
-    degree >= 6 is left undecided, unlisted, and its degree is returned
-    second (0 when there is none)."""
-    found = []
+    and a cofactor of degree <= 5 without them is irreducible.  A cofactor
+    left undecided, of degree >= 6 or past the search's bounds, is not
+    listed, and the second value says why ('' when there is none)."""
+    found, why = [], ""
     k = next(i for i, c in enumerate(f) if c)
     if k:
         found.append(([0, 1], k))
         f = f[k:]
     for d in (1, 2):
-        for g in _kronecker(f, d) if len(f) > 2 * d else ():
+        cands = _kronecker(f, d) if len(f) > 2 * d and not why else ()
+        if cands is None:
+            why, cands = f"of degree {len(f) - 1} past the search's bounds", ()
+        for g in cands:
             k = 0
-            while True:
-                quo, rem = _pdivmod(f, g)
-                if rem:
-                    break
-                f, k = quo, k + 1
+            while not (quo_rem := _pdivmod(f, g))[1]:
+                f, k = quo_rem[0], k + 1
             if k:
                 found.append((g, k))
-    rest = len(f) - 1
-    if 0 < rest <= 5:
+    if len(f) > 6 and not why:
+        why = f"of degree {len(f) - 1} with no factor of degree <= 2"
+    elif len(f) > 1 and not why:
         found.append((f, 1))
-        rest = 0
     found.sort(key=lambda fk: (len(fk[0]), fk[1], fk[0][::-1]))
-    return found, rest
+    return found, why
 
 
 def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tuple[List, List]]:
@@ -579,12 +586,12 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
         for j in range(i + 1, cdim)
     )
 
-    undecided = set()  # degrees of minimal polynomials _factor left open
+    undecided = set()  # why _factor left minimal polynomials open
 
     def try_element(x: List) -> Optional[Tuple[Optional[Tuple[List, List]], bool]]:
         f = _primitive(_minimal_polynomial(q, x, u))
-        factors, rest = _factor(f)
-        if len(factors) + bool(rest) >= 2:
+        factors, why = _factor(f)
+        if len(factors) + bool(why) >= 2:
             # split off the primary component of the first factor
             g = [ONE]
             for _ in range(factors[0][1]):
@@ -596,15 +603,11 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
                 return None
             return (u1, u2), False
         if not factors:
-            undecided.add(rest)
+            undecided.add(why)
             return None
         # single irreducible factor of full corner degree in a
         # commutative corner: the corner is a field, u is primitive
-        if (
-            commutative
-            and factors[0][1] == 1
-            and len(factors[0][0]) - 1 == cdim
-        ):
+        if commutative and factors[0][1] == 1 and len(factors[0][0]) - 1 == cdim:
             return None, True
         return None
 
@@ -631,9 +634,7 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
             return split
     reason = f"could not split a corner of dimension {cdim} after {MAX_SPLIT_ATTEMPTS} attempts"
     if undecided:
-        degrees = ", ".join(map(str, sorted(undecided)))
-        reason += f"; minimal polynomials of degree {degrees} with no factor of degree <= 2"
-        reason += " are left undecided"
+        reason += f"; minimal polynomials {', '.join(sorted(undecided))} are left undecided"
     raise DecompositionInconclusiveError(reason)
 
 

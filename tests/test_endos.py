@@ -378,7 +378,8 @@ def test_factor_returns_known_irreducibles_in_order(low, high):
     if len(high) == 1:
         expected.append((_HIGH[high[0]], 1))
     expected.sort(key=lambda gk: (len(gk[0]), gk[1], gk[0][::-1]))
-    assert endos._factor(f) == (expected, 6 if len(high) == 2 else 0)
+    why = "of degree 6 with no factor of degree <= 2" if len(high) == 2 else ""
+    assert endos._factor(f) == (expected, why)
 
 
 def test_decompose_leaves_a_sextic_field_undecided():
@@ -393,3 +394,35 @@ def test_decompose_leaves_a_sextic_field_undecided():
     with pytest.raises(DecompositionInconclusiveError, match="of degree 6 with no factor"):
         decompose(x)
     assert time.perf_counter() - start < 10
+
+
+def test_factor_search_stays_bounded():
+    """Kronecker's search is not made when its divisors or candidate
+    factors cannot be listed within the bounds: a prime of 24 digits
+    beats trial division, and a quartic whose end coefficients are
+    720720 has 240 * 480 candidate linear factors.  Both come back
+    undecided at once, the reason naming the bounds."""
+    big = 100000000000000000000117  # prime
+    start = time.perf_counter()
+    assert endos._factor([-big, 0, 1]) == ([], "of degree 2 past the search's bounds")
+    assert endos._factor([720720, 3, 5, 7, 720720]) == ([], "of degree 4 past the search's bounds")
+    # (t - 1)^2 is listed beside a quartic whose value at 1 is big
+    quartic = [1, 0, big - 2, 0, 1]
+    assert endos._factor(endos._pmul(quartic, [1, -2, 1])) == (
+        [([-1, 1], 2)],
+        "of degree 4 past the search's bounds",
+    )
+    assert time.perf_counter() - start < 2
+
+
+def test_decompose_leaves_a_large_prime_field_undecided():
+    """x with a = I and b the companion matrix of t^2 - N, N a prime of 24
+    digits, has End(x) = Q(sqrt N).  Trial division cannot factor N, so
+    the factor search leaves t^2 - N undecided, and decompose says so
+    within a few seconds instead of searching for hours."""
+    q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
+    x = _kronecker_field(build_algebra(q, []), [-100000000000000000000117, 0, 1])
+    start = time.perf_counter()
+    with pytest.raises(DecompositionInconclusiveError, match="of degree 2 past the search's bounds"):
+        decompose(x)
+    assert time.perf_counter() - start < 5

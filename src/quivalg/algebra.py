@@ -13,10 +13,17 @@ classes under right extension, one left-consistency row per path whose
 suffix is not basis, and the relations whose longest term sits at this
 level.  Rows echelonize against the level's undecided paths; a surviving
 row led by an older basis path kills it, and translate rows of the dead
-path are injected until the collapse settles.  The span imposed through
-level L equals the span of all ideal rows with lead length <= L, so
-basis and residues agree with direct echelonization of the whole ideal
-span under the path order.
+path are injected until the collapse settles.  A path whose parent is
+killed during the path's own level needs no row of its own: the dead
+parent's translate row along the path's last arrow is the path less the
+parent's residue times that arrow, so it is led by the path, which is
+then no longer undecided.  Once the level's rows are in, one loop in
+path order settles every path as basis or as its residue and stores it
+in the tables; a class names only smaller paths, whose classes are
+settled by then, so one substitution frees it of the level's non-basis
+paths.  The span imposed through level L equals the span of all ideal
+rows with lead length <= L, so basis and residues agree with direct
+echelonization of the whole ideal span under the path order.
 
 Only a frontier of paths is stored.  Level L holds the paths a*m*b whose
 middle m (the path without its first and last arrow) is a live basis
@@ -230,12 +237,7 @@ class _Sweep:
                         return self._residue(pid)
                     return {pid: ONE}
                 return v  # type: ignore[return-value]
-        pos = self.bpos.get(pid)
-        if pos is None:
-            raise RuntimeError(f"class of path {pid} is out of reach")
-        if self.dead[pos]:
-            return self._residue(pid)
-        return {pid: ONE}
+        raise RuntimeError(f"class of path {pid} is out of reach")
 
     def _residue(self, pid: int) -> Vec:
         """side[pid] over live paths.  A residue naming a path killed since
@@ -351,18 +353,13 @@ class _Sweep:
         self.kills = []
         cur: Dict[int, object] = {}
         self.win = [self.win[-1], (lo, hi, cur)]
-        patch: List[int] = []
 
         # pass 1: fold classes from parents; children of live basis wait
         for pid in range(lo, hi):
             par = t.parent[pid]
             cls = self._class_of(par)
-            if self._is_live_unit(cls, par):
-                continue
-            acc = self._times_arrow(cls, t.last[pid])
-            cur[pid] = acc
-            if any(lo <= p < hi for p in acc):
-                patch.append(pid)
+            if not self._is_live_unit(cls, par):
+                cur[pid] = self._times_arrow(cls, t.last[pid])
 
         # pass 2a: left-consistency rows
         for pid in range(lo, hi):
@@ -388,63 +385,25 @@ class _Sweep:
                 self.kept.append(idx)
             self._drain()
 
-        # candidates orphaned by a parent killed during this level
-        winserted: set = set()
-        while True:
-            changed = False
-            for pid in range(lo, hi):
-                if pid in cur or pid in winserted:
-                    continue
-                par = t.parent[pid]
-                if self.is_live(par):
-                    continue
-                winserted.add(pid)
-                changed = True
-                acc = {pid: ONE}
-                ai = t.last[pid]
-                for b, c in self._class_of(par).items():
-                    self._ext_iadd(acc, b, ai, 0, -c)
-                self._row_insert(acc)
-                self._drain()
-            if not changed:
-                break
-
-        # assign classes
+        # settle classes in path order and persist them in the tables: a
+        # class names only smaller paths, whose classes are final by now,
+        # so one substitution frees it of this level's non-basis paths
         nb = 0
         for pid in range(lo, hi):
-            if pid in cur:
-                continue
-            if pid in self.cand:
-                cur[pid] = dict(self.cand[pid])
-                patch.append(pid)
-            elif pid not in winserted:
+            row = cur.get(pid, self.cand.get(pid))
+            if row is None:
                 self._basis_add(pid)
                 cur[pid] = _BASIS
                 nb += 1
+                row = {pid: ONE}
             else:
-                cur[pid] = self._times_arrow(self._class_of(t.parent[pid]), t.last[pid])
-                patch.append(pid)
-
-        # patch stored rows free of killed candidates; killed candidates
-        # reference only smaller pids, so substitution terminates
-        for ppid in patch:
-            while True:
-                row = cur[ppid]
-                assert isinstance(row, dict)
-                if not any(
-                    lo <= p < hi and isinstance(cur[p], dict) for p in row
-                ):
-                    break
-                acc = {}
-                for p, c in row.items():
-                    sub = cur[p] if lo <= p < hi else None
-                    _iadd(acc, sub.items() if isinstance(sub, dict) else ((p, ONE),), c)
-                cur[ppid] = acc
-
-        # persist tables
-        for pid in range(lo, hi):
-            v = cur[pid]
-            row: Vec = {pid: ONE} if v is _BASIS else v  # type: ignore[assignment]
+                if any(lo <= p < hi and cur[p] is not _BASIS for p in row):
+                    acc = {}
+                    for p, c in row.items():
+                        sub = cur[p] if lo <= p < hi else None
+                        _iadd(acc, sub.items() if isinstance(sub, dict) else ((p, ONE),), c)
+                    row = acc
+                cur[pid] = row
             bp = self.bpos.get(t.parent[pid])
             if bp is not None:
                 self.tabR[bp][t.last[pid]] = row

@@ -179,14 +179,14 @@ class EndStructure:
 
     # -- powers of the radical ------------------------------------------
 
-    def radical_square(self, summands: Optional[List["Summand"]] = None) -> List[ModuleHom]:
+    def radical_square(self, summands: Sequence["Summand"]) -> List[ModuleHom]:
         """Basis of rad^2 as endomorphisms.
 
         Products are taken blockwise in coordinates adapted to the
-        summand decomposition (computed when not given), which avoids
-        quadratically many full-size compositions.
+        summand decomposition summands, which avoids quadratically many
+        full-size compositions.
         """
-        view = BlockView(self.module, summands or decompose(self.module, structure=self))
+        view = BlockView(self.module, summands)
         blocks = view.radical_block_spans(self)
         sq = view.block_span_products(blocks, blocks)
         out = []
@@ -195,9 +195,10 @@ class EndStructure:
                 out.append(view.hom_from_block_flat(bu, bv, row))
         return out
 
-    def radical_nilpotency_index(self, summands: Optional[List["Summand"]] = None) -> int:
-        """Least k with rad^k = 0 (k = 1 for a semisimple algebra)."""
-        view = BlockView(self.module, summands or decompose(self.module, structure=self))
+    def radical_nilpotency_index(self, summands: Sequence["Summand"]) -> int:
+        """Least k with rad^k = 0 (k = 1 for a semisimple algebra), read
+        blockwise over the summand decomposition summands."""
+        view = BlockView(self.module, summands)
         first = view.radical_block_spans(self)
         cur = first
         k = 1

@@ -123,6 +123,7 @@ def _parse_relation_terms(line: _Line, quiver: Quiver) -> PathAlgElement:
     i = 0
     first = True
     while i < len(tokens):
+        start = i
         sign = 1
         if tokens[i] in ("+", "-"):
             if tokens[i] == "-":
@@ -160,7 +161,7 @@ def _parse_relation_terms(line: _Line, quiver: Quiver) -> PathAlgElement:
         try:
             path = quiver.path(labels)
         except IncomposableError as exc:
-            raise line.error(str(exc), offset) from exc
+            raise line.error(str(exc), offset + start) from exc
         element = element + PathAlgElement.from_path(quiver, path, coeff)
     return element
 

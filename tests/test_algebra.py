@@ -24,6 +24,7 @@ from quivalg import (
     reference_end_algebra,
     reference_end_quiver,
     reference_end_relations,
+    two_loop_local_algebra,
 )
 from quivalg.algebra import _stabilize
 from quivalg.linalg import QQ
@@ -564,12 +565,16 @@ def test_reference_sweep_output_pinned():
 def test_reference_sweep_work_counters(count_calls):
     """The reference sweep certifies once; its radical layers multiply
     echelon vectors only by arrows that compose, and the compressed
-    residues change no row the sweep imposes."""
+    residues change no row the sweep imposes.  A path whose parent dies
+    in its own level gets only the parent's translate row, since a
+    second row for it would reduce to zero.  527 paths are ever basis,
+    362 of them killed at levels 7 to 9."""
     q = reference_end_quiver()
     rels = reference_end_relations(q)
     attempts, radical = [], {"calls": 0}
     folds = count_calls(PresentedAlgebra, "apply_arrow")
     rows = count_calls(algebra._Sweep, "_row_insert")
+    basis = count_calls(algebra._Sweep, "_basis_add")
     radical_dims = algebra._radical_dims
 
     def counted_radical_dims(alg):
@@ -586,7 +591,31 @@ def test_reference_sweep_work_counters(count_calls):
     assert alg.dim == 165
     assert folds["calls"] <= 2_000
     assert radical["calls"] <= 1_000
-    assert rows["calls"] == 2_408
+    assert rows["calls"] == 2_026
+    assert basis["calls"] == 527
+
+
+def test_pipeline_sweep_work_counters(m_presentation, count_calls):
+    """Row inserts and ever-basis paths of the other sweeps verify-paper
+    runs: the two-loop algebra, B's 184 raw relations, the 200 Ext^2
+    products of the 50 relations that sweep kept, and those 50.  A pass
+    imposing rows that the others already imply shows up here too."""
+    pres = m_presentation
+    kept = pres.presented.kept_relations
+    assert (len(pres.relations), len(kept)) == (184, 50)
+    rows = count_calls(algebra._Sweep, "_row_insert")
+    basis = count_calls(algebra._Sweep, "_basis_add")
+    work = []
+    for run in (
+        two_loop_local_algebra,
+        lambda: _stabilize(pres.quiver, pres.relations, 20),
+        lambda: ext2_simples_total(pres.quiver, kept, 165),
+        lambda: build_dimension_only(pres.quiver, kept),
+    ):
+        rows["calls"] = basis["calls"] = 0
+        run()
+        work.append((rows["calls"], basis["calls"]))
+    assert work == [(36, 11), (566, 165), (849, 215), (432, 165)]
 
 
 # -- the certificate's radical layers against multiplying every vector ----

@@ -10,11 +10,13 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import quivalg
+import quivalg.verify
 from quivalg import (
     IncompletePresentationWarning,
     direct_sum,
@@ -65,6 +67,37 @@ def test_verify_paper_passes(capsys, count_calls):
     # A, B's raw relations (whose sweep also gives the kept set), the Ext^2
     # products, the kept set rebuilt and the reference presentation
     assert sweeps["calls"] == 5
+
+
+def _readme_report_keys():
+    """The verify-paper report keys the README lists, in its order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("`verify-paper` report keys, in order:")
+    end = readme.index("then `inconclusive_reason`", start)
+    return re.findall(r"`(\w+)`", readme[start:end])
+
+
+def test_verify_paper_structured_keys_in_readme_order(capsys):
+    code, out, _ = run_cli(capsys, "verify-paper", "--format", "structured")
+    assert code == 0
+    obj = json.loads(out)
+    assert [c["key"] for c in obj["checks"]] == _readme_report_keys()
+    assert obj["result"] == "pass"
+    assert "first_failure" not in obj
+
+
+def test_verify_paper_names_its_first_failure(capsys, monkeypatch):
+    """An adjacency that disagrees with the reference fails
+    end_adjacency_matches, which both formats name as the first failure."""
+    monkeypatch.setattr(quivalg.verify, "REFERENCE_ADJACENCY", Counter())
+    code, out, _ = run_cli(capsys, "verify-paper")
+    assert code == 1
+    assert "end_adjacency_matches = False  [fail]" in out
+    assert out.endswith("result = fail\nfirst_failure = end_adjacency_matches\n")
+    code, out, _ = run_cli(capsys, "verify-paper", "--format", "structured")
+    assert code == 1
+    obj = json.loads(out)
+    assert (obj["result"], obj["first_failure"]) == ("fail", "end_adjacency_matches")
 
 
 def test_verify_paper_leaves_the_shared_zero_row_empty(capsys):

@@ -38,7 +38,8 @@ def test_end_dims_l2_mixed(l2_mixed):
     e = EndStructure(l2_mixed)
     assert e.dim == 5
     assert e.radical_dim == 3
-    assert len(e.radical_square()) == 1  # Hom(S,P) then Hom(P,S) survives one step
+    # Hom(S,P) then Hom(P,S) survives one step
+    assert len(e.radical_square(decompose(l2_mixed, structure=e))) == 1
 
 
 @pytest.mark.parametrize(
@@ -47,11 +48,13 @@ def test_end_dims_l2_mixed(l2_mixed):
 )
 def test_radical_powers_pinned(l2, parts, square_dim, index):
     """rad^2 and the nilpotency index of End over the dual numbers, one
-    summand or several, with the decomposition computed on demand."""
+    summand or several, over one decomposition passed to both."""
     pick = {"S": simples(l2)[0], "P": indec_projectives(l2)[0]}
-    e = EndStructure(direct_sum([pick[c] for c in parts])[0])
-    assert len(e.radical_square()) == square_dim
-    assert e.radical_nilpotency_index() == index
+    m = direct_sum([pick[c] for c in parts])[0]
+    e = EndStructure(m)
+    summands = decompose(m, structure=e)
+    assert len(e.radical_square(summands)) == square_dim
+    assert e.radical_nilpotency_index(summands) == index
 
 
 def test_block_span_products_cuts_each_span_row_once(l2, count_calls):
@@ -66,7 +69,7 @@ def test_block_span_products_cuts_each_span_row_once(l2, count_calls):
     cuts = count_calls(BlockView, "_block_mats")
     sq = view.block_span_products(rad, rad)
     assert cuts["calls"] == rows
-    assert sum(mat.nrows for mat in sq.values()) == len(e.radical_square())
+    assert sum(mat.nrows for mat in sq.values()) == len(e.radical_square(view.summands))
     cuts["calls"] = 0
     view.block_span_products(sq, rad)
     assert cuts["calls"] == rows + sum(mat.nrows for mat in sq.values())

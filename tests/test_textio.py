@@ -135,3 +135,75 @@ def test_comments_and_blank_lines_ignored(two_loop):
     text = "# header\n\nvertex v 1  # inline\n\n# done\n"
     rep = parse_module(text, algebra=two_loop)
     assert rep.dims == [1]
+
+
+_ALGEBRA_HEAD = "vertices v\narrow a: v -> v\n"
+_MODULE_HEAD = "vertex v 1\narrow a\n"
+
+# (parser, text, message, line, column) for each way the text formats
+# reject their input; "module" reads against the two-loop algebra
+_PARSE_ERRORS = [
+    ("algebra", _ALGEBRA_HEAD + "relation a*a $ a\n", "unexpected character '$'", 3, 14),
+    ("algebra", _ALGEBRA_HEAD + "relation a*a +\n", "dangling sign", 3, 14),
+    ("algebra", _ALGEBRA_HEAD + "relation a*a a*a\n", "expected + or - between terms", 3, 14),
+    ("algebra", _ALGEBRA_HEAD + "relation a*a - a*\n", "expected arrow label after *", 3, 17),
+    (
+        "algebra",
+        "vertices u v\narrow a: u -> v\narrow b: v -> u\nrelation a*b - b*b\n",
+        "cannot compose: first path ends at vertex 0, second starts at vertex 1",
+        4,
+        14,
+    ),
+    ("algebra", _ALGEBRA_HEAD + "relation\n", "relation line has no terms", 3, 9),
+    ("algebra", _ALGEBRA_HEAD + "relation a*a - 2\n", "expected a path term", 3, 17),
+    ("algebra", _ALGEBRA_HEAD + "relation a*a - a*c\n", "unknown arrow label 'c'", 3, 18),
+    ("algebra", _ALGEBRA_HEAD + "relation 1/0*a*a\n", "zero denominator", 3, 10),
+    ("algebra", _ALGEBRA_HEAD + "vertices w\n", "duplicate vertices line", 3, 1),
+    ("algebra", "vertices\n", "vertices line needs at least one label", 1, 1),
+    ("algebra", "vertices 1v\n", "bad vertex label '1'", 1, 10),
+    ("algebra", "vertices v w v\n", "duplicate vertex label 'v'", 1, 14),
+    ("algebra", "vertices v\narrow a v -> v\n", "expected: arrow label: source -> target", 2, 1),
+    ("algebra", "vertices v\nquiver a\n", "unknown directive 'quiver'", 2, 1),
+    ("algebra", "arrow a: v -> v\n", "missing vertices line", 1, 1),
+    ("algebra", _ALGEBRA_HEAD + "arrow a: v -> v\n", "duplicate arrow label 'a'", 3, 7),
+    ("algebra", _ALGEBRA_HEAD + "arrow b: v -> w\n", "arrow endpoint 'w' is not a vertex", 3, 15),
+    ("module", "algebra\nvertex v 1\n", "algebra line needs a reference", 1, 1),
+    ("module", "algebra x.alg\nalgebra y.alg\n", "duplicate algebra line", 2, 1),
+    ("module", "vertex v\n", "expected: vertex label dim", 1, 1),
+    ("module", "vertex v 1\nvertex v 2\n", "duplicate vertex 'v'", 2, 8),
+    ("module", "vertex v 1/2\n", "vertex dimension must be a nonnegative integer", 1, 10),
+    ("module", "vertex v x\n", "vertex dimension must be a nonnegative integer", 1, 10),
+    ("module", "vertex v 1\narrow\n", "expected: arrow label", 2, 1),
+    ("module", _MODULE_HEAD + "0\narrow a\n0\n", "duplicate arrow block 'a'", 4, 7),
+    ("module", "vertex v 1\n1\n", "unknown directive '1'", 2, 1),
+    ("module", _MODULE_HEAD + "-\n", "dangling sign", 3, 1),
+    ("module", _MODULE_HEAD + "x\n", "expected a rational entry, got 'x'", 3, 1),
+    ("module", _MODULE_HEAD + "1/0\n", "zero denominator", 3, 1),
+    ("module without algebra", "vertex v 1\n", "missing algebra line", 1, 1),
+    ("module", "vertex w 1\n", "unknown vertex 'w'", 1, 8),
+    ("module", "vertex v 2\narrow a\n1 0\n", "arrow 'a' needs 2 rows, got 1", 3, 1),
+    ("module", _MODULE_HEAD + "1 0\n", "arrow 'a' rows need 1 entries, got 2", 3, 1),
+    ("module", "vertex v 1\narrow zz\n0\n", "unknown arrow 'zz'", 2, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, column",
+    _PARSE_ERRORS,
+    ids=[f"{parse}: {message}" for parse, _text, message, _line, _col in _PARSE_ERRORS],
+)
+def test_parse_error_positions(two_loop, parse, text, message, line, column):
+    """Every rejection names its cause, line and column; module text is
+    read against the two-loop algebra, whose one vertex is v."""
+    with pytest.raises(ParseError) as err:
+        if parse == "algebra":
+            parse_algebra(text)
+        elif parse == "module":
+            parse_module(text, algebra=two_loop)
+        else:
+            parse_module(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}, column {column}: {message}",
+        line,
+        column,
+    )

@@ -30,7 +30,10 @@ from .linalg import (
     ZERO,
     Matrix,
     SpanSolver,
+    _echelon_add,
+    _echelon_rows,
     _iadd,
+    _reduce,
     div,
     hstack,
     left_kernel_basis,
@@ -87,11 +90,6 @@ def _unflat(flat: Sequence, shapes: Sequence[Tuple[int, int]]) -> List[Matrix]:
     return mats
 
 
-def _hom_flat(h: ModuleHom) -> Dict[int, "QQ"]:
-    """The vertex maps flattened, as a sparse dict for SpanSolver."""
-    return dict(_flat(h.vertex_maps))
-
-
 class EndStructure:
     """Basis and radical data for End(m).
 
@@ -128,7 +126,7 @@ class EndStructure:
     # -- coordinates ----------------------------------------------------
 
     def coords(self, h: ModuleHom) -> List:
-        c = self._solver.coords(_hom_flat(h))
+        c = self._solver.coords(dict(_flat(h.vertex_maps)))
         if c is None:
             raise ValueError("endomorphism lies outside the recorded basis span")
         return c
@@ -326,9 +324,15 @@ class BlockView:
         left: Dict[Tuple[int, int], Matrix],
         right: Dict[Tuple[int, int], Matrix],
     ) -> Dict[Tuple[int, int], Matrix]:
-        """Spans of all products left * right, blockwise.
+        """Canonical bases (row_space_basis) of the spans of all products
+        left * right, blockwise.
 
-        Every span row is cut into its per-vertex block matrices once.
+        span(right) must be closed under multiplication, as rad is; both
+        callers pass right = rad.  Then a left row x = sum c_i l_i r_i in
+        the span of products formed so far needs none of its own, since
+        x r = sum c_i l_i (r_i r) is a sum of l_i's products; so each left
+        row is taken in order and skipped when it lies in the span formed
+        so far in its block.  Every span row is cut into blocks once.
         """
         nb = len(self.summands)
 
@@ -339,21 +343,21 @@ class BlockView:
         rblocks = lblocks if right is left else cut(right)
         out = {}
         for bu in range(nb):
-            for bv in range(nb):
-                rows = []
-                for bw in range(nb):
-                    lrows = lblocks.get((bu, bw))
-                    rrows = rblocks.get((bw, bv))
-                    if lrows is None or rrows is None:
+            # Gauss-Jordan echelon of the products in block (bu, bv)
+            spans: List[Dict[int, Dict]] = [{} for _ in range(nb)]
+            for bw in range(nb):
+                if (bu, bw) not in left:
+                    continue
+                for flat, lms in zip(left[(bu, bw)].pairs, lblocks[(bu, bw)]):
+                    if not _reduce(spans[bw], dict(flat)):
                         continue
-                    for lms in lrows:
-                        for rms in rrows:
-                            flat = _flat([a @ b for a, b in zip(lms, rms)])
-                            if flat:
-                                rows.append(flat)
-                if rows:
+                    for bv in range(nb):
+                        for rms in rblocks.get((bw, bv), ()):
+                            _echelon_add(spans[bv], dict(_flat([a @ b for a, b in zip(lms, rms)])))
+            for bv, ech in enumerate(spans):
+                if ech:
                     width = self._block_width(bu, bv)
-                    out[(bu, bv)] = row_space_basis(Matrix._from_pairs(len(rows), width, rows))
+                    out[(bu, bv)] = Matrix._from_pairs(len(ech), width, _echelon_rows(ech))
         return out
 
 

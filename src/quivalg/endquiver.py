@@ -6,11 +6,19 @@ one vertex per summand, one arrow per basis vector of rad/rad^2 in each
 Peirce block.  A breadth-first sweep over products of stored paths with
 arrows records a relation whenever a product lands in the span of what
 is already stored; those relations present the algebra exactly.
+
+The sweep runs in BlockView's summand coordinates: the idempotent of
+summand k is the identity of block (k, k), a path from u to w is its
+(u, w) block at every vertex, and a path times an arrow is a product
+of small blocks.  Stored paths are independent and each lies in one
+Peirce block, so one SpanSolver per block gives the same coordinates
+as one over all of them.  The path dictionary is built on first read.
 """
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -20,13 +28,13 @@ from .algebra import (
     build_algebra,
     build_dimension_only,
 )
-from .endos import BlockView, EndStructure, Summand, _hom_flat, decompose
+from .endos import BlockView, EndStructure, Summand, _flat, decompose
 from .errors import (
     DimensionMismatchError,
     IncompletePresentationWarning,
     NotFiniteDimensionalError,
 )
-from .linalg import Matrix, ONE, SpanSolver, extend_independent
+from .linalg import QQ, Matrix, ONE, SpanSolver, extend_independent
 from .modules import ModuleHom, Representation
 from .quiver import Path, PathAlgElement, Quiver
 
@@ -37,19 +45,27 @@ class EndPresentation:
 
     Vertex k of the quiver corresponds to vertex_summands[k]; the path
     dictionary sends every stored path (trivial paths included) to the
-    endomorphism it denotes.  presented is the algebra rebuilt from the
-    quiver and relations, with its dimension checked against dim End;
-    it is None when the search was cut off (incomplete = True).
+    endomorphism it denotes, built on first read from the paths' block
+    coordinates.  presented is the algebra rebuilt from the quiver and
+    relations, with its dimension checked against dim End; it is None
+    when the search was cut off (incomplete = True).
     """
 
     quiver: Quiver
     relations: List[PathAlgElement]
     adjacency: List[List[int]]
     vertex_summands: List[Summand]
-    path_dictionary: Dict[Path, ModuleHom]
     raw_relation_count: int
     presented: Optional[PresentedAlgebra]
     incomplete: bool
+    # the stored paths, each with its flattened Peirce block in view
+    _view: BlockView = field(repr=False, compare=False)
+    _stored: List[Tuple[Path, List]] = field(repr=False, compare=False)
+
+    @cached_property
+    def path_dictionary(self) -> Dict[Path, ModuleHom]:
+        view = self._view
+        return {p: view.hom_from_block_flat(p.source, p.target, flat) for p, flat in self._stored}
 
 
 def end_as_quiver_algebra(
@@ -73,17 +89,11 @@ def end_as_quiver_algebra(
     rad_blocks = view.radical_block_spans(E)
     radsq_blocks = view.block_span_products(rad_blocks, rad_blocks)
 
-    arrow_specs: List[Tuple[int, int, ModuleHom]] = []
-    for u in range(nb):
-        for v in range(nb):
-            cand = rad_blocks.get((u, v))
-            if cand is None:
-                continue
-            base = radsq_blocks.get((u, v))
-            if base is None:
-                base = Matrix(0, cand.ncols)
-            for i in extend_independent(base, cand):
-                arrow_specs.append((u, v, view.hom_from_block_flat(u, v, cand.pairs[i])))
+    # each arrow as its block (u, v) and that block's matrices at every vertex
+    arrow_specs: List[Tuple[int, int, List[Matrix]]] = []
+    for (u, v), cand in sorted(rad_blocks.items()):
+        for i in extend_independent(radsq_blocks.get((u, v), Matrix(0, cand.ncols)), cand):
+            arrow_specs.append((u, v, view._block_mats(u, v, cand.pairs[i])))
     adjacency = [[0] * nb for _ in range(nb)]
     for u, v, _h in arrow_specs:
         adjacency[u][v] += 1
@@ -97,47 +107,54 @@ def end_as_quiver_algebra(
         ],
     )
 
-    ncoord = sum(d * d for d in m.dims)
-    solver = SpanSolver(ncoord)
-    stored: List[Tuple[Path, ModuleHom]] = []
-    for k in range(nb):
-        h = summands[k].idempotent
-        assert solver.insert(_hom_flat(h))
-        stored.append((quiver.trivial_path(k), h))
+    # one solver per Peirce block, with the stored index of each of its rows
+    blocks = [(u, v) for u in range(nb) for v in range(nb)]
+    solvers = {key: (SpanSolver(view._block_width(*key)), []) for key in blocks}
+    stored: List[Tuple[Path, List]] = []  # each path with its block flat
+
+    def search(path: Path, mats: List[Matrix]) -> Optional[List[Tuple[int, "QQ"]]]:
+        """The nonzero coordinates of path's endomorphism over the stored
+        paths, or None when it is independent of them and now stored."""
+        solver, index = solvers[path.source, path.target]
+        flat = _flat(mats)
+        coords = solver.coords_or_insert(dict(flat))
+        if coords is None:
+            index.append(len(stored))
+            stored.append((path, flat))
+            return None
+        return [(index[j], c) for j, c in enumerate(coords) if c]
+
+    # the conjugated idempotent of summand k is its identity block
+    for k, s in enumerate(summands):
+        search(quiver.trivial_path(k), [Matrix.identity(d) for d in s.rep.dims])
     queue: deque = deque()
-    for i, (u, v, h) in enumerate(arrow_specs):
-        assert solver.insert(_hom_flat(h))
-        entry = (Path(u, (i,), v), h)
-        stored.append(entry)
+    for i, (u, v, mats) in enumerate(arrow_specs):
+        entry = (Path(u, (i,), v), mats)
+        search(*entry)
         queue.append(entry)
 
     n_seeds = len(stored)
+    assert n_seeds == nb + len(arrow_specs)  # idempotents and arrows are independent
     relations: List[PathAlgElement] = []
     incomplete = False
     while queue:
-        p, hp = queue.popleft()
+        p, pmats = queue.popleft()
         if p.length >= max_length:
             incomplete = True
             continue
-        for i, (u, v, ha) in enumerate(arrow_specs):
+        for i, (u, v, amats) in enumerate(arrow_specs):
             if u != p.target:
                 continue
-            newp = Path(p.source, p.arrows + (i,), v)
-            h = hp * ha
-            coords = solver.coords_or_insert(_hom_flat(h))
+            entry = (Path(p.source, p.arrows + (i,), v), [a @ b for a, b in zip(pmats, amats)])
+            coords = search(*entry)
             if coords is None:
-                entry = (newp, h)
-                stored.append(entry)
                 queue.append(entry)
             else:
                 # a product of radical endomorphisms lies in rad^2, so
                 # its expansion cannot touch idempotents or arrows
-                assert all(c == 0 for c in coords[:n_seeds])
-                terms = {newp: ONE}
-                for j, c in enumerate(coords):
-                    if c:
-                        terms[stored[j][0]] = -c
-                relations.append(PathAlgElement(quiver, terms))
+                assert all(j >= n_seeds for j, _c in coords)
+                terms = [(entry[0], ONE)] + [(stored[j][0], -c) for j, c in coords]
+                relations.append(PathAlgElement(quiver, dict(terms)))
 
     presented = None
     if incomplete:
@@ -164,10 +181,11 @@ def end_as_quiver_algebra(
         relations=relations,
         adjacency=adjacency,
         vertex_summands=summands,
-        path_dictionary=dict(stored),
         raw_relation_count=len(relations),
         presented=presented,
         incomplete=incomplete,
+        _view=view,
+        _stored=stored,
     )
 
 

@@ -18,6 +18,7 @@ from .modules import (
     Representation,
     _ProjSum,
     _Resolution,
+    _cover_data,
     _hom_from_generators,
     _induced_hom_matrix,
     _presentation_components,
@@ -25,7 +26,6 @@ from .modules import (
     dual,
     indec_injectives,
     indec_projectives,
-    injective_envelope,
     is_isomorphic,
     is_projective,
     regular_module,
@@ -211,13 +211,16 @@ def dominant_dimension(
     first bound terms are all projective or the coresolution stops."""
     if bound < 1:
         raise ValueError("bound must be positive")
+    # cur's injective envelope is the sum of I(v) over the cover of dual(cur)
+    projective = [is_projective(i) for i in indec_injectives(a)]
     cur = regular_module(a)
     for k in range(bound):
         if cur.is_zero():
             return AtLeastBound(bound)
-        env, mono = injective_envelope(cur)
-        if not is_projective(env):
+        psum, epi = _cover_data(dual(cur))
+        if not all(projective[v] for v in psum.vertices):
             return k
+        mono = ModuleHom(cur, dual(psum.rep), [f.transpose() for f in epi.vertex_maps])
         cur = cokernel(mono)[0]
     return AtLeastBound(bound)
 

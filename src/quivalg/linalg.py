@@ -288,6 +288,37 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._from_pairs(nrows, sum(m.ncols for m in mats), rows)
 
 
+def _reduce(ech: Dict[int, Dict[int, "QQ"]], row: Dict[int, "QQ"]) -> Dict[int, "QQ"]:
+    """Reduce the sparse dict row in place against ech, which maps each
+    pivot column to the rest of its row, zero in the other pivot columns
+    (Gauss-Jordan); the residue is empty exactly when row is in the span."""
+    for lead in [j for j in row if j in ech]:
+        _iadd(row, ech[lead].items(), -row.pop(lead))
+    return row
+
+
+def _echelon_add(ech: Dict[int, Dict[int, "QQ"]], row: Dict[int, "QQ"]) -> bool:
+    """Add the sparse dict row to ech (see _reduce); True when it grew."""
+    row = _reduce(ech, row)
+    if not row:
+        return False
+    lead = min(row)
+    pivot = row.pop(lead)
+    if pivot != ONE:
+        row = {j: div(x, pivot) for j, x in row.items()}
+    for rest in ech.values():
+        c = rest.pop(lead, None)
+        if c is not None:
+            _iadd(rest, row.items(), -c)
+    ech[lead] = row
+    return True
+
+
+def _echelon_rows(ech: Dict[int, Dict[int, "QQ"]]) -> List[Pairs]:
+    """The nonzero rows of the rref of ech's span, in pivot order."""
+    return [[(lead, ONE)] + sorted(ech[lead].items()) for lead in sorted(ech)]
+
+
 def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form.
 
@@ -295,30 +326,12 @@ def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     in increasing order).  Pivot entries are 1 and clear their column; zero
     rows are moved to the bottom.  rref is idempotent.
     """
-    # pivot column -> the rest of its row, right of the pivot; every such
-    # rest is zero in the other pivot columns (Gauss-Jordan, row by row)
     ech: Dict[int, Dict[int, "QQ"]] = {}
     for r in m.pairs:
-        row = dict(r)
-        for lead in [j for j in row if j in ech]:
-            _iadd(row, ech[lead].items(), -row.pop(lead))
-        if not row:
-            continue
-        lead = min(row)
-        pivot = row.pop(lead)
-        if pivot != ONE:
-            row = {j: div(x, pivot) for j, x in row.items()}
-        for rest in ech.values():
-            c = rest.pop(lead, None)
-            if c is not None:
-                _iadd(rest, row.items(), -c)
-        ech[lead] = row
-        if len(ech) == m.ncols:
+        if _echelon_add(ech, dict(r)) and len(ech) == m.ncols:
             break
-    pivots = sorted(ech)
-    rows = [[(lead, ONE)] + sorted(ech[lead].items()) for lead in pivots]
-    rows.extend([] for _ in range(m.nrows - len(pivots)))
-    return Matrix._from_pairs(m.nrows, m.ncols, rows), pivots
+    rows = _echelon_rows(ech) + [[] for _ in range(m.nrows - len(ech))]
+    return Matrix._from_pairs(m.nrows, m.ncols, rows), sorted(ech)
 
 
 def rank(m: Matrix) -> int:

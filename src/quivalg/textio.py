@@ -18,7 +18,8 @@ from .linalg import Matrix, div
 from .modules import Representation
 from .quiver import Path, PathAlgElement, Quiver
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+/\d+|\d+|->|[-+*:]")
+# a number glued to a name ("1v", "2a", "1/2a") is one token, rejected whole
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|(\d+/)?\d+([A-Za-z_][A-Za-z0-9_]*)?|->|[-+*:]")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NUMBER = re.compile(r"(\d+)(/(\d+))?\Z")
 
@@ -152,7 +153,8 @@ def _parse_relation_terms(line: _Line, quiver: Quiver) -> PathAlgElement:
             else:
                 break
         if not labels:
-            raise line.error("expected a path term", offset + i)
+            got = f", got {tokens[i]!r}" if i < len(tokens) else ""
+            raise line.error("expected a path term" + got, offset + i)
         known = {a.label for a in quiver.arrows}
         for lab in labels:
             if lab not in known:

@@ -12,12 +12,16 @@ import pytest
 from hypothesis import strategies as st
 
 from quivalg import (
+    Matrix,
     Quiver,
+    Representation,
     build_algebra,
     decompose,
     direct_sum,
     dual,
     end_as_quiver_algebra,
+    invert,
+    parse_algebra,
     regular_module,
     tau2,
     two_loop_local_algebra,
@@ -72,6 +76,27 @@ def element(quiver, *terms):
         part = PathAlgElement.from_path(quiver, quiver.path(list(labels)), coeff)
         out = part if out is None else out + part
     return out
+
+
+def auslander_module(n, dense=False):
+    """K[x]/(x) + ... + K[x]/(x^n) over K[x]/(x^n), x in Jordan form or,
+    dense, conjugated by I + N, where N sends each odd basis vector i to
+    the vector 3i + 1 mod the size when that is even: N^2 = 0, so the
+    matrix keeps integer entries while it fills in."""
+    a = build_algebra(*parse_algebra("vertices v\narrow x: v -> v\nrelation %s\n" % "*".join(["x"] * n)))
+    size = n * (n + 1) // 2
+    jordan = [[0] * size for _ in range(size)]
+    off = 0
+    for block in range(1, n + 1):
+        for k in range(block - 1):
+            jordan[off + k][off + k + 1] = 1
+        off += block
+    mat = Matrix(size, size, jordan)
+    if dense:
+        nil = [[int(i % 2 == 1 and j == (3 * i + 1) % size and j % 2 == 0) for j in range(size)] for i in range(size)]
+        p = Matrix.identity(size) + Matrix(size, size, nil)
+        mat = p @ mat @ invert(p)
+    return Representation(a, [size], [mat])
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 from quivalg import (
     DimensionMismatchError,
     IncompletePresentationWarning,
+    ModuleHom,
     Quiver,
     element_endomorphism,
     end_as_quiver_algebra,
@@ -22,16 +23,13 @@ from quivalg import (
     reference_end_relations,
     regular_module,
     simples,
-    build_algebra,
     build_dimension_only,
-    parse_algebra,
-    parse_module,
 )
 from quivalg import algebra, endquiver
-from quivalg.endos import EndStructure
+from quivalg.endos import BlockView, EndStructure
 from quivalg.linalg import Matrix, SpanSolver
 
-from conftest import element
+from conftest import auslander_module, element
 
 
 def test_l2_projective_presentation(l2):
@@ -140,20 +138,6 @@ def test_minimize_pipeline_relations_in_one_sweep(m_presentation, count_calls):
     assert presentation_dimension_check(pres.quiver, kept, 165)
 
 
-def _auslander_module(n):
-    """K[x]/(x) + ... + K[x]/(x^n) over K[x]/(x^n), one Jordan block each."""
-    a = build_algebra(*parse_algebra("vertices v\narrow x: v -> v\nrelation %s\n" % "*".join(["x"] * n)))
-    size = n * (n + 1) // 2
-    mat = [[0] * size for _ in range(size)]
-    off = 0
-    for block in range(1, n + 1):
-        for k in range(block - 1):
-            mat[off + k][off + k + 1] = 1
-        off += block
-    text = "vertex v %d\narrow x\n" % size + "\n".join(" ".join(map(str, r)) for r in mat)
-    return parse_module(text, algebra=a)
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_path_search_eliminates_each_product_once(n, monkeypatch):
     """Each seed (idempotent or arrow) and each product of a stored path
@@ -167,7 +151,7 @@ def test_path_search_eliminates_each_product_once(n, monkeypatch):
             return super()._eliminate(row)
 
     monkeypatch.setattr(endquiver, "SpanSolver", CountingSolver)
-    pres = end_as_quiver_algebra(_auslander_module(n))
+    pres = end_as_quiver_algebra(auslander_module(n))
     seeds = pres.quiver.num_vertices + len(pres.quiver.arrows)
     products = len(pres.path_dictionary) - seeds + pres.raw_relation_count
     assert pres.presented.dim == n * (n + 1) * (2 * n + 1) // 6
@@ -175,11 +159,11 @@ def test_path_search_eliminates_each_product_once(n, monkeypatch):
 
 
 def test_end_presentation_tests_few_entries_for_zero():
-    """Matrices keep only their nonzero entries, so computing End of the
-    Auslander module of K[x]/(x^4) and presenting it tests few scalars
-    for zero: 74,471 Fraction.__bool__ calls when rows were stored dense,
-    and the bound below is a fifth of that."""
-    m = _auslander_module(4)
+    """Matrices keep only their nonzero entries, and a whole entry is an
+    int, so computing End of the Auslander module of K[x]/(x^4) and
+    presenting it tests no Fraction for zero: 74,471 Fraction.__bool__
+    calls when rows were stored dense and every entry was a Fraction."""
+    m = auslander_module(4)
     calls = 0
     original = Fraction.__bool__
 
@@ -194,7 +178,22 @@ def test_end_presentation_tests_few_entries_for_zero():
     finally:
         Fraction.__bool__ = original
     assert pres.presented.dim == 30
-    assert calls <= 74_471 // 5
+    assert calls == 0
+
+
+def test_path_search_stays_in_block_coordinates(m_module, m_structure, m_summands, count_calls, monkeypatch):
+    """The path search multiplies Peirce blocks, not endomorphisms of M,
+    and the path dictionary is built from the blocks on first read."""
+    monkeypatch.setattr(endquiver, "decompose", lambda *args, **kwargs: m_summands)
+    muls = count_calls(ModuleHom, "__mul__")
+    homs = count_calls(BlockView, "hom_from_block_flat")
+    pres = end_as_quiver_algebra(m_module, structure=m_structure)
+    assert pres.presented.dim == 165
+    assert (muls["calls"], homs["calls"]) == (0, 0)
+    assert len(pres.path_dictionary) == 165
+    assert (muls["calls"], homs["calls"]) == (0, 165)
+    assert pres.path_dictionary is pres.path_dictionary
+    assert homs["calls"] == 165
 
 
 def test_ext2_simples_total_two_loop(two_loop):

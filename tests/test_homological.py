@@ -2,6 +2,9 @@
 then the two-loop translate pipeline."""
 
 import pytest
+from hypothesis import given, settings
+
+from conftest import truncated_quotients
 
 from quivalg import (
     AtLeastBound,
@@ -19,6 +22,7 @@ from quivalg import (
     global_dimension,
     indec_projectives,
     injective_dimension,
+    injective_envelope,
     is_generator_cogenerator,
     is_isomorphic,
     is_projective,
@@ -68,6 +72,39 @@ def test_l2_dimensions_hit_bounds(l2):
     assert global_dimension(l2, 5) == ExceedsBound(5)
     assert injective_dimension(s, 4) == ExceedsBound(4)
     assert dominant_dimension(l2, 6) == AtLeastBound(6)
+
+
+# -- dominant dimension against whole injective envelopes ---------------
+
+
+def _dominant_dimension_by_envelopes(a, bound):
+    """The definition, read literally: how many leading terms of the
+    minimal injective coresolution of A, each whole envelope tested."""
+    cur = regular_module(a)
+    for k in range(bound):
+        if cur.is_zero():
+            return AtLeastBound(bound)
+        env, mono = injective_envelope(cur)
+        if not is_projective(env):
+            return k
+        cur = cokernel(mono)[0]
+    return AtLeastBound(bound)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_dominant_dimension_matches_whole_envelopes(data):
+    """dominant_dimension reads which I(v) are projective once; on small
+    random quotients it agrees with testing every envelope whole."""
+    q, rels, _n, _paths = data
+    a = build_algebra(q, rels)
+    assert dominant_dimension(a, 4) == _dominant_dimension_by_envelopes(a, 4)
+
+
+def test_kronecker_dominant_dimension_zero():
+    """No indecomposable injective of the Kronecker algebra is projective."""
+    kronecker = build_algebra(Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")]), [])
+    assert dominant_dimension(kronecker, 6) == 0 == _dominant_dimension_by_envelopes(kronecker, 6)
 
 
 # -- path algebra of v1 -> v2: hereditary --------------------------------

@@ -75,6 +75,14 @@ def test_format_element_signs_and_coefficients(two_loop):
     assert text == "a + 3*a*b - 1/2*b*b"
 
 
+@pytest.mark.parametrize("term", ["2 a*a", "2*a*a", "2  *  a * a"])
+def test_coefficient_apart_from_its_path_parses(term):
+    """A coefficient is read when a space or * parts it from the path; one
+    glued to the path's first label is rejected (test_parse_error_positions)."""
+    q, (rel,) = parse_algebra("vertices v\narrow a: v -> v\nrelation %s\n" % term)
+    assert rel.terms == {q.path(["a", "a"]): 2}
+
+
 def test_parse_algebra_positions():
     bad = "vertices v\narrow a: v -> v\nrelation a*c\n"
     with pytest.raises(ParseError) as err:
@@ -156,11 +164,13 @@ _PARSE_ERRORS = [
     ),
     ("algebra", _ALGEBRA_HEAD + "relation\n", "relation line has no terms", 3, 9),
     ("algebra", _ALGEBRA_HEAD + "relation a*a - 2\n", "expected a path term", 3, 17),
+    ("algebra", _ALGEBRA_HEAD + "relation 2a*a\n", "expected a path term, got '2a'", 3, 10),
+    ("algebra", _ALGEBRA_HEAD + "relation a*a - 1/2a\n", "expected a path term, got '1/2a'", 3, 16),
     ("algebra", _ALGEBRA_HEAD + "relation a*a - a*c\n", "unknown arrow label 'c'", 3, 18),
     ("algebra", _ALGEBRA_HEAD + "relation 1/0*a*a\n", "zero denominator", 3, 10),
     ("algebra", _ALGEBRA_HEAD + "vertices w\n", "duplicate vertices line", 3, 1),
     ("algebra", "vertices\n", "vertices line needs at least one label", 1, 1),
-    ("algebra", "vertices 1v\n", "bad vertex label '1'", 1, 10),
+    ("algebra", "vertices 1v\n", "bad vertex label '1v'", 1, 10),
     ("algebra", "vertices v w v\n", "duplicate vertex label 'v'", 1, 14),
     ("algebra", "vertices v\narrow a v -> v\n", "expected: arrow label: source -> target", 2, 1),
     ("algebra", "vertices v\nquiver a\n", "unknown directive 'quiver'", 2, 1),

@@ -723,12 +723,6 @@ class PresentedAlgebra:
         """Basis positions of paths from vertex u to vertex v."""
         return self._by_endpoints.get((u, v), [])
 
-    def basis_element(self, i: int) -> PathAlgElement:
-        return PathAlgElement.from_path(self.quiver, self.basis[i])
-
-    def identity_vec(self) -> Vec:
-        return {self.idempotent_position(v): ONE for v in range(self.num_vertices)}
-
     # -- multiplication -------------------------------------------------
 
     def apply_arrow(self, vec: Vec, ai: int) -> Vec:
@@ -782,10 +776,6 @@ class PresentedAlgebra:
 
     def vec_to_element(self, vec: Vec) -> PathAlgElement:
         return PathAlgElement(self.quiver, {self.basis[i]: c for i, c in vec.items()})
-
-    def normal_form(self, el: PathAlgElement) -> PathAlgElement:
-        """Canonical representative over the monomial basis."""
-        return self.vec_to_element(self.element_vec(el))
 
     # -- opposite -------------------------------------------------------
 

@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     out = ("--out", dict(help="write the translate as a module file"))
     imax = ("--imax", dict(type=_int_at_least(1), default=2, help="largest Ext degree to report"))
-    max_length = ("--max-length", dict(type=int, default=20, help="path length cap"))
+    max_length = ("--max-length", dict(type=_int_at_least(2), default=20, help="path length cap"))
     styles = "human renders key = value lines, structured renders JSON"
     formats = ("--format", dict(choices=("human", "structured"), default="human", help=styles))
     commands = {

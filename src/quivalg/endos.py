@@ -164,10 +164,6 @@ class EndStructure:
             self._radical_coords = left_kernel_basis(self.gram)
         return self._radical_coords
 
-    @property
-    def radical_dim(self) -> int:
-        return self.radical_coords.nrows
-
     def radical_homs(self) -> List[ModuleHom]:
         if self._radical_homs is None:
             self._radical_homs = [
@@ -176,22 +172,6 @@ class EndStructure:
         return self._radical_homs
 
     # -- powers of the radical ------------------------------------------
-
-    def radical_square(self, summands: Sequence["Summand"]) -> List[ModuleHom]:
-        """Basis of rad^2 as endomorphisms.
-
-        Products are taken blockwise in coordinates adapted to the
-        summand decomposition summands, which avoids quadratically many
-        full-size compositions.
-        """
-        view = BlockView(self.module, summands)
-        blocks = view.radical_block_spans(self)
-        sq = view.block_span_products(blocks, blocks)
-        out = []
-        for (bu, bv), mat in sorted(sq.items()):
-            for row in mat.pairs:
-                out.append(view.hom_from_block_flat(bu, bv, row))
-        return out
 
     def radical_nilpotency_index(self, summands: Sequence["Summand"]) -> int:
         """Least k with rad^k = 0 (k = 1 for a semisimple algebra), read

@@ -201,15 +201,6 @@ def path_endomorphism(pres: EndPresentation, path: Path) -> ModuleHom:
     return h
 
 
-def element_endomorphism(pres: EndPresentation, element: PathAlgElement) -> ModuleHom:
-    """Evaluate a path-algebra element of the presentation quiver."""
-    m = pres.vertex_summands[0].idempotent.source
-    acc = ModuleHom.zero(m, m)
-    for path, coeff in element.sorted_terms():
-        acc = acc + path_endomorphism(pres, path).scale(coeff)
-    return acc
-
-
 def presentation_dimension_check(
     quiver: Quiver,
     relations: List[PathAlgElement],

@@ -76,24 +76,6 @@ def syzygy(m: Representation, k: int) -> Representation:
     return _Resolution(m).syzygy(k)
 
 
-@dataclass
-class MinimalPresentation:
-    """Start of a minimal resolution: p1 --d--> p0 --epi--> module."""
-
-    p1: Representation
-    p0: Representation
-    d: ModuleHom
-    epi: ModuleHom
-
-
-def minimal_presentation(m: Representation) -> MinimalPresentation:
-    res = _Resolution(m)
-    res.extend_to(1)
-    return MinimalPresentation(
-        p1=res.psums[1].rep, p0=res.psums[0].rep, d=res.maps[0], epi=res.epis[0]
-    )
-
-
 # -- transpose and translates -------------------------------------------
 
 
@@ -194,13 +176,6 @@ def global_dimension(
             return pd
         best = max(best, pd)
     return best
-
-
-def injective_dimension(
-    m: Representation, bound: int = DEFAULT_BOUND
-) -> Union[int, ExceedsBound]:
-    """Injective dimension via the projective dimension of the dual."""
-    return projective_dimension(dual(m), bound)
 
 
 def dominant_dimension(

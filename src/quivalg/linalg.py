@@ -240,13 +240,6 @@ class Matrix:
         rows = [self.pairs[i] for i in indices]
         return Matrix._from_pairs(len(rows), self.ncols, rows)
 
-    def flatten(self) -> List:
-        """Concatenate the rows into a single list, row-major."""
-        out: List = []
-        for r in self.rows:
-            out.extend(r)
-        return out
-
     def _same_shape(self, other: "Matrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
@@ -373,7 +366,9 @@ def coefficients_in_span(basis: Matrix, target: Sequence) -> Optional[List]:
 
     Returns the coefficient list, or None when the target is not in the row
     span.  The zero target always yields the all-zero list, even over an
-    empty basis.  Raises ValueError on a length mismatch.
+    empty basis.  Raises ValueError on a length mismatch.  One fresh rref
+    per query: the reference the tests hold SpanSolver and solve_left to;
+    the pipeline itself calls those two.
     """
     target = [rat(x) for x in target]
     if len(target) != basis.ncols:
@@ -401,9 +396,10 @@ def coefficients_in_span(basis: Matrix, target: Sequence) -> Optional[List]:
 def solve_left(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Solve x @ a = b row by row; None when some row of b is outside the span.
 
-    One SpanSolver over the rows of a answers every row of b.  Like
-    coefficients_in_span, it expresses each row over the first independent
-    rows of a and gives the dependent rows coefficient 0.
+    One SpanSolver over the rows of a answers every row of b.  It
+    expresses each row over the first independent rows of a and gives the
+    dependent rows coefficient 0, as the tests' reference,
+    coefficients_in_span, does.
     """
     if a.ncols != b.ncols:
         raise ValueError("solve_left: width mismatch")
@@ -417,15 +413,6 @@ def solve_left(a: Matrix, b: Matrix) -> Optional[Matrix]:
             return None
         out.append([(i, w) for i, w in sorted(used.items()) if w])
     return Matrix._from_pairs(b.nrows, a.nrows, out)
-
-
-def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
-    """Square-block diagonal sum; the empty list gives the 0x0 matrix."""
-    blocks = list(blocks)
-    for b in blocks:
-        if b.nrows != b.ncols:
-            raise ValueError("block_diagonal requires square blocks")
-    return block_diagonal_rect(blocks)
 
 
 def block_diagonal_rect(blocks: Sequence[Matrix]) -> Matrix:
@@ -472,11 +459,11 @@ def invert(m: Matrix) -> Optional[Matrix]:
 class SpanSolver:
     """Incremental row-span tracker with coefficient recovery.
 
-    coefficients_in_span runs a fresh elimination per query; this keeps the
-    echelonized span between calls, so inserting d rows and answering q
-    membership queries costs O((d + q) * d * nnz) total, where nnz is the
-    number of nonzeros of an echelon row, instead of a full rref per
-    query.  A row is handed over dense, as a sequence of ncols scalars,
+    The tests' reference, coefficients_in_span, runs a fresh elimination
+    per query; this keeps the echelonized span between calls, so
+    inserting d rows and answering q membership queries costs
+    O((d + q) * d * nnz) total, where nnz is the number of nonzeros of
+    an echelon row, instead of a full rref per query.  A row is handed over dense, as a sequence of ncols scalars,
     or sparse, as a dict {column: value} of its nonzero entries.  The
     echelon rows are sparse too: each is kept as its leading column and
     the dict of its other nonzeros, its leading entry being 1.  Rows

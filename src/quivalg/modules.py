@@ -225,12 +225,6 @@ def _same_algebra(m: Representation, n: Representation) -> None:
 # -- basic module constructions ----------------------------------------
 
 
-def zero_module(a: PresentedAlgebra) -> Representation:
-    dims = [0] * a.num_vertices
-    mats = [Matrix.zero(0, 0) for _ in a.quiver.arrows]
-    return Representation(a, dims, mats)
-
-
 def simples(a: PresentedAlgebra) -> List[Representation]:
     """S(i): one-dimensional at vertex i, all arrows acting by zero."""
     out = []
@@ -540,28 +534,6 @@ def _socle_rows(m: Representation) -> List[Matrix]:
         else:
             rows.append(Matrix.identity(m.dims[v]))
     return rows
-
-
-def radical_top_socle(m: Representation):
-    """((rad, inclusion), (top, projection), (soc, inclusion)).
-
-    rad at v is the sum of incoming arrow images, soc at v the intersection
-    of outgoing arrow kernels; top = m / rad carries the zero action.
-    """
-    rad_rows = _radical_rows(m)
-    return _sub_rep(m, rad_rows), _quotient_rep(m, rad_rows), socle(m)
-
-
-def radical(m: Representation) -> Tuple[Representation, ModuleHom]:
-    return _sub_rep(m, _radical_rows(m))
-
-
-def top(m: Representation) -> Tuple[Representation, ModuleHom]:
-    return _quotient_rep(m, _radical_rows(m))
-
-
-def socle(m: Representation) -> Tuple[Representation, ModuleHom]:
-    return _sub_rep(m, _socle_rows(m))
 
 
 # -- covers, envelopes, projectivity ------------------------------------

@@ -10,7 +10,10 @@ u4_iso_a and m_generator_cogenerator are certain either way.
 End(M), its decomposition, its presentation, gldim, domdim and
 Ext^1(M, M) come from a single cluster_tilting_verdict, and the report
 reads its checks off that verdict; the minimized relations are the ones
-the sweep presenting B kept.  When the presentation is cut off at
+the sweep presenting B kept.  The adjacency of B's quiver is compared
+with the reference quiver's after labelling each vertex by the
+translate its summand is isomorphic to, whatever order decompose
+returned the summands in.  When the presentation is cut off at
 max_length, every check that needs the presented algebra is
 inconclusive, and an info line inconclusive_reason names the cap.
 """
@@ -30,8 +33,10 @@ from .homological import (
     tau2,
 )
 from .algebra import PresentedAlgebra
+from .endos import Summand
 from .modules import (
     Representation,
+    _indecomposable_iso,
     direct_sum,
     dual,
     is_isomorphic,
@@ -50,21 +55,26 @@ minimize_relations = endquiver.minimize_relations
 
 # arrow counts per (source, target) of the reference endomorphism
 # quiver, vertex k = the k-th translate counted from the projective one
-# (see _reversed_adjacency below)
 REFERENCE_ADJACENCY = Counter((ar.source, ar.target) for ar in reference_end_quiver().arrows)
 
-# Computed vertex order is translate order (dual regular module first);
-# the reference labels run the opposite way, so vertex k of the
-# computed presentation is reference label (n - 1 - k).
-def _reversed_adjacency(adjacency: List[List[int]]) -> dict:
-    n = len(adjacency)
-    out = {}
-    for u in range(n):
-        for v in range(n):
-            c = adjacency[u][v]
-            if c:
-                out[(n - 1 - u, n - 1 - v)] = c
-    return out
+
+def _reference_labels(
+    summands: List[Summand], translates: List[Representation]
+) -> Optional[List[int]]:
+    """Reference vertex of each summand, n - 1 - k for the k-th translate
+    from DA, matched by isomorphism among the unmatched translates of its
+    dimension vector; None when some summand matches none.  Summands are
+    indecomposable, so _indecomposable_iso is certain."""
+    n = len(translates)
+    free = list(range(n))
+    labels = []
+    for s in summands:
+        k = next((k for k in free if _indecomposable_iso(s.rep, translates[k])), None)
+        if k is None:
+            return None
+        free.remove(k)
+        labels.append(n - 1 - k)
+    return labels
 
 
 @dataclass
@@ -157,7 +167,13 @@ def run_verification(
     report.check("end_vertices", pres.quiver.num_vertices, pres.quiver.num_vertices == 5)
     report.check("end_arrows", len(pres.quiver.arrows), len(pres.quiver.arrows) == 10)
     report.add("end_adjacency", pres.adjacency, "info")
-    matches = _reversed_adjacency(pres.adjacency) == REFERENCE_ADJACENCY
+    labels = _reference_labels(pres.vertex_summands, translates)
+    matches = labels is not None and REFERENCE_ADJACENCY == {
+        (labels[u], labels[v]): c
+        for u, row in enumerate(pres.adjacency)
+        for v, c in enumerate(row)
+        if c
+    }
     report.check("end_adjacency_matches", matches, matches)
 
     dim_hom = verdict.end_dim

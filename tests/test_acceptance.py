@@ -21,7 +21,6 @@ from quivalg import (
     direct_sum,
     dominant_dimension,
     dual,
-    element_endomorphism,
     end_as_quiver_algebra,
     ext_dim,
     global_dimension,
@@ -41,6 +40,7 @@ from quivalg import (
     two_loop_local_algebra,
 )
 from quivalg.endos import EndStructure
+from quivalg.endquiver import path_endomorphism
 from quivalg.linalg import QQ
 
 from conftest import element
@@ -244,8 +244,10 @@ def test_criterion_11_invariant_suites():
     squares = all(h.is_valid() for h in hom_basis(m, m))
 
     pres = end_as_quiver_algebra(m, seed=0)
+    zero = ModuleHom.zero(m, m)
     relations_vanish = all(
-        element_endomorphism(pres, rel).is_zero() for rel in pres.relations
+        sum((path_endomorphism(pres, p).scale(c) for p, c in rel.sorted_terms()), zero).is_zero()
+        for rel in pres.relations
     )
 
     def clean(vec):

@@ -48,8 +48,7 @@ def test_two_loop_relations_vanish(two_loop):
         element(q, (1, ["a", "a"])),
         element(q, (1, ["a", "b"]), (1, ["b", "b"]), (1, ["b", "b", "a"])),
     ):
-        assert two_loop.normal_form(rel).is_zero()
-        assert not any(two_loop.element_vec(rel).values())
+        assert not two_loop.element_vec(rel)
 
 
 def test_reference_end_algebra_frozen_profile():
@@ -93,7 +92,7 @@ def _clean(vec):
 
 def test_identity_vec_is_unit():
     b = reference_end_algebra()
-    ident = b.identity_vec()
+    ident = {b.idempotent_position(v): QQ(1) for v in range(b.num_vertices)}
     for i in (0, 7, 42, 164):
         assert _clean(b.multiply_vec(ident, _unit(i))) == _unit(i)
         assert _clean(b.multiply_vec(_unit(i), ident)) == _unit(i)
@@ -182,7 +181,7 @@ def test_path_store_holds_only_paths_with_basis_middle():
 
 def test_normal_form_and_vec_round_trip(two_loop):
     for i in range(two_loop.dim):
-        el = two_loop.basis_element(i)
+        el = PathAlgElement.from_path(two_loop.quiver, two_loop.basis[i])
         vec = two_loop.element_vec(el)
         assert _clean(vec) == _unit(i)
         assert two_loop.vec_to_element(vec) == el
@@ -244,7 +243,7 @@ def test_minimize_relations_keeps_ordered_subset_of_same_ideal(case):
     alg = build_algebra(q, kept, length_cap=n + 2)
     assert alg.basis == full.basis
     # every dropped relation lies in the ideal of the kept ones
-    assert all(alg.normal_form(r).is_zero() for r in rels)
+    assert all(not alg.element_vec(r) for r in rels)
     # the build's own sweep records the same kept set
     assert full.kept_relations == kept
 

@@ -100,6 +100,27 @@ def test_verify_paper_names_its_first_failure(capsys, monkeypatch):
     assert (obj["result"], obj["first_failure"]) == ("fail", "end_adjacency_matches")
 
 
+def test_verify_paper_matches_adjacency_in_any_summand_order(
+    capsys, monkeypatch, m_presentation, translates
+):
+    """end_adjacency_matches labels each vertex by the translate its
+    summand is isomorphic to, so a decomposition returned in reverse
+    order, which reverses the computed adjacency, still passes; a
+    summand isomorphic to no translate leaves no labelling."""
+    summands = m_presentation.vertex_summands
+    assert quivalg.verify._reference_labels(summands, translates) == [4, 3, 2, 1, 0]
+    assert quivalg.verify._reference_labels(summands, translates[1:]) is None
+    decompose = quivalg.endquiver.decompose
+    monkeypatch.setattr(quivalg.endquiver, "decompose", lambda *a, **kw: decompose(*a, **kw)[::-1])
+    code, out, _ = run_cli(capsys, "verify-paper", "--format", "structured")
+    assert code == 0
+    checks = {c["key"]: c for c in json.loads(out)["checks"]}
+    reversed_adjacency = [row[::-1] for row in m_presentation.adjacency[::-1]]
+    assert reversed_adjacency != m_presentation.adjacency
+    assert checks["end_adjacency"]["value"] == str(reversed_adjacency)
+    assert checks["end_adjacency_matches"]["status"] == "pass"
+
+
 def test_verify_paper_leaves_the_shared_zero_row_empty(capsys):
     """Every table, certified or opposite, holds one shared empty row for
     a basis path and an arrow not leaving its target; nothing writes to
@@ -282,13 +303,17 @@ def test_help_exits_zero(capsys):
         (["verify-paper", "--bound", "0"], 1),
         (["domdim", "builtin:two-loop-local", "--bound", "0"], 1),
         (["gldim", "builtin:two-loop-local", "--bound", "-1"], 0),
+        # below 2 the quotient sweep takes no level, so no input can stabilize
+        (["verify-paper", "--max-length", "-3"], 2),
+        (["cartan", "builtin:two-loop-local", "--max-length", "1"], 2),
     ],
-    ids=["verify-paper", "domdim", "gldim"],
+    ids=["verify-paper", "domdim", "gldim", "verify-paper-max-length", "cartan-max-length"],
 )
 def test_out_of_range_bound_is_an_input_error(capsys, argv, low):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    assert err == f"error: quivalg {argv[0]}: argument --bound: must be at least {low}, got {argv[-1]}\n"
+    flag, value = argv[-2:]
+    assert err == f"error: quivalg {argv[0]}: argument {flag}: must be at least {low}, got {value}\n"
 
 
 def _args_read(fn):
@@ -531,6 +556,24 @@ def test_no_dead_definitions():
         if name not in named and not (name.startswith("__") and name.endswith("__"))
     )
     assert not dead, f"defined but never named: {dead}"
+
+
+def test_exports_have_callers():
+    """Every name in quivalg.__all__ is named by the package itself,
+    outside __init__.py and outside its own definition, or by demos or
+    perfbench: an export that only tests reach is test-only surface."""
+    root = Path(__file__).resolve().parents[1]
+    named = set()
+    for path in sorted(Path(quivalg.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            named |= _named(node) - {getattr(node, "name", None)}
+    for part in ("perfbench", "demos"):
+        for path in sorted((root / part).rglob("*.py")):
+            named |= _named(ast.parse(path.read_text(), str(path)))
+    uncalled = sorted(set(quivalg.__all__) - named)
+    assert not uncalled, f"exported but named only by tests: {uncalled}"
 
 
 def test_only_idempotent_splitting_imports_random():

@@ -39,9 +39,11 @@ def l2_mixed(l2):
 def test_end_dims_l2_mixed(l2_mixed):
     e = EndStructure(l2_mixed)
     assert e.dim == 5
-    assert e.radical_dim == 3
+    assert e.radical_coords.nrows == 3
     # Hom(S,P) then Hom(P,S) survives one step
-    assert len(e.radical_square(decompose(l2_mixed, structure=e))) == 1
+    view = BlockView(l2_mixed, decompose(l2_mixed, structure=e))
+    rad = view.radical_block_spans(e)
+    assert sum(mat.nrows for mat in view.block_span_products(rad, rad).values()) == 1
 
 
 @pytest.mark.parametrize(
@@ -55,7 +57,9 @@ def test_radical_powers_pinned(l2, parts, square_dim, index):
     m = direct_sum([pick[c] for c in parts])[0]
     e = EndStructure(m)
     summands = decompose(m, structure=e)
-    assert len(e.radical_square(summands)) == square_dim
+    view = BlockView(m, summands)
+    rad = view.radical_block_spans(e)
+    assert sum(mat.nrows for mat in view.block_span_products(rad, rad).values()) == square_dim
     assert e.radical_nilpotency_index(summands) == index
 
 
@@ -71,7 +75,6 @@ def test_block_span_products_cuts_each_span_row_once(l2, count_calls):
     cuts = count_calls(BlockView, "_block_mats")
     sq = view.block_span_products(rad, rad)
     assert cuts["calls"] == rows
-    assert sum(mat.nrows for mat in sq.values()) == len(e.radical_square(view.summands))
     cuts["calls"] = 0
     view.block_span_products(sq, rad)
     assert cuts["calls"] == rows + sum(mat.nrows for mat in sq.values())
@@ -137,7 +140,7 @@ def test_end_dims_l2_double_projective(l2):
     pp = direct_sum([p, p])[0]
     e = EndStructure(pp)
     assert e.dim == 8
-    assert e.radical_dim == 4
+    assert e.radical_coords.nrows == 4
 
 
 def test_semisimple_end_has_zero_radical(a2):
@@ -145,9 +148,9 @@ def test_semisimple_end_has_zero_radical(a2):
     # End(A2-regular) is A2 itself: radical = the arrow span
     e = EndStructure(reg)
     assert e.dim == 3
-    assert e.radical_dim == 1
+    assert e.radical_coords.nrows == 1
     s = simples(a2)[0]
-    assert EndStructure(s).radical_dim == 0
+    assert EndStructure(s).radical_coords.nrows == 0
 
 
 def test_radical_homs_are_nilpotent(l2_mixed):
@@ -162,8 +165,8 @@ def test_radical_homs_are_nilpotent(l2_mixed):
     # the identity never lies in the radical span
     solver = SpanSolver(l2_mixed.total_dim ** 2)
     for h in e.radical_homs():
-        solver.insert(h.total_matrix().flatten())
-    assert solver.coords(ident.total_matrix().flatten()) is None
+        solver.insert([x for row in h.total_matrix().rows for x in row])
+    assert solver.coords([x for row in ident.total_matrix().rows for x in row]) is None
 
 
 def test_natural_and_regular_trace_forms_agree(l2, l2_mixed, a2):
@@ -233,8 +236,10 @@ def test_decompose_deterministic(l2_mixed):
 
 def test_end_of_m_frozen_profile(m_module, m_structure, m_summands):
     assert m_structure.dim == 165
-    assert m_structure.radical_dim == 160
-    assert len(m_structure.radical_square(summands=m_summands)) == 150
+    assert m_structure.radical_coords.nrows == 160
+    view = BlockView(m_module, m_summands)
+    rad = view.radical_block_spans(m_structure)
+    assert sum(mat.nrows for mat in view.block_span_products(rad, rad).values()) == 150
     assert m_structure.radical_nilpotency_index(m_summands) == 17
 
 
@@ -258,7 +263,7 @@ def test_kronecker_module_with_a_field_of_endomorphisms():
     )
     assert validate(x) is None
     e = EndStructure(x)
-    assert e.dim == 2 and e.radical_dim == 0
+    assert e.dim == 2 and e.radical_coords.nrows == 0
     assert len(decompose(x)) == 1
     parts = decompose(direct_sum([x, x])[0])
     assert len(parts) == 2

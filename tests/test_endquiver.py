@@ -10,13 +10,11 @@ from quivalg import (
     IncompletePresentationWarning,
     ModuleHom,
     Quiver,
-    element_endomorphism,
     end_as_quiver_algebra,
     ext2_simples_total,
     ext_dim,
     indec_projectives,
     minimize_relations,
-    path_endomorphism,
     presentation_dimension_check,
     reference_end_algebra,
     reference_end_quiver,
@@ -26,6 +24,7 @@ from quivalg import (
     build_dimension_only,
 )
 from quivalg import algebra, endquiver
+from quivalg.endquiver import path_endomorphism
 from quivalg.endos import BlockView, EndStructure
 from quivalg.linalg import Matrix, SpanSolver
 
@@ -81,9 +80,14 @@ def test_m_presentation_path_dictionary_idempotents(m_presentation):
 
 
 def test_m_presentation_relations_vanish(m_presentation):
+    """Each relation, folded term by term through path_endomorphism,
+    is the zero endomorphism of M."""
     pres = m_presentation
+    m = pres.vertex_summands[0].idempotent.source
     for rel in pres.relations:
-        h = element_endomorphism(pres, rel)
+        h = ModuleHom.zero(m, m)
+        for path, coeff in rel.sorted_terms():
+            h = h + path_endomorphism(pres, path).scale(coeff)
         assert h.is_zero()
 
 

@@ -11,7 +11,6 @@ from quivalg.linalg import (
     QQ,
     Matrix,
     SpanSolver,
-    block_diagonal,
     block_diagonal_rect,
     coefficients_in_span,
     determinant,
@@ -415,7 +414,7 @@ def test_trace_commutator(m, n):
 
 @given(st.lists(square_matrices(max_dim=3), min_size=1, max_size=3))
 def test_block_diagonal_determinant(blocks):
-    bd = block_diagonal(blocks)
+    bd = block_diagonal_rect(blocks)
     expected = QQ(1)
     for b in blocks:
         expected *= determinant(b)
@@ -483,7 +482,6 @@ def test_stored_pairs_stay_canonical(pair, data):
     results.append(solved)
     for m in results:
         _assert_canonical(m)
-    assert a.flatten() == [x for row in a.rows for x in row]
     assert a.is_zero() == all(not x for row in a.rows for x in row)
     assert square.trace() == sum((square.rows[i][i] for i in range(a.nrows)), QQ(0))
     assert determinant(square) == _cofactor_determinant(square.rows)

@@ -71,12 +71,18 @@ The opposite algebra carries a table of its own: row k, arrow a is the
 product a * basis[k], left multiplication by the arrow in the original
 algebra.
 
-The sweep is plain Python over exact rationals.  A relation enters as
-the sum of its terms' classes, each term folded arrow by arrow through
-the tables; every stored residue is normalized by its leading
-coefficient, so scaling a relation changes nothing.  A residue that
-names a path killed since is rewritten over live paths once, when next
-read, and stored back.
+The sweep is plain Python over integers.  Each class it stores, in the
+tables, residues and candidates, is an int dict over one positive
+denominator, their gcd 1; most denominators are 1, and only the other
+classes pay for an lcm when they are added.  Ideal rows, defined up to
+a scalar, carry no denominator and are eliminated fraction-free as in
+Bareiss's method: a lead of class v/d is replaced by scaling the row by
+d, never by dividing, so every zero test and lead is that of the row
+over the rationals.  A relation enters as the sum of its terms'
+classes, each term folded arrow by arrow through the tables; scaling a
+relation changes nothing.  A residue that names a path killed since is
+rewritten over live paths once, when next read, and stored back.
+_table_of turns the table into the package's scalars with div.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from itertools import chain
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -95,7 +102,7 @@ from .quiver import Path, PathAlgElement, Quiver
 # for the environment block of every benchmark run
 _HAVE_C = False
 
-Vec = Dict[int, "QQ"]
+Vec = Dict[int, QQ]
 
 
 class _Paths:
@@ -178,9 +185,39 @@ _BASIS = object()  # window marker for paths kept as basis
 # shared by every table, and read-only so that no write can reach it
 _ZERO_ROW: "Vec" = MappingProxyType({})
 
+# a sweep class: int numerators over one positive denominator, their gcd 1
+Cls = Tuple[Dict[int, int], int]
+
+
+def _canon(v: Dict[int, int], d: int) -> Cls:
+    """v/d with the common factor of the entries and d divided out."""
+    if d == ONE:
+        return v, d
+    g = d
+    for x in v.values():
+        g = gcd(g, x)
+        if g == 1:
+            return v, d
+    return {p: x // g for p, x in v.items()}, d // g
+
+
+def _addq(acc: Dict[int, int], den: int, row, e: int, c: int) -> int:
+    """acc/den += c * row/e for int pairs row; returns acc's new
+    denominator, lcm(den, e), rescaling acc when e does not divide den."""
+    if e == den:
+        _iadd(acc, row, c)
+        return den
+    if den % e:
+        m = e // gcd(den, e)
+        for p in acc:
+            acc[p] *= m
+        den *= m
+    _iadd(acc, row, c * (den // e))
+    return den
+
 
 class _Sweep:
-    """Level-by-level sweep state over exact rationals."""
+    """Level-by-level sweep state over integer rows."""
 
     def __init__(self, paths: _Paths):
         self.paths = paths
@@ -188,9 +225,9 @@ class _Sweep:
         self.bpos: Dict[int, int] = {}
         self.pid_of: List[int] = []
         self.dead: List[bool] = []
-        self.tabR: List[List[Optional[Vec]]] = []
-        self.tabL: List[List[Optional[Vec]]] = []
-        self.side: Dict[int, Vec] = {}
+        self.tabR: List[List[Optional[Cls]]] = []
+        self.tabL: List[List[Optional[Cls]]] = []
+        self.side: Dict[int, Cls] = {}
         self.nalive = 0
         self.nlast = 0
         # input indices of the relations whose rows survived pass 2b
@@ -202,15 +239,15 @@ class _Sweep:
         for pid in range(n, lvl1):
             self._basis_add(pid)
             ai = paths.last[pid]
-            self.tabR[self.bpos[paths.src[pid]]][ai] = {pid: ONE}
-            self.tabL[self.bpos[paths.tgt[pid]]][ai] = {pid: ONE}
+            self.tabR[self.bpos[paths.src[pid]]][ai] = ({pid: ONE}, ONE)
+            self.tabL[self.bpos[paths.tgt[pid]]][ai] = ({pid: ONE}, ONE)
         self.win: List[Tuple[int, int, Dict[int, object]]] = [
             (0, n, {pid: _BASIS for pid in range(n)}),
             (n, lvl1, {pid: _BASIS for pid in range(n, lvl1)}),
         ]
         self.nlast = lvl1 - n
         self.lo = self.hi = 0
-        self.cand: Dict[int, Vec] = {}
+        self.cand: Dict[int, Cls] = {}
         self.kills: List[int] = []
 
     def _basis_add(self, pid: int) -> None:
@@ -225,74 +262,90 @@ class _Sweep:
         pos = self.bpos.get(pid)
         return pos is not None and not self.dead[pos]
 
-    def _class_of(self, pid: int) -> Vec:
+    def _class_of(self, pid: int) -> Cls:
         for lo, hi, d in self.win:
             if lo <= pid < hi:
                 v = d.get(pid)
                 if v is None:
-                    return {pid: ONE}
+                    return {pid: ONE}, ONE
                 if v is _BASIS:
                     pos = self.bpos.get(pid)
                     if pos is not None and self.dead[pos]:
                         return self._residue(pid)
-                    return {pid: ONE}
+                    return {pid: ONE}, ONE
                 return v  # type: ignore[return-value]
         raise RuntimeError(f"class of path {pid} is out of reach")
 
-    def _residue(self, pid: int) -> Vec:
+    def _residue(self, pid: int) -> Cls:
         """side[pid] over live paths.  A residue naming a path killed since
         is rewritten once, into a new dict, and stored back, after the
         residues it names (all of smaller paths), by an explicit stack."""
         side = self.side
         todo = [pid]
         while todo:
-            res = side[todo[-1]]
+            res = side[todo[-1]][0]
             stale = [p for p in res if p in side]
-            deeper = [p for p in stale if any(q in side for q in side[p])]
+            deeper = [p for p in stale if any(q in side for q in side[p][0])]
             if deeper:
                 todo += deeper
                 continue
             x = todo.pop()
             if stale:
-                side[x] = self._over_live(res)
+                side[x] = self._over_live(side[x])
         return side[pid]
 
-    def _over_live(self, row: Vec) -> Vec:
-        """A new dict: row with each killed path replaced by its residue."""
+    def _over_live(self, row: Cls) -> Cls:
+        """row with each killed path replaced by its residue: a new class,
+        or row itself when it names no killed path."""
         side = self.side
-        out = {p: c for p, c in row.items() if p not in side}
-        for p, c in row.items():
+        v, d = row
+        out = {p: c for p, c in v.items() if p not in side}
+        if len(out) == len(v):
+            return row
+        den = ONE
+        for p, c in v.items():
             if p in side:
-                _iadd(out, self._residue(p).items(), c)
-        return out
+                w, e = self._residue(p)
+                den = _addq(out, den, w.items(), e, c)
+        return _canon(out, den * d)
 
-    def _ext_iadd(self, acc: Vec, bpid: int, ai: int, side: int, c: "QQ") -> None:
-        pos = self.bpos[bpid]
-        tab = (self.tabL if side else self.tabR)[pos][ai]
-        if tab is not None:
-            _iadd(acc, tab.items(), c)
-            return
-        _iadd(acc, self._class_of(self.paths.child(bpid, ai, side)).items(), c)
+    def _ext_add(self, acc: Dict[int, int], den: int, bpid: int, ai: int, side: int, c: int) -> int:
+        """acc/den += c * class of bpid extended by an arrow; returns den."""
+        tab = (self.tabL if side else self.tabR)[self.bpos[bpid]][ai]
+        if tab is None:
+            tab = self._class_of(self.paths.child(bpid, ai, side))
+        return _addq(acc, den, tab[0].items(), tab[1], c)
 
-    def _times_arrow(self, cls: Vec, ai: int) -> Vec:
-        """Class of cls * arrow, by right extension of its basis paths."""
-        acc: Vec = {}
-        for b, c in cls.items():
-            self._ext_iadd(acc, b, ai, 0, c)
+    def _ext_row(self, cls: Cls, res: Cls, ai: int, side: int) -> Dict[int, int]:
+        """The ideal row d * (cls - res extended by an arrow), res = v/d."""
+        w, den = cls
+        v, d = res
+        acc = {p: d * x for p, x in w.items()} if d != ONE else dict(w)
+        for b, c in v.items():
+            den = self._ext_add(acc, den, b, ai, side, -c)
         return acc
 
-    def _fold(self, p: Path) -> Vec:
+    def _times_arrow(self, cls: Cls, ai: int) -> Cls:
+        """Class of cls * arrow, by right extension of its basis paths."""
+        v, d = cls
+        acc: Dict[int, int] = {}
+        den = ONE
+        for b, c in v.items():
+            den = self._ext_add(acc, den, b, ai, 0, c)
+        return _canon(acc, den * d)
+
+    def _fold(self, p: Path) -> Cls:
         """Class of a path, its arrows folded one by one through the tables."""
-        cls: Vec = {p.source: ONE}
+        cls: Cls = ({p.source: ONE}, ONE)
         for ai in p.arrows:
             cls = self._times_arrow(cls, ai)
         return cls
 
-    def _is_live_unit(self, cls: Vec, pid: int) -> bool:
-        return len(cls) == 1 and cls.get(pid) == ONE and self.is_live(pid)
-
-    def _row_insert(self, row: Vec) -> bool:
-        """Echelonize row against the imposed span.
+    def _row_insert(self, row: Dict[int, int]) -> bool:
+        """Echelonize an integer row, known up to a scalar, against the
+        imposed span.  A lead with a class v/d is replaced fraction-free:
+        the row is scaled by d instead of dividing.  A surviving row is
+        stored as the class of its lead, -rest / lead coefficient.
 
         True when the row survives, as a new candidate or by killing a
         basis path; False when it reduces to zero.
@@ -300,25 +353,27 @@ class _Sweep:
         lo, hi = self.lo, self.hi
         while row:
             lead = max(row)
-            if lo <= lead < hi and lead not in self.bpos and lead not in self.side:
+            if lead in self.side:
+                res = self._residue(lead)
+            elif lo <= lead < hi and lead not in self.bpos:
                 res = self.cand.get(lead)
                 if res is None:
-                    c = row.pop(lead)
-                    self.cand[lead] = {p: div(-v, c) for p, v in row.items()}
+                    self.cand[lead] = _solved(row, lead)
                     return True
-                _iadd(row, res.items(), row.pop(lead))
-                continue
-            if lead in self.side:
-                _iadd(row, self._residue(lead).items(), row.pop(lead))
-                continue
-            pos = self.bpos[lead]
-            assert not self.dead[pos]
+            else:
+                pos = self.bpos[lead]
+                assert not self.dead[pos]
+                self.side[lead] = _solved(row, lead)
+                self.dead[pos] = True
+                self.nalive -= 1
+                self.kills.append(pos)
+                return True
             c = row.pop(lead)
-            self.side[lead] = {p: div(-v, c) for p, v in row.items()}
-            self.dead[pos] = True
-            self.nalive -= 1
-            self.kills.append(pos)
-            return True
+            v, d = res
+            if d != ONE:
+                for p in row:
+                    row[p] *= d
+            _iadd(row, v.items(), c)
         return False
 
     def _inject_translates(self, pos: int) -> None:
@@ -330,15 +385,10 @@ class _Sweep:
                 if (a.target if side else a.source) != ends[side]:
                     continue
                 tab = (self.tabL if side else self.tabR)[pos][ai]
-                if tab is not None:
-                    acc = dict(tab)
-                else:
-                    acc = dict(self._class_of(self.paths.child(xpid, ai, side)))
+                if tab is None:
+                    tab = self._class_of(self.paths.child(xpid, ai, side))
                 # residues are replaced, never changed in place
-                res = self._residue(xpid)
-                for b, c in res.items():
-                    self._ext_iadd(acc, b, ai, side, -c)
-                self._row_insert(acc)
+                self._row_insert(self._ext_row(tab, self._residue(xpid), ai, side))
 
     def _drain(self) -> None:
         while self.kills:
@@ -357,21 +407,15 @@ class _Sweep:
         # pass 1: fold classes from parents; children of live basis wait
         for pid in range(lo, hi):
             par = t.parent[pid]
-            cls = self._class_of(par)
-            if not self._is_live_unit(cls, par):
-                cur[pid] = self._times_arrow(cls, t.last[pid])
+            if not self.is_live(par):
+                cur[pid] = self._times_arrow(self._class_of(par), t.last[pid])
 
         # pass 2a: left-consistency rows
         for pid in range(lo, hi):
             s = t.suffix[pid]
-            scls = self._class_of(s)
-            if self._is_live_unit(scls, s):
+            if self.is_live(s):
                 continue
-            a = t.first[pid]
-            acc = dict(self._class_of(pid))
-            for b, c in scls.items():
-                self._ext_iadd(acc, b, a, 1, -c)
-            self._row_insert(acc)
+            self._row_insert(self._ext_row(self._class_of(pid), self._class_of(s), t.first[pid], 1))
             self._drain()
 
         # pass 2b: relations topping out at this level; every row imposed
@@ -379,8 +423,10 @@ class _Sweep:
         # that reduces to zero is a relation already in that ideal
         for idx, rel in seeds:
             acc = {}
+            den = ONE
             for p, c in rel.terms.items():
-                _iadd(acc, self._fold(p).items(), c)
+                w, e = self._fold(p)
+                den = _addq(acc, den, w.items(), e * c.denominator, c.numerator)
             if self._row_insert(acc):
                 self.kept.append(idx)
             self._drain()
@@ -395,14 +441,17 @@ class _Sweep:
                 self._basis_add(pid)
                 cur[pid] = _BASIS
                 nb += 1
-                row = {pid: ONE}
+                row = ({pid: ONE}, ONE)
             else:
-                if any(lo <= p < hi and cur[p] is not _BASIS for p in row):
+                v, d = row
+                if any(lo <= p < hi and cur[p] is not _BASIS for p in v):
                     acc = {}
-                    for p, c in row.items():
-                        sub = cur[p] if lo <= p < hi else None
-                        _iadd(acc, sub.items() if isinstance(sub, dict) else ((p, ONE),), c)
-                    row = acc
+                    den = ONE
+                    for p, c in v.items():
+                        sub = cur[p] if lo <= p < hi else _BASIS
+                        w, e = ({p: ONE}, ONE) if sub is _BASIS else sub
+                        den = _addq(acc, den, w.items(), e, c)
+                    row = _canon(acc, den * d)
                 cur[pid] = row
             bp = self.bpos.get(t.parent[pid])
             if bp is not None:
@@ -417,9 +466,20 @@ class _Sweep:
         return [pos for pos, dead in enumerate(self.dead) if not dead]
 
     def action_row(self, pos: int, ai: int) -> Vec:
-        """Class of basis path pid_of[pos] times an arrow, over live paths."""
+        """Class of basis path pid_of[pos] times an arrow, over live
+        paths, in the package's scalars."""
         row = self.tabR[pos][ai]
-        return {} if row is None else self._over_live(row)
+        if row is None:
+            return {}
+        v, d = self._over_live(row)
+        return v if d == ONE else {p: div(c, d) for p, c in v.items()}
+
+
+def _solved(row: Dict[int, int], lead: int) -> Cls:
+    """The class of lead that the row c * lead + rest imposes, -rest/c;
+    the row, which is the caller's, is reused."""
+    c = row.pop(lead)
+    return _canon({p: -x for p, x in row.items()} if c > 0 else row, abs(c))
 
 
 def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
@@ -773,9 +833,6 @@ class PresentedAlgebra:
                 vec = self.apply_arrow(vec, ai)
             _iadd(out, vec.items(), c)
         return out
-
-    def vec_to_element(self, vec: Vec) -> PathAlgElement:
-        return PathAlgElement(self.quiver, {self.basis[i]: c for i, c in vec.items()})
 
     # -- opposite -------------------------------------------------------
 

@@ -544,14 +544,14 @@ def _cover_data(m: Representation) -> Tuple[_ProjSum, ModuleHom]:
 
     One summand P(v) per basis vector of top(m) at v; the generator maps to
     the chosen representative, a unit vector missing the radical pivots.
+    The radical rows are rref rows, so each row's pivot is its first column.
     """
     a = m.algebra
     rad_rows = _radical_rows(m)
     vertices: List[int] = []
     images: List[List] = []
     for v in range(a.num_vertices):
-        _, pivots = rref(rad_rows[v])
-        pivot_set = set(pivots)
+        pivot_set = {row[0][0] for row in rad_rows[v].pairs}
         for j in range(m.dims[v]):
             if j not in pivot_set:
                 vertices.append(v)

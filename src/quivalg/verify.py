@@ -15,7 +15,9 @@ with the reference quiver's after labelling each vertex by the
 translate its summand is isomorphic to, whatever order decompose
 returned the summands in.  When the presentation is cut off at
 max_length, every check that needs the presented algebra is
-inconclusive, and an info line inconclusive_reason names the cap.
+inconclusive, and an info line inconclusive_reason names the cap.  When
+A itself does not stabilize by max_length, dim_a is inconclusive, the
+reason names A and the cap, and the report ends there.
 """
 
 from collections import Counter
@@ -34,6 +36,7 @@ from .homological import (
 )
 from .algebra import PresentedAlgebra
 from .endos import Summand
+from .errors import NotFiniteDimensionalError
 from .modules import (
     Representation,
     _indecomposable_iso,
@@ -142,7 +145,12 @@ def run_verification(
     report.add("bound", bound, "info")
     report.add("max_length", max_length, "info")
 
-    a = two_loop_local_algebra(length_cap=max_length)
+    try:
+        a = two_loop_local_algebra(length_cap=max_length)
+    except NotFiniteDimensionalError as exc:
+        report.check("dim_a", None, None)
+        report.add("inconclusive_reason", f"A (builtin:two-loop-local): {exc}", "info")
+        return report
     report.check("dim_a", a.dim, a.dim == 6)
     selfinj = is_selfinjective(a)
     report.check("a_selfinjective", selfinj, selfinj is False)

@@ -153,6 +153,28 @@ def test_verify_paper_length_cap_inconclusive(capsys):
     assert "[fail]" not in out
     assert out.strip().endswith("result = inconclusive")
 
+    # at length 3 A itself does not stabilize: the report names A and stops
+    reason = "A (builtin:two-loop-local): dimension did not stabilize up to path length 3"
+    code, out, err = run_cli(capsys, "verify-paper", "--max-length", "3")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[3] == "dim_a = inconclusive  [inconclusive]"
+    assert lines[4].startswith(f"inconclusive_reason = {reason} (") and lines[4].endswith("[info]")
+    assert lines[5:] == ["result = inconclusive"]
+    code, out, err = run_cli(capsys, "verify-paper", "--max-length", "3", "--format", "structured")
+    assert (code, err) == (2, "")
+    obj = json.loads(out)
+    assert obj["result"] == "inconclusive" and "first_failure" not in obj
+    checks = [(c["key"], c["status"]) for c in obj["checks"]]
+    assert checks == [
+        ("seed", "info"),
+        ("bound", "info"),
+        ("max_length", "info"),
+        ("dim_a", "inconclusive"),
+        ("inconclusive_reason", "info"),
+    ]
+    assert obj["checks"][4]["value"].startswith(reason)
+
 
 def test_verify_paper_low_bound_inconclusive(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--bound", "2")

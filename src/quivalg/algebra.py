@@ -95,7 +95,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import MalformedRelationError, NotFiniteDimensionalError
-from .linalg import ONE, QQ, _iadd, div
+from .linalg import ONE, QQ, _echelon_add, _iadd, div
 from .quiver import Path, PathAlgElement, Quiver
 
 # there is no compiled sweep kernel; perfbench/worker.py reads this flag
@@ -495,12 +495,13 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
     pi_k drops the coordinates at the basis paths of length >= k.
     pi_(k+1)(J^(k+1)) is spanned by pi_(k+1) of the table rows p * arrow
     for |p| >= k, which are looked up rather than multiplied, and of
-    e * arrow for the echelon vectors e of pi_k(J^k) and the arrows
+    e * arrow for the rows e of a Gauss-Jordan echelon of pi_k(J^k)
+    (linalg._echelon_add; any basis gives the same span) and the arrows
     leaving the targets of e's support; the table row of a path and an
     arrow not leaving its target is zero.  A row that is the basis path
     p*arrow itself projects to zero, and so does a row whose support has
     no path of length <= k, so only the rows of a nonhomogeneous table
-    and the few echelon vectors do any work.
+    and the few echelon rows do any work.
     """
     basis, action = alg.basis, alg._action
     out_arrows = alg.quiver.out_arrows
@@ -519,44 +520,27 @@ def _radical_dims(alg: "PresentedAlgebra") -> Optional[List[int]]:
                 for power in range(max(min(length[i] for i in row), 1), p.length + 1):
                     rows_at.setdefault(power, []).append(row)
 
-    echelon: Dict[int, Vec] = {}
-
-    def span_insert(vec: Vec) -> Optional[Vec]:
-        while vec:
-            lead = max(vec)
-            piv = echelon.get(lead)
-            if piv is None:
-                c = vec[lead]
-                if c != ONE:
-                    vec = {p: div(x, c) for p, x in vec.items()}
-                echelon[lead] = vec
-                return vec
-            # piv[lead] is one, so this cancels the lead
-            _iadd(vec, piv.items(), -vec[lead])
-        return None
-
     per_length = Counter(length)
     long_paths = alg.dim - per_length[0]  # basis paths of length >= power
-    layer: List[Vec] = []  # echelon vectors of pi_power(J^power)
+    layer: List[Vec] = []  # echelon rows of pi_power(J^power)
     dims: List[int] = []
     power = 1
     while long_paths or layer:
         if power > alg.dim + 1:
             return None  # not nilpotent: the table cannot be a quotient by J^2-ideals
         dims.append(long_paths + len(layer))
-        echelon.clear()
         # e * arrow is zero unless the arrow leaves the target of a path in e
         products = (
             alg.apply_arrow(e, ai)
             for e in layer
             for ai in sorted({a.index for i in e for a in out_arrows[basis[i].target]})
         )
-        nxt: List[Vec] = []
+        echelon: Dict[int, Vec] = {}
         for row in chain(rows_at.get(power, ()), products):
-            stored = span_insert({i: c for i, c in row.items() if length[i] <= power})
-            if stored is not None:
-                nxt.append(stored)
-        layer = nxt
+            _echelon_add(echelon, {i: c for i, c in row.items() if length[i] <= power})
+        for lead, rest in echelon.items():
+            rest[lead] = ONE
+        layer = list(echelon.values())
         long_paths -= per_length[power]
         power += 1
     return dims

@@ -40,7 +40,6 @@ from .linalg import (
     invert,
     rat,
     row_space_basis,
-    rref,
     solve_left,
     vstack,
 )
@@ -349,11 +348,11 @@ class _Quotient:
 
     def __init__(self, structure: EndStructure):
         self.structure = structure
-        ech, pivots = rref(structure.radical_coords)
-        # the nonzero rows of the echelon form, as (lead, nonzero pairs)
-        self._ech = list(zip(pivots, ech.pairs))
-        pivot_set = set(pivots)
-        self.nonpivot = [c for c in range(structure.dim) if c not in pivot_set]
+        # Gauss-Jordan echelon of the radical coordinates (linalg._reduce)
+        self._ech: Dict[int, Dict] = {}
+        for r in structure.radical_coords.pairs:
+            _echelon_add(self._ech, dict(r))
+        self.nonpivot = [c for c in range(structure.dim) if c not in self._ech]
         self.dim = len(self.nonpivot)
         self.unit = self.project(structure.identity_coords)
         self.table: List[List[List]] = []
@@ -365,13 +364,8 @@ class _Quotient:
             self.table.append(row)
 
     def project(self, coords: Sequence) -> List:
-        residue = list(coords)
-        for lead, pairs in self._ech:
-            c = residue[lead]
-            if c:
-                for i, x in pairs:
-                    residue[i] -= c * x
-        return [residue[c] for c in self.nonpivot]
+        residue = _reduce(self._ech, {i: x for i, x in enumerate(coords) if x})
+        return [residue.get(c, ZERO) for c in self.nonpivot]
 
     def lift(self, s_coords: Sequence) -> List:
         full = [ZERO] * self.structure.dim

@@ -13,18 +13,23 @@ throughout the package and maps act on the right, so the matrix of
 
 A Matrix stores each row as its nonzero (column, value) pairs, sorted by
 column, and no stored value is zero: module-hom matrices are a few
-percent nonzero, so products, elimination and the span solver touch
-nonzero entries only.  Inside the package a sparse vector is such a
-sorted pair list, or a dict {column: value} while it is accumulated.
-The dense view Matrix.rows is built on access for the callers that read
-a matrix whole.  rat() returns an int or a non-whole Fraction unchanged,
-so coercing a row of scalars builds no new rationals (they are
-immutable, so sharing them is safe).
+percent nonzero, so products and elimination touch nonzero entries
+only.  Inside the package a sparse vector is such a sorted pair list, or
+a dict {column: value} while it is accumulated.  The dense view
+Matrix.rows is built on access for the callers that read a matrix
+whole.  rat() returns an int or a non-whole Fraction unchanged, so
+coercing a row of scalars builds no new rationals (they are immutable,
+so sharing them is safe).
+
+Every span, rank, coordinate and determinant computation in the package
+runs on one Gauss-Jordan core: a reduced echelon kept as a dict from
+pivot column to the rest of its row, _reduce to reduce a row against it
+and _pivot to make a reduced row its next echelon row.  SpanSolver
+keeps its coefficient bookkeeping in the same echelon, as tag columns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction as QQ
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -102,9 +107,10 @@ class Matrix:
     in increasing column order, and no stored value is zero.  Matrices
     are immutable: every operation returns a new one, and matrices share
     row lists, so a row list is never changed in place.  The constructor
-    and from_rows take dense rows.  rows is a dense view built on every
-    access, a new list holding one tuple per row, so writing through it
-    raises TypeError and cannot change the matrix.
+    and from_rows take dense rows and coerce each entry through rat.
+    rows is a dense view built on every access, a new list holding one
+    tuple per row, so writing through it raises TypeError and cannot
+    change the matrix.
     """
 
     __slots__ = ("nrows", "ncols", "pairs")
@@ -123,7 +129,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("column count mismatch")
-            self.pairs.append([(j, x) for j, x in enumerate(r) if x])
+            self.pairs.append([(j, x) for j, x in enumerate(map(rat, r)) if x])
 
     @staticmethod
     def _from_pairs(nrows: int, ncols: int, pairs: List[Pairs]) -> "Matrix":
@@ -150,13 +156,7 @@ class Matrix:
     def from_rows(rows: Sequence[Sequence], ncols: Optional[int] = None) -> "Matrix":
         """Matrix of dense rows.  ncols is read only when rows is empty:
         it is the one way to build a 0 x n matrix from rows."""
-        rows = [[rat(x) for x in r] for r in rows]
-        if rows:
-            width = len(rows[0])
-        elif ncols is not None:
-            width = ncols
-        else:
-            width = 0
+        width = len(rows[0]) if rows else ncols or 0
         return Matrix(len(rows), width, rows)
 
     @staticmethod
@@ -290,20 +290,26 @@ def _reduce(ech: Dict[int, Dict[int, "QQ"]], row: Dict[int, "QQ"]) -> Dict[int, 
     return row
 
 
-def _echelon_add(ech: Dict[int, Dict[int, "QQ"]], row: Dict[int, "QQ"]) -> bool:
-    """Add the sparse dict row to ech (see _reduce); True when it grew."""
-    row = _reduce(ech, row)
-    if not row:
-        return False
+def _pivot(ech: Dict[int, Dict[int, "QQ"]], row: Dict[int, "QQ"]) -> None:
+    """Make the nonzero row, reduced against ech, the echelon row of its
+    leading column: scale its lead to 1 and clear that column from the
+    other rows.  The package's one elimination division."""
     lead = min(row)
     pivot = row.pop(lead)
     if pivot != ONE:
         row = {j: div(x, pivot) for j, x in row.items()}
     for rest in ech.values():
-        c = rest.pop(lead, None)
-        if c is not None:
-            _iadd(rest, row.items(), -c)
+        if lead in rest:
+            _iadd(rest, row.items(), -rest.pop(lead))
     ech[lead] = row
+
+
+def _echelon_add(ech: Dict[int, Dict[int, "QQ"]], row: Dict[int, "QQ"]) -> bool:
+    """Add the sparse dict row to ech (see _reduce); True when it grew."""
+    row = _reduce(ech, row)
+    if not row:
+        return False
+    _pivot(ech, row)
     return True
 
 
@@ -397,7 +403,7 @@ def solve_left(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Solve x @ a = b row by row; None when some row of b is outside the span.
 
     One SpanSolver over the rows of a answers every row of b.  It
-    expresses each row over the first independent rows of a and gives the
+    expresses each row over the independent rows of a and gives the
     dependent rows coefficient 0, as the tests' reference,
     coefficients_in_span, does.
     """
@@ -408,10 +414,10 @@ def solve_left(a: Matrix, b: Matrix) -> Optional[Matrix]:
         span.insert(dict(r))
     out = []
     for r in b.pairs:
-        residue, used = span._eliminate(dict(r))
-        if residue:
+        coords = span.coords(dict(r))
+        if coords is None:
             return None
-        out.append([(i, w) for i, w in sorted(used.items()) if w])
+        out.append([(i, w) for i, w in enumerate(coords) if w])
     return Matrix._from_pairs(b.nrows, a.nrows, out)
 
 
@@ -426,26 +432,25 @@ def block_diagonal_rect(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def determinant(m: Matrix):
-    """Determinant by Gaussian elimination with exact pivots."""
+    """Determinant by Gauss-Jordan elimination of the rows in order.
+
+    Each row, reduced against the echelon of the rows before it, is zero
+    in their leading columns, so with the columns put in the order of
+    the leads the reduced rows are upper triangular: the determinant is
+    the product of the pivots, signed by that permutation of the columns.
+    """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    rows = [dict(r) for r in m.pairs]
+    ech: Dict[int, Dict[int, "QQ"]] = {}
     det = ONE
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if col in rows[i]), None)
-        if pivot_row is None:
+    for r in m.pairs:
+        row = _reduce(ech, dict(r))
+        if not row:
             return ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        prow = rows[col]
-        p = prow.pop(col)
-        det *= p
-        for i in range(col + 1, n):
-            c = rows[i].pop(col, None)
-            if c is not None:
-                _iadd(rows[i], prow.items(), div(-c, p))
+        lead = min(row)
+        # each earlier lead right of this one is an inversion
+        det *= -row[lead] if sum(p > lead for p in ech) % 2 else row[lead]
+        _pivot(ech, row)
     return det
 
 
@@ -460,102 +465,82 @@ class SpanSolver:
     """Incremental row-span tracker with coefficient recovery.
 
     The tests' reference, coefficients_in_span, runs a fresh elimination
-    per query; this keeps the echelonized span between calls, so
-    inserting d rows and answering q membership queries costs
-    O((d + q) * d * nnz) total, where nnz is the number of nonzeros of
-    an echelon row, instead of a full rref per query.  A row is handed over dense, as a sequence of ncols scalars,
-    or sparse, as a dict {column: value} of its nonzero entries.  The
-    echelon rows are sparse too: each is kept as its leading column and
-    the dict of its other nonzeros, its leading entry being 1.  Rows
-    inserted must keep their order: coords() answers are coefficient
-    lists over the inserted rows in insertion order.
+    per query; this keeps the Gauss-Jordan echelon of the span between
+    calls (see _reduce).  A row is handed over dense, as a sequence of
+    ncols scalars, or sparse, as a dict {column: value} with every
+    column in range(ncols).  Inserted row i carries a 1 in the tag
+    column ncols + i, so the tag columns of an echelon row say which
+    combination of inserted rows it is, and a row in the span reduces to
+    minus its coefficients in the tag columns ("augment with the
+    identity").  coords() answers are coefficient lists over the
+    inserted rows in insertion order; a row that did not enlarge the
+    span gets coefficient 0.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.nrows = 0
-        self._ech: List[Dict[int, "QQ"]] = []
-        self._lead: List[int] = []
-        # expression of each echelon row over the inserted rows, sparse
-        self._expr: List[dict] = []
+        self._ech: Dict[int, Dict[int, "QQ"]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._ech)
 
     def _sparse(self, row) -> Dict[int, "QQ"]:
-        """A new dict of the nonzero entries of a dense or sparse row."""
+        """A new dict of the nonzero entries of a dense or sparse row;
+        ValueError when the row does not fit ncols."""
         if isinstance(row, dict):
-            return dict(row)
+            if row and not (0 <= min(row) and max(row) < self.ncols):
+                raise ValueError(f"row has a column outside range({self.ncols})")
+            return {j: x for j, x in row.items() if x}
         if len(row) != self.ncols:
             raise ValueError(
                 f"row length {len(row)} does not match solver width {self.ncols}"
             )
-        out = {}
-        for j, x in enumerate(row):
-            x = rat(x)
-            if x:
-                out[j] = x
-        return out
+        return {j: x for j, x in enumerate(map(rat, row)) if x}
 
-    def _eliminate(self, row: Dict[int, "QQ"]) -> Tuple[Dict[int, "QQ"], dict]:
-        """Reduce a sparse row in place against the echelon rows; returns
-        the residue, without zeros, and the combination used."""
-        used: dict = {}
-        for lead, rest, expr in zip(self._lead, self._ech, self._expr):
-            c = row.pop(lead, None)
-            if c is not None:
-                _iadd(row, rest.items(), -c)
-                for idx, w in expr.items():
-                    s = used.get(idx)
-                    used[idx] = c * w if s is None else s + c * w
-        return row, used
+    def _eliminate(self, row) -> Dict[int, "QQ"]:
+        """Reduce the row, tagged as the next inserted one, against the
+        echelon; the residue always keeps that tag."""
+        row = self._sparse(row)
+        row[self.ncols + self.nrows] = ONE
+        return _reduce(self._ech, row)
 
     def coords(self, row) -> Optional[List]:
         """Coefficients over the inserted rows, or None when not in the span."""
-        residue, used = self._eliminate(self._sparse(row))
-        if residue:
-            return None
-        return self._over_rows(used)
+        return self._coords(self._eliminate(row))
 
     def coords_or_insert(self, row) -> Optional[List]:
         """Coefficients over the inserted rows when row is in the span;
         otherwise insert it and return None.  One elimination either way."""
-        residue, used = self._eliminate(self._sparse(row))
-        if residue:
-            self._add(residue, used)
-            return None
-        return self._over_rows(used)
+        residue = self._eliminate(row)
+        coords = self._coords(residue)
+        if coords is None:
+            self._add(residue)
+        return coords
 
     def insert(self, row) -> bool:
         """Add a row; True when it enlarged the span."""
-        return self._add(*self._eliminate(self._sparse(row)))
+        return self._add(self._eliminate(row))
 
-    def _over_rows(self, used: dict) -> List:
+    def _coords(self, residue: Dict[int, "QQ"]) -> Optional[List]:
+        """Minus the tags of a residue, over the inserted rows; None when
+        it keeps a column below ncols (its row is outside the span)."""
+        if min(residue) < self.ncols:
+            return None
+        del residue[self.ncols + self.nrows]
         out = [ZERO] * self.nrows
-        for idx, w in used.items():
-            out[idx] = w
+        for j, x in residue.items():
+            out[j - self.ncols] = -x
         return out
 
-    def _add(self, residue: Dict[int, "QQ"], used: dict) -> bool:
+    def _add(self, residue: Dict[int, "QQ"]) -> bool:
         """Record an eliminated row as the next inserted one; True when
         its residue enlarged the span."""
-        index = self.nrows
         self.nrows += 1
-        if not residue:
+        if min(residue) >= self.ncols:
             return False
-        lead = min(residue)
-        p = residue.pop(lead)
-        if p != ONE:
-            residue = {j: div(x, p) for j, x in residue.items()}
-        # row = sum(used) + p*residue, so residue = (row - sum(used))/p
-        expr = {idx: div(-w, p) for idx, w in used.items() if w}
-        expr[index] = div(ONE, p)
-        # keep echelon rows sorted by leading column for ordered elimination
-        pos = bisect_left(self._lead, lead)
-        self._ech.insert(pos, residue)
-        self._lead.insert(pos, lead)
-        self._expr.insert(pos, expr)
+        _pivot(self._ech, residue)
         return True
 
 
@@ -564,7 +549,7 @@ def extend_independent(base: Matrix, candidates: Matrix) -> List[int]:
     independent set.  Scans candidates in order; deterministic."""
     if base.nrows and base.ncols != candidates.ncols:
         raise ValueError("extend_independent: width mismatch")
-    span = SpanSolver(candidates.ncols)
+    ech: Dict[int, Dict[int, "QQ"]] = {}
     for r in base.pairs:
-        span.insert(dict(r))
-    return [i for i, r in enumerate(candidates.pairs) if span.insert(dict(r))]
+        _echelon_add(ech, dict(r))
+    return [i for i, r in enumerate(candidates.pairs) if _echelon_add(ech, dict(r))]

@@ -312,7 +312,7 @@ def test_decompose_lifts_and_reduces_a_basis_with_radical_parts(l2, monkeypatch)
     def spy_project(q, coords):
         # the echelon rows are reduced, so each lead coordinate stays as
         # given until its own row is subtracted
-        reduced.append(sum(1 for lead, _ in q._ech if coords[lead]))
+        reduced.append(sum(1 for lead in q._ech if coords[lead]))
         return project(q, coords)
 
     monkeypatch.setattr(endos, "_lift_to_idempotent", spy_lift)

@@ -123,20 +123,42 @@ def test_sparse_rref_idempotent_and_keeps_rank(m):
 
 @given(sparse_matrices(), st.data())
 def test_sparse_span_solver_agrees_with_coefficients_in_span(m, data):
-    solver = SpanSolver(m.ncols)
+    """Each row goes in both dense and as the dict of its stored pairs,
+    the form the pipeline uses."""
+    solver, sparse = SpanSolver(m.ncols), SpanSolver(m.ncols)
     independent = [i for i, row in enumerate(m.rows) if solver.insert(row)]
-    assert solver.nrows == m.nrows
-    assert solver.rank == len(independent) == rank(m)
+    assert [i for i, r in enumerate(m.pairs) if sparse.insert(dict(r))] == independent
+    assert solver.nrows == sparse.nrows == m.nrows
+    assert solver.rank == sparse.rank == len(independent) == rank(m)
     basis = m.take_rows(independent)
-    targets = m.rows + data.draw(sparse_matrices(2, m.ncols)).rows
-    for target in targets:
+    extra = data.draw(sparse_matrices(2, m.ncols))
+    for target, pairs in zip(m.rows + extra.rows, m.pairs + extra.pairs):
         direct = coefficients_in_span(basis, target)
-        via_solver = solver.coords(target)
-        assert (direct is None) == (via_solver is None)
-        if via_solver is not None:
-            # coefficients of the rows that did not enlarge the span are 0
-            assert [via_solver[i] for i in independent] == direct
-            assert sum(1 for c in via_solver if c) == sum(1 for c in direct if c)
+        for via_solver in (solver.coords(target), solver.coords(dict(pairs)), sparse.coords(target)):
+            assert (direct is None) == (via_solver is None)
+            if via_solver is not None:
+                # coefficients of the rows that did not enlarge the span are 0
+                assert [via_solver[i] for i in independent] == direct
+                assert sum(1 for c in via_solver if c) == sum(1 for c in direct if c)
+
+
+def test_span_solver_checks_sparse_rows():
+    """A dict row is checked like a dense one: a column outside
+    range(ncols) is refused, and a zero value is dropped."""
+    solver = SpanSolver(2)
+    for bad in ({5: 1}, {2: 1}, {-1: 1}, {0: 1, 2: 1}):
+        for call in (solver.insert, solver.coords, solver.coords_or_insert):
+            with pytest.raises(ValueError):
+                call(bad)
+    with pytest.raises(ValueError):
+        solver.insert([1, 0, 0])
+    assert (solver.nrows, solver.rank) == (0, 0)
+    assert solver.insert({0: 0, 1: 1}) is True
+    assert (solver.nrows, solver.rank) == (1, 1)
+    assert solver.coords({0: 0, 1: 2}) == [2]
+    assert solver.coords_or_insert({0: 3, 1: 0}) is None
+    assert solver.coords({0: 6, 1: 4}) == [4, 2]
+    assert solver.insert({}) is False and solver.coords({}) == [0, 0, 0]
 
 
 @given(st.integers(0, 4).flatmap(lambda n: sparse_matrices(n, n)))
@@ -487,6 +509,21 @@ def test_stored_pairs_stay_canonical(pair, data):
     assert determinant(square) == _cofactor_determinant(square.rows)
 
 
+def test_matrix_coerces_entries_through_rat():
+    """Dense rows are stored as canonical scalars, so no float or string
+    reaches the arithmetic."""
+    m = Matrix(1, 4, [["1/2", QQ(4, 2), "-3", 0]])
+    assert m.pairs == [[(0, QQ(1, 2)), (1, 2), (2, -3)]]
+    assert [type(x) for _, x in m.pairs[0]] == [QQ, int, int]
+    assert Matrix.from_rows([[QQ(6, 3), "0"]]).pairs == [[(0, 2)]]
+    assert type(Matrix.from_rows([[QQ(6, 3)]]).pairs[0][0][1]) is int
+    for rows in ([[0.5, 0], [0, 1]], [[0.0, 1], [1, 0]]):
+        with pytest.raises(TypeError):
+            Matrix(2, 2, rows)
+        with pytest.raises(TypeError):
+            Matrix.from_rows(rows)
+
+
 def test_rows_view_is_read_only():
     m = Matrix.from_rows([[1, 0], [0, 2]])
     before = Matrix.from_rows([[1, 0], [0, 2]])
@@ -571,3 +608,48 @@ def test_division_goes_through_the_exact_helper():
         if helper:
             assert len(_divisions(tree)) == 1, "linalg.div divides once"
     assert not found, f"divisions outside linalg.div: {found}"
+
+
+def _div_users(tree):
+    """The functions of a module that use div, each named as its
+    top-level function or Class.method (nested functions count for the
+    one they sit in); "<module>" for a use outside every function."""
+    owner = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            owner.update((id(n), node.name) for n in ast.walk(node))
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    owner.update((id(n), f"{node.name}.{fn.name}") for n in ast.walk(fn))
+    return {
+        owner.get(id(n), "<module>")
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id == "div" or isinstance(n, ast.Attribute) and n.attr == "div"
+    }
+
+
+def test_divisions_sit_in_five_functions():
+    """Every linalg.div call sits in one of five functions: the shared
+    pivot step of the package's one elimination core, the sweep's row
+    rescaling, two polynomial helpers of the factor search and the
+    parser's rational literals.  A second elimination loop, or a place
+    where a prime field would need its own inverse, shows up here."""
+    snippet = ast.parse(
+        "def f(a):\n    def g():\n        return div(a, 2)\n    return g\n"
+        "class C:\n    def m(self):\n        return linalg.div(1, 2)\n"
+        "x = div(1, 2)\n"
+    )
+    assert _div_users(snippet) == {"f", "C.m", "<module>"}
+    package = Path(quivalg.__file__).resolve().parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        users = _div_users(ast.parse(path.read_text(), str(path)))
+        if users:
+            found[path.name] = users
+    assert found == {
+        "algebra.py": {"_Sweep.action_row"},
+        "endos.py": {"_pdivmod", "_idempotent"},
+        "linalg.py": {"_pivot"},
+        "textio.py": {"_parse_rational"},
+    }

@@ -7,19 +7,21 @@ length at least two (so I sits inside the square of the arrow ideal J).
 Paths are ordered by length, then lex by arrow index.  The engine sweeps
 one length level at a time and keeps, for every stored path, its class
 modulo the span of ideal rows whose leading path has already occurred: a
-path is either basis (pivot free) or carries a residue row over smaller
-basis paths.  A level imposes three kinds of rows: folds of parent
-classes under right extension, one left-consistency row per path whose
-suffix is not basis, and the relations whose longest term sits at this
-level.  Rows echelonize against the level's undecided paths; a surviving
-row led by an older basis path kills it, and translate rows of the dead
-path are injected until the collapse settles.  A path whose parent is
-killed during the path's own level needs no row of its own: the dead
-parent's translate row along the path's last arrow is the path less the
-parent's residue times that arrow, so it is led by the path, which is
-then no longer undecided.  Once the level's rows are in, one loop in
-path order settles every path as basis or as its residue and stores it
-in the tables; a class names only smaller paths, whose classes are
+path is either basis (pivot free) or carries a row over smaller paths.
+Each class lives in one place: a basis path is its own class until a row
+kills it and stores its residue, and every other stored path keeps the
+class it was given.  A level imposes three kinds of rows: folds of
+parent classes under right extension, one left-consistency row per path
+whose suffix is not basis, and the relations whose longest term sits at
+this level.  Rows echelonize against the level's undecided paths; a
+surviving row led by an older basis path kills it, and translate rows of
+the dead path are injected until the collapse settles.  A path whose
+parent is killed during the path's own level needs no row of its own:
+the dead parent's translate row along the path's last arrow is the path
+less the parent's residue times that arrow, so it is led by the path,
+which is then no longer undecided.  Once the level's rows are in, one
+loop in path order settles every path as basis or as its class; a class
+names only basis paths and smaller paths of the level, whose classes are
 settled by then, so one substitution frees it of the level's non-basis
 paths.  The span imposed through level L equals the span of all ideal
 rows with lead length <= L, so basis and residues agree with direct
@@ -28,15 +30,16 @@ echelonization of the whole ideal span under the path order.
 Only a frontier of paths is stored.  Level L holds the paths a*m*b whose
 middle m (the path without its first and last arrow) is a live basis
 path when the level starts: the right children of the basis paths of
-level L-1, which fill the right-extension table, and their left
-extensions, which fill the left one.  The parent and the suffix of a
-frontier path are frontier paths of level L-1.  A path whose middle is
-not basis imposes nothing new: its middle is congruent to smaller paths
-already, so its two folds agree by induction on the lower levels (the
-overlap argument of Bergman's diamond lemma, as in noncommutative
-Groebner bases).  The store therefore holds at most vertices + arrows +
-the sum of indeg(source m) * outdeg(target m) over the basis paths m
-found so far, whatever the length cap.
+level L-1 and their left extensions.  A basis path times an arrow is the
+stored class of the child path, found through the path store, so no
+table of products is kept.  The parent and the suffix of a frontier path
+are frontier paths of level L-1.  A path whose middle is not basis
+imposes nothing new: its middle is congruent to smaller paths already,
+so its two folds agree by induction on the lower levels (the overlap
+argument of Bergman's diamond lemma, as in noncommutative Groebner
+bases).  The store therefore holds at most vertices + arrows + the sum
+of indeg(source m) * outdeg(target m) over the basis paths m found so
+far, whatever the length cap.
 
 Acceptance is checked on the extracted multiplication table: once a
 level creates no new basis paths (after which no later level can
@@ -71,18 +74,19 @@ The opposite algebra carries a table of its own: row k, arrow a is the
 product a * basis[k], left multiplication by the arrow in the original
 algebra.
 
-The sweep is plain Python over integers.  Each class it stores, in the
-tables, residues and candidates, is an int dict over one positive
+The sweep is plain Python over integers.  Each class it stores, of a
+path or as the residue of a killed one, is an int dict over one positive
 denominator, their gcd 1; most denominators are 1, and only the other
 classes pay for an lcm when they are added.  Ideal rows, defined up to
 a scalar, carry no denominator and are eliminated fraction-free as in
 Bareiss's method: a lead of class v/d is replaced by scaling the row by
 d, never by dividing, so every zero test and lead is that of the row
 over the rationals.  A relation enters as the sum of its terms'
-classes, each term folded arrow by arrow through the tables; scaling a
-relation changes nothing.  A residue that names a path killed since is
-rewritten over live paths once, when next read, and stored back.
-_table_of turns the table into the package's scalars with div.
+classes, each term folded arrow by arrow through the stored classes;
+scaling a relation changes nothing.  A residue that names a path killed
+since is rewritten over live paths once, when next read, and stored
+back.  _table_of reads the table off the stored classes and turns it
+into the package's scalars with div.
 """
 
 from __future__ import annotations
@@ -179,8 +183,6 @@ class _Paths:
 # -- level sweep ------------------------------------------------------------
 
 
-_BASIS = object()  # window marker for paths kept as basis
-
 # the table row of a basis path and an arrow not leaving its target,
 # shared by every table, and read-only so that no write can reach it
 _ZERO_ROW: "Vec" = MappingProxyType({})
@@ -217,64 +219,41 @@ def _addq(acc: Dict[int, int], den: int, row, e: int, c: int) -> int:
 
 
 class _Sweep:
-    """Level-by-level sweep state over integer rows."""
+    """Level-by-level sweep state over integer rows.
+
+    basis holds, in the order they were found, the ids of every path
+    that was ever basis; side holds the residue of each of them killed
+    since, and cls the class of every other stored path.
+    """
 
     def __init__(self, paths: _Paths):
         self.paths = paths
-        self.nA = len(paths.quiver.arrows)
-        self.bpos: Dict[int, int] = {}
-        self.pid_of: List[int] = []
-        self.dead: List[bool] = []
-        self.tabR: List[List[Optional[Cls]]] = []
-        self.tabL: List[List[Optional[Cls]]] = []
+        self.basis: Dict[int, None] = {}
+        self.cls: Dict[int, Cls] = {}
         self.side: Dict[int, Cls] = {}
-        self.nalive = 0
-        self.nlast = 0
         # input indices of the relations whose rows survived pass 2b
         self.kept: List[int] = []
+        self.kills: List[int] = []
         n = paths.quiver.num_vertices
         for pid in range(n):
             self._basis_add(pid)
-        _, lvl1 = paths.add_level(self.is_live)
-        for pid in range(n, lvl1):
+        # level 1, the arrows, is all basis
+        for pid in range(*paths.add_level(self.is_live)):
             self._basis_add(pid)
-            ai = paths.last[pid]
-            self.tabR[self.bpos[paths.src[pid]]][ai] = ({pid: ONE}, ONE)
-            self.tabL[self.bpos[paths.tgt[pid]]][ai] = ({pid: ONE}, ONE)
-        self.win: List[Tuple[int, int, Dict[int, object]]] = [
-            (0, n, {pid: _BASIS for pid in range(n)}),
-            (n, lvl1, {pid: _BASIS for pid in range(n, lvl1)}),
-        ]
-        self.nlast = lvl1 - n
-        self.lo = self.hi = 0
-        self.cand: Dict[int, Cls] = {}
-        self.kills: List[int] = []
 
     def _basis_add(self, pid: int) -> None:
-        self.bpos[pid] = len(self.pid_of)
-        self.pid_of.append(pid)
-        self.dead.append(False)
-        self.tabR.append([None] * self.nA)
-        self.tabL.append([None] * self.nA)
-        self.nalive += 1
+        self.basis[pid] = None
 
     def is_live(self, pid: int) -> bool:
-        pos = self.bpos.get(pid)
-        return pos is not None and not self.dead[pos]
+        return pid in self.basis and pid not in self.side
+
+    def _stored(self, pid: int) -> Cls:
+        """The class stored for a path: the path itself when it is or was
+        basis, its fold or candidate class otherwise."""
+        return self.cls.get(pid) or ({pid: ONE}, ONE)
 
     def _class_of(self, pid: int) -> Cls:
-        for lo, hi, d in self.win:
-            if lo <= pid < hi:
-                v = d.get(pid)
-                if v is None:
-                    return {pid: ONE}, ONE
-                if v is _BASIS:
-                    pos = self.bpos.get(pid)
-                    if pos is not None and self.dead[pos]:
-                        return self._residue(pid)
-                    return {pid: ONE}, ONE
-                return v  # type: ignore[return-value]
-        raise RuntimeError(f"class of path {pid} is out of reach")
+        return self._residue(pid) if pid in self.side else self._stored(pid)
 
     def _residue(self, pid: int) -> Cls:
         """side[pid] over live paths.  A residue naming a path killed since
@@ -311,10 +290,8 @@ class _Sweep:
 
     def _ext_add(self, acc: Dict[int, int], den: int, bpid: int, ai: int, side: int, c: int) -> int:
         """acc/den += c * class of bpid extended by an arrow; returns den."""
-        tab = (self.tabL if side else self.tabR)[self.bpos[bpid]][ai]
-        if tab is None:
-            tab = self._class_of(self.paths.child(bpid, ai, side))
-        return _addq(acc, den, tab[0].items(), tab[1], c)
+        w, e = self._stored(self.paths.child(bpid, ai, side))
+        return _addq(acc, den, w.items(), e, c)
 
     def _ext_row(self, cls: Cls, res: Cls, ai: int, side: int) -> Dict[int, int]:
         """The ideal row d * (cls - res extended by an arrow), res = v/d."""
@@ -335,7 +312,8 @@ class _Sweep:
         return _canon(acc, den * d)
 
     def _fold(self, p: Path) -> Cls:
-        """Class of a path, its arrows folded one by one through the tables."""
+        """Class of a path, its arrows folded one by one through the
+        stored classes of the basis paths' children."""
         cls: Cls = ({p.source: ONE}, ONE)
         for ai in p.arrows:
             cls = self._times_arrow(cls, ai)
@@ -350,24 +328,19 @@ class _Sweep:
         True when the row survives, as a new candidate or by killing a
         basis path; False when it reduces to zero.
         """
-        lo, hi = self.lo, self.hi
         while row:
             lead = max(row)
             if lead in self.side:
                 res = self._residue(lead)
-            elif lo <= lead < hi and lead not in self.bpos:
-                res = self.cand.get(lead)
-                if res is None:
-                    self.cand[lead] = _solved(row, lead)
-                    return True
-            else:
-                pos = self.bpos[lead]
-                assert not self.dead[pos]
+            elif lead in self.basis:
                 self.side[lead] = _solved(row, lead)
-                self.dead[pos] = True
-                self.nalive -= 1
-                self.kills.append(pos)
+                self.kills.append(lead)
                 return True
+            else:
+                res = self.cls.get(lead)
+                if res is None:
+                    self.cls[lead] = _solved(row, lead)
+                    return True
             c = row.pop(lead)
             v, d = res
             if d != ONE:
@@ -376,19 +349,17 @@ class _Sweep:
             _iadd(row, v.items(), c)
         return False
 
-    def _inject_translates(self, pos: int) -> None:
-        xpid = self.pid_of[pos]
+    def _inject_translates(self, xpid: int) -> None:
+        t = self.paths
         # the (arrow, side) pairs that compose with xpid, in that order
-        ends = (self.paths.tgt[xpid], self.paths.src[xpid])
-        for ai, a in enumerate(self.paths.quiver.arrows):
+        ends = (t.tgt[xpid], t.src[xpid])
+        for ai, a in enumerate(t.quiver.arrows):
             for side in (0, 1):
                 if (a.target if side else a.source) != ends[side]:
                     continue
-                tab = (self.tabL if side else self.tabR)[pos][ai]
-                if tab is None:
-                    tab = self._class_of(self.paths.child(xpid, ai, side))
+                child = self._stored(t.child(xpid, ai, side))
                 # residues are replaced, never changed in place
-                self._row_insert(self._ext_row(tab, self._residue(xpid), ai, side))
+                self._row_insert(self._ext_row(child, self._residue(xpid), ai, side))
 
     def _drain(self) -> None:
         while self.kills:
@@ -398,17 +369,13 @@ class _Sweep:
         self, lo: int, hi: int, seeds: Sequence[Tuple[int, PathAlgElement]]
     ) -> None:
         t = self.paths
-        self.lo, self.hi = lo, hi
-        self.cand = {}
-        self.kills = []
-        cur: Dict[int, object] = {}
-        self.win = [self.win[-1], (lo, hi, cur)]
+        cls = self.cls
 
         # pass 1: fold classes from parents; children of live basis wait
         for pid in range(lo, hi):
             par = t.parent[pid]
             if not self.is_live(par):
-                cur[pid] = self._times_arrow(self._class_of(par), t.last[pid])
+                cls[pid] = self._times_arrow(self._class_of(par), t.last[pid])
 
         # pass 2a: left-consistency rows
         for pid in range(lo, hi):
@@ -431,47 +398,28 @@ class _Sweep:
                 self.kept.append(idx)
             self._drain()
 
-        # settle classes in path order and persist them in the tables: a
-        # class names only smaller paths, whose classes are final by now,
-        # so one substitution frees it of this level's non-basis paths
-        nb = 0
+        # settle classes in path order: a class names only basis paths
+        # and smaller paths of this level, whose classes are final by
+        # now, so one substitution frees it of this level's non-basis paths
+        nb = len(self.basis)
         for pid in range(lo, hi):
-            row = cur.get(pid, self.cand.get(pid))
+            row = cls.get(pid)
             if row is None:
                 self._basis_add(pid)
-                cur[pid] = _BASIS
-                nb += 1
-                row = ({pid: ONE}, ONE)
-            else:
+            elif any(p in cls for p in row[0]):
                 v, d = row
-                if any(lo <= p < hi and cur[p] is not _BASIS for p in v):
-                    acc = {}
-                    den = ONE
-                    for p, c in v.items():
-                        sub = cur[p] if lo <= p < hi else _BASIS
-                        w, e = ({p: ONE}, ONE) if sub is _BASIS else sub
-                        den = _addq(acc, den, w.items(), e, c)
-                    row = _canon(acc, den * d)
-                cur[pid] = row
-            bp = self.bpos.get(t.parent[pid])
-            if bp is not None:
-                self.tabR[bp][t.last[pid]] = row
-            bs = self.bpos.get(t.suffix[pid])
-            if bs is not None:
-                self.tabL[bs][t.first[pid]] = row
+                acc = {}
+                den = ONE
+                for p, c in v.items():
+                    w, e = self._stored(p)
+                    den = _addq(acc, den, w.items(), e, c)
+                cls[pid] = _canon(acc, den * d)
+        self.nlast = len(self.basis) - nb
 
-        self.nlast = nb
-
-    def live_positions(self) -> List[int]:
-        return [pos for pos, dead in enumerate(self.dead) if not dead]
-
-    def action_row(self, pos: int, ai: int) -> Vec:
-        """Class of basis path pid_of[pos] times an arrow, over live
-        paths, in the package's scalars."""
-        row = self.tabR[pos][ai]
-        if row is None:
-            return {}
-        v, d = self._over_live(row)
+    def action_row(self, pid: int, ai: int) -> Vec:
+        """Class of basis path pid times an arrow, over live paths, in the
+        package's scalars."""
+        v, d = self._over_live(self._stored(self.paths.child(pid, ai, 0)))
         return v if d == ONE else {p: div(c, d) for p, c in v.items()}
 
 
@@ -601,18 +549,18 @@ def _ideal_vanishes(alg: "PresentedAlgebra", relations: Sequence[PathAlgElement]
 def _table_of(eng: _Sweep) -> "PresentedAlgebra":
     """The sweep's live basis and table as an algebra, not yet checked;
     a basis path times an arrow not leaving its target is _ZERO_ROW."""
-    live = eng.live_positions()
-    pos_of = {eng.pid_of[pos]: k for k, pos in enumerate(live)}
+    live = [pid for pid in eng.basis if pid not in eng.side]
+    pos_of = {pid: k for k, pid in enumerate(live)}
     paths = eng.paths
-    out_arrows = paths.quiver.out_arrows
+    quiver = paths.quiver
     alg = PresentedAlgebra()
-    alg.quiver = paths.quiver
-    alg._set_basis([paths.path_of(eng.pid_of[pos]) for pos in live])
+    alg.quiver = quiver
+    alg._set_basis([paths.path_of(pid) for pid in live])
     alg._action = []
-    for pos in live:
-        rows: List[Vec] = [_ZERO_ROW] * eng.nA
-        for b in out_arrows[paths.tgt[eng.pid_of[pos]]]:
-            rows[b.index] = {pos_of[p]: c for p, c in eng.action_row(pos, b.index).items()}
+    for pid in live:
+        rows: List[Vec] = [_ZERO_ROW] * len(quiver.arrows)
+        for b in quiver.out_arrows[paths.tgt[pid]]:
+            rows[b.index] = {pos_of[p]: c for p, c in eng.action_row(pid, b.index).items()}
         alg._action.append(rows)
     return alg
 
@@ -700,7 +648,7 @@ def _stabilize(
                 return eng, alg
         if hi == lo and level >= last_seed:
             break  # no stored path extends and no relation is left to feed
-    nalive = eng.nalive
+    nalive = len(eng.basis) - len(eng.side)
     # the error's traceback holds this frame: drop the sweep, so that an
     # error kept by the caller does not keep every stored path alive
     del eng, paths

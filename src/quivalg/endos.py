@@ -218,17 +218,23 @@ class BlockView:
         self.offsets: List[List[int]] = []
         # coordinate at each vertex -> (its summand, index inside it)
         self._owner: List[List[Tuple[int, int]]] = []
+        # where block_flats starts the (bu, bv) block at each vertex
+        self._flat_base: List[List[List[int]]] = []
+        base = [[0] * len(self.summands) for _ in self.summands]
         for v in range(nv):
+            ds = [s.rep.dims[v] for s in self.summands]
             running = 0
             offs = []
             owner = []
-            for b, s in enumerate(self.summands):
+            for b, d in enumerate(ds):
                 offs.append(running)
-                running += s.rep.dims[v]
-                owner.extend((b, k) for k in range(s.rep.dims[v]))
+                running += d
+                owner.extend((b, k) for k in range(d))
             assert running == m.dims[v]
             self.offsets.append(offs)
             self._owner.append(owner)
+            self._flat_base.append(base)
+            base = [[x + du * dv for x, dv in zip(row, ds)] for row, du in zip(base, ds)]
             self.C.append(vstack([s.inclusion.vertex_maps[v] for s in self.summands]))
             self.D.append(hstack([s.projection.vertex_maps[v] for s in self.summands]))
 
@@ -249,11 +255,9 @@ class BlockView:
         all vertices flattened like _flat into sorted (position, value)
         pairs, in one pass over the entries."""
         dims = [s.rep.dims for s in self.summands]
-        nb = len(dims)
         out: Dict[Tuple[int, int], List] = {}
-        base = [[0] * nb for _ in range(nb)]
         for v, mat in enumerate(mats):
-            owner = self._owner[v]
+            owner, base = self._owner[v], self._flat_base[v]
             for i, r in enumerate(mat.pairs):
                 if r:
                     bu, ri = owner[i]
@@ -261,9 +265,6 @@ class BlockView:
                         bv, cj = owner[j]
                         pos = base[bu][bv] + ri * dims[bv][v] + cj
                         out.setdefault((bu, bv), []).append((pos, x))
-            for bu in range(nb):
-                for bv in range(nb):
-                    base[bu][bv] += dims[bu][v] * dims[bv][v]
         return out
 
     def _block_width(self, bu: int, bv: int) -> int:

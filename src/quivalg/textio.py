@@ -356,14 +356,15 @@ def parse_module(
             raise where.error(
                 f"arrow {a.label!r} needs {nr} rows, got {len(block)}", 0
             )
-        rows = []
+        pairs = []
         for line, row in block:
             if len(row) != nc:
                 raise line.error(
                     f"arrow {a.label!r} rows need {nc} entries, got {len(row)}", 0
                 )
-            rows.append(row)
-        mats.append(Matrix(nr, nc, rows))
+            # _parse_rational made each entry a canonical scalar already
+            pairs.append([(j, x) for j, x in enumerate(row) if x])
+        mats.append(Matrix._from_pairs(nr, nc, pairs))
     unknown = set(arrow_rows) - {a.label for a in quiver.arrows}
     if unknown:
         lab = sorted(unknown)[0]

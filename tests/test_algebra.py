@@ -26,6 +26,8 @@ from quivalg import (
     reference_end_quiver,
     reference_end_relations,
     two_loop_local_algebra,
+    two_loop_quiver,
+    two_loop_relations,
 )
 from quivalg.algebra import _stabilize
 from quivalg.linalg import QQ
@@ -174,7 +176,7 @@ def test_path_store_holds_only_paths_with_basis_middle():
     assert acc.dim == 90
     paths = eng.paths
     bound = q.num_vertices + len(q.arrows) + sum(
-        len(q.in_arrows[paths.src[m]]) * len(q.out_arrows[paths.tgt[m]]) for m in eng.pid_of
+        len(q.in_arrows[paths.src[m]]) * len(q.out_arrows[paths.tgt[m]]) for m in eng.basis
     )
     assert len(paths.parent) <= bound
     assert max(paths.level) == 18
@@ -699,10 +701,9 @@ def test_sweep_runs_no_fraction_arithmetic(name, monkeypatch):
 
 def _stored_bits(eng):
     """Bit length of the largest numerator or denominator the sweep
-    stores: its tables, residues, candidates and class windows."""
-    classes = [c for rows in eng.tabR + eng.tabL for c in rows if c is not None]
-    classes += list(eng.side.values()) + list(eng.cand.values())
-    classes += [c for _lo, _hi, win in eng.win for c in win.values() if c is not algebra._BASIS]
+    stores: the classes of its non-basis paths and the residues of its
+    killed basis paths."""
+    classes = chain(eng.cls.values(), eng.side.values())
     return max(max(abs(x).bit_length() for x in chain(v.values(), [d])) for v, d in classes)
 
 
@@ -713,6 +714,22 @@ def test_sweep_stored_coefficient_bits(name, bits):
     stored at most 4, 45 and 8 bits on these inputs."""
     eng, _alg = _stabilize(*SWEEP_INPUTS[name](), 20)
     assert _stored_bits(eng) == bits
+
+
+def _two_loop_input():
+    q = two_loop_quiver()
+    return q, two_loop_relations(q)
+
+
+@pytest.mark.parametrize("name", ["two-loop", *sorted(SWEEP_INPUTS)])
+def test_sweep_keeps_one_class_per_stored_path(name):
+    """Every stored path is either a path that was ever basis or a path
+    with a stored class, never both, and only ever-basis paths carry a
+    residue."""
+    eng, _alg = _stabilize(*{"two-loop": _two_loop_input, **SWEEP_INPUTS}[name](), 20)
+    assert eng.basis.keys().isdisjoint(eng.cls)
+    assert len(eng.basis) + len(eng.cls) == len(eng.paths.parent)
+    assert set(eng.side) <= set(eng.basis)
 
 
 # -- the certificate's radical layers against multiplying every vector ----

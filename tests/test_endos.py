@@ -63,6 +63,28 @@ def test_radical_powers_pinned(l2, parts, square_dim, index):
     assert e.radical_nilpotency_index(summands) == index
 
 
+def test_block_flats_match_sliced_blocks(a2):
+    """block_flats gives every (bu, bv) block of a conjugated endomorphism
+    as _flat of that block sliced out of the matrices at each vertex, on
+    five summands over a quiver with two vertices."""
+    m = direct_sum([*simples(a2), *indec_projectives(a2), simples(a2)[0]])[0]
+    e = EndStructure(m)
+    view = BlockView(m, decompose(m, structure=e))
+    nb = len(view.summands)
+    assert nb == 5
+    for h in e.basis:
+        mats = view.conjugate(h)
+        flats = view.block_flats(mats)
+        for bu in range(nb):
+            for bv in range(nb):
+                blocks = []
+                for v, mat in enumerate(mats):
+                    r0, c0 = view.offsets[v][bu], view.offsets[v][bv]
+                    nr, nc = view.summands[bu].rep.dims[v], view.summands[bv].rep.dims[v]
+                    blocks.append(Matrix(nr, nc, [row[c0 : c0 + nc] for row in mat.rows[r0 : r0 + nr]]))
+                assert flats.get((bu, bv), []) == endos._flat(blocks)
+
+
 def test_block_span_products_cuts_each_span_row_once(l2, count_calls):
     """Each span row is cut into block matrices once, not once per product
     it takes part in."""

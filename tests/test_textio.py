@@ -15,6 +15,7 @@ from quivalg import (
     simples,
     validate,
 )
+from quivalg import linalg
 from quivalg.linalg import QQ
 
 from conftest import element
@@ -137,6 +138,22 @@ def test_parse_rational_entries(two_loop):
     assert rep.matrices[1].rows[0][0] == QQ(-2, 3)
     with pytest.raises(ParseError):
         parse_module("vertex v 1\narrow a\n1/0\n", algebra=two_loop)
+
+
+def test_parse_module_coerces_no_entry_again(two_loop, count_calls):
+    """The parser makes each entry a canonical scalar, so parse_module
+    builds the matrices from the entries as they are and runs rat on none
+    of them; through the Matrix constructor it ran rat once per entry,
+    zeros included."""
+    text = "vertex v 2\narrow a\n0 -4/2\n1/3 0\narrow b\n6/4 - 1\n0 0\n"
+    rats = count_calls(linalg, "rat")
+    rep = parse_module(text, algebra=two_loop)
+    assert rats["calls"] == 0
+    assert [mat.pairs for mat in rep.matrices] == [
+        [[(1, -2)], [(0, QQ(1, 3))]],
+        [[(0, QQ(3, 2)), (1, -1)], []],
+    ]
+    assert type(rep.matrices[0].pairs[0][0][1]) is int
 
 
 def test_comments_and_blank_lines_ignored(two_loop):

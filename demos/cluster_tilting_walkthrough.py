@@ -44,7 +44,7 @@ def main():
     print()
 
     print("== the candidate module and its endomorphism ring ==")
-    m = direct_sum(translates)[0]
+    m = direct_sum(translates)
     print(f"M = sum of the five translates, dim {m.total_dim}")
     # one verdict computes End(M), its decomposition, its presentation
     # and the dimensions of B; everything below reads it off

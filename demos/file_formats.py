@@ -37,7 +37,7 @@ def main():
     print(f"algebra file {alg_path}:")
     print(alg_path.read_text())
 
-    mixed = direct_sum([simples(l2)[0], indec_projectives(l2)[0]])[0]
+    mixed = direct_sum([simples(l2)[0], indec_projectives(l2)[0]])
     mod_path = scratch / "mixed.mod"
     mod_path.write_text(format_module(mixed, str(alg_path)))
     print(f"module file {mod_path}:")

@@ -680,7 +680,6 @@ class PresentedAlgebra:
         self.quiver: Quiver = None  # type: ignore[assignment]
         self.relations: List[PathAlgElement] = []
         self.kept_relations: List[PathAlgElement] = []
-        self.length_cap: int = 0
         self.basis: List[Path] = []
         self.dim: int = 0
         self.loewy_length: int = 0
@@ -804,7 +803,6 @@ def _make_opposite(a: PresentedAlgebra) -> PresentedAlgebra:
     op.quiver = a.quiver.reverse()
     op.relations = [_reverse_element(r, op.quiver) for r in a.relations]
     op.kept_relations = [_reverse_element(r, op.quiver) for r in a.kept_relations]
-    op.length_cap = a.length_cap
     op._set_basis([Path(p.target, tuple(reversed(p.arrows)), p.source) for p in a.basis])
     op.loewy_length = a.loewy_length
     # arrows are basis paths since relations lie in J^2; read their
@@ -832,7 +830,6 @@ def build_algebra(
     relations = _validate_relations(quiver, relations)
     alg = _stabilize(quiver, relations, length_cap)[1]
     alg.relations = list(relations)
-    alg.length_cap = length_cap
     return alg
 
 

@@ -95,15 +95,13 @@ class _Report:
     def add(self, key: str, value) -> None:
         self.items.append((key, value))
 
-    def emit(self, out=None) -> None:
-        out = out if out is not None else sys.stdout
+    def emit(self) -> None:
         if self.structured:
-            obj = {k: v for k, v in self.items}
-            json.dump(obj, out, indent=2, default=str)
-            out.write("\n")
+            json.dump(dict(self.items), sys.stdout, indent=2, default=str)
+            sys.stdout.write("\n")
         else:
             for k, v in self.items:
-                out.write(f"{k} = {v}\n")
+                sys.stdout.write(f"{k} = {v}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,7 +273,7 @@ def _cmd_probe_ext(args) -> int:
     reg = regular_module(a)
     translates = dual_regular_translates(a)
     da = translates[0]
-    m = direct_sum(translates)[0]
+    m = direct_sum(translates)
     report = _Report(args.format == "structured")
     for i in range(1, args.imax + 1):
         report.add(f"ext{i}_da_a", ext_dim(da, reg, i))

@@ -591,27 +591,24 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
             return None, True
         return None
 
-    for i in range(cdim):
-        res = try_element(list(corner_basis[i]))
-        if res is not None:
-            split, primitive = res
-            if primitive:
-                return None
-            return split
-    for _ in range(MAX_SPLIT_ATTEMPTS):
-        x = [ZERO] * q.dim
-        for row in corner_basis:
-            c = rng.randint(-4, 4)
-            if c:
-                x = [a + c * b for a, b in zip(x, row)]
-        if not any(x):
-            continue
+    def candidates():
+        """The corner basis, then up to MAX_SPLIT_ATTEMPTS nonzero random
+        combinations of it, drawn only as they are tried."""
+        yield from (list(row) for row in corner_basis)
+        for _ in range(MAX_SPLIT_ATTEMPTS):
+            x = [ZERO] * q.dim
+            for row in corner_basis:
+                c = rng.randint(-4, 4)
+                if c:
+                    x = [a + c * b for a, b in zip(x, row)]
+            if any(x):
+                yield x
+
+    for x in candidates():
         res = try_element(x)
         if res is not None:
             split, primitive = res
-            if primitive:
-                return None
-            return split
+            return None if primitive else split
     reason = f"could not split a corner of dimension {cdim} after {MAX_SPLIT_ATTEMPTS} attempts"
     if undecided:
         reason += f"; minimal polynomials {', '.join(sorted(undecided))} are left undecided"

@@ -14,19 +14,19 @@ from .endos import EndStructure, decompose
 from .endquiver import EndPresentation, end_as_quiver_algebra
 from .linalg import Matrix, determinant, rank
 from .modules import (
-    ModuleHom,
     Representation,
     _ProjSum,
     _Resolution,
-    _cover_data,
     _hom_from_generators,
+    _indecomposable_iso,
     _induced_hom_matrix,
     _presentation_components,
+    _top,
     cokernel,
     dual,
     indec_injectives,
     indec_projectives,
-    is_isomorphic,
+    injective_envelope,
     is_projective,
     regular_module,
     simples,
@@ -153,14 +153,13 @@ def ext_dim(m: Representation, n: Representation, i: int) -> int:
 def projective_dimension(
     m: Representation, bound: int = DEFAULT_BOUND
 ) -> Union[int, ExceedsBound]:
-    """Projective dimension, or ExceedsBound(bound) when it is > bound."""
+    """Projective dimension, the first k whose k-th syzygy is projective,
+    or ExceedsBound(bound) when it is > bound."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if m.is_zero():
-        return 0
     res = _Resolution(m)
     for k in range(bound + 1):
-        if res.syzygy(k + 1).is_zero():
+        if is_projective(res.syzygy(k)):
             return k
     return ExceedsBound(bound)
 
@@ -186,17 +185,15 @@ def dominant_dimension(
     first bound terms are all projective or the coresolution stops."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    # cur's injective envelope is the sum of I(v) over the cover of dual(cur)
+    # cur's injective envelope is the sum of I(v) over the top of dual(cur)
     projective = [is_projective(i) for i in indec_injectives(a)]
     cur = regular_module(a)
     for k in range(bound):
         if cur.is_zero():
             return AtLeastBound(bound)
-        psum, epi = _cover_data(dual(cur))
-        if not all(projective[v] for v in psum.vertices):
+        if not all(projective[v] for v, _ in _top(dual(cur))):
             return k
-        mono = ModuleHom(cur, dual(psum.rep), [f.transpose() for f in epi.vertex_maps])
-        cur = cokernel(mono)[0]
+        cur = cokernel(injective_envelope(cur)[1])[0]
     return AtLeastBound(bound)
 
 
@@ -234,8 +231,10 @@ def is_generator_cogenerator(m: Representation, seed: int = 0) -> bool:
 
 
 def _covers_projectives_injectives(a: PresentedAlgebra, parts: List[Representation]) -> bool:
+    """Each target P(v) or I(v), with its simple top or socle, is
+    indecomposable, so _indecomposable_iso decides it against each part."""
     for target in indec_projectives(a) + indec_injectives(a):
-        if not any(is_isomorphic(target, p) for p in parts):
+        if not any(_indecomposable_iso(target, p) is not None for p in parts):
             return False
     return True
 

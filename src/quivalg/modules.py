@@ -283,14 +283,12 @@ def indec_injectives(a: PresentedAlgebra) -> List[Representation]:
 
 def regular_module(a: PresentedAlgebra) -> Representation:
     """A as a right module over itself: the sum of all P(i) in vertex order."""
-    rep, _, _ = direct_sum(indec_projectives(a))
-    return rep
+    return direct_sum(indec_projectives(a))
 
 
-def direct_sum(
-    ms: Sequence[Representation],
-) -> Tuple[Representation, List[ModuleHom], List[ModuleHom]]:
-    """Direct sum with its injection and projection homs."""
+def direct_sum(ms: Sequence[Representation]) -> Representation:
+    """Direct sum in the given order: each arrow acts by the summands'
+    matrices along the diagonal."""
     ms = list(ms)
     if not ms:
         raise ValueError("direct_sum needs at least one summand")
@@ -303,23 +301,7 @@ def direct_sum(
         block_diagonal_rect([m.matrices[ar.index] for m in ms])
         for ar in a.quiver.arrows
     ]
-    total = Representation(a, dims, mats)
-    injections = []
-    projections = []
-    offset = [0] * a.num_vertices
-    for m in ms:
-        inj_maps = []
-        proj_maps = []
-        for v in range(a.num_vertices):
-            units = [[(offset[v] + i, ONE)] for i in range(m.dims[v])]
-            inj = Matrix._from_pairs(m.dims[v], dims[v], units)
-            inj_maps.append(inj)
-            proj_maps.append(inj.transpose())
-        injections.append(ModuleHom(m, total, inj_maps))
-        projections.append(ModuleHom(total, m, proj_maps))
-        for v in range(a.num_vertices):
-            offset[v] += m.dims[v]
-    return total, injections, projections
+    return Representation(a, dims, mats)
 
 
 # -- explicit sums of indecomposable projectives ------------------------
@@ -369,13 +351,6 @@ class _ProjSum:
         start = self.offsets[s][at_vertex]
         width = len(self.algebra.endpoint_basis(self.vertices[s], at_vertex))
         return start, start + width
-
-
-def _fold_row(row: List, n: Representation, arrows: Sequence[int]) -> List:
-    """A sparse row of n folded through the given arrows in turn."""
-    for ai in arrows:
-        row = _row_times(row, n.matrices[ai])
-    return row
 
 
 def _paths_out_of(a: PresentedAlgebra, v: int, wanted: Optional[set] = None) -> List[int]:
@@ -539,26 +514,25 @@ def _socle_rows(m: Representation) -> List[Matrix]:
 # -- covers, envelopes, projectivity ------------------------------------
 
 
-def _cover_data(m: Representation) -> Tuple[_ProjSum, ModuleHom]:
-    """Projective cover as an explicit sum of P(v) with the covering epi.
+def _top(m: Representation) -> List[Tuple[int, int]]:
+    """(vertex, index) of the unit vectors of m that span a complement of
+    its radical, so a basis of top(m): at each vertex, those missing the
+    radical pivots.  The radical rows are rref rows, so each row's pivot
+    is its first column."""
+    out = []
+    for v, rad in enumerate(_radical_rows(m)):
+        pivot_set = {row[0][0] for row in rad.pairs}
+        out.extend((v, j) for j in range(m.dims[v]) if j not in pivot_set)
+    return out
 
-    One summand P(v) per basis vector of top(m) at v; the generator maps to
-    the chosen representative, a unit vector missing the radical pivots.
-    The radical rows are rref rows, so each row's pivot is its first column.
-    """
-    a = m.algebra
-    rad_rows = _radical_rows(m)
-    vertices: List[int] = []
-    images: List[List] = []
-    for v in range(a.num_vertices):
-        pivot_set = {row[0][0] for row in rad_rows[v].pairs}
-        for j in range(m.dims[v]):
-            if j not in pivot_set:
-                vertices.append(v)
-                images.append([(j, ONE)])
-    psum = _ProjSum(a, vertices)
-    epi = _hom_from_generators(psum, m, images)
-    return psum, epi
+
+def _cover_data(m: Representation) -> Tuple[_ProjSum, ModuleHom]:
+    """Projective cover as an explicit sum of P(v) with the covering epi:
+    one summand P(v) per top basis vector at v, its generator mapped to
+    that vector."""
+    top = _top(m)
+    psum = _ProjSum(m.algebra, [v for v, _ in top])
+    return psum, _hom_from_generators(psum, m, [[(j, ONE)] for _, j in top])
 
 
 class _Resolution:
@@ -617,13 +591,14 @@ def injective_envelope(m: Representation) -> Tuple[Representation, ModuleHom]:
 
 
 def is_projective(m: Representation) -> bool:
-    _, epi = projective_cover(m)
-    return epi.is_isomorphism()
+    """The projective cover, one P(v) per top basis vector at v, maps
+    onto m, so m is projective exactly when the two dimensions agree."""
+    projs = indec_projectives(m.algebra)
+    return sum(projs[v].total_dim for v, _ in _top(m)) == m.total_dim
 
 
 def is_injective(m: Representation) -> bool:
-    _, mono = injective_envelope(m)
-    return mono.is_isomorphism()
+    return is_projective(dual(m))
 
 
 # -- hom spaces ---------------------------------------------------------
@@ -704,6 +679,8 @@ def _induced_hom_matrix(
     Both hom spaces are taken in generator coordinates: a hom out of a
     projective sum is the list of generator images, one row of n per
     summand.  Row index = source coordinate, column index = target one.
+    Each generator coordinate is folded through the basis paths that the
+    components name, each path from its prefix's row.
     """
     a = psum_lo.algebra
     comp = _presentation_components(psum_hi, psum_lo, d)
@@ -713,21 +690,17 @@ def _induced_hom_matrix(
         col_offsets.append(ncols)
         ncols += n.dims[psum_hi.vertices[t]]
     rows: List[List] = []
-    for s in range(psum_lo.num_summands):
-        v_s = psum_lo.vertices[s]
+    for s, v_s in enumerate(psum_lo.vertices):
+        terms = []  # (column offset, coefficient, basis path position)
+        for t, base in enumerate(col_offsets):
+            coeffs, positions = comp[t][s]
+            terms.extend((base, c, positions[k]) for k, c in coeffs)
+        paths = _paths_out_of(a, v_s, {pos for _, _, pos in terms})
         for beta in range(n.dims[v_s]):
-            unit = [(beta, ONE)]
-            folded_at: Dict[int, List] = {}
+            folded = _fold_basis_paths([(beta, ONE)], n, paths)
             row: dict = {}
-            for t in range(psum_hi.num_summands):
-                base = col_offsets[t]
-                coeffs, positions = comp[t][s]
-                for k, c in coeffs:
-                    pos = positions[k]
-                    folded = folded_at.get(pos)
-                    if folded is None:
-                        folded = folded_at[pos] = _fold_row(unit, n, a.basis[pos].arrows)
-                    _iadd(row, ((base + j, x) for j, x in folded), c)
+            for base, c, pos in terms:
+                _iadd(row, ((base + j, x) for j, x in folded[pos]), c)
             rows.append(sorted(row.items()))
     return Matrix._from_pairs(len(rows), ncols, rows)
 
@@ -767,8 +740,7 @@ def is_isomorphic(m: Representation, n: Representation) -> Optional[ModuleHom]:
     _same_algebra(m, n)
     if m.dims != n.dims:
         return None
-    top_dim = m.total_dim - sum(r.nrows for r in _radical_rows(m))
-    if top_dim == 1 or sum(r.nrows for r in _socle_rows(m)) == 1:
+    if len(_top(m)) == 1 or sum(r.nrows for r in _socle_rows(m)) == 1:
         return _indecomposable_iso(m, n)
     witness = ModuleHom.zero(m, n)
     unmatched = decompose(n)

@@ -166,7 +166,7 @@ def run_verification(
     witness = is_isomorphic(u4, reg)
     report.check("u4_iso_a", bool(witness), bool(witness))
 
-    m = direct_sum(translates)[0]
+    m = direct_sum(translates)
     verdict = cluster_tilting_verdict(m, 2, bound=bound, seed=seed, max_length=max_length)
     gen_cog = verdict.generator_cogenerator
     report.check("m_generator_cogenerator", gen_cog, gen_cog)

@@ -130,7 +130,7 @@ def translates(two_loop):
 
 @pytest.fixture(scope="session")
 def m_module(translates):
-    return direct_sum(translates)[0]
+    return direct_sum(translates)
 
 
 @pytest.fixture(scope="session")

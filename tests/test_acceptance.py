@@ -66,7 +66,7 @@ def _pipeline(a):
     translates = [da]
     for _ in range(4):
         translates.append(tau2(translates[-1]))
-    return da, translates, direct_sum(translates)[0]
+    return da, translates, direct_sum(translates)
 
 
 def test_criterion_1_base_algebra():

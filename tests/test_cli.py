@@ -26,7 +26,7 @@ from quivalg import (
     indec_projectives,
     simples,
 )
-from quivalg import algebra, cli, endos, endquiver
+from quivalg import algebra, cli, endos, endquiver, modules
 from quivalg.cli import main
 
 
@@ -42,7 +42,7 @@ def l2_files(tmp_path_factory, l2):
     root = tmp_path_factory.mktemp("l2io")
     alg_path = root / "l2.alg"
     alg_path.write_text(format_algebra(l2.quiver, l2.relations))
-    mixed = direct_sum([simples(l2)[0], indec_projectives(l2)[0]])[0]
+    mixed = direct_sum([simples(l2)[0], indec_projectives(l2)[0]])
     mod_path = root / "mixed.mod"
     mod_path.write_text(format_module(mixed, str(alg_path)))
     return alg_path, mod_path
@@ -54,6 +54,8 @@ def test_verify_paper_passes(capsys, count_calls):
     presentations = count_calls(endquiver, "end_as_quiver_algebra")
     builds = count_calls(algebra, "build_algebra")
     sweeps = count_calls(algebra, "_stabilize")
+    covers = count_calls(modules, "_cover_data")
+    cover_maps = count_calls(modules, "projective_cover")
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
     assert "dim_b_hom = 165  [pass]" in out
@@ -68,6 +70,10 @@ def test_verify_paper_passes(capsys, count_calls):
     # A, B's raw relations (whose sweep also gives the kept set), the Ext^2
     # products, the kept set rebuilt and the reference presentation
     assert sweeps["calls"] == 5
+    # projectivity is read off the top, so covers are built only where
+    # their maps are read: syzygies, Hom, transposes and envelopes
+    assert covers["calls"] <= 55
+    assert cover_maps["calls"] == 0
 
 
 def test_verify_paper_report_bytes_pinned(capsys):
@@ -81,6 +87,34 @@ def test_verify_paper_report_bytes_pinned(capsys):
         assert code == 0
         digests.append(hashlib.md5(out.encode()).hexdigest())
     assert digests == ["35f6bc33377156c39ace9c193b677d0d", "6dcd5e8ce99823d75a95d678911c132e"]
+
+
+# (arguments, exit code, md5 of stdout); "DA" stands for a module file
+# holding the dual regular module of the two-loop algebra
+PINNED_OUTPUTS = [
+    (["cartan", "builtin:end-reference"], 0, "f411a222fba8a0f6e5f1d1e35137f469"),
+    (["cartan", "builtin:end-reference", "--format", "structured"], 0, "4fdfdc7fb40c51eba1a0a7cf0cc394c0"),
+    (["gldim", "builtin:end-reference"], 0, "0308cbdb30e763ba2881c6606abec072"),
+    (["gldim", "builtin:end-reference", "--format", "structured"], 0, "60b03370510fe0f052a4c2d2b6267290"),
+    (["domdim", "builtin:end-reference"], 0, "f9eaf847efa7c115f353e95cd80276c1"),
+    (["domdim", "builtin:end-reference", "--format", "structured"], 0, "b2a1ab7d589a5fe7b3f38995d6a044b5"),
+    (["domdim", "builtin:two-loop-local"], 0, "ade3865b811b010b98919404ceff9928"),
+    (["gldim", "builtin:two-loop-local", "--bound", "4"], 2, "35fe1d2b4ade16428d6fdd89869dad6c"),
+    (["tau2", "DA"], 0, "9459c5e00f9931efdf13f9e8c9cca100"),
+    (["end-quiver", "DA"], 0, "488ab672bd556fcbd7def2e04257b34c"),
+    (["probe-ext"], 0, "39cb3cb9dc13f748def062883f88703c"),
+    (["probe-ext", "--format", "structured"], 0, "b936dc65a093ab46a2d4584bf04e9d7d"),
+]
+
+
+def test_cli_outputs_pinned(capsys, tmp_path, translates):
+    """The other subcommands' reports, byte for byte: a change that keeps
+    every output keeps these digests and exit codes."""
+    da = tmp_path / "da.mod"
+    da.write_text(format_module(translates[0], "builtin:two-loop-local"))
+    for argv, expected_code, digest in PINNED_OUTPUTS:
+        code, out, _ = run_cli(capsys, *[str(da) if a == "DA" else a for a in argv])
+        assert (code, hashlib.md5(out.encode()).hexdigest()) == (expected_code, digest), argv
 
 
 def _readme_report_keys():

@@ -33,7 +33,7 @@ from conftest import auslander_module
 def l2_mixed(l2):
     s = simples(l2)[0]
     p = indec_projectives(l2)[0]
-    return direct_sum([s, p])[0]
+    return direct_sum([s, p])
 
 
 def test_end_dims_l2_mixed(l2_mixed):
@@ -54,7 +54,7 @@ def test_radical_powers_pinned(l2, parts, square_dim, index):
     """rad^2 and the nilpotency index of End over the dual numbers, one
     summand or several, over one decomposition passed to both."""
     pick = {"S": simples(l2)[0], "P": indec_projectives(l2)[0]}
-    m = direct_sum([pick[c] for c in parts])[0]
+    m = direct_sum([pick[c] for c in parts])
     e = EndStructure(m)
     summands = decompose(m, structure=e)
     view = BlockView(m, summands)
@@ -67,7 +67,7 @@ def test_block_flats_match_sliced_blocks(a2):
     """block_flats gives every (bu, bv) block of a conjugated endomorphism
     as _flat of that block sliced out of the matrices at each vertex, on
     five summands over a quiver with two vertices."""
-    m = direct_sum([*simples(a2), *indec_projectives(a2), simples(a2)[0]])[0]
+    m = direct_sum([*simples(a2), *indec_projectives(a2), simples(a2)[0]])
     e = EndStructure(m)
     view = BlockView(m, decompose(m, structure=e))
     nb = len(view.summands)
@@ -89,7 +89,7 @@ def test_block_span_products_cuts_each_span_row_once(l2, count_calls):
     """Each span row is cut into block matrices once, not once per product
     it takes part in."""
     s, p = simples(l2)[0], indec_projectives(l2)[0]
-    m = direct_sum([s, s, p])[0]
+    m = direct_sum([s, s, p])
     e = EndStructure(m)
     view = BlockView(m, decompose(m, seed=0, structure=e))
     rad = view.radical_block_spans(e)
@@ -124,7 +124,7 @@ def _all_pairs_span(view, left, right):
 
 def _span_product_modules(l2):
     s, p = simples(l2)[0], indec_projectives(l2)[0]
-    sums = [direct_sum([{"S": s, "P": p}[c] for c in parts])[0] for parts in ("SP", "P", "PP", "SSP")]
+    sums = [direct_sum([{"S": s, "P": p}[c] for c in parts]) for parts in ("SP", "P", "PP", "SSP")]
     auslander = [auslander_module(n, dense) for n in (3, 4, 5) for dense in (False, True)]
     return sums + auslander
 
@@ -159,7 +159,7 @@ def test_radical_square_of_m_forms_few_products(m_module, m_summands, m_structur
 
 def test_end_dims_l2_double_projective(l2):
     p = indec_projectives(l2)[0]
-    pp = direct_sum([p, p])[0]
+    pp = direct_sum([p, p])
     e = EndStructure(pp)
     assert e.dim == 8
     assert e.radical_coords.nrows == 4
@@ -195,7 +195,7 @@ def test_natural_and_regular_trace_forms_agree(l2, l2_mixed, a2):
     # the radical from the trace form of the action on the module must
     # match the radical from the trace form of left multiplication on
     # the endomorphism algebra itself
-    targets = [l2_mixed, regular_module(a2), direct_sum([indec_projectives(l2)[0]] * 2)[0]]
+    targets = [l2_mixed, regular_module(a2), direct_sum([indec_projectives(l2)[0]] * 2)]
     for x in targets:
         e = EndStructure(x)
         n = e.dim
@@ -287,7 +287,7 @@ def test_kronecker_module_with_a_field_of_endomorphisms():
     e = EndStructure(x)
     assert e.dim == 2 and e.radical_coords.nrows == 0
     assert len(decompose(x)) == 1
-    parts = decompose(direct_sum([x, x])[0])
+    parts = decompose(direct_sum([x, x]))
     assert len(parts) == 2
     assert all(is_isomorphic(p.rep, x) for p in parts)
 
@@ -299,7 +299,7 @@ def test_decompose_falls_back_to_random_combinations(l2, count_calls):
     commutative, so no basis element splits the unit or certifies it
     primitive: decompose has to try random combinations."""
     s = simples(l2)[0]
-    m = direct_sum([s, s])[0]
+    m = direct_sum([s, s])
     basis = [
         ModuleHom(m, m, [Matrix.from_rows(rows)])
         for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 2], [1, 0]], [[1, 1], [-1, 2]])
@@ -317,7 +317,7 @@ def test_decompose_lifts_and_reduces_a_basis_with_radical_parts(l2, monkeypatch)
     idempotent, so the lifting iteration runs, and the quotient
     projection has radical coordinates to reduce."""
     s, p = simples(l2)[0], indec_projectives(l2)[0]
-    m = direct_sum([p, s])[0]
+    m = direct_sum([p, s])
     r = EndStructure(m).radical_homs()[0]
     basis = [h + r if i % 2 == 0 else h for i, h in enumerate(hom_basis(m, m))]
 
@@ -418,7 +418,7 @@ def test_decompose_returns_the_kronecker_fields_it_was_given(data):
     kronecker = build_algebra(q, [])
     fields = [_kronecker_field(kronecker, p) for p in _FIELD_POLYS]
     picks = data.draw(st.lists(st.integers(0, len(fields) - 1), min_size=1, max_size=2))
-    x = direct_sum([fields[k] for k in picks])[0]
+    x = direct_sum([fields[k] for k in picks])
     n = x.dims[0]
     left, right = data.draw(_unimodular(n)), data.draw(_unimodular(n))
     y = Representation(kronecker, [n, n], [left @ m @ invert(right) for m in x.matrices])

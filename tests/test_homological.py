@@ -244,7 +244,7 @@ def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2):
     """Over the path algebra of v1 -> v2 the sum of its three
     indecomposables passes the connectivity check; its Auslander algebra
     has gldim = domdim = 2, so M is not 2-cluster-tilting."""
-    m = direct_sum(indec_projectives(a2) + simples(a2)[:1])[0]
+    m = direct_sum(indec_projectives(a2) + simples(a2)[:1])
     verdict = cluster_tilting_verdict(m, 2, bound=6, seed=0)
     assert verdict.conclusive
     assert verdict.is_cluster_tilting is False

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivalg import (
+    ExceedsBound,
     ModuleHom,
     Representation,
     cokernel,
@@ -26,6 +27,7 @@ from quivalg import (
     is_projective,
     kernel,
     projective_cover,
+    projective_dimension,
     regular_module,
     simples,
     syzygy,
@@ -110,14 +112,15 @@ def test_regular_module_is_projective_sum(two_loop):
 def test_direct_sum_structure(l2):
     p = indec_projectives(l2)[0]
     s = simples(l2)[0]
-    total, injs, projs = direct_sum([p, s])
+    total = direct_sum([p, s])
     assert total.total_dim == 3
+    assert total.dims == [p.dims[v] + s.dims[v] for v in range(l2.num_vertices)]
     assert validate(total) is None
-    for inc, pr, part in zip(injs, projs, (p, s)):
-        assert (inc * pr).total_matrix() == Matrix.identity(part.total_dim)
-    # mixed terms vanish
-    assert (injs[0] * projs[1]).is_zero()
-    assert (injs[1] * projs[0]).is_zero()
+    # each arrow acts by p's matrix, then s's, stacked along the diagonal
+    for ar in l2.quiver.arrows:
+        upper = [list(r) + [0] * s.dims[ar.target] for r in p.matrices[ar.index].rows]
+        lower = [[0] * p.dims[ar.target] + list(r) for r in s.matrices[ar.index].rows]
+        assert total.matrices[ar.index] == Matrix.from_rows(upper + lower)
 
 
 def test_hom_composition_is_left_to_right(a2):
@@ -204,7 +207,7 @@ def test_is_isomorphic_no_between_projective_and_two_simples(l2):
     answer is None either way round, with no search to run out."""
     p = indec_projectives(l2)[0]
     s = simples(l2)[0]
-    ss = direct_sum([s, s])[0]
+    ss = direct_sum([s, s])
     assert len(hom_basis(p, ss)) == len(hom_basis(ss, p)) == 2
     assert is_isomorphic(p, ss) is None
     assert is_isomorphic(ss, p) is None
@@ -215,8 +218,8 @@ def test_is_isomorphic_matches_summands(l2):
     of the Hom basis between two copies of it is invertible, so the
     witness comes from matching the summands of both sides."""
     s = simples(l2)[0]
-    x = direct_sum([s, s])[0]
-    y = direct_sum([s, s])[0]
+    x = direct_sum([s, s])
+    y = direct_sum([s, s])
     assert x is not y
     assert not any(h.is_isomorphism() for h in hom_basis(x, y))
     witness = is_isomorphic(x, y)
@@ -366,7 +369,7 @@ def hom_pairs(draw, max_total_dim=12):
     base, picks = _small_sums(draw, max_total_dim)
 
     def module(pick):
-        return direct_sum([base[i] for i in pick])[0]
+        return direct_sum([base[i] for i in pick])
 
     return module(draw(st.sampled_from(picks))), module(draw(st.sampled_from(picks)))
 
@@ -375,7 +378,7 @@ def hom_pairs(draw, max_total_dim=12):
 def small_modules(draw, max_total_dim=12):
     """One module as in hom_pairs."""
     base, picks = _small_sums(draw, max_total_dim)
-    return direct_sum([base[i] for i in draw(st.sampled_from(picks))])[0]
+    return direct_sum([base[i] for i in draw(st.sampled_from(picks))])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -396,7 +399,7 @@ def test_is_isomorphic_is_symmetric_and_swaps_sums(pair):
     """X + Y is isomorphic to Y + X through a verified witness, and X is
     isomorphic to Y exactly when Y is isomorphic to X."""
     x, y = pair
-    xy, yx = direct_sum([x, y])[0], direct_sum([y, x])[0]
+    xy, yx = direct_sum([x, y]), direct_sum([y, x])
     witness = is_isomorphic(xy, yx)
     assert witness.is_isomorphism() and witness.is_valid()
     assert witness.source is xy and witness.target is yx
@@ -423,3 +426,44 @@ def test_syzygy_dimension_is_cover_minus_module(x):
     cover, epi = projective_cover(x)
     assert epi.rank() == x.total_dim
     assert syzygy(x, 1).total_dim == cover.total_dim - x.total_dim
+
+
+@st.composite
+def modules_and_duals(draw):
+    """One module as in small_modules, over a quotient of dimension at
+    most 8, or its dual over the opposite.  Over larger quotients the
+    fifth syzygy that _pd_by_zero_syzygy builds can pass 5,000
+    dimensions."""
+    x = draw(small_modules().filter(lambda m: m.algebra.dim <= 8))
+    return dual(x) if draw(st.booleans()) else x
+
+
+def _pd_by_zero_syzygy(x, bound):
+    """Projective dimension as the first k whose next syzygy is zero."""
+    for k in range(bound + 1):
+        x = syzygy(x, 1)
+        if x.is_zero():
+            return k
+    return ExceedsBound(bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(modules_and_duals())
+def test_projectivity_from_the_top_matches_the_cover_maps(x):
+    """is_projective and is_injective compare dimensions over the top, and
+    projective_dimension stops at the first projective syzygy; the cover
+    and envelope maps, and the first zero syzygy, decide the same."""
+    assert is_projective(x) == projective_cover(x)[1].is_isomorphism()
+    assert is_injective(x) == injective_envelope(x)[1].is_isomorphism()
+    assert projective_dimension(x, 4) == _pd_by_zero_syzygy(x, 4)
+
+
+def test_projective_dimension_along_a_linear_quiver():
+    """Over the path algebra of v0 -> v1 -> ... -> v5 with rad^2 = 0, the
+    first syzygy of S(i) is S(i + 1) and S(5) = P(5), so S(i) has
+    projective dimension 5 - i, and S(0) exceeds the bound 4."""
+    q = Quiver([f"v{i}" for i in range(6)], [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(5)])
+    a = build_algebra(q, [element(q, (1, [f"a{i}", f"a{i + 1}"])) for i in range(4)])
+    expected = [ExceedsBound(4), 4, 3, 2, 1, 0]
+    assert [projective_dimension(s, 4) for s in simples(a)] == expected
+    assert [_pd_by_zero_syzygy(s, 4) for s in simples(a)] == expected

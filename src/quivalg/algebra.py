@@ -706,10 +706,6 @@ class PresentedAlgebra:
     def num_vertices(self) -> int:
         return self.quiver.num_vertices
 
-    def idempotent_position(self, v: int) -> int:
-        # trivial paths are never pivots, so they head the basis in vertex order
-        return v
-
     def endpoint_basis(self, u: int, v: int) -> List[int]:
         """Basis positions of paths from vertex u to vertex v."""
         return self._by_endpoints.get((u, v), [])

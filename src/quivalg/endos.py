@@ -48,8 +48,6 @@ from .modules import ModuleHom, Representation, _sub_rep, hom_basis
 # random corner elements tried before a corner of the semisimple
 # quotient is reported neither split nor certified primitive
 MAX_SPLIT_ATTEMPTS = 64
-# powers of the radical taken before radical_nilpotency_index gives up
-MAX_RADICAL_POWER = 64
 # factor search bounds: trial division stops at TRIAL_BOUND, and no search
 # lists more than MAX_CANDIDATES divisors or candidate factors
 TRIAL_BOUND = 10**4
@@ -93,8 +91,9 @@ class EndStructure:
     """Basis and radical data for End(m).
 
     basis holds ModuleHom objects; coords expresses an arbitrary
-    endomorphism in that basis.  The Gram matrix of the trace form of
-    the action on m has the radical as its left kernel.
+    endomorphism in that basis.  Construction also computes gram, the
+    Gram matrix of the trace form of the action on m, and radical_coords,
+    coefficient rows over the basis spanning its left kernel, the radical.
 
     basis defaults to hom_basis(m, m).  Passing another linearly
     independent spanning set of End(m) lets a caller fix the basis that
@@ -117,10 +116,12 @@ class EndStructure:
             self._solver.insert(dict(flat))
         if self._solver.rank != self.dim:
             raise ValueError("endomorphism basis is not linearly independent")
-        self._gram: Optional[Matrix] = None
-        self._radical_coords: Optional[Matrix] = None
-        self._radical_homs: Optional[List[ModuleHom]] = None
-        self._identity_coords: Optional[List] = None
+        # entry (i, j) is trace(h_i h_j), the flat of h_i dotted with the
+        # flat of the transpose of h_j
+        flats_t = [_flat([mat.transpose() for mat in h.vertex_maps]) for h in self.basis]
+        t = Matrix._from_pairs(self.dim, ncoord, flats_t)
+        self.gram = self._flats @ t.transpose()
+        self.radical_coords = left_kernel_basis(self.gram)
 
     # -- coordinates ----------------------------------------------------
 
@@ -138,53 +139,9 @@ class EndStructure:
                 _iadd(acc, flat, rat(c))
         return ModuleHom(m, m, _unflat(sorted(acc.items()), [(d, d) for d in m.dims]))
 
-    @property
-    def identity_coords(self) -> List:
-        if self._identity_coords is None:
-            self._identity_coords = self.coords(ModuleHom.identity(self.module))
-        return self._identity_coords
-
-    # -- radical --------------------------------------------------------
-
-    @property
-    def gram(self) -> Matrix:
-        if self._gram is None:
-            # entry (i, j) is trace(h_i h_j), the flat of h_i dotted with
-            # the flat of the transpose of h_j
-            flats_t = [_flat([mat.transpose() for mat in h.vertex_maps]) for h in self.basis]
-            t = Matrix._from_pairs(self.dim, self._flats.ncols, flats_t)
-            self._gram = self._flats @ t.transpose()
-        return self._gram
-
-    @property
-    def radical_coords(self) -> Matrix:
-        """Coefficient rows (over basis) spanning the radical."""
-        if self._radical_coords is None:
-            self._radical_coords = left_kernel_basis(self.gram)
-        return self._radical_coords
-
     def radical_homs(self) -> List[ModuleHom]:
-        if self._radical_homs is None:
-            self._radical_homs = [
-                self.hom_from_coords(row) for row in self.radical_coords.rows
-            ]
-        return self._radical_homs
-
-    # -- powers of the radical ------------------------------------------
-
-    def radical_nilpotency_index(self, summands: Sequence["Summand"]) -> int:
-        """Least k with rad^k = 0 (k = 1 for a semisimple algebra), read
-        blockwise over the summand decomposition summands."""
-        view = BlockView(self.module, summands)
-        first = view.radical_block_spans(self)
-        cur = first
-        k = 1
-        while cur:
-            cur = view.block_span_products(cur, first)
-            k += 1
-            if k > MAX_RADICAL_POWER:
-                raise RuntimeError("radical power chain did not terminate")
-        return k
+        """The endomorphisms whose coordinates radical_coords lists."""
+        return [self.hom_from_coords(row) for row in self.radical_coords.rows]
 
 
 # -- summands -----------------------------------------------------------
@@ -355,7 +312,7 @@ class _Quotient:
             _echelon_add(self._ech, dict(r))
         self.nonpivot = [c for c in range(structure.dim) if c not in self._ech]
         self.dim = len(self.nonpivot)
-        self.unit = self.project(structure.identity_coords)
+        self.unit = self.project(structure.coords(ModuleHom.identity(structure.module)))
         self.table: List[List[List]] = []
         for i in self.nonpivot:
             row = []
@@ -388,15 +345,6 @@ class _Quotient:
                         out[k] += ab * t
         return out
 
-    def sub(self, x: Sequence, y: Sequence) -> List:
-        return [a - b for a, b in zip(x, y)]
-
-    def scale(self, x: Sequence, c) -> List:
-        return [c * a for a in x]
-
-    def is_zero(self, x: Sequence) -> bool:
-        return not any(x)
-
 
 def _minimal_polynomial(q: _Quotient, x: List, unit: List) -> List:
     """Ascending coefficients of the monic minimal polynomial of x in
@@ -417,7 +365,7 @@ def _minimal_polynomial(q: _Quotient, x: List, unit: List) -> List:
 
 def _poly_eval(q: _Quotient, coeffs: Sequence, x: List, unit: List) -> List:
     """Evaluate ascending-coefficient poly at x, constant term times unit."""
-    acc = q.scale(unit, coeffs[-1])
+    acc = [coeffs[-1] * u for u in unit]
     for c in reversed(list(coeffs[:-1])):
         acc = q.mult(acc, x)
         if c:
@@ -578,8 +526,8 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
                 g = _pmul(g, factors[0][0])
             u1 = _poly_eval(q, _idempotent(g, _pdivmod(f, g)[0]), x, u)
             assert q.mult(u1, u1) == u1
-            u2 = q.sub(u, u1)
-            if q.is_zero(u1) or q.is_zero(u2):
+            u2 = [a - b for a, b in zip(u, u1)]
+            if not any(u1) or not any(u2):
                 return None
             return (u1, u2), False
         if not factors:

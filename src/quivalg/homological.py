@@ -14,9 +14,11 @@ from .endos import EndStructure, decompose
 from .endquiver import EndPresentation, end_as_quiver_algebra
 from .linalg import Matrix, determinant, rank
 from .modules import (
+    ModuleHom,
     Representation,
     _ProjSum,
     _Resolution,
+    _cover_data,
     _hom_from_generators,
     _indecomposable_iso,
     _induced_hom_matrix,
@@ -26,7 +28,6 @@ from .modules import (
     dual,
     indec_injectives,
     indec_projectives,
-    injective_envelope,
     is_projective,
     regular_module,
     simples,
@@ -89,9 +90,8 @@ def transpose(m: Representation) -> Representation:
     presentation components transfer without any coordinate translation.
     """
     res = _Resolution(m)
-    res.extend_to(1)
+    comp = _presentation_components(res, 0)
     psum0, psum1 = res.psums[0], res.psums[1]
-    comp = _presentation_components(psum1, psum0, res.maps[0])
     op = m.algebra.opposite
     src = _ProjSum(op, list(psum0.vertices))
     tgt = _ProjSum(op, list(psum1.vertices))
@@ -142,8 +142,8 @@ def ext_dim(m: Representation, n: Representation, i: int) -> int:
 
     if hom_dim(i) == 0:
         return 0
-    rank_out = rank(_induced_hom_matrix(res.psums[i + 1], res.psums[i], res.maps[i], n))
-    rank_in = rank(_induced_hom_matrix(res.psums[i], res.psums[i - 1], res.maps[i - 1], n))
+    rank_out = rank(_induced_hom_matrix(res, i, n))
+    rank_in = rank(_induced_hom_matrix(res, i - 1, n))
     return hom_dim(i) - rank_out - rank_in
 
 
@@ -185,15 +185,19 @@ def dominant_dimension(
     first bound terms are all projective or the coresolution stops."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    # cur's injective envelope is the sum of I(v) over the top of dual(cur)
+    # cur's injective envelope, dual to the cover of dual(cur), sums I(v)
+    # over the top of dual(cur)
     projective = [is_projective(i) for i in indec_injectives(a)]
     cur = regular_module(a)
     for k in range(bound):
         if cur.is_zero():
             return AtLeastBound(bound)
-        if not all(projective[v] for v, _ in _top(dual(cur))):
+        dcur = dual(cur)
+        top = _top(dcur)
+        if not all(projective[v] for v, _ in top):
             return k
-        cur = cokernel(injective_envelope(cur)[1])[0]
+        psum, epi = _cover_data(dcur, top)
+        cur = cokernel(ModuleHom(cur, dual(psum.rep), [f.transpose() for f in epi.vertex_maps]))[0]
     return AtLeastBound(bound)
 
 

@@ -19,7 +19,6 @@ from .linalg import (
     _iadd,
     _row_times,
     block_diagonal_rect,
-    hstack,
     left_kernel_basis,
     rat,
     row_space_basis,
@@ -176,13 +175,6 @@ class ModuleHom:
     def __add__(self, other: "ModuleHom") -> "ModuleHom":
         maps = [f + g for f, g in zip(self.vertex_maps, other.vertex_maps)]
         return ModuleHom(self.source, self.target, maps)
-
-    def __sub__(self, other: "ModuleHom") -> "ModuleHom":
-        maps = [f - g for f, g in zip(self.vertex_maps, other.vertex_maps)]
-        return ModuleHom(self.source, self.target, maps)
-
-    def __neg__(self) -> "ModuleHom":
-        return ModuleHom(self.source, self.target, [-f for f in self.vertex_maps])
 
     def scale(self, c) -> "ModuleHom":
         c = rat(c)
@@ -499,18 +491,6 @@ def _radical_rows(m: Representation) -> List[Matrix]:
     return rows
 
 
-def _socle_rows(m: Representation) -> List[Matrix]:
-    a = m.algebra
-    rows = []
-    for v in range(a.num_vertices):
-        outgoing = [m.matrices[ar.index] for ar in a.quiver.out_arrows[v]]
-        if outgoing:
-            rows.append(left_kernel_basis(hstack(outgoing)))
-        else:
-            rows.append(Matrix.identity(m.dims[v]))
-    return rows
-
-
 # -- covers, envelopes, projectivity ------------------------------------
 
 
@@ -526,11 +506,10 @@ def _top(m: Representation) -> List[Tuple[int, int]]:
     return out
 
 
-def _cover_data(m: Representation) -> Tuple[_ProjSum, ModuleHom]:
+def _cover_data(m: Representation, top: Sequence[Tuple[int, int]]) -> Tuple[_ProjSum, ModuleHom]:
     """Projective cover as an explicit sum of P(v) with the covering epi:
-    one summand P(v) per top basis vector at v, its generator mapped to
-    that vector."""
-    top = _top(m)
+    one summand P(v) per vector (v, j) of top, which is _top(m), its
+    generator mapped to that vector."""
     psum = _ProjSum(m.algebra, [v for v, _ in top])
     return psum, _hom_from_generators(psum, m, [[(j, ONE)] for _, j in top])
 
@@ -538,53 +517,60 @@ def _cover_data(m: Representation) -> Tuple[_ProjSum, ModuleHom]:
 class _Resolution:
     """Lazily extended minimal projective resolution with cover data.
 
-    psums[k] is the k-th term as a _ProjSum, maps[k] is the differential
-    psums[k+1].rep -> psums[k].rep, epis[k] is the cover of the k-th
-    syzygy by psums[k]; epis[0] is the augmentation onto the resolved
-    module.  Covers and kernels are taken only as far as asked, and only
-    extend_to composes differentials.
+    psums[k] is the k-th term as a _ProjSum, epis[k] is the cover of the
+    k-th syzygy by psums[k]; epis[0] is the augmentation onto the resolved
+    module.  The differential psums[k+1].rep -> psums[k].rep is read only
+    at the generators, through generator_rows(k).  Covers and kernels are
+    taken only as far as asked.
     """
 
     def __init__(self, m: Representation):
         self.module = m
         self.psums: List[_ProjSum] = []
         self.epis: List[ModuleHom] = []
-        self.maps: List[ModuleHom] = []
         self._syzygies: List[Representation] = [m]
         self._incls: List[ModuleHom] = []
 
     def syzygy(self, k: int) -> Representation:
         while len(self._syzygies) <= k:
             s = len(self._syzygies) - 1
-            self._cover(s)
+            self.extend_to(s)
             ker, incl = kernel(self.epis[s])
             self._syzygies.append(ker)
             self._incls.append(incl)
         return self._syzygies[k]
 
-    def _cover(self, k: int) -> None:
+    def extend_to(self, k: int) -> None:
+        """Terms psums[0..k] with their covers."""
         while len(self.psums) <= k:
-            psum, epi = _cover_data(self.syzygy(len(self.psums)))
+            syz = self.syzygy(len(self.psums))
+            psum, epi = _cover_data(syz, _top(syz))
             self.psums.append(psum)
             self.epis.append(epi)
 
-    def extend_to(self, k: int) -> None:
-        """Terms psums[0..k] and differentials maps[0..k-1]."""
-        self._cover(k)
-        while len(self.maps) < k:
-            s = len(self.maps) + 1
-            self.maps.append(self.epis[s] * self._incls[s - 1])
+    def generator_rows(self, k: int) -> List[List]:
+        """Image of each generator of psums[k+1] under the differential, a
+        sparse row of psums[k] at the generator's vertex.  The cover sends
+        a generator to a unit vector of the syzygy, so its image is that
+        row of the kernel inclusion."""
+        self.extend_to(k + 1)
+        hi, epi, incl = self.psums[k + 1], self.epis[k + 1], self._incls[k]
+        rows = []
+        for t in range(hi.num_summands):
+            v, i = hi.generator_row(t)
+            rows.append(_row_times(epi.vertex_maps[v].pairs[i], incl.vertex_maps[v]))
+        return rows
 
 
 def projective_cover(m: Representation) -> Tuple[Representation, ModuleHom]:
-    psum, epi = _cover_data(m)
+    psum, epi = _cover_data(m, _top(m))
     return psum.rep, epi
 
 
 def injective_envelope(m: Representation) -> Tuple[Representation, ModuleHom]:
     """Minimal injective extension, via the cover of the dual module."""
     dm = dual(m)
-    psum, epi = _cover_data(dm)
+    psum, epi = _cover_data(dm, _top(dm))
     env = dual(psum.rep)
     mono = ModuleHom(m, env, [f.transpose() for f in epi.vertex_maps])
     return env, mono
@@ -617,9 +603,8 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
     if not any(m.dims[v] * n.dims[v] for v in range(a.num_vertices)):
         return []
     res = _Resolution(m)
-    res.extend_to(1)
+    system = _induced_hom_matrix(res, 0, n)
     psum0, epi = res.psums[0], res.epis[0]
-    system = _induced_hom_matrix(res.psums[1], psum0, res.maps[0], n)
     solutions = left_kernel_basis(system)
     # sections of the cover epi, one per vertex, to factor homs through m
     sections = []
@@ -650,17 +635,17 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
     return out
 
 
-def _presentation_components(
-    psum_hi: _ProjSum, psum_lo: _ProjSum, d: ModuleHom
-) -> List[List[Tuple[List, List[int]]]]:
+def _presentation_components(res: _Resolution, k: int) -> List[List[Tuple[List, List[int]]]]:
     """comp[t][s] = (coefficients, basis positions) of the element of
-    e_{v_s} A e_{v_t} carried by the map's (t, s) component; the
-    coefficients are sparse, (index into the positions, value) pairs."""
+    e_{v_s} A e_{v_t} carried by the (t, s) component of the differential
+    res.psums[k+1] -> res.psums[k]; the coefficients are sparse, (index
+    into the positions, value) pairs."""
+    gen_rows = res.generator_rows(k)
+    psum_hi, psum_lo = res.psums[k + 1], res.psums[k]
     a = psum_lo.algebra
     comp = []
-    for t in range(psum_hi.num_summands):
-        v_t, row_idx = psum_hi.generator_row(t)
-        gen_row = d.vertex_maps[v_t].pairs[row_idx]
+    for t, gen_row in enumerate(gen_rows):
+        v_t = psum_hi.vertices[t]
         per_s = []
         for s in range(psum_lo.num_summands):
             lo_start, lo_stop = psum_lo.block_slice(s, v_t)
@@ -671,10 +656,9 @@ def _presentation_components(
     return comp
 
 
-def _induced_hom_matrix(
-    psum_hi: _ProjSum, psum_lo: _ProjSum, d: ModuleHom, n: Representation
-) -> Matrix:
-    """Matrix of precomposition with d: Hom(psum_lo, n) -> Hom(psum_hi, n).
+def _induced_hom_matrix(res: _Resolution, k: int, n: Representation) -> Matrix:
+    """Matrix of precomposition with the differential d of res from
+    degree k+1 to k: Hom(psums[k], n) -> Hom(psums[k+1], n).
 
     Both hom spaces are taken in generator coordinates: a hom out of a
     projective sum is the list of generator images, one row of n per
@@ -682,8 +666,9 @@ def _induced_hom_matrix(
     Each generator coordinate is folded through the basis paths that the
     components name, each path from its prefix's row.
     """
+    comp = _presentation_components(res, k)
+    psum_hi, psum_lo = res.psums[k + 1], res.psums[k]
     a = psum_lo.algebra
-    comp = _presentation_components(psum_hi, psum_lo, d)
     col_offsets = []
     ncols = 0
     for t in range(psum_hi.num_summands):
@@ -694,7 +679,7 @@ def _induced_hom_matrix(
         terms = []  # (column offset, coefficient, basis path position)
         for t, base in enumerate(col_offsets):
             coeffs, positions = comp[t][s]
-            terms.extend((base, c, positions[k]) for k, c in coeffs)
+            terms.extend((base, c, positions[i]) for i, c in coeffs)
         paths = _paths_out_of(a, v_s, {pos for _, _, pos in terms})
         for beta in range(n.dims[v_s]):
             folded = _fold_basis_paths([(beta, ONE)], n, paths)
@@ -728,9 +713,10 @@ def is_isomorphic(m: Representation, n: Representation) -> Optional[ModuleHom]:
     """A verified isomorphism m -> n, or None when there is none; both
     answers are certain.
 
-    A nonzero module with a simple top or a simple socle is indecomposable
-    and goes straight to _indecomposable_iso.  Other modules are split
-    into indecomposable summands on both sides, matched greedily, which
+    A nonzero module with a simple top or a simple socle (the dual of
+    the top of its dual) is indecomposable and goes straight to
+    _indecomposable_iso.  Other modules are split into indecomposable
+    summands on both sides, matched greedily, which
     decides isomorphism by Krull-Schmidt, and the witness sums the
     matched summands' isomorphisms; decompose may raise
     DecompositionInconclusiveError there.
@@ -740,7 +726,7 @@ def is_isomorphic(m: Representation, n: Representation) -> Optional[ModuleHom]:
     _same_algebra(m, n)
     if m.dims != n.dims:
         return None
-    if len(_top(m)) == 1 or sum(r.nrows for r in _socle_rows(m)) == 1:
+    if len(_top(m)) == 1 or len(_top(dual(m))) == 1:
         return _indecomposable_iso(m, n)
     witness = ModuleHom.zero(m, n)
     unmatched = decompose(n)

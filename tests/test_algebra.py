@@ -68,7 +68,7 @@ def test_reference_basis_starts_with_idempotents_then_arrows():
     assert [p.length for p in b.basis[:5]] == [0] * 5
     assert [p.length for p in b.basis[5:15]] == [1] * 10
     for v in range(5):
-        assert b.idempotent_position(v) == v
+        assert (b.basis[v].source, b.basis[v].length) == (v, 0)
 
 
 def test_endpoint_basis_partitions_reference():
@@ -95,7 +95,7 @@ def _clean(vec):
 
 def test_identity_vec_is_unit():
     b = reference_end_algebra()
-    ident = {b.idempotent_position(v): QQ(1) for v in range(b.num_vertices)}
+    ident = {v: QQ(1) for v in range(b.num_vertices)}  # trivial paths head the basis
     for i in (0, 7, 42, 164):
         assert _clean(b.multiply_vec(ident, _unit(i))) == _unit(i)
         assert _clean(b.multiply_vec(_unit(i), ident)) == _unit(i)
@@ -154,6 +154,30 @@ def test_malformed_relation_mixed_endpoints():
     a = PathAlgElement.from_path(q, q.arrow_path("a"))
     with pytest.raises(MalformedRelationError):
         build_algebra(q, [e_u + a])
+
+
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        (lambda q: "a*b", "relation 0 is not a PathAlgElement"),
+        (lambda q: PathAlgElement(q), None),
+        (lambda q: element(q, (1, ["a", "b"]), (-1, ["c"])), "relation 0 has a term of length < 2"),
+        (lambda q: PathAlgElement.from_path(q, Path(0, (1, 0), 0)), "does not live on this quiver"),
+    ],
+    ids=["not-an-element", "zero", "short-term", "off-quiver"],
+)
+def test_validate_relations_input_checks(relation, message):
+    """Over u -a-> w -b-> z with c: u -> z, build_algebra rejects a
+    relation that is not a path-algebra element, one with a term of
+    length < 2 and one whose path does not follow the arrows, and skips
+    a zero relation."""
+    q = Quiver(["u", "w", "z"], [("a", "u", "w"), ("b", "w", "z"), ("c", "u", "z")])
+    if message is not None:
+        with pytest.raises(MalformedRelationError, match=message):
+            build_algebra(q, [relation(q)])
+        return
+    b, free = build_algebra(q, [relation(q)]), build_algebra(q, [])
+    assert (b.dim, b.basis, b.relations, b._action) == (free.dim, free.basis, free.relations, free._action)
 
 
 def test_build_dimension_only_matches(two_loop):

@@ -588,22 +588,27 @@ def test_no_unused_imports():
 _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _named(tree):
-    """Every name a module refers to: names, attributes, imported names,
-    and the parts of strings that are dotted names, which is how
-    perfbench's TRACED and count_calls look functions up."""
-    names = set()
+def _name_counts(tree):
+    """How often a module refers to each name: names, attributes,
+    imported names, and the parts of strings that are dotted names, which
+    is how perfbench's TRACED and count_calls look functions up."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {alias.name.split(".")[-1] for alias in node.names}
+            names.update(alias.name.split(".")[-1] for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _DOTTED_NAME.fullmatch(node.value):
-                names |= set(node.value.split("."))
+                names.update(node.value.split("."))
     return names
+
+
+def _named(tree):
+    """Every name a module refers to, as _name_counts finds them."""
+    return set(_name_counts(tree))
 
 
 def test_no_dead_definitions():
@@ -644,6 +649,56 @@ def test_exports_have_callers():
             named |= _named(ast.parse(path.read_text(), str(path)))
     uncalled = sorted(set(quivalg.__all__) - named)
     assert not uncalled, f"exported but named only by tests: {uncalled}"
+
+
+# definitions that only tests call, each kept as the independent reference
+# a test checks the pipeline against
+ORACLES = {
+    "coefficients_in_span": "fresh dense elimination that SpanSolver and solve_left are checked against",
+    "PresentedAlgebra.multiply_vec": "products of whole vectors for the unit and associativity checks of a table",
+    "ModuleHom.is_valid": "commuting-square check of the homs that hom_basis and is_isomorphic return",
+    "ModuleHom.total_matrix": "one matrix per hom for the idempotent and summand identities of decompose",
+    "path_endomorphism": "folds B's relations back to endomorphisms of M, which must vanish",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name, node) of every module-level function, every
+    method other than a dunder and every UPPER_CASE module constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.isupper():
+                    yield t.id, t.id, node
+
+
+def test_definitions_have_callers():
+    """Every definition _definitions lists is named, by the _named rule,
+    in src outside its own definition, or anywhere in demos or perfbench;
+    only the ORACLES, which tests alone read, are not."""
+    root = Path(__file__).resolve().parents[1]
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted((root / "src").rglob("*.py"))]
+    in_src = sum((_name_counts(tree) for tree in trees), Counter())
+    outside = set()
+    for part in ("perfbench", "demos"):
+        for path in sorted((root / part).rglob("*.py")):
+            outside |= _named(ast.parse(path.read_text(), str(path)))
+    uncalled = sorted(
+        qualified
+        for tree in trees
+        for qualified, name, node in _definitions(tree)
+        if in_src[name] == _name_counts(node)[name] and name not in outside
+    )
+    assert uncalled == sorted(ORACLES), "defined but named only by tests"
 
 
 def test_only_idempotent_splitting_imports_random():

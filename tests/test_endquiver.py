@@ -22,6 +22,7 @@ from quivalg import (
     regular_module,
     simples,
     build_dimension_only,
+    direct_sum,
 )
 from quivalg import algebra, endquiver
 from quivalg.endquiver import path_endomorphism
@@ -97,6 +98,18 @@ def test_m_presentation_arrows_lie_in_radical(m_presentation, m_structure):
         h = m_presentation.path_dictionary[m_presentation.quiver.arrow_path(a.label)]
         assert not h.is_zero()
         assert m_structure.coords(h) is not None
+
+
+def test_presentation_rejects_paths_short_of_end(l2):
+    """End(S + S) over the dual numbers is M_2(Q), of dimension 4 and
+    semisimple, so its quiver has one vertex per copy of S and no arrow:
+    the two trivial paths span dimension 2, and S + S, not basic, is
+    refused before any quotient is built."""
+    s = simples(l2)[0]
+    with pytest.raises(
+        DimensionMismatchError, match="stored paths span dimension 2 but End has dimension 4"
+    ):
+        end_as_quiver_algebra(direct_sum([s, s]))
 
 
 def test_minimize_relations_tiny_loop():

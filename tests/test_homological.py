@@ -11,6 +11,7 @@ from quivalg import (
     ExceedsBound,
     IncompletePresentationWarning,
     Quiver,
+    Representation,
     ar_translate,
     build_algebra,
     cartan_determinant,
@@ -34,7 +35,8 @@ from quivalg import (
     tau2,
     transpose,
 )
-from quivalg import algebra, endos
+from quivalg import algebra, endos, modules
+from quivalg.linalg import Matrix
 from quivalg.modules import _Resolution, _radical_rows, _sub_rep, cokernel, dual
 
 
@@ -99,6 +101,18 @@ def test_dominant_dimension_matches_whole_envelopes(data):
     assert dominant_dimension(a, 4) == _dominant_dimension_by_envelopes(a, 4)
 
 
+def test_dominant_dimension_finds_each_top_once(count_calls):
+    """On B, dominant_dimension finds the top of each of the 5 I(v), then
+    the top of dual(cur) once per coresolution term, 4 terms up to the
+    answer 3, and builds the 3 covers it continues through from those
+    tops: 9 radical-row echelons and 3 generator homs."""
+    b = reference_end_algebra()
+    radical_rows = count_calls(modules, "_radical_rows")
+    covers = count_calls(modules, "_hom_from_generators")
+    assert dominant_dimension(b) == 3
+    assert (radical_rows["calls"], covers["calls"]) == (9, 3)
+
+
 def test_kronecker_dominant_dimension_zero():
     """No indecomposable injective of the Kronecker algebra is projective."""
     kronecker = build_algebra(Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")]), [])
@@ -139,7 +153,7 @@ def test_minimal_presentation_is_exact(a2, l2):
         s = simples(alg)[0]
         res = _Resolution(s)
         res.extend_to(1)
-        d, epi = res.maps[0], res.epis[0]
+        d, epi = res.epis[1] * res._incls[0], res.epis[0]
         assert (d * epi).is_zero()
         c, _ = cokernel(d)
         assert bool(is_isomorphic(c, s))
@@ -231,6 +245,21 @@ def test_cluster_tilting_verdict_on_pipeline(m_module, count_calls):
     assert structures["calls"] == 1
     assert decompositions["calls"] == 1
     assert builds["calls"] == 1
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (lambda l2: (regular_module(l2), 1), "degree must be at least 2"),
+        (lambda l2: (regular_module(build_algebra(Quiver(["v"], []), [])), 2), "must not be semisimple"),
+        (lambda l2: (Representation(l2, [0], [Matrix.zero(0, 0)]), 2), "module must be nonzero"),
+    ],
+    ids=["n=1", "no-arrows", "zero-module"],
+)
+def test_cluster_tilting_verdict_input_checks(l2, case, message):
+    m, n = case(l2)
+    with pytest.raises(ValueError, match=message):
+        cluster_tilting_verdict(m, n)
 
 
 def test_cluster_tilting_verdict_rejects_an_isolated_vertex():

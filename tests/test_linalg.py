@@ -161,6 +161,20 @@ def test_span_solver_checks_sparse_rows():
     assert solver.insert({}) is False and solver.coords({}) == [0, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "nrows, ncols, rows, message",
+    [
+        (-1, 2, None, "negative matrix dimensions"),
+        (2, -1, None, "negative matrix dimensions"),
+        (2, 1, [[1]], "row count mismatch"),
+        (1, 2, [[1]], "column count mismatch"),
+    ],
+)
+def test_matrix_shape_checks(nrows, ncols, rows, message):
+    with pytest.raises(ValueError, match=message):
+        Matrix(nrows, ncols, rows)
+
+
 @given(st.integers(0, 4).flatmap(lambda n: sparse_matrices(n, n)))
 def test_sparse_determinant_matches_cofactor_expansion(m):
     assert determinant(m) == _cofactor_determinant(m.rows)

@@ -5,11 +5,12 @@ numbers (one loop, square zero) and the path algebra of v1 -> v2.
 """
 
 import gc
+import re
 import weakref
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quivalg import (
     ExceedsBound,
@@ -35,7 +36,7 @@ from quivalg import (
 )
 from quivalg import Quiver, build_algebra, modules
 from quivalg.linalg import QQ, Matrix, rank
-from quivalg.modules import _radical_rows, _socle_rows
+from quivalg.modules import _radical_rows, _top
 
 from conftest import element, truncated_quotients
 
@@ -49,6 +50,29 @@ def test_validate_rejects_broken_action(l2):
     # x acting as the identity violates x^2 = 0
     bad = Representation(l2, [1], [Matrix(1, 1, [[QQ(1)]])])
     assert validate(bad) is not None
+
+
+@pytest.mark.parametrize(
+    "dims, mats, message",
+    [
+        ([1, 1], [Matrix.zero(1, 1)], "expected 1 vertex dimensions, got 2"),
+        ([1], [], "expected 1 arrow matrices, got 0"),
+        ([1], [Matrix.zero(1, 2)], "arrow 'x' needs a 1x1 matrix, got 1x2"),
+    ],
+)
+def test_representation_shape_checks(l2, dims, mats, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Representation(l2, dims, mats)
+
+
+@pytest.mark.parametrize(
+    "maps, message",
+    [([], "one matrix per vertex required"), ([Matrix.zero(2, 1)], "vertex 0 map must be 1x2, got 2x1")],
+)
+def test_module_hom_shape_checks(l2, maps, message):
+    """A hom from S to P over the dual numbers needs one 1x2 matrix."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModuleHom(simples(l2)[0], indec_projectives(l2)[0], maps)
 
 
 def test_simples_and_projectives_a2(a2):
@@ -138,8 +162,9 @@ def test_hom_dims_two_loop(two_loop):
     assert len(hom_basis(reg, reg)) == two_loop.dim
     s = simples(two_loop)[0]
     assert len(hom_basis(reg, s)) == 1
-    # Hom(S, A) is the right annihilator of the radical, i.e. the socle
-    assert len(hom_basis(s, reg)) == sum(r.nrows for r in _socle_rows(reg)) == 2
+    # Hom(S, A) is the right annihilator of the radical, i.e. the socle,
+    # whose dimension is that of the top of D(A)
+    assert len(hom_basis(s, reg)) == len(_top(dual(reg))) == 2
 
 
 def test_kernel_cokernel_exactness(l2):
@@ -161,7 +186,7 @@ def test_radical_top_socle_l2(l2):
     is P itself."""
     p = indec_projectives(l2)[0]
     assert [r.nrows for r in _radical_rows(p)] == [1]
-    assert [r.nrows for r in _socle_rows(p)] == [1]
+    assert len(_top(dual(p))) == 1
     cover, epi = projective_cover(p)
     assert cover.total_dim == p.total_dim and epi.rank() == p.total_dim
 
@@ -467,3 +492,24 @@ def test_projective_dimension_along_a_linear_quiver():
     expected = [ExceedsBound(4), 4, 3, 2, 1, 0]
     assert [projective_dimension(s, 4) for s in simples(a)] == expected
     assert [_pd_by_zero_syzygy(s, 4) for s in simples(a)] == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_generator_rows_read_the_whole_differential(data):
+    """generator_rows(k) is the differential psums[k+1] -> psums[k],
+    composed whole as the cover of the syzygy followed by its inclusion,
+    read at the generators of psums[k+1]: for every simple,
+    indecomposable projective and indecomposable injective of a truncated
+    quotient of dimension at most 24, and their duals over the opposite.
+    The few larger quotients drawn would take most of the test's time."""
+    q, rels, n, _paths = data
+    a = build_algebra(q, rels, length_cap=n + 2)
+    assume(a.dim <= 24)
+    base = simples(a) + indec_projectives(a) + indec_injectives(a)
+    for x in base + [dual(y) for y in base]:
+        res = modules._Resolution(x)
+        for k in (0, 1):
+            rows = res.generator_rows(k)
+            hi, d = res.psums[k + 1], res.epis[k + 1] * res._incls[k]
+            assert rows == [d.vertex_maps[v].pairs[i] for v, i in map(hi.generator_row, range(hi.num_summands))]

@@ -17,7 +17,12 @@ from typing import List, Optional
 
 from .algebra import PresentedAlgebra, build_algebra
 from .endquiver import end_as_quiver_algebra
-from .errors import NotFiniteDimensionalError, ParseError, QuivalgError
+from .errors import (
+    DecompositionInconclusiveError,
+    NotFiniteDimensionalError,
+    ParseError,
+    QuivalgError,
+)
 from .homological import (
     AtLeastBound,
     ExceedsBound,
@@ -184,6 +189,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_end_quiver(args) -> int:
     m, _ = _load_module(args.module, length_cap=args.max_length)
+    if m.is_zero():
+        raise _InputError(f"{args.module}: the zero module has no endomorphism algebra")
     pres = end_as_quiver_algebra(m, max_length=args.max_length, seed=args.seed)
     out = sys.stdout
     report = _Report(args.format == "structured")
@@ -301,7 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except NotFiniteDimensionalError as exc:
+    except (NotFiniteDimensionalError, DecompositionInconclusiveError) as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 2
     except QuivalgError as exc:

@@ -350,16 +350,14 @@ def _minimal_polynomial(q: _Quotient, x: List, unit: List) -> List:
     """Ascending coefficients of the monic minimal polynomial of x in
     the corner algebra with the given unit."""
     solver = SpanSolver(q.dim)
-    powers = [unit]
     solver.insert(unit)
     cur = x
     while True:
         c = solver.coords_or_insert(cur)
         if c is not None:
             return [-v for v in c] + [ONE]
-        powers.append(cur)
         cur = q.mult(cur, x)
-        if len(powers) > q.dim:
+        if solver.nrows > q.dim:
             raise RuntimeError("minimal polynomial search exceeded dimension")
 
 
@@ -497,26 +495,26 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
     MAX_SPLIT_ATTEMPTS random combinations."""
     # corner basis: row space of u * e_i * u over the quotient basis
     units = [[ONE if i == j else ZERO for j in range(q.dim)] for i in range(q.dim)]
-    corner_rows = []
-    for e in units:
-        w = q.mult(q.mult(u, e), u)
-        if any(w):
-            corner_rows.append(w)
-    corner = row_space_basis(Matrix(len(corner_rows), q.dim, corner_rows))
+    corner = row_space_basis(Matrix(q.dim, q.dim, [q.mult(q.mult(u, e), u) for e in units]))
     cdim = corner.nrows
     if cdim <= 1:
         return None
 
-    corner_basis = corner.rows
-    commutative = all(
-        q.mult(corner_basis[i], corner_basis[j]) == q.mult(corner_basis[j], corner_basis[i])
-        for i in range(cdim)
-        for j in range(i + 1, cdim)
-    )
+    def candidates():
+        """The corner basis, then up to MAX_SPLIT_ATTEMPTS nonzero random
+        combinations of it, drawn only as they are tried."""
+        yield from (list(row) for row in corner.rows)
+        for _ in range(MAX_SPLIT_ATTEMPTS):
+            x = [ZERO] * q.dim
+            for row in corner.rows:
+                c = rng.randint(-4, 4)
+                if c:
+                    x = [a + c * b for a, b in zip(x, row)]
+            if any(x):
+                yield x
 
     undecided = set()  # why _factor left minimal polynomials open
-
-    def try_element(x: List) -> Optional[Tuple[Optional[Tuple[List, List]], bool]]:
+    for x in candidates():
         f = _primitive(_minimal_polynomial(q, x, u))
         factors, why = _factor(f)
         if len(factors) + bool(why) >= 2:
@@ -527,36 +525,14 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
             u1 = _poly_eval(q, _idempotent(g, _pdivmod(f, g)[0]), x, u)
             assert q.mult(u1, u1) == u1
             u2 = [a - b for a, b in zip(u, u1)]
-            if not any(u1) or not any(u2):
-                return None
-            return (u1, u2), False
-        if not factors:
+            if any(u1) and any(u2):
+                return u1, u2
+        elif not factors:
             undecided.add(why)
+        elif factors[0][1] == 1 and len(factors[0][0]) - 1 == cdim:
+            # Q[x] = Q[t]/(f) lies in the corner and has dimension deg f
+            # = cdim, so it is the corner, a field: u is primitive
             return None
-        # single irreducible factor of full corner degree in a
-        # commutative corner: the corner is a field, u is primitive
-        if commutative and factors[0][1] == 1 and len(factors[0][0]) - 1 == cdim:
-            return None, True
-        return None
-
-    def candidates():
-        """The corner basis, then up to MAX_SPLIT_ATTEMPTS nonzero random
-        combinations of it, drawn only as they are tried."""
-        yield from (list(row) for row in corner_basis)
-        for _ in range(MAX_SPLIT_ATTEMPTS):
-            x = [ZERO] * q.dim
-            for row in corner_basis:
-                c = rng.randint(-4, 4)
-                if c:
-                    x = [a + c * b for a, b in zip(x, row)]
-            if any(x):
-                yield x
-
-    for x in candidates():
-        res = try_element(x)
-        if res is not None:
-            split, primitive = res
-            return None if primitive else split
     reason = f"could not split a corner of dimension {cdim} after {MAX_SPLIT_ATTEMPTS} attempts"
     if undecided:
         reason += f"; minimal polynomials {', '.join(sorted(undecided))} are left undecided"
@@ -614,21 +590,16 @@ def decompose(
     q = _Quotient(E)
     prim = _primitive_idempotents(q, rng)
 
+    # each lifted idempotent is cut down to the complement of those before
     idems: List[ModuleHom] = []
-    partial: Optional[ModuleHom] = None
-    ident = ModuleHom.identity(m)
+    rest = ModuleHom.identity(m)
     for sbar in prim[:-1]:
-        f = E.hom_from_coords(q.lift(sbar))
-        f = _lift_to_idempotent(f)
-        if partial is not None:
-            co = ident + partial.scale(-1)
-            f = co * f * co
-            f = _lift_to_idempotent(f)
+        f = _lift_to_idempotent(E.hom_from_coords(q.lift(sbar)))
+        f = _lift_to_idempotent(rest * f * rest)
         idems.append(f)
-        partial = f if partial is None else partial + f
-    last = ident if partial is None else ident + partial.scale(-1)
-    assert last * last == last
-    idems.append(last)
+        rest = rest + f.scale(-1)
+    assert rest * rest == rest
+    idems.append(rest)
     for f, sbar in zip(idems, prim):
         assert q.project(E.coords(f)) == sbar
 

@@ -46,9 +46,10 @@ class EndPresentation:
     Vertex k of the quiver corresponds to vertex_summands[k]; the path
     dictionary sends every stored path (trivial paths included) to the
     endomorphism it denotes, built on first read from the paths' block
-    coordinates.  presented is the algebra rebuilt from the quiver and
-    relations, with its dimension checked against dim End; it is None
-    when the search was cut off (incomplete = True).
+    coordinates.  end_dim is dim End(m).  presented is the algebra
+    rebuilt from the quiver and relations, with its dimension checked
+    against end_dim; it is None when the search was cut off
+    (incomplete = True).
     """
 
     quiver: Quiver
@@ -58,6 +59,7 @@ class EndPresentation:
     raw_relation_count: int
     presented: Optional[PresentedAlgebra]
     incomplete: bool
+    end_dim: int
     # the stored paths, each with its flattened Peirce block in view
     _view: BlockView = field(repr=False, compare=False)
     _stored: List[Tuple[Path, List]] = field(repr=False, compare=False)
@@ -72,7 +74,6 @@ def end_as_quiver_algebra(
     m: Representation,
     max_length: int = 20,
     seed: int = 0,
-    structure: Optional[EndStructure] = None,
 ) -> EndPresentation:
     """Present End(m) by quiver and relations.
 
@@ -82,7 +83,7 @@ def end_as_quiver_algebra(
     longer than max_length are not explored; if any were still alive the
     result is flagged incomplete and no rebuilt algebra is attached.
     """
-    E = structure if structure is not None else EndStructure(m)
+    E = EndStructure(m)
     summands = decompose(m, seed=seed, structure=E)
     nb = len(summands)
     view = BlockView(m, summands)
@@ -184,6 +185,7 @@ def end_as_quiver_algebra(
         raw_relation_count=len(relations),
         presented=presented,
         incomplete=incomplete,
+        end_dim=E.dim,
         _view=view,
         _stored=stored,
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from .algebra import PresentedAlgebra
-from .endos import EndStructure, decompose
+from .endos import decompose
 from .endquiver import EndPresentation, end_as_quiver_algebra
 from .linalg import Matrix, determinant, rank
 from .modules import (
@@ -22,6 +22,7 @@ from .modules import (
     _hom_from_generators,
     _indecomposable_iso,
     _induced_hom_matrix,
+    _is_projective_top,
     _presentation_components,
     _top,
     cokernel,
@@ -159,7 +160,7 @@ def projective_dimension(
         raise ValueError("bound must be nonnegative")
     res = _Resolution(m)
     for k in range(bound + 1):
-        if is_projective(res.syzygy(k)):
+        if _is_projective_top(res.syzygy(k), res.top(k)):
             return k
     return ExceedsBound(bound)
 
@@ -322,8 +323,7 @@ def cluster_tilting_verdict(
     if m.is_zero():
         raise ValueError("module must be nonzero")
 
-    structure = EndStructure(m)
-    pres = end_as_quiver_algebra(m, max_length=max_length, seed=seed, structure=structure)
+    pres = end_as_quiver_algebra(m, max_length=max_length, seed=seed)
     gen_cog = _covers_projectives_injectives(a, [s.rep for s in pres.vertex_summands])
     ext_dims = {i: ext_dim(m, m, i) for i in range(1, n)}
     settled = [gen_cog, all(d == 0 for d in ext_dims.values())]
@@ -348,7 +348,7 @@ def cluster_tilting_verdict(
         generator_cogenerator=gen_cog,
         global_dimension=gdim,
         dominant_dimension=ddim,
-        end_dim=structure.dim,
+        end_dim=pres.end_dim,
         ext_dims=ext_dims,
         presentation=pres,
     )

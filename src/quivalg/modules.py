@@ -520,8 +520,8 @@ class _Resolution:
     psums[k] is the k-th term as a _ProjSum, epis[k] is the cover of the
     k-th syzygy by psums[k]; epis[0] is the augmentation onto the resolved
     module.  The differential psums[k+1].rep -> psums[k].rep is read only
-    at the generators, through generator_rows(k).  Covers and kernels are
-    taken only as far as asked.
+    at the generators, through generator_rows(k).  Tops, covers and
+    kernels are taken once each, and only as far as asked.
     """
 
     def __init__(self, m: Representation):
@@ -530,6 +530,7 @@ class _Resolution:
         self.epis: List[ModuleHom] = []
         self._syzygies: List[Representation] = [m]
         self._incls: List[ModuleHom] = []
+        self._tops: List[List[Tuple[int, int]]] = []
 
     def syzygy(self, k: int) -> Representation:
         while len(self._syzygies) <= k:
@@ -540,11 +541,17 @@ class _Resolution:
             self._incls.append(incl)
         return self._syzygies[k]
 
+    def top(self, k: int) -> List[Tuple[int, int]]:
+        """_top of the k-th syzygy, found once."""
+        while len(self._tops) <= k:
+            self._tops.append(_top(self.syzygy(len(self._tops))))
+        return self._tops[k]
+
     def extend_to(self, k: int) -> None:
         """Terms psums[0..k] with their covers."""
         while len(self.psums) <= k:
-            syz = self.syzygy(len(self.psums))
-            psum, epi = _cover_data(syz, _top(syz))
+            s = len(self.psums)
+            psum, epi = _cover_data(self.syzygy(s), self.top(s))
             self.psums.append(psum)
             self.epis.append(epi)
 
@@ -576,11 +583,16 @@ def injective_envelope(m: Representation) -> Tuple[Representation, ModuleHom]:
     return env, mono
 
 
-def is_projective(m: Representation) -> bool:
-    """The projective cover, one P(v) per top basis vector at v, maps
-    onto m, so m is projective exactly when the two dimensions agree."""
+def _is_projective_top(m: Representation, top: Sequence[Tuple[int, int]]) -> bool:
+    """The projective cover, one P(v) per vector (v, j) of top, which is
+    _top(m), maps onto m, so m is projective exactly when the two
+    dimensions agree."""
     projs = indec_projectives(m.algebra)
-    return sum(projs[v].total_dim for v, _ in _top(m)) == m.total_dim
+    return sum(projs[v].total_dim for v, _ in top) == m.total_dim
+
+
+def is_projective(m: Representation) -> bool:
+    return _is_projective_top(m, _top(m))
 
 
 def is_injective(m: Representation) -> bool:

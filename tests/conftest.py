@@ -144,8 +144,8 @@ def m_summands(m_module, m_structure):
 
 
 @pytest.fixture(scope="session")
-def m_presentation(m_module, m_structure, m_summands):
-    return end_as_quiver_algebra(m_module, max_length=20, seed=0, structure=m_structure)
+def m_presentation(m_module):
+    return end_as_quiver_algebra(m_module, max_length=20, seed=0)
 
 
 def _paths_by_length(q, n):

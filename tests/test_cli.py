@@ -20,13 +20,17 @@ import quivalg
 import quivalg.verify
 from quivalg import (
     IncompletePresentationWarning,
+    Matrix,
+    Quiver,
+    Representation,
+    build_algebra,
     direct_sum,
     format_algebra,
     format_module,
     indec_projectives,
     simples,
 )
-from quivalg import algebra, cli, endos, endquiver, modules
+from quivalg import algebra, cli, endos, endquiver, errors, modules
 from quivalg.cli import main
 
 
@@ -407,6 +411,66 @@ def test_each_subcommand_takes_only_what_it_reads():
 
 
 # K<x,y>/(y^3, yx - 2xy) has the basis x^i y^j, j < 3, in every length
+def test_end_quiver_rejects_a_zero_module(capsys, tmp_path):
+    zero = tmp_path / "zero.mod"
+    zero.write_text("algebra builtin:two-loop-local\nvertex v 0\n")
+    code, out, err = run_cli(capsys, "end-quiver", str(zero))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {zero}: ") and err.count("\n") == 1
+
+
+def test_end_quiver_undecided_corner_is_inconclusive(capsys, tmp_path):
+    """On the Kronecker quiver, a = I and b the companion matrix of
+    t^6 - 2 give End = Q[t]/(t^6 - 2), a field whose elements' minimal
+    polynomials of degree 6 have no factor of degree <= 2: decompose
+    can neither split the corner nor certify it, a search bound hit."""
+    q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
+    alg = tmp_path / "kronecker.alg"
+    alg.write_text(format_algebra(q, []))
+    companion = [[1 if j == i + 1 else 0 for j in range(6)] for i in range(5)] + [[2, 0, 0, 0, 0, 0]]
+    x = Representation(build_algebra(q, []), [6, 6], [Matrix.identity(6), Matrix.from_rows(companion)])
+    mod = tmp_path / "field.mod"
+    mod.write_text(format_module(x, str(alg)))
+    code, out, err = run_cli(capsys, "end-quiver", str(mod))
+    assert code == 2 and out == ""
+    assert err.startswith("inconclusive: could not split a corner of dimension 6")
+    assert err.count("\n") == 1
+
+
+# exit code and stderr prefix of each error raised past loading
+ERROR_EXITS = {
+    "QuivalgError": (1, "error: "),
+    "IncomposableError": (1, "error: "),
+    "MalformedRelationError": (1, "error: "),
+    "NotFiniteDimensionalError": (2, "inconclusive: "),
+    "DimensionMismatchError": (1, "error: "),
+    "DecompositionInconclusiveError": (2, "inconclusive: "),
+    "ParseError": (1, "error: "),
+}
+
+
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch):
+    """Every QuivalgError subclass in quivalg.errors has a row, and gldim
+    raising it after loading its algebra exits with that row's code and
+    one stderr line with that row's prefix."""
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.QuivalgError)
+    }
+    assert sorted(classes) == sorted(ERROR_EXITS)
+    for name, cls in classes.items():
+        exc = cls("raised", 1, 1) if cls is errors.ParseError else cls("raised")
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "global_dimension", fail)
+        code, out, err = run_cli(capsys, "gldim", "builtin:two-loop-local")
+        expected_code, prefix = ERROR_EXITS[name]
+        assert (name, code, out, err) == (name, expected_code, "", f"{prefix}{exc}\n")
+
+
 INFINITE_PLANE = "vertices v\narrow x: v -> v\narrow y: v -> v\nrelation y*y*y\nrelation y*x - 2*x*y\n"
 
 

@@ -15,6 +15,7 @@ from quivalg import (
     decompose,
     direct_sum,
     hom_basis,
+    indec_injectives,
     indec_projectives,
     invert,
     is_isomorphic,
@@ -292,9 +293,10 @@ def test_kronecker_module_with_a_field_of_endomorphisms():
 def test_decompose_falls_back_to_random_combinations(l2, count_calls):
     """End(S + S) over the dual numbers is M_2(Q).  In the basis I, E12,
     2 E12 + E21 and [[1, 1], [-1, 2]] no element has a minimal polynomial
-    that splits (t - 1, t^2, t^2 - 2, t^2 - 3t + 3), and the corner is not
-    commutative, so no basis element splits the unit or certifies it
-    primitive: decompose has to try random combinations."""
+    that splits (t - 1, t^2, t^2 - 2, t^2 - 3t + 3), and none is
+    irreducible of degree 4, the corner's dimension, so no basis element
+    splits the unit or certifies it primitive: decompose has to try
+    random combinations."""
     s = simples(l2)[0]
     m = direct_sum([s, s])
     basis = [
@@ -306,6 +308,23 @@ def test_decompose_falls_back_to_random_combinations(l2, count_calls):
     assert draws["calls"] > 0
     assert len(parts) == 2
     assert all(is_isomorphic(p.rep, s) for p in parts)
+
+
+def test_decompose_certifies_primitive_corners_by_dimension(count_calls):
+    """P + S + I over the path algebra of the linear quiver A_8, one copy
+    of each of its 21 distinct indecomposables, has End/rad = Q^21.  Each
+    primitive corner is certified by its dimension alone, with no
+    pairwise commutator sweep: 1,782 quotient products, 4,862 when every
+    corner was also checked commutative."""
+    q = Quiver([f"v{i}" for i in range(8)], [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(7)])
+    a8 = build_algebra(q, [])
+    parts = {}
+    for r in indec_projectives(a8) + simples(a8) + indec_injectives(a8):
+        parts.setdefault(tuple(r.dims), r)  # an A_8 indecomposable is its dims
+    mults = count_calls(endos._Quotient, "mult")
+    summands = decompose(direct_sum(list(parts.values())))
+    assert len(parts) == len(summands) == 21
+    assert mults["calls"] <= 1782
 
 
 def test_decompose_lifts_and_reduces_a_basis_with_radical_parts(l2, monkeypatch):

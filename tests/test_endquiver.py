@@ -26,7 +26,7 @@ from quivalg import (
 )
 from quivalg import algebra, endquiver
 from quivalg.endquiver import path_endomorphism
-from quivalg.endos import BlockView, EndStructure
+from quivalg.endos import BlockView
 from quivalg.linalg import Matrix, SpanSolver
 
 from conftest import auslander_module, element
@@ -191,20 +191,20 @@ def test_end_presentation_tests_few_entries_for_zero():
 
     Fraction.__bool__ = counted
     try:
-        pres = end_as_quiver_algebra(m, structure=EndStructure(m))
+        pres = end_as_quiver_algebra(m)
     finally:
         Fraction.__bool__ = original
     assert pres.presented.dim == 30
     assert calls == 0
 
 
-def test_path_search_stays_in_block_coordinates(m_module, m_structure, m_summands, count_calls, monkeypatch):
+def test_path_search_stays_in_block_coordinates(m_module, m_summands, count_calls, monkeypatch):
     """The path search multiplies Peirce blocks, not endomorphisms of M,
     and the path dictionary is built from the blocks on first read."""
     monkeypatch.setattr(endquiver, "decompose", lambda *args, **kwargs: m_summands)
     muls = count_calls(ModuleHom, "__mul__")
     homs = count_calls(BlockView, "hom_from_block_flat")
-    pres = end_as_quiver_algebra(m_module, structure=m_structure)
+    pres = end_as_quiver_algebra(m_module)
     assert pres.presented.dim == 165
     assert (muls["calls"], homs["calls"]) == (0, 0)
     assert len(pres.path_dictionary) == 165

@@ -113,6 +113,18 @@ def test_dominant_dimension_finds_each_top_once(count_calls):
     assert (radical_rows["calls"], covers["calls"]) == (9, 3)
 
 
+def test_global_dimension_finds_each_top_once(count_calls):
+    """On B, projective_dimension reads each syzygy's top once, for both
+    the projectivity test and the cover: 19 radical-row echelons over
+    the syzygies of the 5 simples, and a cover for each of the 14 that
+    are not projective.  Finding the top again for the cover made 33."""
+    b = reference_end_algebra()
+    radical_rows = count_calls(modules, "_radical_rows")
+    covers = count_calls(modules, "_cover_data")
+    assert global_dimension(b) == 3
+    assert (radical_rows["calls"], covers["calls"]) == (19, 14)
+
+
 def test_kronecker_dominant_dimension_zero():
     """No indecomposable injective of the Kronecker algebra is projective."""
     kronecker = build_algebra(Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v")]), [])

@@ -595,7 +595,8 @@ def decompose(
     rest = ModuleHom.identity(m)
     for sbar in prim[:-1]:
         f = _lift_to_idempotent(E.hom_from_coords(q.lift(sbar)))
-        f = _lift_to_idempotent(rest * f * rest)
+        if idems:  # before the first cut rest is the identity
+            f = _lift_to_idempotent(rest * f * rest)
         idems.append(f)
         rest = rest + f.scale(-1)
     assert rest * rest == rest

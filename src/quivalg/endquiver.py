@@ -234,7 +234,9 @@ def minimize_relations(
     dropped relation lies in the ideal generated by the kept ones, which
     therefore present the same algebra.  The kept set is not guaranteed
     minimal: a kept relation may lie in the ideal of relations fed after
-    it.  ext2_simples_total bounds every generating set from below.
+    it.  The sum of dim Ext^2(S_i, S_j) over all pairs of simples, which
+    cluster_tilting_verdict reads off the simples' minimal resolutions
+    as ext2_simples_total, bounds every generating set from below.
 
     The sweep is build_algebra's, which records the same set on the
     algebra as kept_relations; verify-paper reads it there.
@@ -254,32 +256,3 @@ def minimize_relations(
         )
     return alg.kept_relations
 
-
-def ext2_simples_total(
-    quiver: Quiver,
-    relations: List[PathAlgElement],
-    dim: int,
-    length_cap: int = 20,
-) -> Optional[int]:
-    """dim I/(IJ+JI) for the ideal I of the relations and the arrow ideal J,
-    None when KQ/(IJ+JI) does not stabilize by length_cap.
-
-    dim is the dimension of KQ/I.  IJ+JI is the ideal generated by g*a
-    and a*g for every relation g and composable arrow a, so one sweep
-    gives its codimension.  For an admissible I the result is the sum of
-    dim Ext^2(S_i, S_j) over all pairs of simples (Bongartz, 1983), and
-    no generating set of I has fewer elements.
-    """
-    arrows = [
-        PathAlgElement.from_path(quiver, Path(a.source, (a.index,), a.target))
-        for a in quiver.arrows
-    ]
-    products = []
-    for g in _validate_relations(quiver, relations):
-        source, target = g.uniform_endpoints()
-        products += [g * arrows[a.index] for a in quiver.out_arrows[target]]
-        products += [arrows[a.index] * g for a in quiver.in_arrows[source]]
-    try:
-        return build_dimension_only(quiver, products, length_cap=length_cap) - dim
-    except NotFiniteDimensionalError:
-        return None

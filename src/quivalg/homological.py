@@ -156,26 +156,41 @@ def projective_dimension(
 ) -> Union[int, ExceedsBound]:
     """Projective dimension, the first k whose k-th syzygy is projective,
     or ExceedsBound(bound) when it is > bound."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    res = _Resolution(m)
-    for k in range(bound + 1):
-        if _is_projective_top(res.syzygy(k), res.top(k)):
-            return k
-    return ExceedsBound(bound)
+    return _global_dimension([_Resolution(m)], bound)
 
 
 def global_dimension(
     a: PresentedAlgebra, bound: int = DEFAULT_BOUND
 ) -> Union[int, ExceedsBound]:
     """Max projective dimension over the simple modules, bounded search."""
+    return _global_dimension([_Resolution(s) for s in simples(a)], bound)
+
+
+def _global_dimension(
+    resolutions: List[_Resolution], bound: int
+) -> Union[int, ExceedsBound]:
+    """Max projective dimension of the resolved modules, stopping at the
+    first one whose first bound + 1 syzygies are not projective."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     best = 0
-    for s in simples(a):
-        pd = projective_dimension(s, bound)
-        if isinstance(pd, ExceedsBound):
-            return pd
-        best = max(best, pd)
+    for res in resolutions:
+        for k in range(bound + 1):
+            if _is_projective_top(res.syzygy(k), res.top(k)):
+                best = max(best, k)
+                break
+        else:
+            return ExceedsBound(bound)
     return best
+
+
+def _ext2_total(resolutions: List[_Resolution]) -> int:
+    """Sum of dim Ext^2(S_i, S_j) over all simples S_j, for the resolved
+    simples S_i: P(j) occurs in degree 2 of the minimal resolution of S_i
+    dim Ext^2(S_i, S_j) times.  For a presentation by an admissible ideal
+    I with arrow ideal J the total is dim I/(IJ+JI) (Bongartz, 1983), so
+    no set of relations presenting the algebra is smaller."""
+    return sum(len(res.top(2)) for res in resolutions)
 
 
 def dominant_dimension(
@@ -269,8 +284,11 @@ class ClusterTiltingVerdict:
 
     is_cluster_tilting is None when the bounded searches or the
     presentation could not settle the answer; conclusive records
-    whether it is final.  The dimensions of the endomorphism algebra are
-    None when its presentation is incomplete.
+    whether it is final.  global_dimension and ext2_simples_total, the
+    sum of dim Ext^2(S_i, S_j) over all pairs of simples, are read off
+    one minimal resolution per simple of the endomorphism algebra.  The
+    endomorphism algebra's invariants are None when its presentation is
+    incomplete.
     """
 
     n: int
@@ -278,6 +296,7 @@ class ClusterTiltingVerdict:
     conclusive: bool
     generator_cogenerator: bool
     global_dimension: Union[int, ExceedsBound, None]
+    ext2_simples_total: Optional[int]
     dominant_dimension: Union[int, AtLeastBound, None]
     end_dim: int
     ext_dims: Dict[int, int]
@@ -328,12 +347,16 @@ def cluster_tilting_verdict(
     ext_dims = {i: ext_dim(m, m, i) for i in range(1, n)}
     settled = [gen_cog, all(d == 0 for d in ext_dims.values())]
     b = pres.presented
-    gdim = ddim = None
+    gdim = ext2 = ddim = None
     if b is None:
         settled.append(None)
     else:
-        gdim = global_dimension(b, bound)
+        # domdim first, so its coresolution and the simples' resolutions
+        # are never held at once
         ddim = dominant_dimension(b, bound)
+        resolutions = [_Resolution(s) for s in simples(b)]
+        gdim = _global_dimension(resolutions, bound)
+        ext2 = _ext2_total(resolutions)
         settled += [_equals_target(gdim, n + 1), _equals_target(ddim, n + 1)]
     if any(ok is False for ok in settled):
         verdict: Optional[bool] = False
@@ -347,6 +370,7 @@ def cluster_tilting_verdict(
         conclusive=verdict is not None,
         generator_cogenerator=gen_cog,
         global_dimension=gdim,
+        ext2_simples_total=ext2,
         dominant_dimension=ddim,
         end_dim=pres.end_dim,
         ext_dims=ext_dims,

@@ -7,10 +7,12 @@ stable report keys.  Deterministic for a fixed seed, which only the
 idempotent splitting of End(M) reads; the isomorphism checks behind
 u4_iso_a and m_generator_cogenerator are certain either way.
 
-End(M), its decomposition, its presentation, gldim, domdim and
-Ext^1(M, M) come from a single cluster_tilting_verdict, and the report
-reads its checks off that verdict; the minimized relations are the ones
-the sweep presenting B kept.  The adjacency of B's quiver is compared
+End(M), its decomposition, its presentation, gldim, domdim,
+Ext^1(M, M) and the Ext^2 total of B's simples come from a single
+cluster_tilting_verdict, and the report reads its checks off that
+verdict; gldim and the Ext^2 total are read off the same minimal
+resolutions of B's simples.  The minimized relations are the ones the
+sweep presenting B kept.  The adjacency of B's quiver is compared
 with the reference quiver's after labelling each vertex by the
 translate its summand is isomorphic to, whatever order decompose
 returned the summands in.  When the presentation is cut off at
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import endquiver
-from .endquiver import ext2_simples_total, presentation_dimension_check
+from .endquiver import presentation_dimension_check
 from .homological import (
     _equals_target,
     cartan_determinant,
@@ -206,8 +208,7 @@ def run_verification(
         # the set minimize_relations would find by sweeping the raw relations again
         kept = b.kept_relations
         report.add("minimized_relations", len(kept), "info")
-        ext2 = ext2_simples_total(pres.quiver, kept, dim_hom, length_cap=max_length)
-        report.add("ext2_simples_total", "inconclusive" if ext2 is None else ext2, "info")
+        report.add("ext2_simples_total", verdict.ext2_simples_total, "info")
         preserved = len(kept) < pres.raw_relation_count and presentation_dimension_check(
             pres.quiver, kept, dim_hom, length_cap=max_length
         )

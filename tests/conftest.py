@@ -3,7 +3,8 @@
 Small oracle algebras are cheap and rebuilt per session anyway; the
 translate pipeline over the two-loop algebra is shared session-wide so
 its cost is paid once.  truncated_quotients draws small random algebras
-for the property tests of the quotient engine and the module layer.
+for the property tests of the quotient engine and the module layer, and
+ext2_codimension is the sweep-side oracle for the Ext^2 total.
 """
 
 import sys
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 from quivalg import (
     Matrix,
+    NotFiniteDimensionalError,
     Quiver,
     Representation,
     build_algebra,
+    build_dimension_only,
     decompose,
     direct_sum,
     dual,
@@ -26,6 +29,7 @@ from quivalg import (
     tau2,
     two_loop_local_algebra,
 )
+from quivalg.algebra import _validate_relations
 from quivalg.endos import EndStructure
 from quivalg.quiver import Path, PathAlgElement
 
@@ -187,3 +191,27 @@ def truncated_quotients(draw):
         rels.append(PathAlgElement(q, {p: draw(coeffs) for p in terms}))
     rels += [PathAlgElement.from_path(q, p) for p in paths[n]]
     return q, rels, n, paths
+
+
+def ext2_codimension(quiver, relations, dim, length_cap=20):
+    """dim I/(IJ+JI) for the ideal I of the relations and the arrow ideal J,
+    None when KQ/(IJ+JI) does not stabilize by length_cap.
+
+    dim is the dimension of KQ/I.  IJ+JI is the ideal generated by g*a
+    and a*g for every relation g and composable arrow a, so one sweep
+    gives its codimension.  For an admissible I the result is the sum of
+    dim Ext^2(S_i, S_j) over all pairs of simples (Bongartz, 1983).
+    """
+    arrows = [
+        PathAlgElement.from_path(quiver, Path(a.source, (a.index,), a.target))
+        for a in quiver.arrows
+    ]
+    products = []
+    for g in _validate_relations(quiver, relations):
+        source, target = g.uniform_endpoints()
+        products += [g * arrows[a.index] for a in quiver.out_arrows[target]]
+        products += [arrows[a.index] * g for a in quiver.in_arrows[source]]
+    try:
+        return build_dimension_only(quiver, products, length_cap=length_cap) - dim
+    except NotFiniteDimensionalError:
+        return None

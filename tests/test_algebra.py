@@ -20,7 +20,6 @@ from quivalg import (
     algebra,
     build_algebra,
     build_dimension_only,
-    ext2_simples_total,
     minimize_relations,
     reference_end_algebra,
     reference_end_quiver,
@@ -33,7 +32,7 @@ from quivalg.algebra import _stabilize
 from quivalg.linalg import QQ
 from quivalg.quiver import Path
 
-from conftest import element, truncated_quotients
+from conftest import element, ext2_codimension, truncated_quotients
 
 
 def test_two_loop_frozen_dimensions(two_loop):
@@ -540,7 +539,7 @@ def test_ext2_product_sweep_rejects_at_level_9_and_accepts_at_10(m_presentation)
     with mock.patch.object(algebra, "_ideal_vanishes", recorded), mock.patch.object(
         algebra, "_certify", _checked_certify(attempts)
     ):
-        assert ext2_simples_total(pres.quiver, kept, 165) == 10
+        assert ext2_codimension(pres.quiver, kept, 165) == 10
     assert attempts == [(9, False), (10, True)]
     assert verdicts == [(False, False), (True, True)]
 
@@ -621,10 +620,11 @@ def test_reference_sweep_work_counters(count_calls):
 
 
 def test_pipeline_sweep_work_counters(m_presentation, count_calls):
-    """Row inserts and ever-basis paths of the other sweeps verify-paper
-    runs: the two-loop algebra, B's 184 raw relations, the 200 Ext^2
-    products of the 50 relations that sweep kept, and those 50.  A pass
-    imposing rows that the others already imply shows up here too."""
+    """Row inserts and ever-basis paths of the other sweeps: the two-loop
+    algebra, B's 184 raw relations and the 50 relations that sweep kept,
+    which verify-paper runs, and the 200 Ext^2 products of those 50 that
+    the ext2_codimension oracle sweeps.  A pass imposing rows that the
+    others already imply shows up here too."""
     pres = m_presentation
     kept = pres.presented.kept_relations
     assert (len(pres.relations), len(kept)) == (184, 50)
@@ -634,7 +634,7 @@ def test_pipeline_sweep_work_counters(m_presentation, count_calls):
     for run in (
         two_loop_local_algebra,
         lambda: _stabilize(pres.quiver, pres.relations, 20),
-        lambda: ext2_simples_total(pres.quiver, kept, 165),
+        lambda: ext2_codimension(pres.quiver, kept, 165),
         lambda: build_dimension_only(pres.quiver, kept),
     ):
         rows["calls"] = basis["calls"] = 0

@@ -60,6 +60,7 @@ def test_verify_paper_passes(capsys, count_calls):
     sweeps = count_calls(algebra, "_stabilize")
     covers = count_calls(modules, "_cover_data")
     cover_maps = count_calls(modules, "projective_cover")
+    products = count_calls(modules.ModuleHom, "__mul__")
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
     assert "dim_b_hom = 165  [pass]" in out
@@ -71,13 +72,17 @@ def test_verify_paper_passes(capsys, count_calls):
     assert decompositions["calls"] == 1
     assert presentations["calls"] == 1
     assert builds["calls"] == 2
-    # A, B's raw relations (whose sweep also gives the kept set), the Ext^2
-    # products, the kept set rebuilt and the reference presentation
-    assert sweeps["calls"] == 5
+    # A, B's raw relations (whose sweep also gives the kept set), the kept
+    # set rebuilt and the reference presentation; the Ext^2 total is read
+    # off the resolutions of B's simples that gldim builds
+    assert sweeps["calls"] == 4
     # projectivity is read off the top, so covers are built only where
     # their maps are read: syzygies, Hom, transposes and envelopes
     assert covers["calls"] <= 55
     assert cover_maps["calls"] == 0
+    # decompose cuts idempotents down to the running complement only from
+    # the second on, while the complement is not the identity
+    assert products["calls"] == 39
 
 
 def test_verify_paper_report_bytes_pinned(capsys):
@@ -226,6 +231,16 @@ def test_verify_paper_length_cap_inconclusive(capsys):
         ("inconclusive_reason", "info"),
     ]
     assert obj["checks"][4]["value"].startswith(reason)
+
+
+def test_verify_paper_reads_ext2_when_the_ext2_sweep_would_not_stabilize(capsys):
+    """At --max-length 9 B is presented, but the IJ+JI sweep of its kept
+    relations needs paths of length 10; the Ext^2 total comes from the
+    simples' resolutions, so the report still reads 10."""
+    code, out, _ = run_cli(capsys, "verify-paper", "--max-length", "9")
+    assert code == 0
+    assert "ext2_simples_total = 10  [info]" in out
+    assert out.strip().endswith("result = pass")
 
 
 def test_verify_paper_low_bound_inconclusive(capsys):

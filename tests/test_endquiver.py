@@ -11,7 +11,6 @@ from quivalg import (
     ModuleHom,
     Quiver,
     end_as_quiver_algebra,
-    ext2_simples_total,
     ext_dim,
     indec_projectives,
     minimize_relations,
@@ -24,12 +23,13 @@ from quivalg import (
     build_dimension_only,
     direct_sum,
 )
-from quivalg import algebra, endquiver
+from quivalg import algebra, endquiver, homological
 from quivalg.endquiver import path_endomorphism
 from quivalg.endos import BlockView
 from quivalg.linalg import Matrix, SpanSolver
+from quivalg.modules import _Resolution
 
-from conftest import auslander_module, element
+from conftest import auslander_module, element, ext2_codimension
 
 
 def test_l2_projective_presentation(l2):
@@ -213,24 +213,33 @@ def test_path_search_stays_in_block_coordinates(m_module, m_summands, count_call
     assert homs["calls"] == 165
 
 
+def _ext2_total(a):
+    return homological._ext2_total([_Resolution(s) for s in simples(a)])
+
+
 def test_ext2_simples_total_two_loop(two_loop):
     s = simples(two_loop)[0]
     assert ext_dim(s, s, 2) == 2
-    assert ext2_simples_total(two_loop.quiver, two_loop.relations, two_loop.dim) == 2
+    assert _ext2_total(two_loop) == 2
+    assert ext2_codimension(two_loop.quiver, two_loop.relations, two_loop.dim) == 2
 
 
 @pytest.mark.parametrize("length_cap, total", [(3, None), (5, 2)])
 def test_ext2_simples_total_is_none_until_the_sweep_stabilizes(two_loop, length_cap, total):
     """KQ/(IJ + JI) for the two-loop relations needs paths of length 5."""
     q = two_loop.quiver
-    assert ext2_simples_total(q, two_loop.relations, two_loop.dim, length_cap=length_cap) == total
+    assert ext2_codimension(q, two_loop.relations, two_loop.dim, length_cap=length_cap) == total
 
 
 def test_ext2_simples_total_end_algebra(m_presentation):
+    """The Ext^2 total read off the simples' resolutions agrees with the
+    IJ+JI codimension on B and on the reference presentation."""
     pres = m_presentation
-    assert ext2_simples_total(pres.quiver, pres.relations, 165) == 10
+    assert ext2_codimension(pres.quiver, pres.relations, 165) == 10
+    assert _ext2_total(pres.presented) == 10
     q = reference_end_quiver()
-    assert ext2_simples_total(q, reference_end_relations(q), 165) == 10
+    assert ext2_codimension(q, reference_end_relations(q), 165) == 10
+    assert _ext2_total(reference_end_algebra()) == 10
 
 
 def test_presentation_dimension_check_reference():

@@ -45,9 +45,10 @@ def main():
     print("== the candidate module and its endomorphism ring ==")
     m = direct_sum(translates)
     print(f"M = sum of the five translates, dim {m.total_dim}")
-    # one verdict computes End(M), its decomposition, its presentation
-    # and the dimensions of B; everything below reads it off
-    verdict = cluster_tilting_verdict(m, 2, bound=6, seed=0)
+    # one verdict computes End(M) from the translates, which are M's
+    # summands, its presentation and the dimensions of B; everything
+    # below reads it off
+    verdict = cluster_tilting_verdict(translates, 2, bound=6)
     pres = verdict.presentation
     print(f"dim End(M) = {verdict.end_dim}")
     print(f"indecomposable summands: {[s.rep.total_dim for s in pres.vertex_summands]}")

@@ -95,10 +95,10 @@ class EndStructure:
     Gram matrix of the trace form of the action on m, and radical_coords,
     coefficient rows over the basis spanning its left kernel, the radical.
 
-    basis defaults to hom_basis(m, m).  Passing another linearly
-    independent spanning set of End(m) lets a caller fix the basis that
-    decompose(m, structure=...) searches for idempotents, which is how
-    the tests reach its random-combination and lifting branches.
+    basis defaults to hom_basis(m, m).  end_of_summands passes the homs
+    out of known summands instead, and the tests pass the basis that
+    decompose(m, structure=...) searches, to reach its random-combination
+    and lifting branches.
     """
 
     def __init__(self, m: Representation, basis: Optional[Sequence[ModuleHom]] = None):
@@ -603,7 +603,12 @@ def decompose(
     idems.append(rest)
     for f, sbar in zip(idems, prim):
         assert q.project(E.coords(f)) == sbar
+    return _cut_summands(m, idems)
 
+
+def _cut_summands(m: Representation, idems: Sequence[ModuleHom]) -> List[Summand]:
+    """The summands that orthogonal idempotents summing to 1 cut out of m;
+    their inclusions stack to an invertible change of basis."""
     summands = []
     for e in idems:
         rows = [row_space_basis(mat) for mat in e.vertex_maps]

@@ -13,13 +13,15 @@ summand k is the identity of block (k, k), a path from u to w is its
 of small blocks.  Stored paths are independent and each lies in one
 Peirce block, so one SpanSolver per block gives the same coordinates
 as one over all of them.  The path dictionary is built on first read.
+The summands come from decompose (end_as_quiver_algebra) or are given
+in vertex order (end_of_summands); both run the one search below.
 """
 
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     PresentedAlgebra,
@@ -28,14 +30,14 @@ from .algebra import (
     build_algebra,
     build_dimension_only,
 )
-from .endos import BlockView, EndStructure, Summand, _flat, decompose
+from .endos import BlockView, EndStructure, Summand, _cut_summands, _flat, decompose
 from .errors import (
     DimensionMismatchError,
     IncompletePresentationWarning,
     NotFiniteDimensionalError,
 )
-from .linalg import QQ, Matrix, ONE, SpanSolver, extend_independent
-from .modules import ModuleHom, Representation
+from .linalg import QQ, Matrix, ONE, SpanSolver, block_diagonal_rect, extend_independent
+from .modules import ModuleHom, Representation, direct_sum, hom_basis
 from .quiver import Path, PathAlgElement, Quiver
 
 
@@ -84,7 +86,38 @@ def end_as_quiver_algebra(
     result is flagged incomplete and no rebuilt algebra is attached.
     """
     E = EndStructure(m)
-    summands = decompose(m, seed=seed, structure=E)
+    return _present(E, decompose(m, seed=seed, structure=E), max_length)
+
+
+def end_of_summands(summands: Sequence[Representation], max_length: int = 20) -> EndPresentation:
+    """Present End(M), M = direct_sum(summands), with vertex k for
+    summands[k]: End(M) is the sum of the Hom(X_k, M), each carried in by
+    the projection onto X_k.  End(M)/rad, a product of matrix algebras
+    over division algebras, has one dimension per nonzero summand
+    exactly when each End(X_k)/rad is K and no two summands are
+    isomorphic; ValueError is raised otherwise, as for no or a zero summand."""
+    for k, x in enumerate(summands):
+        if x.is_zero():
+            raise ValueError("summand %d is zero" % k)
+    m = direct_sum(summands)
+    # the identity on block k and zero elsewhere, at every vertex
+    units = [[Matrix.identity(x.dims[v]) for x in summands] for v in range(len(m.dims))]
+    idems = [[block_diagonal_rect([u.scale(int(j == k)) for j, u in enumerate(us)]) for us in units]
+             for k in range(len(summands))]
+    parts = _cut_summands(m, [ModuleHom(m, m, maps) for maps in idems])
+    E = EndStructure(m, [s.projection * h for s in parts for h in hom_basis(s.rep, m)])
+    semisimple = E.dim - E.radical_coords.nrows
+    if semisimple != len(parts):
+        raise ValueError(
+            "End(M)/rad has dimension %d for %d summands: a summand is decomposable, has "
+            "End/rad larger than K, or is isomorphic to another" % (semisimple, len(parts))
+        )
+    return _present(E, parts, max_length)
+
+
+def _present(E: EndStructure, summands: List[Summand], max_length: int) -> EndPresentation:
+    """The presentation of End(m) = E with vertex k for summands[k]."""
+    m = E.module
     nb = len(summands)
     view = BlockView(m, summands)
     rad_blocks = view.radical_block_spans(E)

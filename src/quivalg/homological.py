@@ -7,11 +7,11 @@ of looping forever on infinite-dimension inputs.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .algebra import PresentedAlgebra
 from .endos import decompose
-from .endquiver import EndPresentation, end_as_quiver_algebra
+from .endquiver import EndPresentation, end_of_summands
 from .linalg import Matrix, determinant, rank
 from .modules import (
     ModuleHom,
@@ -26,6 +26,7 @@ from .modules import (
     _presentation_components,
     _top,
     cokernel,
+    direct_sum,
     dual,
     indec_injectives,
     indec_projectives,
@@ -250,7 +251,7 @@ def is_generator_cogenerator(m: Representation, seed: int = 0) -> bool:
     return _covers_projectives_injectives(m.algebra, [s.rep for s in decompose(m, seed=seed)])
 
 
-def _covers_projectives_injectives(a: PresentedAlgebra, parts: List[Representation]) -> bool:
+def _covers_projectives_injectives(a: PresentedAlgebra, parts: Sequence[Representation]) -> bool:
     """Each target P(v) or I(v), with its simple top or socle, is
     indecomposable, so _indecomposable_iso decides it against each part."""
     for target in indec_projectives(a) + indec_injectives(a):
@@ -316,22 +317,24 @@ def _equals_target(value, target: int) -> Optional[bool]:
 
 
 def cluster_tilting_verdict(
-    m: Representation,
+    summands: Sequence[Representation],
     n: int,
     bound: int = DEFAULT_BOUND,
-    seed: int = 0,
     max_length: int = 20,
 ) -> ClusterTiltingVerdict:
-    """Check whether m is n-cluster-tilting via its endomorphism algebra.
+    """Check whether M = direct_sum(summands) is n-cluster-tilting via its
+    endomorphism algebra, presented by end_of_summands (vertex k for
+    summands[k]; a whole module m is passed as [s.rep for s in decompose(m)]).
 
-    m must live over a connected non-semisimple algebra and n >= 2.
-    The verdict is True exactly when m is a generator-cogenerator, the
+    M must live over a connected non-semisimple algebra and n >= 2.
+    The verdict is True exactly when M is a generator-cogenerator, the
     endomorphism algebra has global dimension and dominant dimension
-    both equal to n + 1, and Ext^i(m, m) = 0 for 0 < i < n.  Bounded
+    both equal to n + 1, and Ext^i(M, M) = 0 for 0 < i < n.  Bounded
     dimension searches that cannot separate the computed value from
     n + 1 leave the verdict inconclusive, and so does a presentation
     cut off at max_length, unless another condition already fails.
     """
+    m = direct_sum(summands)
     a = m.algebra
     if n < 2:
         raise ValueError("cluster-tilting degree must be at least 2")
@@ -339,11 +342,9 @@ def cluster_tilting_verdict(
         raise ValueError("base algebra must not be semisimple")
     if not _is_connected(a.quiver):
         raise ValueError("base algebra must have a connected quiver")
-    if m.is_zero():
-        raise ValueError("module must be nonzero")
 
-    pres = end_as_quiver_algebra(m, max_length=max_length, seed=seed)
-    gen_cog = _covers_projectives_injectives(a, [s.rep for s in pres.vertex_summands])
+    pres = end_of_summands(summands, max_length=max_length)
+    gen_cog = _covers_projectives_injectives(a, summands)
     ext_dims = {i: ext_dim(m, m, i) for i in range(1, n)}
     settled = [gen_cog, all(d == 0 for d in ext_dims.values())]
     b = pres.presented

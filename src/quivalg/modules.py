@@ -535,8 +535,12 @@ class _Resolution:
     def syzygy(self, k: int) -> Representation:
         while len(self._syzygies) <= k:
             s = len(self._syzygies) - 1
-            self.extend_to(s)
-            ker, incl = kernel(self.epis[s])
+            if _is_projective_top(self._syzygies[s], self.top(s)):  # the next is zero: no cover
+                term = _ProjSum(self.module.algebra, [v for v, _ in self.top(s)]).rep
+                ker, incl = _sub_rep(term, [Matrix.zero(0, d) for d in term.dims])
+            else:
+                self.extend_to(s)
+                ker, incl = kernel(self.epis[s])
             self._syzygies.append(ker)
             self._incls.append(incl)
         return self._syzygies[k]

@@ -55,10 +55,12 @@ def l2_files(tmp_path_factory, l2):
 def test_verify_paper_passes(capsys, count_calls):
     structures = count_calls(endos.EndStructure, "__init__")
     decompositions = count_calls(endos, "decompose")
-    presentations = count_calls(endquiver, "end_as_quiver_algebra")
+    whole_presentations = count_calls(endquiver, "end_as_quiver_algebra")
+    presentations = count_calls(endquiver, "end_of_summands")
     builds = count_calls(algebra, "build_algebra")
     sweeps = count_calls(algebra, "_stabilize")
     covers = count_calls(modules, "_cover_data")
+    radicals = count_calls(modules, "_radical_rows")
     cover_maps = count_calls(modules, "projective_cover")
     products = count_calls(modules.ModuleHom, "__mul__")
     code, out, _ = run_cli(capsys, "verify-paper")
@@ -67,9 +69,11 @@ def test_verify_paper_passes(capsys, count_calls):
     assert "gldim_b = 3  [pass]" in out
     assert "ext2_simples_total = 10  [info]" in out
     assert out.strip().endswith("result = pass")
-    # End(M), its decomposition and presentation once; A and B built once each
+    # End(M) and its presentation once, from the translates, which are
+    # M's summands already, so nothing is decomposed; A and B built once each
     assert structures["calls"] == 1
-    assert decompositions["calls"] == 1
+    assert decompositions["calls"] == 0
+    assert whole_presentations["calls"] == 0
     assert presentations["calls"] == 1
     assert builds["calls"] == 2
     # A, B's raw relations (whose sweep also gives the kept set), the kept
@@ -79,17 +83,19 @@ def test_verify_paper_passes(capsys, count_calls):
     # projectivity is read off the top, so covers are built only where
     # their maps are read: syzygies, Hom, transposes and envelopes
     assert covers["calls"] <= 55
+    assert radicals["calls"] <= 69
     assert cover_maps["calls"] == 0
-    # decompose cuts idempotents down to the running complement only from
-    # the second on, while the complement is not the identity
-    assert products["calls"] == 39
+    # End(M)'s basis is the 165 homs out of the translates, each carried
+    # into End(M) by one product with a projection; decompose's products
+    # are pinned in tests/test_endos.py
+    assert products["calls"] == 165
 
 
 def test_verify_paper_report_bytes_pinned(capsys):
     """verify-paper's report, byte for byte, in both formats.  Changes
     that keep every output keep these digests; the change expected to
-    re-pin them is dropping the seed info line, once the decomposition
-    draws no random numbers."""
+    re-pin them is dropping the seed info line, which no stage reads
+    now that End(M) is presented from the translates undecomposed."""
     digests = []
     for fmt in ("human", "structured"):
         code, out, _ = run_cli(capsys, "verify-paper", "--format", fmt)
@@ -155,27 +161,6 @@ def test_verify_paper_names_its_first_failure(capsys, monkeypatch):
     assert code == 1
     obj = json.loads(out)
     assert (obj["result"], obj["first_failure"]) == ("fail", "end_adjacency_matches")
-
-
-def test_verify_paper_matches_adjacency_in_any_summand_order(
-    capsys, monkeypatch, m_presentation, translates
-):
-    """end_adjacency_matches labels each vertex by the translate its
-    summand is isomorphic to, so a decomposition returned in reverse
-    order, which reverses the computed adjacency, still passes; a
-    summand isomorphic to no translate leaves no labelling."""
-    summands = m_presentation.vertex_summands
-    assert quivalg.verify._reference_labels(summands, translates) == [4, 3, 2, 1, 0]
-    assert quivalg.verify._reference_labels(summands, translates[1:]) is None
-    decompose = quivalg.endquiver.decompose
-    monkeypatch.setattr(quivalg.endquiver, "decompose", lambda *a, **kw: decompose(*a, **kw)[::-1])
-    code, out, _ = run_cli(capsys, "verify-paper", "--format", "structured")
-    assert code == 0
-    checks = {c["key"]: c for c in json.loads(out)["checks"]}
-    reversed_adjacency = [row[::-1] for row in m_presentation.adjacency[::-1]]
-    assert reversed_adjacency != m_presentation.adjacency
-    assert checks["end_adjacency"]["value"] == str(reversed_adjacency)
-    assert checks["end_adjacency_matches"]["status"] == "pass"
 
 
 def test_verify_paper_leaves_the_shared_zero_row_empty(capsys):

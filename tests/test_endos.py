@@ -270,6 +270,15 @@ def test_m_summands_match_translates(m_summands, translates):
         assert bool(is_isomorphic(s.rep, t))
 
 
+def test_decompose_of_m_cuts_the_complement_from_the_second_idempotent_on(m_module, count_calls):
+    """decompose cuts each lifted idempotent down to the running
+    complement only from the second on, while the complement is not the
+    identity: 39 ModuleHom products for M, 42 when the first is cut too."""
+    products = count_calls(ModuleHom, "__mul__")
+    assert len(decompose(m_module)) == 5
+    assert products["calls"] == 39
+
+
 def test_kronecker_module_with_a_field_of_endomorphisms():
     """On the Kronecker quiver, x = Q^2 => Q^2 with a = I and b = [[0, 2],
     [1, 0]] has End(x) = Q[b] with b^2 = 2, the field Q(sqrt 2): the

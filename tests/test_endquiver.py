@@ -10,8 +10,13 @@ from quivalg import (
     IncompletePresentationWarning,
     ModuleHom,
     Quiver,
+    Representation,
+    cluster_tilting_verdict,
+    decompose,
     end_as_quiver_algebra,
+    end_of_summands,
     ext_dim,
+    format_algebra,
     indec_projectives,
     minimize_relations,
     presentation_dimension_check,
@@ -110,6 +115,67 @@ def test_presentation_rejects_paths_short_of_end(l2):
         DimensionMismatchError, match="stored paths span dimension 2 but End has dimension 4"
     ):
         end_as_quiver_algebra(direct_sum([s, s]))
+
+
+def _presentation_facts(pres):
+    """What a presentation says: its quiver and relations as text, the
+    adjacency, the raw and kept relation counts and kept relations, dim End."""
+    kept = pres.presented.kept_relations
+    return (
+        format_algebra(pres.quiver, pres.relations),
+        pres.adjacency,
+        pres.raw_relation_count,
+        len(kept),
+        format_algebra(pres.quiver, kept),
+        pres.end_dim,
+    )
+
+
+def test_end_of_summands_matches_the_whole_module_on_the_translates(translates, m_presentation):
+    """From the five translates or from their sum through decompose, End(M)
+    gets the same presentation, relations and kept relations included;
+    listing the translates in reverse reverses the adjacency."""
+    pres = end_of_summands(translates)
+    assert _presentation_facts(pres) == _presentation_facts(m_presentation)
+    assert (pres.raw_relation_count, len(pres.presented.kept_relations)) == (184, 50)
+    reversed_adjacency = [row[::-1] for row in pres.adjacency[::-1]]
+    assert reversed_adjacency != pres.adjacency
+    assert end_of_summands(translates[::-1]).adjacency == reversed_adjacency
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["jordan", "dense"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_end_of_summands_matches_the_whole_module_on_auslander_modules(n, dense):
+    m = auslander_module(n, dense)
+    reps = [s.rep for s in decompose(m)]
+    assert _presentation_facts(end_of_summands(reps)) == _presentation_facts(end_as_quiver_algebra(m))
+
+
+def _zero_module(x):
+    return Representation(x.algebra, [0], [Matrix.zero(0, 0) for _ in x.matrices])
+
+
+@pytest.mark.parametrize(
+    "present",
+    [end_of_summands, lambda summands: cluster_tilting_verdict(summands, 2)],
+    ids=["end_of_summands", "verdict"],
+)
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (lambda t: [t[1], t[1]], "is isomorphic to another"),
+        (lambda t: [direct_sum([t[0], t[2]]), t[1]], "a summand is decomposable"),
+        (lambda t: [t[1], _zero_module(t[1])], "summand 1 is zero"),
+        (lambda t: [], "needs at least one summand"),
+    ],
+    ids=["isomorphic-pair", "decomposable", "zero-summand", "empty"],
+)
+def test_end_of_summands_refuses_what_is_not_basic_indecomposables(translates, present, case, message):
+    """End(M)/rad counts one dimension per summand exactly when the
+    summands are pairwise non-isomorphic indecomposables with End/rad =
+    K; [tau2(DA), tau2(DA)] and [DA + tau2^2(DA), tau2(DA)] have 4 and 3."""
+    with pytest.raises(ValueError, match=message):
+        present(case(translates))
 
 
 def test_minimize_relations_tiny_loop():

@@ -17,7 +17,6 @@ from quivalg import (
     cartan_determinant,
     cartan_matrix,
     cluster_tilting_verdict,
-    direct_sum,
     dominant_dimension,
     ext_dim,
     global_dimension,
@@ -35,7 +34,7 @@ from quivalg import (
     tau2,
     transpose,
 )
-from quivalg import algebra, endos, homological, modules
+from quivalg import algebra, endos, endquiver, homological, modules
 from quivalg.linalg import Matrix
 from quivalg.modules import _Resolution, _radical_rows, _sub_rep, cokernel, dual
 
@@ -284,11 +283,12 @@ def test_reference_algebra_dimensions():
     ]
 
 
-def test_cluster_tilting_verdict_on_pipeline(m_module, count_calls):
+def test_cluster_tilting_verdict_on_pipeline(translates, count_calls):
     structures = count_calls(endos.EndStructure, "__init__")
     decompositions = count_calls(endos, "decompose")
+    presentations = count_calls(endquiver, "end_of_summands")
     builds = count_calls(algebra, "build_algebra")
-    verdict = cluster_tilting_verdict(m_module, 2, bound=6, seed=0)
+    verdict = cluster_tilting_verdict(translates, 2, bound=6)
     assert verdict.conclusive
     assert verdict.is_cluster_tilting is True
     assert bool(verdict)
@@ -297,52 +297,57 @@ def test_cluster_tilting_verdict_on_pipeline(m_module, count_calls):
     assert verdict.dominant_dimension == 3
     assert verdict.end_dim == 165
     assert verdict.presentation.presented.dim == 165
-    # End(M), its decomposition and the presented B, each computed once
+    # End(M) and the presented B, each computed once, from the known
+    # summands: nothing is decomposed
     assert structures["calls"] == 1
-    assert decompositions["calls"] == 1
+    assert decompositions["calls"] == 0
+    assert presentations["calls"] == 1
     assert builds["calls"] == 1
 
 
 @pytest.mark.parametrize(
     "case, message",
     [
-        (lambda l2: (regular_module(l2), 1), "degree must be at least 2"),
-        (lambda l2: (regular_module(build_algebra(Quiver(["v"], []), [])), 2), "must not be semisimple"),
-        (lambda l2: (Representation(l2, [0], [Matrix.zero(0, 0)]), 2), "module must be nonzero"),
+        (lambda l2: ([regular_module(l2)], 1), "degree must be at least 2"),
+        (lambda l2: ([regular_module(build_algebra(Quiver(["v"], []), []))], 2), "must not be semisimple"),
+        (lambda l2: ([Representation(l2, [0], [Matrix.zero(0, 0)])], 2), "summand 0 is zero"),
     ],
     ids=["n=1", "no-arrows", "zero-module"],
 )
 def test_cluster_tilting_verdict_input_checks(l2, case, message):
-    m, n = case(l2)
+    summands, n = case(l2)
     with pytest.raises(ValueError, match=message):
-        cluster_tilting_verdict(m, n)
+        cluster_tilting_verdict(summands, n)
 
 
 def test_cluster_tilting_verdict_rejects_an_isolated_vertex():
     q = Quiver(["u", "w", "z"], [("a", "u", "w")])
     a = build_algebra(q, [])
     with pytest.raises(ValueError, match="connected quiver"):
-        cluster_tilting_verdict(regular_module(a), 2)
+        cluster_tilting_verdict([regular_module(a)], 2)
 
 
-def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2):
+def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2, count_calls):
     """Over the path algebra of v1 -> v2 the sum of its three
     indecomposables passes the connectivity check; its Auslander algebra
     has gldim = domdim = 2, so M is not 2-cluster-tilting, and its one
-    relation gives its one Ext^2 between simples."""
-    m = direct_sum(indec_projectives(a2) + simples(a2)[:1])
-    verdict = cluster_tilting_verdict(m, 2, bound=6, seed=0)
+    relation gives its one Ext^2 between simples.  The Ext^2 total reads
+    the second syzygies of B's simples without covering the projective
+    first syzygies they are past: 25 covers if it did."""
+    covers = count_calls(modules, "_cover_data")
+    verdict = cluster_tilting_verdict(indec_projectives(a2) + simples(a2)[:1], 2, bound=6)
     assert verdict.conclusive
     assert verdict.is_cluster_tilting is False
     assert verdict.generator_cogenerator
     assert verdict.global_dimension == 2
     assert verdict.ext2_simples_total == 1
     assert verdict.dominant_dimension == 2
+    assert covers["calls"] == 22
 
 
-def test_cluster_tilting_inconclusive_when_presentation_capped(m_module):
+def test_cluster_tilting_inconclusive_when_presentation_capped(translates):
     with pytest.warns(IncompletePresentationWarning):
-        verdict = cluster_tilting_verdict(m_module, 2, bound=6, seed=0, max_length=5)
+        verdict = cluster_tilting_verdict(translates, 2, bound=6, max_length=5)
     assert verdict.presentation.incomplete
     assert verdict.presentation.presented is None
     assert verdict.is_cluster_tilting is None
@@ -358,21 +363,21 @@ def test_cluster_tilting_inconclusive_when_presentation_capped(m_module):
 def test_cluster_tilting_capped_but_not_cogenerator(translates):
     # DA alone is no generator, which settles the verdict without B
     with pytest.warns(IncompletePresentationWarning):
-        verdict = cluster_tilting_verdict(translates[0], 2, bound=6, seed=0, max_length=1)
+        verdict = cluster_tilting_verdict([translates[0]], 2, bound=6, max_length=1)
     assert verdict.presentation.incomplete
     assert not verdict.generator_cogenerator
     assert verdict.conclusive
     assert verdict.is_cluster_tilting is False
 
 
-def test_cluster_tilting_inconclusive_at_low_bound(m_module):
-    verdict = cluster_tilting_verdict(m_module, 2, bound=2, seed=0)
+def test_cluster_tilting_inconclusive_at_low_bound(translates):
+    verdict = cluster_tilting_verdict(translates, 2, bound=2)
     assert not verdict.conclusive
     assert verdict.is_cluster_tilting is None
     assert not bool(verdict)
 
 
 def test_cluster_tilting_rejects_bare_regular(two_loop):
-    verdict = cluster_tilting_verdict(regular_module(two_loop), 2, bound=6, seed=0)
+    verdict = cluster_tilting_verdict([regular_module(two_loop)], 2, bound=6)
     assert verdict.conclusive
     assert verdict.is_cluster_tilting is False

@@ -51,7 +51,7 @@ def main():
     verdict = cluster_tilting_verdict(translates, 2, bound=6)
     pres = verdict.presentation
     print(f"dim End(M) = {verdict.end_dim}")
-    print(f"indecomposable summands: {[s.rep.total_dim for s in pres.vertex_summands]}")
+    print(f"indecomposable summands: {[x.total_dim for x in pres.summands]}")
     print()
 
     print("== End(M) by quiver and relations ==")

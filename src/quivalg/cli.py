@@ -196,8 +196,8 @@ def _cmd_end_quiver(args) -> int:
     report = _Report(args.format == "structured")
     text = format_algebra(pres.quiver, pres.relations)
     summand_dims = {
-        pres.quiver.vertex_labels[k]: s.rep.total_dim
-        for k, s in enumerate(pres.vertex_summands)
+        pres.quiver.vertex_labels[k]: x.total_dim
+        for k, x in enumerate(pres.summands)
     }
     if report.structured:
         report.add("presentation", text)

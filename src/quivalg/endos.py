@@ -1,5 +1,5 @@
 """Endomorphism algebras of representations: radical, idempotents,
-direct sum decomposition.
+direct sum decomposition, and End of a direct sum in summand blocks.
 
 The endomorphism algebra acts on the module it belongs to, and that
 action is faithful, so the radical can be read off a trace form of the
@@ -35,7 +35,6 @@ from .linalg import (
     _iadd,
     _reduce,
     div,
-    hstack,
     left_kernel_basis,
     invert,
     rat,
@@ -95,10 +94,10 @@ class EndStructure:
     Gram matrix of the trace form of the action on m, and radical_coords,
     coefficient rows over the basis spanning its left kernel, the radical.
 
-    basis defaults to hom_basis(m, m).  end_of_summands passes the homs
-    out of known summands instead, and the tests pass the basis that
-    decompose(m, structure=...) searches, to reach its random-combination
-    and lifting branches.
+    basis defaults to hom_basis(m, m).  end_of_summands passes each
+    summand's End, cut from the homs out of it that it holds already, and
+    the tests pass the basis that decompose(m, structure=...) searches,
+    to reach its random-combination and lifting branches.
     """
 
     def __init__(self, m: Representation, basis: Optional[Sequence[ModuleHom]] = None):
@@ -158,28 +157,24 @@ class Summand:
 
 
 class BlockView:
-    """Coordinates on m adapted to a summand decomposition.
+    """End(m), m = direct_sum(summands), in summand-block coordinates.
 
-    Stacked inclusion rows (C) and side-by-side projection columns (D)
-    are mutually inverse, so conjugation by them turns every summand
-    idempotent into a coordinate projection and endomorphisms into
-    block matrices indexed by summand pairs.
+    The (bu, bv) block of an endomorphism of m is the hom it induces from
+    summands[bu] to summands[bv]: rows offsets[v][bu] onwards and columns
+    offsets[v][bv] onwards at every vertex v.
     """
 
-    def __init__(self, m: Representation, summands: Sequence[Summand]):
+    def __init__(self, m: Representation, summands: Sequence[Representation]):
         self.module = m
         self.summands = list(summands)
-        nv = m.algebra.num_vertices
-        self.C = []
-        self.D = []
         self.offsets: List[List[int]] = []
         # coordinate at each vertex -> (its summand, index inside it)
         self._owner: List[List[Tuple[int, int]]] = []
         # where block_flats starts the (bu, bv) block at each vertex
         self._flat_base: List[List[List[int]]] = []
         base = [[0] * len(self.summands) for _ in self.summands]
-        for v in range(nv):
-            ds = [s.rep.dims[v] for s in self.summands]
+        for v in range(m.algebra.num_vertices):
+            ds = [x.dims[v] for x in self.summands]
             running = 0
             offs = []
             owner = []
@@ -192,36 +187,24 @@ class BlockView:
             self._owner.append(owner)
             self._flat_base.append(base)
             base = [[x + du * dv for x, dv in zip(row, ds)] for row, du in zip(base, ds)]
-            self.C.append(vstack([s.inclusion.vertex_maps[v] for s in self.summands]))
-            self.D.append(hstack([s.projection.vertex_maps[v] for s in self.summands]))
-
-    def conjugate(self, h: ModuleHom) -> List[Matrix]:
-        return [
-            c @ hv @ d for c, hv, d in zip(self.C, h.vertex_maps, self.D)
-        ]
 
     def _block_shapes(self, bu: int, bv: int) -> List[Tuple[int, int]]:
         """Shape of the (bu, bv) summand block at every vertex."""
-        return [
-            (self.summands[bu].rep.dims[v], self.summands[bv].rep.dims[v])
-            for v in range(len(self.C))
-        ]
+        return list(zip(self.summands[bu].dims, self.summands[bv].dims))
 
-    def block_flats(self, mats: Sequence[Matrix]) -> Dict[Tuple[int, int], List]:
-        """Every nonzero (bu, bv) summand block of mats, its matrices at
-        all vertices flattened like _flat into sorted (position, value)
-        pairs, in one pass over the entries."""
-        dims = [s.rep.dims for s in self.summands]
+    def block_flats(self, bu: int, mats: Sequence[Matrix]) -> Dict[Tuple[int, int], List]:
+        """Every nonzero (bu, bv) block of the hom from summands[bu] to m
+        with the given matrices, its matrices at all vertices flattened
+        like _flat into sorted (position, value) pairs, in one pass over
+        the entries."""
+        dims = [x.dims for x in self.summands]
         out: Dict[Tuple[int, int], List] = {}
         for v, mat in enumerate(mats):
-            owner, base = self._owner[v], self._flat_base[v]
-            for i, r in enumerate(mat.pairs):
-                if r:
-                    bu, ri = owner[i]
-                    for j, x in r:
-                        bv, cj = owner[j]
-                        pos = base[bu][bv] + ri * dims[bv][v] + cj
-                        out.setdefault((bu, bv), []).append((pos, x))
+            owner, base = self._owner[v], self._flat_base[v][bu]
+            for ri, r in enumerate(mat.pairs):
+                for j, x in r:
+                    bv, cj = owner[j]
+                    out.setdefault((bu, bv), []).append((base[bv] + ri * dims[bv][v] + cj, x))
         return out
 
     def _block_width(self, bu: int, bv: int) -> int:
@@ -233,28 +216,13 @@ class BlockView:
     def hom_from_block_flat(self, bu: int, bv: int, flat: Sequence) -> ModuleHom:
         """Endomorphism of m supported on one summand block."""
         m = self.module
-        blocks = self._block_mats(bu, bv, flat)
         maps = []
-        for v, blk in enumerate(blocks):
-            d = m.dims[v]
-            r0 = self.offsets[v][bu]
-            c0 = self.offsets[v][bv]
-            rows: List[List] = [[] for _ in range(d)]
+        for v, blk in enumerate(self._block_mats(bu, bv, flat)):
+            r0, c0 = self.offsets[v][bu], self.offsets[v][bv]
+            rows: List[List] = [[] for _ in range(m.dims[v])]
             rows[r0 : r0 + blk.nrows] = [[(c0 + c, x) for c, x in r] for r in blk.pairs]
-            full = Matrix._from_pairs(d, d, rows)
-            maps.append(self.D[v] @ full @ self.C[v])
+            maps.append(Matrix._from_pairs(m.dims[v], m.dims[v], rows))
         return ModuleHom(m, m, maps)
-
-    def radical_block_spans(self, structure: EndStructure) -> Dict[Tuple[int, int], Matrix]:
-        """Per-(block, block) row spaces of the conjugated radical."""
-        spans: Dict[Tuple[int, int], List[List]] = {}
-        for h in structure.radical_homs():
-            for key, flat in self.block_flats(self.conjugate(h)).items():
-                spans.setdefault(key, []).append(flat)
-        out = {}
-        for key, rows in spans.items():
-            out[key] = row_space_basis(Matrix._from_pairs(len(rows), self._block_width(*key), rows))
-        return out
 
     def block_span_products(
         self,
@@ -603,12 +571,7 @@ def decompose(
     idems.append(rest)
     for f, sbar in zip(idems, prim):
         assert q.project(E.coords(f)) == sbar
-    return _cut_summands(m, idems)
 
-
-def _cut_summands(m: Representation, idems: Sequence[ModuleHom]) -> List[Summand]:
-    """The summands that orthogonal idempotents summing to 1 cut out of m;
-    their inclusions stack to an invertible change of basis."""
     summands = []
     for e in idems:
         rows = [row_space_basis(mat) for mat in e.vertex_maps]
@@ -620,7 +583,7 @@ def _cut_summands(m: Representation, idems: Sequence[ModuleHom]) -> List[Summand
             projs.append(p)
         proj = ModuleHom(m, sub, projs)
         summands.append(Summand(rep=sub, idempotent=e, inclusion=incl, projection=proj))
-
+    # the inclusions stack to an invertible change of basis
     for v in range(m.algebra.num_vertices):
         stacked = vstack([s.inclusion.vertex_maps[v] for s in summands])
         assert stacked.nrows == m.dims[v]

@@ -7,14 +7,16 @@ Peirce block.  A breadth-first sweep over products of stored paths with
 arrows records a relation whenever a product lands in the span of what
 is already stored; those relations present the algebra exactly.
 
-The sweep runs in BlockView's summand coordinates: the idempotent of
-summand k is the identity of block (k, k), a path from u to w is its
-(u, w) block at every vertex, and a path times an arrow is a product
-of small blocks.  Stored paths are independent and each lies in one
-Peirce block, so one SpanSolver per block gives the same coordinates
-as one over all of them.  The path dictionary is built on first read.
-The summands come from decompose (end_as_quiver_algebra) or are given
-in vertex order (end_of_summands); both run the one search below.
+End(M), M = direct_sum(X_1, ..., X_r), is built in BlockView's blocks
+Hom(X_u, X_v).  For pairwise non-isomorphic X_u with End(X_u)/rad = K,
+its radical is every block off the diagonal and rad End(X_u) on it
+(Auslander-Reiten-Smalo, I-II); a whole module is split by decompose
+first.  The idempotent of X_k is the identity of block (k, k), a path
+from u to w is its (u, w) block at every vertex, and a path times an
+arrow is a product of small blocks.  Stored paths are independent and
+each lies in one Peirce block, so one SpanSolver per block gives the
+same coordinates as one over all of them.  The path dictionary is built
+on first read.
 """
 
 import warnings
@@ -30,34 +32,35 @@ from .algebra import (
     build_algebra,
     build_dimension_only,
 )
-from .endos import BlockView, EndStructure, Summand, _cut_summands, _flat, decompose
+from .endos import BlockView, EndStructure, _flat, decompose
 from .errors import (
     DimensionMismatchError,
     IncompletePresentationWarning,
     NotFiniteDimensionalError,
 )
-from .linalg import QQ, Matrix, ONE, SpanSolver, block_diagonal_rect, extend_independent
+from .linalg import QQ, Matrix, ONE, SpanSolver, extend_independent, row_space_basis
 from .modules import ModuleHom, Representation, direct_sum, hom_basis
 from .quiver import Path, PathAlgElement, Quiver
 
 
 @dataclass
 class EndPresentation:
-    """Presentation of End(m) with the data used to build it.
+    """Presentation of End(module), module = direct_sum(summands).
 
-    Vertex k of the quiver corresponds to vertex_summands[k]; the path
+    Vertex k of the quiver corresponds to summands[k]; the path
     dictionary sends every stored path (trivial paths included) to the
-    endomorphism it denotes, built on first read from the paths' block
-    coordinates.  end_dim is dim End(m).  presented is the algebra
-    rebuilt from the quiver and relations, with its dimension checked
-    against end_dim; it is None when the search was cut off
+    endomorphism of module it denotes, built on first read from the
+    paths' block coordinates.  end_dim is dim End(module).  presented is
+    the algebra rebuilt from the quiver and relations, with its dimension
+    checked against end_dim; it is None when the search was cut off
     (incomplete = True).
     """
 
     quiver: Quiver
     relations: List[PathAlgElement]
     adjacency: List[List[int]]
-    vertex_summands: List[Summand]
+    summands: List[Representation]
+    module: Representation
     raw_relation_count: int
     presented: Optional[PresentedAlgebra]
     incomplete: bool
@@ -72,55 +75,75 @@ class EndPresentation:
         return {p: view.hom_from_block_flat(p.source, p.target, flat) for p, flat in self._stored}
 
 
-def end_as_quiver_algebra(
-    m: Representation,
-    max_length: int = 20,
-    seed: int = 0,
-) -> EndPresentation:
-    """Present End(m) by quiver and relations.
-
-    Requires the indecomposable summands of m to be pairwise
-    non-isomorphic (a basic endomorphism algebra); otherwise the rebuilt
-    dimension cannot match and DimensionMismatchError is raised.  Paths
-    longer than max_length are not explored; if any were still alive the
-    result is flagged incomplete and no rebuilt algebra is attached.
-    """
-    E = EndStructure(m)
-    return _present(E, decompose(m, seed=seed, structure=E), max_length)
+def end_as_quiver_algebra(m: Representation, max_length: int = 20, seed: int = 0) -> EndPresentation:
+    """Present End(m) by end_of_summands over the indecomposable summands
+    that decompose(m, seed) finds: the presentation's module is their
+    direct sum, isomorphic to m, and non-basic m is refused there."""
+    return end_of_summands([s.rep for s in decompose(m, seed=seed)], max_length)
 
 
 def end_of_summands(summands: Sequence[Representation], max_length: int = 20) -> EndPresentation:
     """Present End(M), M = direct_sum(summands), with vertex k for
-    summands[k]: End(M) is the sum of the Hom(X_k, M), each carried in by
-    the projection onto X_k.  End(M)/rad, a product of matrix algebras
-    over division algebras, has one dimension per nonzero summand
-    exactly when each End(X_k)/rad is K and no two summands are
-    isomorphic; ValueError is raised otherwise, as for no or a zero summand."""
+    summands[k].
+
+    Each hom_basis(X_u, M) is cut into the blocks Hom(X_u, X_v).  The
+    summands must be indecomposables with End/rad = K, which the trace
+    form of each End(X_u) decides, and pairwise non-isomorphic, which
+    Fitting's argument (modules._indecomposable_iso) decides on the
+    block basis of Hom(X_u, X_v) when the dimension vectors agree;
+    DimensionMismatchError is raised otherwise, and ValueError for no or
+    a zero summand.  Paths longer than max_length are not explored; if
+    any were still alive the result is flagged incomplete and no rebuilt
+    algebra is attached.
+    """
     for k, x in enumerate(summands):
         if x.is_zero():
             raise ValueError("summand %d is zero" % k)
-    m = direct_sum(summands)
-    # the identity on block k and zero elsewhere, at every vertex
-    units = [[Matrix.identity(x.dims[v]) for x in summands] for v in range(len(m.dims))]
-    idems = [[block_diagonal_rect([u.scale(int(j == k)) for j, u in enumerate(us)]) for us in units]
-             for k in range(len(summands))]
-    parts = _cut_summands(m, [ModuleHom(m, m, maps) for maps in idems])
-    E = EndStructure(m, [s.projection * h for s in parts for h in hom_basis(s.rep, m)])
-    semisimple = E.dim - E.radical_coords.nrows
-    if semisimple != len(parts):
-        raise ValueError(
-            "End(M)/rad has dimension %d for %d summands: a summand is decomposable, has "
-            "End/rad larger than K, or is isomorphic to another" % (semisimple, len(parts))
-        )
-    return _present(E, parts, max_length)
+    view = BlockView(direct_sum(summands), summands)
+    return _present(view, *_radical_blocks(view), max_length)
 
 
-def _present(E: EndStructure, summands: List[Summand], max_length: int) -> EndPresentation:
-    """The presentation of End(m) = E with vertex k for summands[k]."""
-    m = E.module
-    nb = len(summands)
-    view = BlockView(m, summands)
-    rad_blocks = view.radical_block_spans(E)
+def _radical_blocks(view: BlockView) -> Tuple[Dict[Tuple[int, int], Matrix], int]:
+    """The canonical spans (row_space_basis) of the nonzero blocks of rad
+    End(M), M = view.module, and dim End(M), from one hom_basis(X_u, M)
+    per summand X_u; DimensionMismatchError unless the summands are basic
+    indecomposables, as end_of_summands says."""
+    m, summands = view.module, view.summands
+    flats: Dict[Tuple[int, int], List] = {}
+    end_dim = 0
+    for u, x in enumerate(summands):
+        homs = hom_basis(x, m)
+        end_dim += len(homs)
+        for h in homs:
+            for key, flat in view.block_flats(u, h.vertex_maps).items():
+                flats.setdefault(key, []).append(flat)
+    blocks = {
+        key: row_space_basis(Matrix._from_pairs(len(rows), view._block_width(*key), rows))
+        for key, rows in flats.items()
+    }
+    # every block off the diagonal is radical, and rad End(X_u) on it
+    rad = {key: span for key, span in blocks.items() if key[0] != key[1]}
+    for u, x in enumerate(summands):
+        E = EndStructure(x, [ModuleHom(x, x, view._block_mats(u, u, f)) for f in blocks[u, u].pairs])
+        if E.dim - E.radical_coords.nrows != 1:
+            raise DimensionMismatchError(
+                "End(summand %d)/rad has dimension %d: a summand is decomposable or has "
+                "End/rad larger than K" % (u, E.dim - E.radical_coords.nrows)
+            )
+        if E.radical_coords.nrows:
+            rad[u, u] = row_space_basis(E.radical_coords @ blocks[u, u])
+    for (u, v), span in blocks.items():
+        x, y = summands[u], summands[v]
+        if u < v and x.dims == y.dims:
+            if any(ModuleHom(x, y, view._block_mats(u, v, f)).is_isomorphism() for f in span.pairs):
+                raise DimensionMismatchError("summand %d is isomorphic to another, summand %d" % (u, v))
+    return rad, end_dim
+
+
+def _present(view: BlockView, rad_blocks: Dict, end_dim: int, max_length: int) -> EndPresentation:
+    """The presentation of End(view.module), of dimension end_dim, whose
+    radical has the canonical block spans rad_blocks."""
+    nb = len(view.summands)
     radsq_blocks = view.block_span_products(rad_blocks, rad_blocks)
 
     # each arrow as its block (u, v) and that block's matrices at every vertex
@@ -158,9 +181,9 @@ def _present(E: EndStructure, summands: List[Summand], max_length: int) -> EndPr
             return None
         return [(index[j], c) for j, c in enumerate(coords) if c]
 
-    # the conjugated idempotent of summand k is its identity block
-    for k, s in enumerate(summands):
-        search(quiver.trivial_path(k), [Matrix.identity(d) for d in s.rep.dims])
+    # the idempotent of summand k is its identity block
+    for k, x in enumerate(view.summands):
+        search(quiver.trivial_path(k), [Matrix.identity(d) for d in x.dims])
     queue: deque = deque()
     for i, (u, v, mats) in enumerate(arrow_specs):
         entry = (Path(u, (i,), v), mats)
@@ -199,26 +222,27 @@ def _present(E: EndStructure, summands: List[Summand], max_length: int) -> EndPr
             )
         )
     else:
-        if len(stored) != E.dim:
+        if len(stored) != end_dim:
             raise DimensionMismatchError(
                 "stored paths span dimension %d but End has dimension %d"
-                % (len(stored), E.dim)
+                % (len(stored), end_dim)
             )
         presented = build_algebra(quiver, relations, length_cap=max_length)
-        if presented.dim != E.dim:
+        if presented.dim != end_dim:
             raise DimensionMismatchError(
                 "rebuilt algebra has dimension %d, expected %d"
-                % (presented.dim, E.dim)
+                % (presented.dim, end_dim)
             )
     return EndPresentation(
         quiver=quiver,
         relations=relations,
         adjacency=adjacency,
-        vertex_summands=summands,
+        summands=view.summands,
+        module=view.module,
         raw_relation_count=len(relations),
         presented=presented,
         incomplete=incomplete,
-        end_dim=E.dim,
+        end_dim=end_dim,
         _view=view,
         _stored=stored,
     )

@@ -18,7 +18,8 @@ class NotFiniteDimensionalError(QuivalgError):
 
 
 class DimensionMismatchError(QuivalgError):
-    """A presented algebra's dimension disagrees with the reference dimension."""
+    """A dimension disagrees with the required one: a presented algebra's
+    with its reference, or End(M)/rad's with one per summand of M."""
 
 
 class DecompositionInconclusiveError(QuivalgError):

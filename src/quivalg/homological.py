@@ -26,7 +26,6 @@ from .modules import (
     _presentation_components,
     _top,
     cokernel,
-    direct_sum,
     dual,
     indec_injectives,
     indec_projectives,
@@ -334,8 +333,9 @@ def cluster_tilting_verdict(
     n + 1 leave the verdict inconclusive, and so does a presentation
     cut off at max_length, unless another condition already fails.
     """
-    m = direct_sum(summands)
-    a = m.algebra
+    if not summands:
+        raise ValueError("the verdict needs at least one summand")
+    a = summands[0].algebra
     if n < 2:
         raise ValueError("cluster-tilting degree must be at least 2")
     if not a.quiver.arrows:
@@ -344,6 +344,7 @@ def cluster_tilting_verdict(
         raise ValueError("base algebra must have a connected quiver")
 
     pres = end_of_summands(summands, max_length=max_length)
+    m = pres.module
     gen_cog = _covers_projectives_injectives(a, summands)
     ext_dims = {i: ext_dim(m, m, i) for i in range(1, n)}
     settled = [gen_cog, all(d == 0 for d in ext_dims.values())]

@@ -31,6 +31,7 @@ from quivalg import (
 )
 from quivalg.algebra import _validate_relations
 from quivalg.endos import EndStructure
+from quivalg.linalg import row_space_basis
 from quivalg.quiver import Path, PathAlgElement
 
 
@@ -80,6 +81,34 @@ def element(quiver, *terms):
         part = PathAlgElement.from_path(quiver, quiver.path(list(labels)), coeff)
         out = part if out is None else out + part
     return out
+
+
+def summand_rows(view, bu, mats):
+    """The rows of summands[bu] in matrices of an endomorphism of
+    view.module: the hom from that summand into the module."""
+    return [
+        Matrix._from_pairs(d, mat.ncols, mat.pairs[offs[bu] : offs[bu] + d])
+        for mat, offs, d in zip(mats, view.offsets, view.summands[bu].dims)
+    ]
+
+
+def global_radical_blocks(view, structure=None):
+    """The trace-form radical of End(view.module), from structure or a
+    fresh EndStructure, cut into view's summand blocks: the canonical span
+    (row_space_basis) of each nonzero block.  view.module is the direct
+    sum of view's summands, so its coordinates are block coordinates and
+    nothing is conjugated.  The oracle for end_of_summands' blockwise
+    radical."""
+    structure = structure or EndStructure(view.module)
+    rows = {}
+    for h in structure.radical_homs():
+        for bu in range(len(view.summands)):
+            for key, flat in view.block_flats(bu, summand_rows(view, bu, h.vertex_maps)).items():
+                rows.setdefault(key, []).append(flat)
+    return {
+        key: row_space_basis(Matrix._from_pairs(len(flats), view._block_width(*key), flats))
+        for key, flats in rows.items()
+    }
 
 
 def auslander_module(n, dense=False):

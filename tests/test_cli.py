@@ -63,15 +63,20 @@ def test_verify_paper_passes(capsys, count_calls):
     radicals = count_calls(modules, "_radical_rows")
     cover_maps = count_calls(modules, "projective_cover")
     products = count_calls(modules.ModuleHom, "__mul__")
+    hom_spaces = count_calls(modules, "hom_basis")
+    sums = count_calls(modules, "direct_sum")
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
     assert "dim_b_hom = 165  [pass]" in out
     assert "gldim_b = 3  [pass]" in out
     assert "ext2_simples_total = 10  [info]" in out
     assert out.strip().endswith("result = pass")
-    # End(M) and its presentation once, from the translates, which are
-    # M's summands already, so nothing is decomposed; A and B built once each
-    assert structures["calls"] == 1
+    # End(M)'s presentation once, from the translates, which are M's
+    # summands already, so nothing is decomposed; A and B built once each.
+    # End(M) is built in summand blocks: one EndStructure per translate
+    # for its radical, none over M, and one hom_basis(X, M) per translate
+    assert structures["calls"] == 5
+    assert hom_spaces["calls"] <= 9
     assert decompositions["calls"] == 0
     assert whole_presentations["calls"] == 0
     assert presentations["calls"] == 1
@@ -85,10 +90,13 @@ def test_verify_paper_passes(capsys, count_calls):
     assert covers["calls"] <= 55
     assert radicals["calls"] <= 69
     assert cover_maps["calls"] == 0
-    # End(M)'s basis is the 165 homs out of the translates, each carried
-    # into End(M) by one product with a projection; decompose's products
-    # are pinned in tests/test_endos.py
-    assert products["calls"] == 165
+    # the homs out of the translates are cut into blocks, not carried into
+    # End(M) by products; decompose's products are pinned in
+    # tests/test_endos.py
+    assert products["calls"] == 0
+    # four regular modules and M, built once by end_of_summands; the
+    # verdict reads M off the presentation
+    assert sums["calls"] == 5
 
 
 def test_verify_paper_report_bytes_pinned(capsys):
@@ -437,6 +445,27 @@ def test_end_quiver_undecided_corner_is_inconclusive(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["dual-numbers-S+S", "kronecker-Q(i)"])
+def test_end_quiver_refuses_a_module_that_is_not_basic(capsys, tmp_path, l2, case):
+    """S + S over the dual numbers has two isomorphic summands, and on the
+    Kronecker quiver a = I, b = the companion matrix of t^2 + 1 give one
+    summand whose End is the field Q(i): End/rad is larger than K.  Each
+    is an error with one stderr line."""
+    if case == "dual-numbers-S+S":
+        alg_text, x = format_algebra(l2.quiver, l2.relations), direct_sum([simples(l2)[0]] * 2)
+    else:
+        q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
+        alg_text = format_algebra(q, [])
+        x = Representation(build_algebra(q, []), [2, 2], [Matrix.identity(2), Matrix.from_rows([[0, 1], [-1, 0]])])
+    alg = tmp_path / "base.alg"
+    alg.write_text(alg_text)
+    mod = tmp_path / "not-basic.mod"
+    mod.write_text(format_module(x, str(alg)))
+    code, out, err = run_cli(capsys, "end-quiver", str(mod))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # exit code and stderr prefix of each error raised past loading
 ERROR_EXITS = {
     "QuivalgError": (1, "error: "),
@@ -723,6 +752,7 @@ ORACLES = {
     "ModuleHom.is_valid": "commuting-square check of the homs that hom_basis and is_isomorphic return",
     "ModuleHom.total_matrix": "one matrix per hom for the idempotent and summand identities of decompose",
     "path_endomorphism": "folds B's relations back to endomorphisms of M, which must vanish",
+    "EndStructure.radical_homs": "the global trace-form radical that end_of_summands' blockwise one is checked against",
 }
 
 

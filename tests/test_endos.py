@@ -27,23 +27,30 @@ from quivalg import endos
 from quivalg.endos import BlockView, EndStructure
 from quivalg.linalg import QQ, Matrix, SpanSolver, rank, row_space_basis, vstack
 
-from conftest import auslander_module
+from conftest import auslander_module, global_radical_blocks, summand_rows
+
+
+def _view(reps):
+    return BlockView(direct_sum(reps), reps)
 
 
 @pytest.fixture(scope="module")
-def l2_mixed(l2):
-    s = simples(l2)[0]
-    p = indec_projectives(l2)[0]
-    return direct_sum([s, p])
+def l2_mixed_reps(l2):
+    return [simples(l2)[0], indec_projectives(l2)[0]]
 
 
-def test_end_dims_l2_mixed(l2_mixed):
+@pytest.fixture(scope="module")
+def l2_mixed(l2_mixed_reps):
+    return direct_sum(l2_mixed_reps)
+
+
+def test_end_dims_l2_mixed(l2_mixed, l2_mixed_reps):
     e = EndStructure(l2_mixed)
     assert e.dim == 5
     assert e.radical_coords.nrows == 3
     # Hom(S,P) then Hom(P,S) survives one step
-    view = BlockView(l2_mixed, decompose(l2_mixed, structure=e))
-    rad = view.radical_block_spans(e)
+    view = BlockView(l2_mixed, l2_mixed_reps)
+    rad = global_radical_blocks(view, e)
     assert sum(mat.nrows for mat in view.block_span_products(rad, rad).values()) == 1
 
 
@@ -54,32 +61,26 @@ def test_end_dims_l2_mixed(l2_mixed):
 def test_radical_powers_pinned(l2, parts, square_dim):
     """rad^2 of End over the dual numbers, one summand or several."""
     pick = {"S": simples(l2)[0], "P": indec_projectives(l2)[0]}
-    m = direct_sum([pick[c] for c in parts])
-    e = EndStructure(m)
-    summands = decompose(m, structure=e)
-    view = BlockView(m, summands)
-    rad = view.radical_block_spans(e)
+    view = _view([pick[c] for c in parts])
+    rad = global_radical_blocks(view)
     assert sum(mat.nrows for mat in view.block_span_products(rad, rad).values()) == square_dim
 
 
 def test_block_flats_match_sliced_blocks(a2):
-    """block_flats gives every (bu, bv) block of a conjugated endomorphism
-    as _flat of that block sliced out of the matrices at each vertex, on
-    five summands over a quiver with two vertices."""
-    m = direct_sum([*simples(a2), *indec_projectives(a2), simples(a2)[0]])
-    e = EndStructure(m)
-    view = BlockView(m, decompose(m, structure=e))
+    """block_flats gives every (bu, bv) block of a hom from summand bu
+    into M as _flat of that block sliced out of the matrices at each
+    vertex, on five summands over a quiver with two vertices."""
+    view = _view([*simples(a2), *indec_projectives(a2), simples(a2)[0]])
     nb = len(view.summands)
     assert nb == 5
-    for h in e.basis:
-        mats = view.conjugate(h)
-        flats = view.block_flats(mats)
+    for h in EndStructure(view.module).basis:
         for bu in range(nb):
+            flats = view.block_flats(bu, summand_rows(view, bu, h.vertex_maps))
             for bv in range(nb):
                 blocks = []
-                for v, mat in enumerate(mats):
+                for v, mat in enumerate(h.vertex_maps):
                     r0, c0 = view.offsets[v][bu], view.offsets[v][bv]
-                    nr, nc = view.summands[bu].rep.dims[v], view.summands[bv].rep.dims[v]
+                    nr, nc = view.summands[bu].dims[v], view.summands[bv].dims[v]
                     blocks.append(Matrix(nr, nc, [row[c0 : c0 + nc] for row in mat.rows[r0 : r0 + nr]]))
                 assert flats.get((bu, bv), []) == endos._flat(blocks)
 
@@ -88,10 +89,8 @@ def test_block_span_products_cuts_each_span_row_once(l2, count_calls):
     """Each span row is cut into block matrices once, not once per product
     it takes part in."""
     s, p = simples(l2)[0], indec_projectives(l2)[0]
-    m = direct_sum([s, s, p])
-    e = EndStructure(m)
-    view = BlockView(m, decompose(m, seed=0, structure=e))
-    rad = view.radical_block_spans(e)
+    view = _view([s, s, p])
+    rad = global_radical_blocks(view)
     rows = sum(mat.nrows for mat in rad.values())
     cuts = count_calls(BlockView, "_block_mats")
     sq = view.block_span_products(rad, rad)
@@ -121,23 +120,24 @@ def _all_pairs_span(view, left, right):
     return spans
 
 
-def _span_product_modules(l2):
+def _span_product_summands(l2):
     s, p = simples(l2)[0], indec_projectives(l2)[0]
-    sums = [direct_sum([{"S": s, "P": p}[c] for c in parts]) for parts in ("SP", "P", "PP", "SSP")]
-    auslander = [auslander_module(n, dense) for n in (3, 4, 5) for dense in (False, True)]
+    sums = [[{"S": s, "P": p}[c] for c in parts] for parts in ("SP", "P", "PP", "SSP")]
+    auslander = [
+        [x.rep for x in decompose(auslander_module(n, dense), seed=0)] for n in (3, 4, 5) for dense in (False, True)
+    ]
     return sums + auslander
 
 
-def test_block_span_products_matches_all_pairs(l2, m_module, m_summands, m_structure):
+def test_block_span_products_matches_all_pairs(l2, translates, m_structure):
     """Skipping left rows already in the span gives the span, and the
     canonical basis, of all products, at every power of the radical:
     over the dual numbers, Auslander modules in Jordan and dense bases,
     and M."""
-    cases = [(m, None, None) for m in _span_product_modules(l2)] + [(m_module, m_summands, m_structure)]
-    for m, summands, e in cases:
-        e = e or EndStructure(m)
-        view = BlockView(m, summands or decompose(m, seed=0, structure=e))
-        rad = view.radical_block_spans(e)
+    cases = [(reps, None) for reps in _span_product_summands(l2)] + [(translates, m_structure)]
+    for reps, e in cases:
+        view = _view(reps)
+        rad = global_radical_blocks(view, e)
         cur = rad
         while cur:
             nxt = view.block_span_products(cur, rad)
@@ -145,11 +145,11 @@ def test_block_span_products_matches_all_pairs(l2, m_module, m_summands, m_struc
             cur = nxt
 
 
-def test_radical_square_of_m_forms_few_products(m_module, m_summands, m_structure, count_calls):
+def test_radical_square_of_m_forms_few_products(translates, m_structure, count_calls):
     """M's rad^2 (dimension 150) takes 826 products of radical rows; all
     pairs took 5,280, and the bound is a quarter of that."""
-    view = BlockView(m_module, m_summands)
-    rad = view.radical_block_spans(m_structure)
+    view = _view(translates)
+    rad = global_radical_blocks(view, m_structure)
     products = count_calls(endos, "_flat")
     sq = view.block_span_products(rad, rad)
     assert sum(mat.nrows for mat in sq.values()) == 150
@@ -255,11 +255,11 @@ def test_decompose_deterministic(l2_mixed):
     assert a == b
 
 
-def test_end_of_m_frozen_profile(m_module, m_structure, m_summands):
+def test_end_of_m_frozen_profile(translates, m_structure):
     assert m_structure.dim == 165
     assert m_structure.radical_coords.nrows == 160
-    view = BlockView(m_module, m_summands)
-    rad = view.radical_block_spans(m_structure)
+    view = _view(translates)
+    rad = global_radical_blocks(view, m_structure)
     assert sum(mat.nrows for mat in view.block_span_products(rad, rad).values()) == 150
 
 

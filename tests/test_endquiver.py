@@ -28,13 +28,13 @@ from quivalg import (
     build_dimension_only,
     direct_sum,
 )
-from quivalg import algebra, endquiver, homological
+from quivalg import algebra, endos, endquiver, homological
 from quivalg.endquiver import path_endomorphism
-from quivalg.endos import BlockView
+from quivalg.endos import BlockView, EndStructure
 from quivalg.linalg import Matrix, SpanSolver
 from quivalg.modules import _Resolution
 
-from conftest import auslander_module, element, ext2_codimension
+from conftest import auslander_module, element, ext2_codimension, global_radical_blocks
 
 
 def test_l2_projective_presentation(l2):
@@ -71,25 +71,32 @@ def test_m_presentation_frozen_shape(m_presentation):
         [1, 0, 1, 0, 0],
         [0, 1, 0, 1, 0],
     ]
-    assert [s.rep.total_dim for s in pres.vertex_summands] == [6, 8, 5, 8, 6]
+    assert [x.total_dim for x in pres.summands] == [6, 8, 5, 8, 6]
     assert pres.raw_relation_count == 184
     assert not pres.incomplete
     assert pres.presented.dim == 165
 
 
 def test_m_presentation_path_dictionary_idempotents(m_presentation):
+    """The trivial path at vertex k is the identity of block (k, k) of
+    pres.module, the direct sum of the summands, and zero elsewhere."""
     pres = m_presentation
-    for v in range(pres.quiver.num_vertices):
-        e = path_endomorphism(pres, pres.quiver.trivial_path(v))
+    assert pres.module == direct_sum(pres.summands)
+    for k in range(pres.quiver.num_vertices):
+        e = path_endomorphism(pres, pres.quiver.trivial_path(k))
         assert (e * e).total_matrix() == e.total_matrix()
-        assert e.total_matrix() == pres.vertex_summands[v].idempotent.total_matrix()
+        unit = [[int(j == k)] * x.total_dim for j, x in enumerate(pres.summands)]
+        diagonal = [c for part in unit for c in part]
+        assert e.total_matrix() == Matrix(len(diagonal), len(diagonal), [
+            [diagonal[i] if i == j else 0 for j in range(len(diagonal))] for i in range(len(diagonal))
+        ])
 
 
 def test_m_presentation_relations_vanish(m_presentation):
     """Each relation, folded term by term through path_endomorphism,
     is the zero endomorphism of M."""
     pres = m_presentation
-    m = pres.vertex_summands[0].idempotent.source
+    m = pres.module
     for rel in pres.relations:
         h = ModuleHom.zero(m, m)
         for path, coeff in rel.sorted_terms():
@@ -97,23 +104,26 @@ def test_m_presentation_relations_vanish(m_presentation):
         assert h.is_zero()
 
 
-def test_m_presentation_arrows_lie_in_radical(m_presentation, m_structure):
-    # no arrow is invertible on its summand pair and none is an idempotent combo
+def test_m_presentation_arrows_lie_in_radical(m_presentation):
+    """Every arrow is a nonzero endomorphism of pres.module in the span of
+    its trace-form radical."""
+    e = EndStructure(m_presentation.module)
+    rad = SpanSolver(e.dim)
+    for row in e.radical_coords.pairs:
+        rad.insert(dict(row))
     for a in m_presentation.quiver.arrows:
         h = m_presentation.path_dictionary[m_presentation.quiver.arrow_path(a.label)]
         assert not h.is_zero()
-        assert m_structure.coords(h) is not None
+        assert rad.coords(dict(enumerate(e.coords(h)))) is not None
 
 
 def test_presentation_rejects_paths_short_of_end(l2):
     """End(S + S) over the dual numbers is M_2(Q), of dimension 4 and
-    semisimple, so its quiver has one vertex per copy of S and no arrow:
-    the two trivial paths span dimension 2, and S + S, not basic, is
-    refused before any quotient is built."""
+    semisimple, so no quiver with one vertex per copy of S presents it:
+    the two copies, which decompose finds, are isomorphic, and S + S, not
+    basic, is refused before any path is searched."""
     s = simples(l2)[0]
-    with pytest.raises(
-        DimensionMismatchError, match="stored paths span dimension 2 but End has dimension 4"
-    ):
+    with pytest.raises(DimensionMismatchError, match="summand 0 is isomorphic to another, summand 1"):
         end_as_quiver_algebra(direct_sum([s, s]))
 
 
@@ -151,6 +161,42 @@ def test_end_of_summands_matches_the_whole_module_on_auslander_modules(n, dense)
     assert _presentation_facts(end_of_summands(reps)) == _presentation_facts(end_as_quiver_algebra(m))
 
 
+AUSLANDER_CASES = [(n, dense) for n in (4, 5, 6, 7) for dense in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["translates"] + AUSLANDER_CASES,
+    ids=["translates"] + ["%d-%s" % (n, "dense" if dense else "jordan") for n, dense in AUSLANDER_CASES],
+)
+def test_blockwise_radical_is_the_global_radical_cut_into_blocks(translates, m_structure, case):
+    """The radical end_of_summands builds block by block, every block off
+    the diagonal and rad End(X_u) on it, is the trace-form radical of all
+    of End(M) cut into M's summand blocks: on the translates, and on the
+    summands decompose finds in the Auslander modules, whose End(X_u) are
+    K[x]/(x^k) with nonzero radicals."""
+    if case == "translates":
+        reps, structure = translates, m_structure
+    else:
+        reps, structure = [s.rep for s in decompose(auslander_module(*case))], None
+    view = BlockView(direct_sum(reps), reps)
+    rad, end_dim = endquiver._radical_blocks(view)
+    e = structure or EndStructure(view.module)
+    assert end_dim == e.dim
+    assert rad == global_radical_blocks(view, e)
+
+
+def test_a_whole_module_is_decomposed_once_and_presented_from_its_summands(count_calls):
+    decompositions = count_calls(endos, "decompose")
+    presentations = count_calls(endquiver, "end_of_summands")
+    structures = count_calls(EndStructure, "__init__")
+    pres = end_as_quiver_algebra(auslander_module(5, True))
+    assert pres.presented.dim == 55
+    assert (decompositions["calls"], presentations["calls"]) == (1, 1)
+    # End(m) for decompose, then one End(X) per summand; none over the sum
+    assert structures["calls"] == 1 + 5
+
+
 def _zero_module(x):
     return Representation(x.algebra, [0], [Matrix.zero(0, 0) for _ in x.matrices])
 
@@ -161,20 +207,21 @@ def _zero_module(x):
     ids=["end_of_summands", "verdict"],
 )
 @pytest.mark.parametrize(
-    "case, message",
+    "case, error, message",
     [
-        (lambda t: [t[1], t[1]], "is isomorphic to another"),
-        (lambda t: [direct_sum([t[0], t[2]]), t[1]], "a summand is decomposable"),
-        (lambda t: [t[1], _zero_module(t[1])], "summand 1 is zero"),
-        (lambda t: [], "needs at least one summand"),
+        (lambda t: [t[1], t[1]], DimensionMismatchError, "summand 0 is isomorphic to another"),
+        (lambda t: [direct_sum([t[0], t[2]]), t[1]], DimensionMismatchError, "a summand is decomposable"),
+        (lambda t: [t[1], _zero_module(t[1])], ValueError, "summand 1 is zero"),
+        (lambda t: [], ValueError, "needs at least one summand"),
     ],
     ids=["isomorphic-pair", "decomposable", "zero-summand", "empty"],
 )
-def test_end_of_summands_refuses_what_is_not_basic_indecomposables(translates, present, case, message):
-    """End(M)/rad counts one dimension per summand exactly when the
-    summands are pairwise non-isomorphic indecomposables with End/rad =
-    K; [tau2(DA), tau2(DA)] and [DA + tau2^2(DA), tau2(DA)] have 4 and 3."""
-    with pytest.raises(ValueError, match=message):
+def test_end_of_summands_refuses_what_is_not_basic_indecomposables(translates, present, case, error, message):
+    """The summands must be pairwise non-isomorphic indecomposables with
+    End/rad = K: [tau2(DA), tau2(DA)] has an isomorphic pair, and End(DA
+    + tau2^2(DA))/rad has dimension 2.  No summand, or a zero one, is a
+    ValueError."""
+    with pytest.raises(error, match=message):
         present(case(translates))
 
 

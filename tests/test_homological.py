@@ -298,8 +298,9 @@ def test_cluster_tilting_verdict_on_pipeline(translates, count_calls):
     assert verdict.end_dim == 165
     assert verdict.presentation.presented.dim == 165
     # End(M) and the presented B, each computed once, from the known
-    # summands: nothing is decomposed
-    assert structures["calls"] == 1
+    # summands: nothing is decomposed, and End(M) is built in summand
+    # blocks, with one EndStructure per translate and none over M
+    assert structures["calls"] == 5
     assert decompositions["calls"] == 0
     assert presentations["calls"] == 1
     assert builds["calls"] == 1

@@ -11,6 +11,7 @@ from quivalg import (
     ModuleHom,
     Quiver,
     Representation,
+    block_diagonal_rect,
     cluster_tilting_verdict,
     decompose,
     end_as_quiver_algebra,
@@ -85,11 +86,9 @@ def test_m_presentation_path_dictionary_idempotents(m_presentation):
     for k in range(pres.quiver.num_vertices):
         e = path_endomorphism(pres, pres.quiver.trivial_path(k))
         assert (e * e).total_matrix() == e.total_matrix()
-        unit = [[int(j == k)] * x.total_dim for j, x in enumerate(pres.summands)]
-        diagonal = [c for part in unit for c in part]
-        assert e.total_matrix() == Matrix(len(diagonal), len(diagonal), [
-            [diagonal[i] if i == j else 0 for j in range(len(diagonal))] for i in range(len(diagonal))
-        ])
+        for v, mat in enumerate(e.vertex_maps):
+            units = [Matrix.identity(x.dims[v]).scale(int(j == k)) for j, x in enumerate(pres.summands)]
+            assert mat == block_diagonal_rect(units)
 
 
 def test_m_presentation_relations_vanish(m_presentation):

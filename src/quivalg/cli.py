@@ -136,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     algebra = ("algebra", dict(help="algebra file or builtin:<name>"))
     module = ("module", dict(help="module file"))
-    seed = ("--seed", dict(type=int, default=0, help="decomposition seed"))
     bound = {
         low: ("--bound", dict(type=_int_at_least(low), default=6, help="dimension search bound"))
         for low in (0, 1)
@@ -147,8 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     styles = "human renders key = value lines, structured renders JSON"
     formats = ("--format", dict(choices=("human", "structured"), default="human", help=styles))
     commands = {
-        "verify-paper": ("run the built-in end-to-end verification pipeline", [seed, bound[1]]),
-        "end-quiver": ("present End(module) by quiver and relations", [module, seed]),
+        "verify-paper": ("run the built-in end-to-end verification pipeline", [bound[1]]),
+        "end-quiver": ("present End(module) by quiver and relations", [module]),
         "gldim": ("bounded global dimension of an algebra", [algebra, bound[0]]),
         "domdim": ("bounded dominant dimension of an algebra", [algebra, bound[1]]),
         "tau2": ("second translate of a module", [module, out]),
@@ -164,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    rep = run_verification(seed=args.seed, bound=args.bound, max_length=args.max_length)
+    rep = run_verification(bound=args.bound, max_length=args.max_length)
     result = "pass" if rep.passed else ("fail" if rep.failed else "inconclusive")
     if args.format == "structured":
         obj = {
@@ -191,7 +190,7 @@ def _cmd_end_quiver(args) -> int:
     m, _ = _load_module(args.module, length_cap=args.max_length)
     if m.is_zero():
         raise _InputError(f"{args.module}: the zero module has no endomorphism algebra")
-    pres = end_as_quiver_algebra(m, max_length=args.max_length, seed=args.seed)
+    pres = end_as_quiver_algebra(m, max_length=args.max_length)
     out = sys.stdout
     report = _Report(args.format == "structured")
     text = format_algebra(pres.quiver, pres.relations)
@@ -210,7 +209,7 @@ def _cmd_end_quiver(args) -> int:
     )
     report.add("adjacency", pres.adjacency)
     report.add("relation_count", len(pres.relations))
-    report.add("end_dim", pres.presented.dim if pres.presented else "unknown")
+    report.add("end_dim", pres.end_dim)
     report.add("incomplete", pres.incomplete)
     report.emit()
     return 2 if pres.incomplete else 0

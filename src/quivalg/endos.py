@@ -18,8 +18,8 @@ certifies it primitive.  A split evaluates the extended-gcd idempotent,
 (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15-16).
 """
 
-import random
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,8 +44,9 @@ from .linalg import (
 )
 from .modules import ModuleHom, Representation, _sub_rep, hom_basis
 
-# random corner elements tried before a corner of the semisimple
-# quotient is reported neither split nor certified primitive
+# combinations of a corner's basis tried after the basis itself before
+# the corner of the semisimple quotient is reported neither split nor
+# certified primitive
 MAX_SPLIT_ATTEMPTS = 64
 # factor search bounds: trial division stops at TRIAL_BOUND, and no search
 # lists more than MAX_CANDIDATES divisors or candidate factors
@@ -95,9 +96,7 @@ class EndStructure:
     coefficient rows over the basis spanning its left kernel, the radical.
 
     basis defaults to hom_basis(m, m).  end_of_summands passes each
-    summand's End, cut from the homs out of it that it holds already, and
-    the tests pass the basis that decompose(m, structure=...) searches,
-    to reach its random-combination and lifting branches.
+    summand's End, cut from the homs out of it that it holds already.
     """
 
     def __init__(self, m: Representation, basis: Optional[Sequence[ModuleHom]] = None):
@@ -456,33 +455,32 @@ def _factor(f: List[int]) -> Tuple[List[Tuple[List[int], int]], str]:
     return found, why
 
 
-def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tuple[List, List]]:
+def _split_idempotent(q: _Quotient, u: List) -> Optional[Tuple[List, List]]:
     """Split u into two orthogonal idempotents of the semisimple
     quotient, or return None when u is certified primitive.  Raises
-    DecompositionInconclusiveError when neither happens within
-    MAX_SPLIT_ATTEMPTS random combinations."""
+    DecompositionInconclusiveError when neither happens with the corner
+    basis and MAX_SPLIT_ATTEMPTS combinations of it."""
     # corner basis: row space of u * e_i * u over the quotient basis
     units = [[ONE if i == j else ZERO for j in range(q.dim)] for i in range(q.dim)]
     corner = row_space_basis(Matrix(q.dim, q.dim, [q.mult(q.mult(u, e), u) for e in units]))
     cdim = corner.nrows
     if cdim <= 1:
         return None
+    basis = [list(row) for row in corner.rows]
 
     def candidates():
-        """The corner basis, then up to MAX_SPLIT_ATTEMPTS nonzero random
-        combinations of it, drawn only as they are tried."""
-        yield from (list(row) for row in corner.rows)
-        for _ in range(MAX_SPLIT_ATTEMPTS):
-            x = [ZERO] * q.dim
-            for row in corner.rows:
-                c = rng.randint(-4, 4)
-                if c:
-                    x = [a + c * b for a, b in zip(x, row)]
-            if any(x):
-                yield x
+        """The corner basis, then up to MAX_SPLIT_ATTEMPTS nonzero
+        combinations of it in a fixed order, each formed only as it is
+        tried: the products b_i b_j, then b_i + k b_j for i != j and
+        k = 1, -1, 2, -2."""
+        yield from basis
+        products = (q.mult(a, b) for a in basis for b in basis)
+        sums = ([x + k * y for x, y in zip(a, b)] for k in (1, -1, 2, -2)
+                for i, a in enumerate(basis) for j, b in enumerate(basis) if i != j)
+        yield from islice((x for x in chain(products, sums) if any(x)), MAX_SPLIT_ATTEMPTS)
 
     undecided = set()  # why _factor left minimal polynomials open
-    for x in candidates():
+    for tried, x in enumerate(candidates(), 1):
         f = _primitive(_minimal_polynomial(q, x, u))
         factors, why = _factor(f)
         if len(factors) + bool(why) >= 2:
@@ -501,20 +499,21 @@ def _split_idempotent(q: _Quotient, u: List, rng: random.Random) -> Optional[Tup
             # Q[x] = Q[t]/(f) lies in the corner and has dimension deg f
             # = cdim, so it is the corner, a field: u is primitive
             return None
-    reason = f"could not split a corner of dimension {cdim} after {MAX_SPLIT_ATTEMPTS} attempts"
+    budget = f"its basis and {tried - cdim} combinations, MAX_SPLIT_ATTEMPTS = {MAX_SPLIT_ATTEMPTS}"
+    reason = f"could not split a corner of dimension {cdim} after {budget}"
     if undecided:
         reason += f"; minimal polynomials {', '.join(sorted(undecided))} are left undecided"
     raise DecompositionInconclusiveError(reason)
 
 
-def _primitive_idempotents(q: _Quotient, rng: random.Random) -> List[List]:
+def _primitive_idempotents(q: _Quotient) -> List[List]:
     """Primitive orthogonal idempotents of the semisimple quotient
     summing to the unit, in a deterministic refinement order."""
     queue = [q.unit]
     final = []
     while queue:
         u = queue.pop(0)
-        split = _split_idempotent(q, u, rng)
+        split = _split_idempotent(q, u)
         if split is None:
             final.append(u)
         else:
@@ -537,11 +536,7 @@ def _lift_to_idempotent(h: ModuleHom) -> ModuleHom:
     raise RuntimeError("idempotent lifting did not converge")
 
 
-def decompose(
-    m: Representation,
-    seed: int = 0,
-    structure: Optional[EndStructure] = None,
-) -> List[Summand]:
+def decompose(m: Representation) -> List[Summand]:
     """Direct sum decomposition of m into indecomposable summands.
 
     Exact at every step: idempotents of End(m)/rad come from minimal
@@ -549,14 +544,13 @@ def decompose(
     polynomial identities, and the returned inclusions stack to an
     invertible change of basis.  Raises DecompositionInconclusiveError
     when a corner of the semisimple quotient cannot be split or
-    certified primitive within MAX_SPLIT_ATTEMPTS random combinations.
+    certified primitive by its basis and MAX_SPLIT_ATTEMPTS combinations.
     """
     if m.is_zero():
         return []
-    E = structure if structure is not None else EndStructure(m)
-    rng = random.Random(seed)
+    E = EndStructure(m)
     q = _Quotient(E)
-    prim = _primitive_idempotents(q, rng)
+    prim = _primitive_idempotents(q)
 
     # each lifted idempotent is cut down to the complement of those before
     idems: List[ModuleHom] = []

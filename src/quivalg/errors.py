@@ -23,7 +23,9 @@ class DimensionMismatchError(QuivalgError):
 
 
 class DecompositionInconclusiveError(QuivalgError):
-    """The randomized idempotent splitting stalled before a full decomposition."""
+    """Idempotent splitting met a corner that its basis and the fixed
+    combinations of it (endos.MAX_SPLIT_ATTEMPTS) neither split nor
+    certified primitive."""
 
 
 class ParseError(QuivalgError):

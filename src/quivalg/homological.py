@@ -243,11 +243,10 @@ def cartan_determinant(a: PresentedAlgebra):
 # -- cluster-tilting verdict --------------------------------------------
 
 
-def is_generator_cogenerator(m: Representation, seed: int = 0) -> bool:
+def is_generator_cogenerator(m: Representation) -> bool:
     """Every indecomposable projective and injective occurs among the
-    direct summands of m (up to isomorphism).  The answer is certain;
-    seed only drives the idempotent splitting of decompose."""
-    return _covers_projectives_injectives(m.algebra, [s.rep for s in decompose(m, seed=seed)])
+    direct summands of m (up to isomorphism)."""
+    return _covers_projectives_injectives(m.algebra, [s.rep for s in decompose(m)])
 
 
 def _covers_projectives_injectives(a: PresentedAlgebra, parts: Sequence[Representation]) -> bool:

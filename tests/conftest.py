@@ -172,13 +172,13 @@ def m_structure(m_module):
 
 
 @pytest.fixture(scope="session")
-def m_summands(m_module, m_structure):
-    return decompose(m_module, seed=0, structure=m_structure)
+def m_summands(m_module):
+    return decompose(m_module)
 
 
 @pytest.fixture(scope="session")
 def m_presentation(m_module):
-    return end_as_quiver_algebra(m_module, max_length=20, seed=0)
+    return end_as_quiver_algebra(m_module, max_length=20)
 
 
 def _paths_by_length(q, n):

@@ -105,8 +105,8 @@ def test_criterion_3_decomposition_and_quiver_shape():
     t0 = time.perf_counter()
     a = two_loop_local_algebra()
     _, _, m = _pipeline(a)
-    summands = decompose(m, seed=0)
-    pres = end_as_quiver_algebra(m, seed=0)
+    summands = decompose(m)
+    pres = end_as_quiver_algebra(m)
     n = pres.quiver.num_vertices
     # documented ordering: computed vertex k is the k-th translate
     # starting from the dual regular module; the reference labels count
@@ -137,7 +137,7 @@ def test_criterion_4_end_dimension_two_ways():
     a = two_loop_local_algebra()
     _, _, m = _pipeline(a)
     via_hom = len(hom_basis(m, m))
-    pres = end_as_quiver_algebra(m, seed=0)
+    pres = end_as_quiver_algebra(m)
     via_presentation = pres.presented.dim
     ok = via_hom == via_presentation == 165
     _report(4, ok, f"hom solve {via_hom}, presented {via_presentation}")
@@ -147,7 +147,7 @@ def test_criterion_5_global_and_dominant_dimension():
     t0 = time.perf_counter()
     a = two_loop_local_algebra()
     _, _, m = _pipeline(a)
-    b = end_as_quiver_algebra(m, seed=0).presented
+    b = end_as_quiver_algebra(m).presented
     gl = global_dimension(b, 6)
     dom = dominant_dimension(b, 6)
     ok = gl == 3 and dom == 3
@@ -157,7 +157,7 @@ def test_criterion_5_global_and_dominant_dimension():
 
 def test_criterion_6_cartan_determinant():
     a = two_loop_local_algebra()
-    b = end_as_quiver_algebra(_pipeline(a)[2], seed=0).presented
+    b = end_as_quiver_algebra(_pipeline(a)[2]).presented
     det = cartan_determinant(b)
     ok = det == 1
     _report(6, ok, f"Cartan determinant of B = {det}")
@@ -174,7 +174,7 @@ def test_criterion_7_eleven_relation_presentation():
 def test_criterion_8_minimize_relations():
     a = two_loop_local_algebra()
     _, _, m = _pipeline(a)
-    pres = end_as_quiver_algebra(m, seed=0)
+    pres = end_as_quiver_algebra(m)
     raw = pres.raw_relation_count
     kept = minimize_relations(pres.quiver, pres.relations, 165, length_cap=20)
     preserved = presentation_dimension_check(pres.quiver, kept, 165, length_cap=20)
@@ -226,7 +226,7 @@ def test_criterion_10_oracle_suites():
 def test_criterion_11_invariant_suites():
     a = two_loop_local_algebra()
     _, _, m = _pipeline(a)
-    summands = decompose(m, seed=0)
+    summands = decompose(m)
     ident = ModuleHom.identity(m)
 
     total = None
@@ -243,7 +243,7 @@ def test_criterion_11_invariant_suites():
 
     squares = all(h.is_valid() for h in hom_basis(m, m))
 
-    pres = end_as_quiver_algebra(m, seed=0)
+    pres = end_as_quiver_algebra(m)
     zero = ModuleHom.zero(m, m)
     relations_vanish = all(
         sum((path_endomorphism(pres, p).scale(c) for p, c in rel.sorted_terms()), zero).is_zero()

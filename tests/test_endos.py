@@ -1,6 +1,5 @@
 """Endomorphism algebra structure, radicals, and decomposition."""
 
-import random
 import time
 
 import pytest
@@ -124,7 +123,7 @@ def _span_product_summands(l2):
     s, p = simples(l2)[0], indec_projectives(l2)[0]
     sums = [[{"S": s, "P": p}[c] for c in parts] for parts in ("SP", "P", "PP", "SSP")]
     auslander = [
-        [x.rep for x in decompose(auslander_module(n, dense), seed=0)] for n in (3, 4, 5) for dense in (False, True)
+        [x.rep for x in decompose(auslander_module(n, dense))] for n in (3, 4, 5) for dense in (False, True)
     ]
     return sums + auslander
 
@@ -218,14 +217,14 @@ def test_natural_and_regular_trace_forms_agree(l2, l2_mixed, a2):
 
 def test_decompose_indecomposable_is_identity(l2):
     p = indec_projectives(l2)[0]
-    parts = decompose(p, seed=0)
+    parts = decompose(p)
     assert len(parts) == 1
     assert parts[0].rep.total_dim == p.total_dim
     assert parts[0].idempotent.total_matrix() == Matrix.identity(p.total_dim)
 
 
 def test_decompose_split_pair(l2_mixed):
-    parts = decompose(l2_mixed, seed=0)
+    parts = decompose(l2_mixed)
     assert sorted(s.rep.total_dim for s in parts) == [1, 2]
     ident = ModuleHom.identity(l2_mixed)
     total = None
@@ -242,7 +241,7 @@ def test_decompose_split_pair(l2_mixed):
 
 
 def test_decompose_inclusion_projection_identities(l2_mixed):
-    for s in decompose(l2_mixed, seed=0):
+    for s in decompose(l2_mixed):
         round_trip = s.inclusion * s.projection  # summand -> M -> summand
         assert round_trip.total_matrix() == Matrix.identity(s.rep.total_dim)
         back = s.projection * s.inclusion  # M -> summand -> M
@@ -250,8 +249,8 @@ def test_decompose_inclusion_projection_identities(l2_mixed):
 
 
 def test_decompose_deterministic(l2_mixed):
-    a = [s.rep.dims for s in decompose(l2_mixed, seed=0)]
-    b = [s.rep.dims for s in decompose(l2_mixed, seed=0)]
+    a = [s.rep.dims for s in decompose(l2_mixed)]
+    b = [s.rep.dims for s in decompose(l2_mixed)]
     assert a == b
 
 
@@ -299,24 +298,32 @@ def test_kronecker_module_with_a_field_of_endomorphisms():
     assert all(is_isomorphic(p.rep, x) for p in parts)
 
 
-def test_decompose_falls_back_to_random_combinations(l2, count_calls):
+def test_decompose_falls_back_to_fixed_combinations(l2, count_calls, monkeypatch):
     """End(S + S) over the dual numbers is M_2(Q).  In the basis I, E12,
     2 E12 + E21 and [[1, 1], [-1, 2]] no element has a minimal polynomial
     that splits (t - 1, t^2, t^2 - 2, t^2 - 3t + 3), and none is
     irreducible of degree 4, the corner's dimension, so no basis element
-    splits the unit or certifies it primitive: decompose has to try
-    random combinations."""
+    splits the unit or certifies it primitive.  decompose goes on to the
+    products b_i b_j in order and splits with the sixth one tried, E12 (2
+    E12 + E21) = E11, after skipping E12 E12 = 0.  With no combinations
+    allowed, the corner stays undecided and the error names the budget."""
     s = simples(l2)[0]
     m = direct_sum([s, s])
     basis = [
         ModuleHom(m, m, [Matrix.from_rows(rows)])
         for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 2], [1, 0]], [[1, 1], [-1, 2]])
     ]
-    draws = count_calls(random.Random, "randint")
-    parts = decompose(m, seed=0, structure=EndStructure(m, basis=basis))
-    assert draws["calls"] > 0
+    monkeypatch.setattr(endos, "hom_basis", lambda x, y: basis)
+    polys = count_calls(endos, "_minimal_polynomial")
+    parts = decompose(m)
+    assert polys["calls"] == 4 + 6
     assert len(parts) == 2
     assert all(is_isomorphic(p.rep, s) for p in parts)
+
+    monkeypatch.setattr(endos, "MAX_SPLIT_ATTEMPTS", 0)
+    budget = "dimension 4 after its basis and 0 combinations, MAX_SPLIT_ATTEMPTS = 0$"
+    with pytest.raises(DecompositionInconclusiveError, match=budget):
+        decompose(m)
 
 
 def test_decompose_certifies_primitive_corners_by_dimension(count_calls):
@@ -364,7 +371,8 @@ def test_decompose_lifts_and_reduces_a_basis_with_radical_parts(l2, monkeypatch)
 
     monkeypatch.setattr(endos, "_lift_to_idempotent", spy_lift)
     monkeypatch.setattr(endos._Quotient, "project", spy_project)
-    parts = decompose(m, seed=0, structure=EndStructure(m, basis=basis))
+    monkeypatch.setattr(endos, "hom_basis", lambda x, y: basis)
+    parts = decompose(m)
     assert False in lifted
     assert sum(reduced) > 0
     assert sorted(part.rep.dims for part in parts) == [[1], [2]]

@@ -17,12 +17,14 @@ from quivalg import (
     ModuleHom,
     Representation,
     cokernel,
+    decompose,
     direct_sum,
     dual,
     hom_basis,
     indec_injectives,
     indec_projectives,
     injective_envelope,
+    invert,
     is_injective,
     is_isomorphic,
     is_projective,
@@ -35,8 +37,8 @@ from quivalg import (
     validate,
 )
 from quivalg import Quiver, build_algebra, modules
-from quivalg.linalg import QQ, Matrix, rank
-from quivalg.modules import _radical_rows, _top
+from quivalg.linalg import QQ, Matrix, rank, vstack
+from quivalg.modules import _indecomposable_iso, _radical_rows, _top
 
 from conftest import element, truncated_quotients
 
@@ -429,6 +431,45 @@ def test_is_isomorphic_is_symmetric_and_swaps_sums(pair):
     assert witness.is_isomorphism() and witness.is_valid()
     assert witness.source is xy and witness.target is yx
     assert (is_isomorphic(x, y) is None) == (is_isomorphic(y, x) is None)
+
+
+@st.composite
+def disguised_sums(draw, max_total_dim=6):
+    """The indecomposable summands of X and of Y, drawn as in hom_pairs,
+    and X + Y in a basis changed at each vertex by a unit lower triangular
+    matrix with entries -1, 0 and 1.  The change mixes the summands, so
+    the idempotents decompose lifts are not orthogonal to begin with."""
+    base, picks = _small_sums(draw, max_total_dim)
+    known = [base[i] for _ in range(2) for i in draw(st.sampled_from(picks))]
+    m = direct_sum(known)
+    entry = st.integers(-1, 1)
+    change = [
+        Matrix(d, d, [[1 if i == j else draw(entry) if j < i else 0 for j in range(d)] for i in range(d)])
+        for d in m.dims
+    ]
+    arrows = m.algebra.quiver.arrows
+    mats = [change[a.source] @ mat @ invert(change[a.target]) for a, mat in zip(arrows, m.matrices)]
+    return known, Representation(m.algebra, m.dims, mats)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(disguised_sums())
+def test_decompose_of_a_sum_finds_the_summands_of_both(case):
+    """Krull-Schmidt: the summands decompose finds in X + Y, in a
+    disguised basis, match the indecomposables X and Y were built from,
+    one to one up to isomorphism, and its inclusions stack to an
+    invertible matrix at every vertex."""
+    known, m = case
+    assert validate(m) is None
+    parts = decompose(m)
+    assert len(parts) == len(known)
+    for part in parts:
+        match = next((k for k, x in enumerate(known) if _indecomposable_iso(x, part.rep)), None)
+        assert match is not None
+        known.pop(match)
+    for v, d in enumerate(m.dims):
+        stacked = vstack([part.inclusion.vertex_maps[v] for part in parts])
+        assert stacked.nrows == d and (d == 0 or invert(stacked) is not None)
 
 
 # -- duality and syzygies on the sparse matrices ----------------------

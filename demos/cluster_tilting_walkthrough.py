@@ -14,6 +14,7 @@ from quivalg import (
     format_algebra,
     is_isomorphic,
     is_selfinjective,
+    minimize_relations,
     projective_dimension,
     regular_module,
     tau2,
@@ -61,9 +62,8 @@ def main():
         print(f"   {row}")
     print(f"raw relations: {pres.raw_relation_count}, "
           f"presented dimension: {pres.presented.dim}")
-    # the sweep that presented B kept these; minimize_relations finds the
-    # same set by sweeping the raw relations again
-    kept = pres.presented.kept_relations
+    # one sweep of the raw relations drops those in the ideal of the others
+    kept = minimize_relations(pres.quiver, pres.relations, pres.end_dim, length_cap=20)
     print(f"after dropping relations in the ideal of the others: {len(kept)} relations")
     print()
 

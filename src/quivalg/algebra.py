@@ -553,16 +553,13 @@ def _table_of(eng: _Sweep) -> "PresentedAlgebra":
     pos_of = {pid: k for k, pid in enumerate(live)}
     paths = eng.paths
     quiver = paths.quiver
-    alg = PresentedAlgebra()
-    alg.quiver = quiver
-    alg._set_basis([paths.path_of(pid) for pid in live])
-    alg._action = []
+    action = []
     for pid in live:
         rows: List[Vec] = [_ZERO_ROW] * len(quiver.arrows)
         for b in quiver.out_arrows[paths.tgt[pid]]:
             rows[b.index] = {pos_of[p]: c for p, c in eng.action_row(pid, b.index).items()}
-        alg._action.append(rows)
-    return alg
+        action.append(rows)
+    return PresentedAlgebra(quiver, [paths.path_of(pid) for pid in live], action)
 
 
 def _certify(eng: _Sweep, relations: Sequence[PathAlgElement]) -> Optional["PresentedAlgebra"]:
@@ -675,30 +672,26 @@ class PresentedAlgebra:
     original algebra, and the reversed relations.
     """
 
-    def __init__(self):
-        # populated by the quotient certificate or the opposite constructor
-        self.quiver: Quiver = None  # type: ignore[assignment]
+    def __init__(self, quiver: Quiver, basis: Sequence[Path], action: Sequence[List[Vec]]):
+        # the quiver, basis and table of the quotient certificate, the path
+        # search of endquiver or the opposite constructor
+        self.quiver = quiver
         self.relations: List[PathAlgElement] = []
         self.kept_relations: List[PathAlgElement] = []
-        self.basis: List[Path] = []
-        self.dim: int = 0
+        self.basis: List[Path] = list(basis)
+        self.dim: int = len(self.basis)
         self.loewy_length: int = 0
-        self._action: List[List[Vec]] = []
+        self._action: List[List[Vec]] = list(action)
         self._by_endpoints: Dict[Tuple[int, int], List[int]] = {}
+        for i, p in enumerate(self.basis):
+            self._by_endpoints.setdefault((p.source, p.target), []).append(i)
         # basis position of each basis path, keyed by source and arrows
-        self._pos: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        self._pos = {(p.source, p.arrows): i for i, p in enumerate(self.basis)}
         # the opposite this algebra built, or a weak link back to the
         # algebra that built this one, so the pair forms no cycle
         self._opposite: Union["PresentedAlgebra", weakref.ref, None] = None
         # indecomposable projectives, filled by modules.indec_projectives
         self._projectives: Optional[list] = None
-
-    def _set_basis(self, basis: List[Path]) -> None:
-        self.basis = basis
-        self.dim = len(basis)
-        self._pos = {(p.source, p.arrows): i for i, p in enumerate(basis)}
-        for i, p in enumerate(basis):
-            self._by_endpoints.setdefault((p.source, p.target), []).append(i)
 
     # -- structure ------------------------------------------------------
 
@@ -795,23 +788,25 @@ def _reverse_element(el: PathAlgElement, target_quiver: Quiver) -> PathAlgElemen
 
 
 def _make_opposite(a: PresentedAlgebra) -> PresentedAlgebra:
-    op = PresentedAlgebra()
-    op.quiver = a.quiver.reverse()
-    op.relations = [_reverse_element(r, op.quiver) for r in a.relations]
-    op.kept_relations = [_reverse_element(r, op.quiver) for r in a.kept_relations]
-    op._set_basis([Path(p.target, tuple(reversed(p.arrows)), p.source) for p in a.basis])
-    op.loewy_length = a.loewy_length
     # arrows are basis paths since relations lie in J^2; read their
     # positions off the basis, which orders them by source vertex first.
-    # An arrow not ending where basis[k] starts gives a zero row.
+    # An arrow not ending where basis[k] starts gives a zero row, and for
+    # basis[k] = p * c, x * basis[k] = (x * p) * c is folded from the row
+    # of its parent p, which the basis lists earlier.
     arrow_pos = {p.arrows[0]: i for i, p in enumerate(a.basis) if p.length == 1}
-    op._action = [
-        [
-            a.mult_basis(arrow_pos[ai], k) if arrow.target == p.source else _ZERO_ROW
-            for ai, arrow in enumerate(a.quiver.arrows)
-        ]
-        for k, p in enumerate(a.basis)
-    ]
+    action: List[List[Vec]] = []
+    for p in a.basis:
+        if p.length:
+            parent = action[a._pos[p.source, p.arrows[:-1]]]
+            action.append([a.apply_arrow(row, p.arrows[-1]) if row else _ZERO_ROW for row in parent])
+        else:
+            arrows = enumerate(a.quiver.arrows)
+            action.append([{arrow_pos[i]: ONE} if x.target == p.source else _ZERO_ROW for i, x in arrows])
+    reversed_basis = [Path(p.target, p.arrows[::-1], p.source) for p in a.basis]
+    op = PresentedAlgebra(a.quiver.reverse(), reversed_basis, action)
+    op.relations = [_reverse_element(r, op.quiver) for r in a.relations]
+    op.kept_relations = [_reverse_element(r, op.quiver) for r in a.kept_relations]
+    op.loewy_length = a.loewy_length
     op._opposite = weakref.ref(a)
     return op
 

@@ -8,9 +8,10 @@ Jacobson radical for any faithful representation).  Idempotents are
 found exactly: split in the semisimple quotient by minimal polynomial
 factorization, then lifted through the nilpotent radical.
 
-The factorization is exact integer arithmetic: Kronecker's search finds
-the factors of degree 1 and 2, so it decides every minimal polynomial of
-degree <= 5 within its bounds (TRIAL_BOUND, MAX_CANDIDATES).  One of
+The factorization is exact integer arithmetic: a quadratic is decided by
+its discriminant, and Kronecker's search finds the factors of degree 1
+and 2 of the others, so it decides every minimal polynomial of degree
+<= 5 within its bounds (TRIAL_BOUND, MAX_CANDIDATES).  One of
 degree >= 6 with no factor of degree <= 2, or one past the bounds, is
 left undecided, and that element neither splits its corner nor
 certifies it primitive.  A split evaluates the extended-gcd idempotent,
@@ -20,7 +21,7 @@ certifies it primitive.  A split evaluates the extended-gcd idempotent,
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DecompositionInconclusiveError
@@ -63,7 +64,8 @@ def _flat(mats: Sequence[Matrix]) -> List:
     base = 0
     for mat in mats:
         for r in mat.pairs:
-            out.extend([(base + j, x) for j, x in r])
+            if r:  # most rows of a product of radical blocks are zero
+                out += [(base + j, x) for j, x in r]
             base += mat.ncols
     return out
 
@@ -428,7 +430,8 @@ def _factor(f: List[int]) -> Tuple[List[Tuple[List[int], int]], str]:
     """Irreducible factors over Q of the primitive integer polynomial f,
     as primitive integer polynomials with multiplicities, in the order of
     sympy's factor_list: by degree, multiplicity, then coefficients from
-    the leading one down.  Factors of degree 1 and 2 come from _kronecker,
+    the leading one down.  A quadratic cofactor is decided by its
+    discriminant; other factors of degree 1 and 2 come from _kronecker,
     and a cofactor of degree <= 5 without them is irreducible.  A cofactor
     left undecided, of degree >= 6 or past the search's bounds, is not
     listed, and the second value says why ('' when there is none)."""
@@ -438,6 +441,15 @@ def _factor(f: List[int]) -> Tuple[List[Tuple[List[int], int]], str]:
         found.append(([0, 1], k))
         f = f[k:]
     for d in (1, 2):
+        if len(f) == 3:  # rational roots exactly when b^2 - 4ac is a square
+            c, b, a = f
+            s = isqrt(max(disc := b * b - 4 * a * c, 0))
+            if s * s == disc:  # roots (r - b) / 2a for r = -s, s, one double root if s = 0
+                for r in {-s, s}:
+                    g = gcd(r - b, 2 * a)
+                    found.append(([(b - r) // g, 2 * a // g], 2 - bool(s)))
+                f = [1]
+            break
         cands = _kronecker(f, d) if len(f) > 2 * d and not why else ()
         if cands is None:
             why, cands = f"of degree {len(f) - 1} past the search's bounds", ()

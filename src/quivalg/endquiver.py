@@ -3,20 +3,32 @@
 The endomorphism algebra of a module with pairwise non-isomorphic
 indecomposable summands is basic, so it is presented by its own quiver:
 one vertex per summand, one arrow per basis vector of rad/rad^2 in each
-Peirce block.  A breadth-first sweep over products of stored paths with
-arrows records a relation whenever a product lands in the span of what
-is already stored; those relations present the algebra exactly.
+Peirce block.  End(M), M = direct_sum(X_1, ..., X_r), is built in
+BlockView's blocks Hom(X_u, X_v).  For pairwise non-isomorphic X_u with
+End(X_u)/rad = K, its radical is every block off the diagonal and
+rad End(X_u) on it (Auslander-Reiten-Smalo, I-II).  The idempotent of
+X_k is the identity of block (k, k), a path from u to w is its (u, w)
+block at every vertex, and a path times an arrow is a product of small
+blocks.  Stored paths are independent and each lies in one Peirce
+block, so one SpanSolver per block gives the same coordinates as one
+over all of them.
 
-End(M), M = direct_sum(X_1, ..., X_r), is built in BlockView's blocks
-Hom(X_u, X_v).  For pairwise non-isomorphic X_u with End(X_u)/rad = K,
-its radical is every block off the diagonal and rad End(X_u) on it
-(Auslander-Reiten-Smalo, I-II); a whole module is split by decompose
-first.  The idempotent of X_k is the identity of block (k, k), a path
-from u to w is its (u, w) block at every vertex, and a path times an
-arrow is a product of small blocks.  Stored paths are independent and
-each lies in one Peirce block, so one SpanSolver per block gives the
-same coordinates as one over all of them.  The path dictionary is built
-on first read.
+The path search runs breadth-first over the products p*a of stored
+paths p and arrows a, each level in lex order.  It stores p*a when it is
+independent of the stored paths, all before it in length-then-lex
+order, and records the relation p*a - row(p, a) otherwise, row(p, a)
+its coordinates over them.  A path not stored is a combination of
+earlier paths, and so is each extension of it, so the stored paths are
+the paths independent of all paths before them: the normal words of
+the relations' ideal I under algebra's sweep order, in that order, and
+closed under prefixes and suffixes.  The rows, and the unit row of each
+stored p*a, are B's table, with no sweep: every stored path times every
+arrow from its target is stored or carries a relation, so by induction
+on length every path is congruent modulo I to a combination of stored
+paths and dim KQ/I <= dim End(M); the relations vanish in End(M), whose
+basis the stored paths are, so KQ/I = End(M), and the table is its
+product in coordinates, associative and the one build_algebra would
+certify.  The path dictionary is built on first read.
 """
 
 import warnings
@@ -26,10 +38,12 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    _ZERO_ROW,
     PresentedAlgebra,
+    Vec,
+    _radical_dims,
     _stabilize,
     _validate_relations,
-    build_algebra,
     build_dimension_only,
 )
 from .endos import BlockView, EndStructure, _flat, decompose
@@ -38,7 +52,7 @@ from .errors import (
     IncompletePresentationWarning,
     NotFiniteDimensionalError,
 )
-from .linalg import QQ, Matrix, ONE, SpanSolver, extend_independent, row_space_basis
+from .linalg import Matrix, ONE, SpanSolver, extend_independent, rat, row_space_basis
 from .modules import ModuleHom, Representation, direct_sum, hom_basis
 from .quiver import Path, PathAlgElement, Quiver
 
@@ -51,8 +65,8 @@ class EndPresentation:
     dictionary sends every stored path (trivial paths included) to the
     endomorphism of module it denotes, built on first read from the
     paths' block coordinates.  end_dim is dim End(module).  presented is
-    the algebra rebuilt from the quiver and relations, with its dimension
-    checked against end_dim; it is None when the search was cut off
+    the algebra of the quiver and relations with the search's table (see
+    the module docstring); it is None when the search was cut off
     (incomplete = True).
     """
 
@@ -170,26 +184,29 @@ def _present(view: BlockView, rad_blocks: Dict, end_dim: int, max_length: int) -
     blocks = [(u, v) for u in range(nb) for v in range(nb)]
     solvers = {key: (SpanSolver(view._block_width(*key)), []) for key in blocks}
     stored: List[Tuple[Path, List]] = []  # each path with its block flat
+    # table[k][i]: stored path k times arrow i over the stored paths
+    table: List[List[Vec]] = []
 
-    def search(path: Path, mats: List[Matrix]) -> Optional[List[Tuple[int, "QQ"]]]:
-        """The nonzero coordinates of path's endomorphism over the stored
-        paths, or None when it is independent of them and now stored."""
+    def search(path: Path, mats: List[Matrix]) -> Vec:
+        """path's coordinates over the stored paths; its unit row when it
+        is independent of them, as it is then stored."""
         solver, index = solvers[path.source, path.target]
         flat = _flat(mats)
         coords = solver.coords_or_insert(dict(flat))
         if coords is None:
             index.append(len(stored))
             stored.append((path, flat))
-            return None
-        return [(index[j], c) for j, c in enumerate(coords) if c]
+            table.append([_ZERO_ROW] * len(arrow_specs))
+            return {len(stored) - 1: ONE}
+        return {index[j]: rat(c) for j, c in enumerate(coords) if c}
 
     # the idempotent of summand k is its identity block
     for k, x in enumerate(view.summands):
         search(quiver.trivial_path(k), [Matrix.identity(d) for d in x.dims])
     queue: deque = deque()
     for i, (u, v, mats) in enumerate(arrow_specs):
-        entry = (Path(u, (i,), v), mats)
-        search(*entry)
+        entry = (len(stored), Path(u, (i,), v), mats)
+        table[u][i] = search(*entry[1:])
         queue.append(entry)
 
     n_seeds = len(stored)
@@ -197,22 +214,23 @@ def _present(view: BlockView, rad_blocks: Dict, end_dim: int, max_length: int) -
     relations: List[PathAlgElement] = []
     incomplete = False
     while queue:
-        p, pmats = queue.popleft()
+        k, p, pmats = queue.popleft()
         if p.length >= max_length:
             incomplete = True
             continue
         for i, (u, v, amats) in enumerate(arrow_specs):
             if u != p.target:
                 continue
-            entry = (Path(p.source, p.arrows + (i,), v), [a @ b for a, b in zip(pmats, amats)])
-            coords = search(*entry)
-            if coords is None:
+            path = Path(p.source, p.arrows + (i,), v)
+            entry = (len(stored), path, [x @ y for x, y in zip(pmats, amats)])
+            row = table[k][i] = search(*entry[1:])
+            if len(stored) > entry[0]:
                 queue.append(entry)
             else:
                 # a product of radical endomorphisms lies in rad^2, so
                 # its expansion cannot touch idempotents or arrows
-                assert all(j >= n_seeds for j, _c in coords)
-                terms = [(entry[0], ONE)] + [(stored[j][0], -c) for j, c in coords]
+                assert all(j >= n_seeds for j in row)
+                terms = [(entry[1], ONE)] + [(stored[j][0], -c) for j, c in row.items()]
                 relations.append(PathAlgElement(quiver, dict(terms)))
 
     presented = None
@@ -229,12 +247,14 @@ def _present(view: BlockView, rad_blocks: Dict, end_dim: int, max_length: int) -
                 "stored paths span dimension %d but End has dimension %d"
                 % (len(stored), end_dim)
             )
-        presented = build_algebra(quiver, relations, length_cap=max_length)
-        if presented.dim != end_dim:
-            raise DimensionMismatchError(
-                "rebuilt algebra has dimension %d, expected %d"
-                % (presented.dim, end_dim)
-            )
+        presented = PresentedAlgebra(quiver, [path for path, _flat in stored], table)
+        presented.relations = relations
+        # normal words are closed under suffixes, as the opposite needs
+        pos, arrows = presented._pos, quiver.arrows
+        assert all((arrows[p.arrows[0]].target, p.arrows[1:]) in pos for p in presented.basis[nb:])
+        dims = _radical_dims(presented)
+        assert dims is not None  # End(M)'s product, with its radical nilpotent
+        presented.loewy_length = len(dims) + 1
     return EndPresentation(
         quiver=quiver,
         relations=relations,
@@ -286,19 +306,13 @@ def minimize_relations(
     """Drop relations that lie in the ideal of the kept ones, in one sweep.
 
     The quotient sweep runs once over all relations, each entering at
-    the level of its longest term.  Every row the sweep imposes lies in
-    the ideal of the relations fed so far, so a relation whose row
-    reduces to zero lies in the ideal of those fed before it, and one
-    never fed lies in the ideal of the fed ones; by induction every
-    dropped relation lies in the ideal generated by the kept ones, which
-    therefore present the same algebra.  The kept set is not guaranteed
-    minimal: a kept relation may lie in the ideal of relations fed after
-    it.  The sum of dim Ext^2(S_i, S_j) over all pairs of simples, which
-    cluster_tilting_verdict reads off the simples' minimal resolutions
-    as ext2_simples_total, bounds every generating set from below.
-
-    The sweep is build_algebra's, which records the same set on the
-    algebra as kept_relations; verify-paper reads it there.
+    the level of its longest term.  Every row it imposes lies in the
+    ideal of the relations fed so far, so a relation whose row reduces
+    to zero, or one never fed, lies in the ideal of the kept ones, which
+    present the same algebra.  A kept relation may still lie in the
+    ideal of relations fed after it; the Ext^2 total of the simples
+    (cluster_tilting_verdict's ext2_simples_total) bounds every
+    generating set from below.  verify-paper reads the kept set here.
 
     Returns the kept relations in input order.  Raises
     DimensionMismatchError when the certified dimension is not

@@ -22,8 +22,6 @@ from .modules import (
     _hom_from_generators,
     _indecomposable_iso,
     _induced_hom_matrix,
-    _is_projective_top,
-    _presentation_components,
     _top,
     cokernel,
     dual,
@@ -87,28 +85,20 @@ def transpose(m: Representation) -> Representation:
     Applies Hom(-, algebra) to a minimal presentation d: P1 -> P0 and
     returns the cokernel of the induced map between the corresponding
     projectives over the opposite algebra.  Basis positions are shared
-    between an algebra and its opposite (reversal keeps indices), so the
-    presentation components transfer without any coordinate translation.
+    between an algebra and its opposite (reversal keeps indices), and so
+    is each one's index in the basis paths between its end vertices: a
+    generator row's entry at (s, pos) transfers with no other translation.
     """
     res = _Resolution(m)
-    comp = _presentation_components(res, 0)
-    psum0, psum1 = res.psums[0], res.psums[1]
-    op = m.algebra.opposite
-    src = _ProjSum(op, list(psum0.vertices))
-    tgt = _ProjSum(op, list(psum1.vertices))
-    images = []
-    for s in range(psum0.num_summands):
-        v_s = psum0.vertices[s]
-        row = []
-        for t in range(psum1.num_summands):
-            coeffs, positions = comp[t][s]
-            start, stop = tgt.block_slice(t, v_s)
-            assert stop - start == len(positions)
-            assert op.endpoint_basis(psum1.vertices[t], v_s) == list(positions)
-            row.extend((start + k, c) for k, c in coeffs)
-        images.append(row)
-    phi = _hom_from_generators(src, tgt.rep, images)
-    return cokernel(phi)[0]
+    a, op = m.algebra, m.algebra.opposite
+    src, tgt = _ProjSum(op, res.vertices(0)), _ProjSum(op, res.vertices(1))
+    local = {pos: i for block in a._by_endpoints.values() for i, pos in enumerate(block)}
+    images: List[List] = [[] for _ in src.vertices]
+    for t, row in enumerate(res.generator_rows(0)):
+        for col, c in row:
+            s, pos = divmod(col, a.dim)
+            images[s].append((tgt.offsets[t][src.vertices[s]] + local[pos], c))
+    return cokernel(_hom_from_generators(src, tgt.rep, images))[0]
 
 
 def ar_translate(m: Representation) -> Representation:
@@ -136,10 +126,9 @@ def ext_dim(m: Representation, n: Representation, i: int) -> int:
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
     res = _Resolution(m)
-    res.extend_to(i + 1)
 
     def hom_dim(k: int) -> int:
-        return sum(n.dims[v] for v in res.psums[k].vertices)
+        return sum(n.dims[v] for v in res.vertices(k))
 
     if hom_dim(i) == 0:
         return 0
@@ -176,7 +165,7 @@ def _global_dimension(
     best = 0
     for res in resolutions:
         for k in range(bound + 1):
-            if _is_projective_top(res.syzygy(k), res.top(k)):
+            if res.is_projective(k):
                 best = max(best, k)
                 break
         else:

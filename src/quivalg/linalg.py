@@ -344,27 +344,35 @@ def row_space_basis(m: Matrix) -> Matrix:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of the right null space {v : m @ v^T = 0}, one vector per row.
-
-    The rows returned are the canonical free-variable vectors read off the
-    rref; for a zero or empty matrix they are the standard basis.
-    """
-    ech, pivots = rref(m)
-    pivot_set = set(pivots)
-    # free column f -> its vector; the pivot row of column pc solves for
-    # that column, and its entries right of the pivot are in free columns
-    vecs: Dict[int, Pairs] = {f: [] for f in range(m.ncols) if f not in pivot_set}
-    for pc, r in zip(pivots, ech.pairs):
-        for f, x in r[1:]:
-            vecs[f].append((pc, -x))
-    for f, v in vecs.items():
-        v.append((f, ONE))
-    return Matrix._from_pairs(len(vecs), m.ncols, list(vecs.values()))
+    """Basis of the right null space {v : m @ v^T = 0}, one vector per row:
+    left_kernel_basis of the transpose."""
+    return left_kernel_basis(m.transpose())
 
 
 def left_kernel_basis(m: Matrix) -> Matrix:
-    """Basis of {v : v @ m = 0}, one vector per row."""
-    return kernel_basis(m.transpose())
+    """Basis of {v : v @ m = 0}, one vector per row: the canonical
+    free-variable vectors of the rref of m's transpose, found by
+    _tagged_kernel; for a zero or empty matrix, the standard basis."""
+    vecs = _tagged_kernel(enumerate(m.pairs), m.ncols)
+    return Matrix._from_pairs(len(vecs), m.nrows, vecs)
+
+
+def _tagged_kernel(rows: Iterable[Tuple[int, Pairs]], tag: int) -> List[Pairs]:
+    """The left kernel, over the tag columns, of sparse rows given as (tag
+    column, row) pairs, every row column below tag.  Each row, with 1 at
+    tag + its tag column, is reduced against the echelon of the rows
+    before it; one reduced to its tags is a kernel vector whose last
+    column is its own tag, where no other kernel vector is nonzero."""
+    ech: Dict[int, Dict[int, "QQ"]] = {}
+    out = []
+    for col, row in rows:
+        r = dict(row)
+        r[tag + col] = ONE
+        if min(_reduce(ech, r)) < tag:
+            _pivot(ech, r)
+        else:
+            out.append(sorted((j - tag, x) for j, x in r.items()))
+    return out
 
 
 def coefficients_in_span(basis: Matrix, target: Sequence) -> Optional[List]:

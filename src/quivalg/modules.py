@@ -10,14 +10,18 @@ The internal helpers pass vectors as sparse rows, the sorted nonzero
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import QuivalgError
 from .linalg import (
+    QQ,
     Matrix,
     ONE,
+    _echelon_add,
     _iadd,
     _row_times,
+    _tagged_kernel,
     block_diagonal_rect,
     left_kernel_basis,
     rat,
@@ -233,31 +237,18 @@ def indec_projectives(a: PresentedAlgebra) -> List[Representation]:
     """P(i) = e_i A, with basis the algebra basis paths starting at i and
     arrows acting by right multiplication through the algebra's table.
     Cached on the algebra, so the projectives live and die with it."""
-    if a._projectives is not None:
-        return list(a._projectives)
-    out = []
-    for i in range(a.num_vertices):
-        positions = [a.endpoint_basis(i, v) for v in range(a.num_vertices)]
-        local: Dict[int, Tuple[int, int]] = {}
-        for v, plist in enumerate(positions):
-            for k, pos in enumerate(plist):
-                local[pos] = (v, k)
-        dims = [len(plist) for plist in positions]
-        mats = []
-        for ar in a.quiver.arrows:
-            rows = []
-            for pos in positions[ar.source]:
-                row = []
-                for pos2, c in a.apply_arrow({pos: ONE}, ar.index).items():
-                    v2, k2 = local[pos2]
-                    assert v2 == ar.target
-                    if c:
-                        row.append((k2, c))
-                rows.append(sorted(row))
-            mats.append(Matrix._from_pairs(dims[ar.source], dims[ar.target], rows))
-        out.append(Representation(a, dims, mats))
-    a._projectives = out
-    return list(out)
+    if a._projectives is None:
+        local = {pos: k for block in a._by_endpoints.values() for k, pos in enumerate(block)}
+        a._projectives = []
+        for i in range(a.num_vertices):
+            dims = [len(a.endpoint_basis(i, v)) for v in range(a.num_vertices)]
+            mats = []
+            for ar in a.quiver.arrows:
+                rows = [a._action[pos][ar.index].items() for pos in a.endpoint_basis(i, ar.source)]
+                rows = [sorted((local[p], c) for p, c in r) for r in rows]
+                mats.append(Matrix._from_pairs(dims[ar.source], dims[ar.target], rows))
+            a._projectives.append(Representation(a, dims, mats))
+    return list(a._projectives)
 
 
 def dual(r: Representation) -> Representation:
@@ -315,34 +306,16 @@ class _ProjSum:
         self.vertices = list(vertices)
         projs = indec_projectives(algebra)
         parts = [projs[v] for v in self.vertices]
-        nv = algebra.num_vertices
         self.offsets: List[List[int]] = []
-        running = [0] * nv
+        dims = [0] * algebra.num_vertices
         for part in parts:
-            self.offsets.append(list(running))
-            for v in range(nv):
-                running[v] += part.dims[v]
-        dims = list(running)
+            self.offsets.append(dims)
+            dims = [d + e for d, e in zip(dims, part.dims)]
         mats = [
             block_diagonal_rect([p.matrices[ar.index] for p in parts])
             for ar in algebra.quiver.arrows
         ]
         self.rep = Representation(algebra, dims, mats)
-
-    @property
-    def num_summands(self) -> int:
-        return len(self.vertices)
-
-    def generator_row(self, s: int) -> Tuple[int, int]:
-        """(vertex, row index) of the s-th summand's generator."""
-        v = self.vertices[s]
-        return v, self.offsets[s][v]
-
-    def block_slice(self, s: int, at_vertex: int) -> Tuple[int, int]:
-        """Row range of summand s inside the vertex space."""
-        start = self.offsets[s][at_vertex]
-        width = len(self.algebra.endpoint_basis(self.vertices[s], at_vertex))
-        return start, start + width
 
 
 def _paths_out_of(a: PresentedAlgebra, v: int, wanted: Optional[set] = None) -> List[int]:
@@ -363,17 +336,20 @@ def _paths_out_of(a: PresentedAlgebra, v: int, wanted: Optional[set] = None) -> 
     return positions
 
 
-def _fold_basis_paths(row: List, n: Representation, positions: Sequence[int]) -> Dict[int, List]:
-    """A sparse row of n, at some vertex v, times each basis path out of v
-    at positions, by position.  positions lists every path after its
-    prefix, the path one arrow shorter, as _paths_out_of gives them; each
-    nontrivial path is folded from its prefix's row."""
-    a = n.algebra
+def _fold_basis_paths(
+    a: PresentedAlgebra, row: List, times: Callable, positions: Sequence[int]
+) -> Dict[int, List]:
+    """A sparse row at some vertex v times each basis path out of v at
+    positions, by position, where times(row, arrow) is the row times an
+    arrow.  positions lists every path after its prefix, the path one
+    arrow shorter, as _paths_out_of gives them; each nontrivial path is
+    folded from its prefix's row, and a zero prefix row is passed on."""
     by_arrows: Dict[Tuple[int, ...], List] = {}
     out: Dict[int, List] = {}
     for pos in positions:
         arrows = a.basis[pos].arrows
-        folded = _row_times(by_arrows[arrows[:-1]], n.matrices[arrows[-1]]) if arrows else row
+        prefix = by_arrows[arrows[:-1]] if arrows else row
+        folded = times(prefix, arrows[-1]) if arrows and prefix else prefix
         by_arrows[arrows] = out[pos] = folded
     return out
 
@@ -386,9 +362,10 @@ def _generator_maps(
     positions in positions[s] are folded through n's action, the others
     are left zero."""
     a = psum.algebra
+    times = lambda row, ai: _row_times(row, n.matrices[ai])
     rows: List[List[List]] = [[] for _ in range(a.num_vertices)]
     for s, v_s in enumerate(psum.vertices):
-        folded = _fold_basis_paths(images[s], n, positions[s])
+        folded = _fold_basis_paths(a, images[s], times, positions[s])
         for w in range(a.num_vertices):
             rows[w].extend(folded.get(pos, []) for pos in a.endpoint_basis(v_s, w))
     return [Matrix._from_pairs(len(rows[w]), n.dims[w], rows[w]) for w in range(a.num_vertices)]
@@ -411,14 +388,25 @@ def _hom_from_generators(
 def _sub_rep(
     m: Representation, rows_list: Sequence[Matrix]
 ) -> Tuple[Representation, ModuleHom]:
-    """Subrepresentation on given row bases (must be arrow-stable)."""
+    """Subrepresentation on given row bases, which must be arrow-stable.
+    Each row has a column where it holds 1 and the other rows 0, as a
+    free column of a kernel_basis row or the pivot of a row_space_basis
+    row does; a product row's coordinates are read off those columns,
+    then checked against it."""
     a = m.algebra
     dims = [rm.nrows for rm in rows_list]
+    ids = []  # per vertex: identity column -> row index
+    for rm in rows_list:
+        count = Counter(j for r in rm.pairs for j, _ in r)
+        ident = lambda r: next((j for j, x in r if x == ONE and count[j] == 1), None)
+        ids.append({ident(r): i for i, r in enumerate(rm.pairs)})
     mats = []
     for ar in a.quiver.arrows:
         prod = rows_list[ar.source] @ m.matrices[ar.index]
-        sol = solve_left(rows_list[ar.target], prod)
-        if sol is None:
+        cols = ids[ar.target]
+        read = [sorted((cols[j], x) for j, x in r if j in cols) for r in prod.pairs]
+        sol = Matrix._from_pairs(prod.nrows, dims[ar.target], read)
+        if sol @ rows_list[ar.target] != prod:
             raise QuivalgError("internal: subspace is not arrow-stable")
         mats.append(sol)
     sub = Representation(a, dims, mats)
@@ -453,18 +441,10 @@ def _quotient_rep(
 ) -> Tuple[Representation, ModuleHom]:
     """Quotient of m by an arrow-stable subspace, with the projection hom."""
     a = m.algebra
-    lifts = []
-    projs = []
-    for v in range(a.num_vertices):
-        lift, proj = _quotient_data(sub_rows[v], m.dims[v])
-        lifts.append(lift)
-        projs.append(proj)
-    dims = [lift.nrows for lift in lifts]
-    mats = []
-    for ar in a.quiver.arrows:
-        mats.append(lifts[ar.source] @ m.matrices[ar.index] @ projs[ar.target])
-    quot = Representation(a, dims, mats)
-    return quot, ModuleHom(m, quot, projs)
+    lifts, projs = zip(*(_quotient_data(sub_rows[v], m.dims[v]) for v in range(a.num_vertices)))
+    mats = [lifts[ar.source] @ m.matrices[ar.index] @ projs[ar.target] for ar in a.quiver.arrows]
+    quot = Representation(a, [lift.nrows for lift in lifts], mats)
+    return quot, ModuleHom(m, quot, list(projs))
 
 
 def kernel(h: ModuleHom) -> Tuple[Representation, ModuleHom]:
@@ -480,15 +460,11 @@ def cokernel(h: ModuleHom) -> Tuple[Representation, ModuleHom]:
 
 
 def _radical_rows(m: Representation) -> List[Matrix]:
-    a = m.algebra
-    rows = []
-    for v in range(a.num_vertices):
-        incoming = [m.matrices[ar.index] for ar in a.quiver.in_arrows[v]]
-        if incoming:
-            rows.append(row_space_basis(vstack(incoming)))
-        else:
-            rows.append(Matrix.zero(0, m.dims[v]))
-    return rows
+    ins = m.algebra.quiver.in_arrows
+    return [
+        row_space_basis(vstack([m.matrices[ar.index] for ar in ins[v]])) if ins[v] else Matrix.zero(0, d)
+        for v, d in enumerate(m.dims)
+    ]
 
 
 # -- covers, envelopes, projectivity ------------------------------------
@@ -515,62 +491,110 @@ def _cover_data(m: Representation, top: Sequence[Tuple[int, int]]) -> Tuple[_Pro
 
 
 class _Resolution:
-    """Lazily extended minimal projective resolution with cover data.
-
-    psums[k] is the k-th term as a _ProjSum, epis[k] is the cover of the
-    k-th syzygy by psums[k]; epis[0] is the augmentation onto the resolved
-    module.  The differential psums[k+1].rep -> psums[k].rep is read only
-    at the generators, through generator_rows(k).  Tops, covers and
-    kernels are taken once each, and only as far as asked.
+    """Lazily extended minimal projective resolution of m, past its cover
+    in the algebra's own coordinates (Green-Solberg-Zacharia, Trans. AMS
+    2001).  cover() is m's cover with its epi.  A term P_k, the sum of
+    e_v B over vertices(k), is only that list; column s * dim B + pos of
+    a row of P_k is basis position pos of summand s, and arrows act on
+    rows through the table (_table_times).  Omega_k, k >= 1, is kept by
+    vertex as rows of P_(k-1): the _tagged_kernel of the cover's rows, or
+    of each generator of Omega_(k-1) folded along the basis paths out of
+    its vertex.  Each row's last column holds its 1 and the others' 0, so
+    a vector of Omega_k has its coordinates there.  top(k) keeps the rows
+    independent of Omega_k * J: the generator rows of P_k -> P_(k-1).
+    syzygy(k) builds a Representation only when asked.
     """
 
     def __init__(self, m: Representation):
-        self.module = m
-        self.psums: List[_ProjSum] = []
-        self.epis: List[ModuleHom] = []
-        self._syzygies: List[Representation] = [m]
-        self._incls: List[ModuleHom] = []
-        self._tops: List[List[Tuple[int, int]]] = []
+        self.module, self.algebra = m, m.algebra
+        self._cover: Optional[Tuple[_ProjSum, ModuleHom]] = None
+        self._rows: List[List[List]] = []  # _rows[k - 1][w]: Omega_k at vertex w
+        self._tops: List[List[Tuple[int, int]]] = [_top(m)]
 
-    def syzygy(self, k: int) -> Representation:
-        while len(self._syzygies) <= k:
-            s = len(self._syzygies) - 1
-            if _is_projective_top(self._syzygies[s], self.top(s)):  # the next is zero: no cover
-                term = _ProjSum(self.module.algebra, [v for v, _ in self.top(s)]).rep
-                ker, incl = _sub_rep(term, [Matrix.zero(0, d) for d in term.dims])
-            else:
-                self.extend_to(s)
-                ker, incl = kernel(self.epis[s])
-            self._syzygies.append(ker)
-            self._incls.append(incl)
-        return self._syzygies[k]
+    def cover(self) -> Tuple[_ProjSum, ModuleHom]:
+        if self._cover is None:
+            self._cover = _cover_data(self.module, self._tops[0])
+        return self._cover
+
+    def vertices(self, k: int) -> List[int]:
+        return [v for v, _ in self.top(k)]
+
+    def is_projective(self, k: int) -> bool:
+        """Omega_k is projective exactly when its cover has its dimension."""
+        projs = indec_projectives(self.algebra)
+        dim = self.module.total_dim if k == 0 else sum(map(len, self.omega(k)))
+        return sum(projs[v].total_dim for v in self.vertices(k)) == dim
+
+    def omega(self, k: int) -> List[List]:
+        """Omega_k, k >= 1, as rows by vertex."""
+        a, nv = self.algebra, self.algebra.num_vertices
+        while len(self._rows) < k:
+            s = len(self._rows)  # Omega_(s+1), the kernel of P_s -> Omega_s
+            cols: List[List] = [[] for _ in range(nv)]
+            images, tag = [[] for _ in range(nv)], 0
+            if s == 0:
+                for t, v in enumerate(self.vertices(0)):
+                    for w in range(nv):
+                        cols[w] += [t * a.dim + pos for pos in a.endpoint_basis(v, w)]
+                images, tag = [f.pairs for f in self.cover()[1].vertex_maps], max(self.module.dims)
+            elif not self.is_projective(s):
+                times = lambda row, ai: _table_times(a, row, ai)
+                for t, (v, g) in enumerate(zip(self.vertices(s), self.generator_rows(s - 1))):
+                    folded = _fold_basis_paths(a, g, times, _paths_out_of(a, v))
+                    for pos in sorted(folded):
+                        cols[a.basis[pos].target].append(t * a.dim + pos)
+                        images[a.basis[pos].target].append(folded[pos])
+                tag = len(self.vertices(s - 1)) * a.dim
+            self._rows.append([_tagged_kernel(zip(cols[w], images[w]), tag) for w in range(nv)])
+        return self._rows[k - 1]
 
     def top(self, k: int) -> List[Tuple[int, int]]:
-        """_top of the k-th syzygy, found once."""
+        """(vertex, row index) of the top vectors of Omega_k; for k = 0,
+        _top of the module."""
         while len(self._tops) <= k:
-            self._tops.append(_top(self.syzygy(len(self._tops))))
+            s, top = len(self._tops), []
+            for w, here in enumerate(self.omega(s)):
+                ech: Dict[int, Dict] = {}
+                for ar in self.algebra.quiver.in_arrows[w]:
+                    for r in self._arrow_rows(s, ar) if len(ech) < len(here) else ():
+                        _echelon_add(ech, dict(r))
+                top += [(w, j) for j in range(len(here)) if j not in ech]
+            self._tops.append(top)
         return self._tops[k]
 
-    def extend_to(self, k: int) -> None:
-        """Terms psums[0..k] with their covers."""
-        while len(self.psums) <= k:
-            s = len(self.psums)
-            psum, epi = _cover_data(self.syzygy(s), self.top(s))
-            self.psums.append(psum)
-            self.epis.append(epi)
-
     def generator_rows(self, k: int) -> List[List]:
-        """Image of each generator of psums[k+1] under the differential, a
-        sparse row of psums[k] at the generator's vertex.  The cover sends
-        a generator to a unit vector of the syzygy, so its image is that
-        row of the kernel inclusion."""
-        self.extend_to(k + 1)
-        hi, epi, incl = self.psums[k + 1], self.epis[k + 1], self._incls[k]
-        rows = []
-        for t in range(hi.num_summands):
-            v, i = hi.generator_row(t)
-            rows.append(_row_times(epi.vertex_maps[v].pairs[i], incl.vertex_maps[v]))
-        return rows
+        """The image of each generator of P_(k+1) in P_k: the top rows of
+        Omega_(k+1)."""
+        rows = self.omega(k + 1)
+        return [rows[v][j] for v, j in self.top(k + 1)]
+
+    def _arrow_rows(self, k: int, ar) -> List[List]:
+        """Omega_k's rows at ar.source times ar, in the coordinates of its
+        rows at ar.target, read off their last columns."""
+        rows = self.omega(k)
+        at = {r[-1][0]: j for j, r in enumerate(rows[ar.target])}
+        prods = (_table_times(self.algebra, r, ar.index) for r in rows[ar.source])
+        return [[(at[c], x) for c, x in prod if c in at] for prod in prods]
+
+    def syzygy(self, k: int) -> Representation:
+        """Omega_k as a Representation, its arrows read off its rows."""
+        if k == 0:
+            return self.module
+        dims = [len(r) for r in self.omega(k)]
+        mats = [
+            Matrix._from_pairs(dims[ar.source], dims[ar.target], self._arrow_rows(k, ar))
+            for ar in self.algebra.quiver.arrows
+        ]
+        return Representation(self.algebra, dims, mats)
+
+
+def _table_times(a: PresentedAlgebra, row: List, ai: int) -> List:
+    """A row of a projective sum in table columns (_Resolution) times an arrow."""
+    acc: Dict[int, "QQ"] = {}
+    for col, c in row:
+        pos = col % a.dim
+        _iadd(acc, ((col - pos + p, x) for p, x in a._action[pos][ai].items()), c)
+    return sorted(acc.items())
 
 
 def projective_cover(m: Representation) -> Tuple[Representation, ModuleHom]:
@@ -587,16 +611,8 @@ def injective_envelope(m: Representation) -> Tuple[Representation, ModuleHom]:
     return env, mono
 
 
-def _is_projective_top(m: Representation, top: Sequence[Tuple[int, int]]) -> bool:
-    """The projective cover, one P(v) per vector (v, j) of top, which is
-    _top(m), maps onto m, so m is projective exactly when the two
-    dimensions agree."""
-    projs = indec_projectives(m.algebra)
-    return sum(projs[v].total_dim for v, _ in top) == m.total_dim
-
-
 def is_projective(m: Representation) -> bool:
-    return _is_projective_top(m, _top(m))
+    return _Resolution(m).is_projective(0)
 
 
 def is_injective(m: Representation) -> bool:
@@ -620,24 +636,17 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
         return []
     res = _Resolution(m)
     system = _induced_hom_matrix(res, 0, n)
-    psum0, epi = res.psums[0], res.epis[0]
+    psum0, epi = res.cover()
     solutions = left_kernel_basis(system)
     # sections of the cover epi, one per vertex, to factor homs through m
-    sections = []
-    for v in range(a.num_vertices):
-        sec = solve_left(epi.vertex_maps[v], Matrix.identity(m.dims[v]))
-        assert sec is not None
-        sections.append(sec)
+    sections = [solve_left(f, Matrix.identity(f.ncols)) for f in epi.vertex_maps]
+    assert all(sec is not None for sec in sections)
     # fold only the rows of P0 that the sections read, and their prefixes
     read = [{j for r in sec.pairs for j, _ in r} for sec in sections]
     positions = []
-    for s, v_s in enumerate(psum0.vertices):
-        wanted = set()
-        for w in range(a.num_vertices):
-            start = psum0.offsets[s][w]
-            block = a.endpoint_basis(v_s, w)
-            wanted.update(p for i, p in enumerate(block, start) if i in read[w])
-        positions.append(_paths_out_of(a, v_s, wanted))
+    for v_s, offsets in zip(psum0.vertices, psum0.offsets):
+        blocks = [(w, enumerate(a.endpoint_basis(v_s, w), start)) for w, start in enumerate(offsets)]
+        positions.append(_paths_out_of(a, v_s, {p for w, block in blocks for i, p in block if i in read[w]}))
     # solution column -> (summand, coordinate of its generator image)
     owner = [(s, k) for s, v in enumerate(psum0.vertices) for k in range(n.dims[v])]
     out = []
@@ -651,54 +660,31 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
     return out
 
 
-def _presentation_components(res: _Resolution, k: int) -> List[List[Tuple[List, List[int]]]]:
-    """comp[t][s] = (coefficients, basis positions) of the element of
-    e_{v_s} A e_{v_t} carried by the (t, s) component of the differential
-    res.psums[k+1] -> res.psums[k]; the coefficients are sparse, (index
-    into the positions, value) pairs."""
-    gen_rows = res.generator_rows(k)
-    psum_hi, psum_lo = res.psums[k + 1], res.psums[k]
-    a = psum_lo.algebra
-    comp = []
-    for t, gen_row in enumerate(gen_rows):
-        v_t = psum_hi.vertices[t]
-        per_s = []
-        for s in range(psum_lo.num_summands):
-            lo_start, lo_stop = psum_lo.block_slice(s, v_t)
-            coeffs = [(j - lo_start, c) for j, c in gen_row if lo_start <= j < lo_stop]
-            positions = a.endpoint_basis(psum_lo.vertices[s], v_t)
-            per_s.append((coeffs, positions))
-        comp.append(per_s)
-    return comp
-
-
 def _induced_hom_matrix(res: _Resolution, k: int, n: Representation) -> Matrix:
     """Matrix of precomposition with the differential d of res from
-    degree k+1 to k: Hom(psums[k], n) -> Hom(psums[k+1], n).
+    degree k+1 to k: Hom(P_k, n) -> Hom(P_(k+1), n).
 
     Both hom spaces are taken in generator coordinates: a hom out of a
     projective sum is the list of generator images, one row of n per
     summand.  Row index = source coordinate, column index = target one.
     Each generator coordinate is folded through the basis paths that the
-    components name, each path from its prefix's row.
+    generator rows name, each path from its prefix's row.
     """
-    comp = _presentation_components(res, k)
-    psum_hi, psum_lo = res.psums[k + 1], res.psums[k]
-    a = psum_lo.algebra
-    col_offsets = []
+    a = res.algebra
+    times = lambda row, ai: _row_times(row, n.matrices[ai])
+    # per summand s of P_k: (column offset of generator t, coefficient,
+    # basis position) for the entries of t's generator row in summand s
+    per_summand: List[List] = [[] for _ in res.vertices(k)]
     ncols = 0
-    for t in range(psum_hi.num_summands):
-        col_offsets.append(ncols)
-        ncols += n.dims[psum_hi.vertices[t]]
+    for v_t, gen in zip(res.vertices(k + 1), res.generator_rows(k)):
+        for col, c in gen:
+            per_summand[col // a.dim].append((ncols, c, col % a.dim))
+        ncols += n.dims[v_t]
     rows: List[List] = []
-    for s, v_s in enumerate(psum_lo.vertices):
-        terms = []  # (column offset, coefficient, basis path position)
-        for t, base in enumerate(col_offsets):
-            coeffs, positions = comp[t][s]
-            terms.extend((base, c, positions[i]) for i, c in coeffs)
+    for v_s, terms in zip(res.vertices(k), per_summand):
         paths = _paths_out_of(a, v_s, {pos for _, _, pos in terms})
         for beta in range(n.dims[v_s]):
-            folded = _fold_basis_paths([(beta, ONE)], n, paths)
+            folded = _fold_basis_paths(a, [(beta, ONE)], times, paths)
             row: dict = {}
             for base, c, pos in terms:
                 _iadd(row, ((base + j, x) for j, x in folded[pos]), c)

@@ -32,6 +32,7 @@ from quivalg import (
 from quivalg.algebra import _validate_relations
 from quivalg.endos import EndStructure
 from quivalg.linalg import row_space_basis
+from quivalg.modules import _hom_from_generators, _ProjSum
 from quivalg.quiver import Path, PathAlgElement
 
 
@@ -72,6 +73,21 @@ def count_calls(monkeypatch):
         return counter
 
     return install
+
+
+def resolution_differential(res, k):
+    """The differential P_(k+1) -> P_k of a modules._Resolution, as a hom
+    between the projective sums' representations: each generator goes to
+    its generator row, moved from table columns to vertex coordinates,
+    and folds through the sums' own block matrices, not the table."""
+    a = res.algebra
+    lo, hi = _ProjSum(a, res.vertices(k)), _ProjSum(a, res.vertices(k + 1))
+    images = []
+    for v_t, row in zip(hi.vertices, res.generator_rows(k)):
+        cols = [s * a.dim + pos for s, v in enumerate(lo.vertices) for pos in a.endpoint_basis(v, v_t)]
+        at = {c: i for i, c in enumerate(cols)}
+        images.append([(at[c], x) for c, x in row])
+    return _hom_from_generators(hi, lo.rep, images)
 
 
 def element(quiver, *terms):

@@ -72,7 +72,8 @@ def test_verify_paper_passes(capsys, count_calls):
     assert "ext2_simples_total = 10  [info]" in out
     assert out.strip().endswith("result = pass")
     # End(M)'s presentation once, from the translates, which are M's
-    # summands already, so nothing is decomposed; A and B built once each.
+    # summands already, so nothing is decomposed; A built once, and B's
+    # table read off the path search.
     # End(M) is built in summand blocks: one EndStructure per translate
     # for its radical, none over M, and one hom_basis(X, M) per translate
     assert structures["calls"] == 5
@@ -80,15 +81,17 @@ def test_verify_paper_passes(capsys, count_calls):
     assert decompositions["calls"] == 0
     assert whole_presentations["calls"] == 0
     assert presentations["calls"] == 1
-    assert builds["calls"] == 2
-    # A, B's raw relations (whose sweep also gives the kept set), the kept
+    assert builds["calls"] == 1
+    # A, B's raw relations in minimize_relations (the kept set), the kept
     # set rebuilt and the reference presentation; the Ext^2 total is read
     # off the resolutions of B's simples that gldim builds
     assert sweeps["calls"] == 4
     # projectivity is read off the top, so covers are built only where
-    # their maps are read: syzygies, Hom, transposes and envelopes
-    assert covers["calls"] <= 55
-    assert radicals["calls"] <= 69
+    # their maps are read: a resolved module, Hom, transposes and
+    # envelopes; past the cover, syzygies and their tops are rows over
+    # the algebra's table
+    assert covers["calls"] == 27
+    assert radicals["calls"] == 36
     assert cover_maps["calls"] == 0
     # the homs out of the translates are cut into blocks, not carried into
     # End(M) by products; decompose's products are pinned in

@@ -518,13 +518,15 @@ def test_decompose_leaves_a_sextic_field_undecided():
 
 def test_factor_search_stays_bounded():
     """Kronecker's search is not made when its divisors or candidate
-    factors cannot be listed within the bounds: a prime of 24 digits
-    beats trial division, and a quartic whose end coefficients are
-    720720 has 240 * 480 candidate linear factors.  Both come back
-    undecided at once, the reason naming the bounds."""
+    factors cannot be listed within the bounds: a quartic whose end
+    coefficients are 720720 has 240 * 480 candidate linear factors, and
+    one whose value at 1 is a prime of 24 digits beats trial division.
+    Both come back undecided at once, the reason naming the bounds.  A
+    quadratic needs no search: t^2 - N, N that prime, is irreducible
+    because 4N is not a square."""
     big = 100000000000000000000117  # prime
     start = time.perf_counter()
-    assert endos._factor([-big, 0, 1]) == ([], "of degree 2 past the search's bounds")
+    assert endos._factor([-big, 0, 1]) == ([([-big, 0, 1], 1)], "")
     assert endos._factor([720720, 3, 5, 7, 720720]) == ([], "of degree 4 past the search's bounds")
     # (t - 1)^2 is listed beside a quartic whose value at 1 is big
     quartic = [1, 0, big - 2, 0, 1]
@@ -535,14 +537,27 @@ def test_factor_search_stays_bounded():
     assert time.perf_counter() - start < 2
 
 
-def test_decompose_leaves_a_large_prime_field_undecided():
+def test_decompose_certifies_a_large_prime_field_indecomposable():
     """x with a = I and b the companion matrix of t^2 - N, N a prime of 24
-    digits, has End(x) = Q(sqrt N).  Trial division cannot factor N, so
-    the factor search leaves t^2 - N undecided, and decompose says so
-    within a few seconds instead of searching for hours."""
+    digits, has End(x) = Q(sqrt N).  Trial division cannot factor N, but
+    the discriminant 4N is not a square, so t^2 - N is irreducible, of
+    the corner's dimension 2, and decompose certifies x indecomposable
+    at once."""
     q = Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")])
     x = _kronecker_field(build_algebra(q, []), [-100000000000000000000117, 0, 1])
     start = time.perf_counter()
-    with pytest.raises(DecompositionInconclusiveError, match="of degree 2 past the search's bounds"):
-        decompose(x)
+    assert [s.rep for s in decompose(x)] == [x]
     assert time.perf_counter() - start < 5
+
+
+def test_factor_decides_quadratics_by_the_discriminant():
+    """A quadratic's rational roots come from its discriminant, not from
+    divisor lists: (t - p)(t - q) for the primes p = 10^9 + 7 and
+    q = 998244353 splits, t^2 + 2pq + 1 is irreducible, a square has one
+    factor of multiplicity 2, and a leading coefficient other than 1
+    gives primitive linear factors."""
+    p, q = 10**9 + 7, 998244353
+    assert endos._factor([p * q, -(p + q), 1]) == ([([-p, 1], 1), ([-q, 1], 1)], "")
+    assert endos._factor([2 * p * q + 1, 0, 1]) == ([([2 * p * q + 1, 0, 1], 1)], "")
+    assert endos._factor([p * p, -2 * p, 1]) == ([([-p, 1], 2)], "")
+    assert endos._factor([-3 * q, 3 - 2 * q, 2]) == ([([-q, 1], 1), ([3, 2], 1)], "")

@@ -129,7 +129,7 @@ def test_presentation_rejects_paths_short_of_end(l2):
 def _presentation_facts(pres):
     """What a presentation says: its quiver and relations as text, the
     adjacency, the raw and kept relation counts and kept relations, dim End."""
-    kept = pres.presented.kept_relations
+    kept = minimize_relations(pres.quiver, pres.relations, pres.end_dim)
     return (
         format_algebra(pres.quiver, pres.relations),
         pres.adjacency,
@@ -146,7 +146,7 @@ def test_end_of_summands_matches_the_whole_module_on_the_translates(translates, 
     listing the translates in reverse reverses the adjacency."""
     pres = end_of_summands(translates)
     assert _presentation_facts(pres) == _presentation_facts(m_presentation)
-    assert (pres.raw_relation_count, len(pres.presented.kept_relations)) == (184, 50)
+    assert (pres.raw_relation_count, len(minimize_relations(pres.quiver, pres.relations, 165))) == (184, 50)
     reversed_adjacency = [row[::-1] for row in pres.adjacency[::-1]]
     assert reversed_adjacency != pres.adjacency
     assert end_of_summands(translates[::-1]).adjacency == reversed_adjacency
@@ -194,6 +194,43 @@ def test_a_whole_module_is_decomposed_once_and_presented_from_its_summands(count
     assert (decompositions["calls"], presentations["calls"]) == (1, 1)
     # End(m) for decompose, then one End(X) per summand; none over the sum
     assert structures["calls"] == 1 + 5
+
+
+def _table_facts(alg):
+    """What a table algebra is: its basis in order, its table and its
+    Loewy length."""
+    return alg.basis, alg._action, alg.loewy_length
+
+
+def test_search_table_is_the_raw_sweep_table(m_presentation):
+    """B's table from the path search is the one the sweep of its 184 raw
+    relations certifies: the same basis in the same order, the same rows
+    and the same Loewy length.  A table with one coordinate changed is
+    told apart."""
+    pres = m_presentation
+    b = pres.presented
+    swept = algebra.build_algebra(pres.quiver, pres.relations)
+    assert _table_facts(b) == _table_facts(swept)
+    assert (b.dim, b.loewy_length) == (165, 17)
+    k, i, row = next((k, i, row) for k, rows in enumerate(b._action) for i, row in enumerate(rows) if len(row) > 1)
+    mutated = [list(rows) for rows in b._action]
+    j = next(iter(row))
+    mutated[k][i] = {**row, j: row[j] + 1}
+    assert _table_facts(algebra.PresentedAlgebra(b.quiver, b.basis, mutated)) != _table_facts(swept)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["jordan", "dense"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_search_table_is_the_raw_sweep_table_on_auslander_modules(n, dense, count_calls):
+    """The same on the Auslander algebras of K[x]/(x^n), whose
+    presentation runs no sweep at all."""
+    m = auslander_module(n, dense)
+    sweeps = count_calls(algebra, "_stabilize")
+    pres = end_as_quiver_algebra(m)
+    assert sweeps["calls"] == 0
+    b = pres.presented
+    assert _table_facts(b) == _table_facts(algebra.build_algebra(pres.quiver, pres.relations))
+    assert b.dim == n * (n + 1) * (2 * n + 1) // 6
 
 
 def _zero_module(x):

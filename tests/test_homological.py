@@ -4,7 +4,7 @@ then the two-loop translate pipeline."""
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import element, ext2_codimension, truncated_quotients
+from conftest import element, ext2_codimension, resolution_differential, truncated_quotients
 
 from quivalg import (
     AtLeastBound,
@@ -36,7 +36,7 @@ from quivalg import (
 )
 from quivalg import algebra, endos, endquiver, homological, modules
 from quivalg.linalg import Matrix
-from quivalg.modules import _Resolution, _radical_rows, _sub_rep, cokernel, dual
+from quivalg.modules import _Resolution, _radical_rows, _sub_rep, _top, cokernel, dual, kernel, projective_cover
 
 
 # -- dual numbers: everything is periodic --------------------------------
@@ -113,15 +113,17 @@ def test_dominant_dimension_finds_each_top_once(count_calls):
 
 
 def test_global_dimension_finds_each_top_once(count_calls):
-    """On B, projective_dimension reads each syzygy's top once, for both
-    the projectivity test and the cover: 19 radical-row echelons over
-    the syzygies of the 5 simples, and a cover for each of the 14 that
-    are not projective.  Finding the top again for the cover made 33."""
+    """On B, projective_dimension reads each simple's top once from its
+    radical rows, for both the projectivity test and the cover, and
+    covers each simple once: 5 radical-row echelons and 5 covers.  The
+    later syzygies, their tops and the next kernels are rows over B's
+    table, with no representation, radical-row echelon or cover; as
+    representations the 19 syzygies took 19 echelons and 14 covers."""
     b = reference_end_algebra()
     radical_rows = count_calls(modules, "_radical_rows")
     covers = count_calls(modules, "_cover_data")
     assert global_dimension(b) == 3
-    assert (radical_rows["calls"], covers["calls"]) == (19, 14)
+    assert (radical_rows["calls"], covers["calls"]) == (5, 5)
 
 
 def _euler_matrix(resolutions, nv, gdim):
@@ -157,6 +159,40 @@ def test_simples_resolutions_give_ext2_total_and_euler_form(data):
         return
     nv = a.num_vertices
     assert _euler_matrix(resolutions, nv, gdim) @ cartan_matrix(a) == Matrix.identity(nv)
+
+
+def _kernel_route_syzygies(x, count):
+    """x and its first count syzygies, each the kernel of the projective
+    cover of the one before, as representations."""
+    out = [x]
+    for _ in range(count):
+        out.append(kernel(projective_cover(out[-1])[1])[0])
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(truncated_quotients())
+def test_table_resolutions_match_the_kernel_route(data):
+    """On small random quotients, the simples' resolutions over the
+    algebra's table give the gldim that the kernel route of covers and
+    kernels of representations gives, and the Ext^2 total that the
+    IJ+JI sweep gives.  Their syzygies, the tops read off table rows and
+    the representations syzygy builds from those rows on demand, have
+    the dimension vectors and tops of the kernel route's."""
+    q, rels, _n, _paths = data
+    a = build_algebra(q, rels)
+    resolutions = [_Resolution(s) for s in simples(a)]
+    assert homological._ext2_total(resolutions) == ext2_codimension(q, rels, a.dim)
+    pds = []
+    for s, res in zip(simples(a), resolutions):
+        route = _kernel_route_syzygies(s, 3)
+        for k in (1, 2, 3):
+            tops = [[v for v, _ in top] for top in (res.top(k), _top(res.syzygy(k)), _top(route[k]))]
+            assert tops[0] == tops[1] == tops[2]
+            assert res.syzygy(k).dims == route[k].dims == syzygy(s, k).dims
+        pds.append(next((k for k in range(3) if route[k + 1].is_zero()), None))
+    expected = ExceedsBound(2) if None in pds else max(pds)
+    assert homological._global_dimension(resolutions, 2) == expected
 
 
 def test_reference_algebra_euler_form():
@@ -206,8 +242,7 @@ def test_minimal_presentation_is_exact(a2, l2):
     for alg in (a2, l2):
         s = simples(alg)[0]
         res = _Resolution(s)
-        res.extend_to(1)
-        d, epi = res.epis[1] * res._incls[0], res.epis[0]
+        d, epi = resolution_differential(res, 0), res.cover()[1]
         assert (d * epi).is_zero()
         c, _ = cokernel(d)
         assert bool(is_isomorphic(c, s))
@@ -299,11 +334,12 @@ def test_cluster_tilting_verdict_on_pipeline(translates, count_calls):
     assert verdict.presentation.presented.dim == 165
     # End(M) and the presented B, each computed once, from the known
     # summands: nothing is decomposed, and End(M) is built in summand
-    # blocks, with one EndStructure per translate and none over M
+    # blocks, with one EndStructure per translate and none over M; B's
+    # table comes from the path search, with no sweep
     assert structures["calls"] == 5
     assert decompositions["calls"] == 0
     assert presentations["calls"] == 1
-    assert builds["calls"] == 1
+    assert builds["calls"] == 0
 
 
 @pytest.mark.parametrize(
@@ -332,9 +368,10 @@ def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2, count_call
     """Over the path algebra of v1 -> v2 the sum of its three
     indecomposables passes the connectivity check; its Auslander algebra
     has gldim = domdim = 2, so M is not 2-cluster-tilting, and its one
-    relation gives its one Ext^2 between simples.  The Ext^2 total reads
-    the second syzygies of B's simples without covering the projective
-    first syzygies they are past: 25 covers if it did."""
+    relation gives its one Ext^2 between simples.  The resolutions of B's
+    simples cover the simples only: their syzygies, Ext^2 total included,
+    are rows over B's table.  Covering every syzygy that is not
+    projective made 22 covers, and covering the projective ones too 25."""
     covers = count_calls(modules, "_cover_data")
     verdict = cluster_tilting_verdict(indec_projectives(a2) + simples(a2)[:1], 2, bound=6)
     assert verdict.conclusive
@@ -343,7 +380,7 @@ def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2, count_call
     assert verdict.global_dimension == 2
     assert verdict.ext2_simples_total == 1
     assert verdict.dominant_dimension == 2
-    assert covers["calls"] == 22
+    assert covers["calls"] == 13
 
 
 def test_cluster_tilting_inconclusive_when_presentation_capped(translates):

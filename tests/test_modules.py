@@ -37,10 +37,10 @@ from quivalg import (
     validate,
 )
 from quivalg import Quiver, build_algebra, modules
-from quivalg.linalg import QQ, Matrix, rank, vstack
+from quivalg.linalg import QQ, Matrix, left_kernel_basis, rank, row_space_basis, vstack
 from quivalg.modules import _indecomposable_iso, _radical_rows, _top
 
-from conftest import element, truncated_quotients
+from conftest import element, resolution_differential, truncated_quotients
 
 
 def test_validate_accepts_regular(two_loop, a2):
@@ -292,7 +292,8 @@ def _jordan_module(n):
 def test_hom_basis_folds_each_basis_path_from_its_prefix(count_calls, monkeypatch):
     # Jordan module K[x]/(x) + ... + K[x]/(x^7) over K[x]/(x^7): every hom
     # out of a projective sum folds a generator image through the basis
-    # paths it was asked for, each one arrow past the row of its prefix
+    # paths it was asked for, each one arrow past the row of its prefix,
+    # and a path whose prefix's row is zero has a zero row with no fold
     n = 7
     m = _jordan_module(n)
     a = m.algebra
@@ -307,7 +308,12 @@ def test_hom_basis_folds_each_basis_path_from_its_prefix(count_calls, monkeypatc
         folds["generators"] += len(images)
         folds["row_times"] += row_times["calls"] - before
         # the trivial path heads each list and takes no fold
-        folds["paths"] += sum(len(p) - 1 for p in positions)
+        for s, v in enumerate(psum.vertices):
+            for pos in positions[s][1:]:
+                prefix = a._pos[v, a.basis[pos].arrows[:-1]]
+                w = a.basis[prefix].target
+                row = psum.offsets[s][w] + a.endpoint_basis(v, w).index(prefix)
+                folds["paths"] += bool(out[w].pairs[row])
         folds["covers"] += all(len(p) == a.dim for p in positions)
         return out
 
@@ -538,19 +544,26 @@ def test_projective_dimension_along_a_linear_quiver():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(truncated_quotients())
 def test_generator_rows_read_the_whole_differential(data):
-    """generator_rows(k) is the differential psums[k+1] -> psums[k],
-    composed whole as the cover of the syzygy followed by its inclusion,
-    read at the generators of psums[k+1]: for every simple,
-    indecomposable projective and indecomposable injective of a truncated
-    quotient of dimension at most 24, and their duals over the opposite.
-    The few larger quotients drawn would take most of the test's time."""
+    """generator_rows(k), folded into the whole differential P_(k+1) ->
+    P_k through the projective sums' own matrices, composes to zero with
+    the map before it (the cover for k = 0), its image is that map's
+    kernel at every vertex, and P_(k+1) has one summand per top vector of
+    that kernel, so the resolution is exact and minimal: for every
+    simple, indecomposable projective and indecomposable injective of a
+    truncated quotient of dimension at most 24, and their duals over the
+    opposite.  The few larger quotients drawn would take most of the
+    test's time."""
     q, rels, n, _paths = data
     a = build_algebra(q, rels, length_cap=n + 2)
     assume(a.dim <= 24)
     base = simples(a) + indec_projectives(a) + indec_injectives(a)
     for x in base + [dual(y) for y in base]:
         res = modules._Resolution(x)
+        before = res.cover()[1]
         for k in (0, 1):
-            rows = res.generator_rows(k)
-            hi, d = res.psums[k + 1], res.epis[k + 1] * res._incls[k]
-            assert rows == [d.vertex_maps[v].pairs[i] for v, i in map(hi.generator_row, range(hi.num_summands))]
+            d = resolution_differential(res, k)
+            assert (d * before).is_zero()
+            for f, g in zip(d.vertex_maps, before.vertex_maps):
+                assert row_space_basis(f) == row_space_basis(left_kernel_basis(g))
+            assert len(res.top(k + 1)) == len(_top(kernel(before)[0]))
+            before = d

@@ -1,9 +1,12 @@
 """Homological invariants: syzygies, translates, Ext, dimensions.
 
-Everything here works with minimal projective covers, so syzygies and
-resolution terms are minimal by construction.  Dimension searches are
-bounded and return sentinel objects (ExceedsBound, AtLeastBound) instead
-of looping forever on infinite-dimension inputs.
+Syzygies, translates, Ext and the bounded dimensions are read off
+minimal projective resolutions, kept as rows over the algebra's table
+by modules._Resolution, so their terms are minimal by construction;
+domdim dualizes the resolution of D(A) over the opposite algebra.
+Dimension searches are bounded and return sentinel objects
+(ExceedsBound, AtLeastBound) instead of looping forever on
+infinite-dimension inputs.
 """
 
 from dataclasses import dataclass
@@ -16,17 +19,17 @@ from .linalg import Matrix, determinant, rank
 from .modules import (
     ModuleHom,
     Representation,
-    _ProjSum,
     _Resolution,
-    _cover_data,
     _hom_from_generators,
     _indecomposable_iso,
     _induced_hom_matrix,
-    _top,
+    _projective_sum,
+    _sum_rows,
     cokernel,
     dual,
     indec_injectives,
     indec_projectives,
+    is_injective,
     is_projective,
     regular_module,
     simples,
@@ -91,14 +94,15 @@ def transpose(m: Representation) -> Representation:
     """
     res = _Resolution(m)
     a, op = m.algebra, m.algebra.opposite
-    src, tgt = _ProjSum(op, res.vertices(0)), _ProjSum(op, res.vertices(1))
-    local = {pos: i for block in a._by_endpoints.values() for i, pos in enumerate(block)}
-    images: List[List] = [[] for _ in src.vertices]
+    src, tgt = res.vertices(0), res.vertices(1)
+    at = [{key: i for i, key in enumerate(rows)} for rows in _sum_rows(op, tgt)]
+    images: List[List] = [[] for _ in src]
     for t, row in enumerate(res.generator_rows(0)):
         for col, c in row:
             s, pos = divmod(col, a.dim)
-            images[s].append((tgt.offsets[t][src.vertices[s]] + local[pos], c))
-    return cokernel(_hom_from_generators(src, tgt.rep, images))[0]
+            images[s].append((at[src[s]][t, pos], c))
+    source, target = _projective_sum(op, src), _projective_sum(op, tgt)
+    return cokernel(ModuleHom(source, target, _hom_from_generators(op, src, target, images)))[0]
 
 
 def ar_translate(m: Representation) -> Representation:
@@ -187,28 +191,27 @@ def dominant_dimension(
 ) -> Union[int, AtLeastBound]:
     """Number of leading projective terms of the minimal injective
     coresolution of the regular module; AtLeastBound(bound) when the
-    first bound terms are all projective or the coresolution stops."""
+    first bound terms are all projective or the coresolution stops.
+
+    The duality D turns the minimal projective resolution of D(A_A)
+    over the opposite algebra into the minimal injective coresolution of
+    DD(A_A) = A_A: its term k is the sum of I(v) = D(P(v)) over the
+    vertices of the resolution's term k, and it ends at term k when the
+    k-th syzygy of D(A_A) is projective.
+    """
     if bound < 1:
         raise ValueError("bound must be positive")
-    # cur's injective envelope, dual to the cover of dual(cur), sums I(v)
-    # over the top of dual(cur)
     projective = [is_projective(i) for i in indec_injectives(a)]
-    cur = regular_module(a)
+    res = _Resolution(dual(regular_module(a)))
     for k in range(bound):
-        if cur.is_zero():
-            return AtLeastBound(bound)
-        dcur = dual(cur)
-        top = _top(dcur)
-        if not all(projective[v] for v, _ in top):
+        if not all(projective[v] for v in res.vertices(k)):
             return k
-        psum, epi = _cover_data(dcur, top)
-        cur = cokernel(ModuleHom(cur, dual(psum.rep), [f.transpose() for f in epi.vertex_maps]))[0]
+        if res.is_projective(k):
+            break
     return AtLeastBound(bound)
 
 
 def is_selfinjective(a: PresentedAlgebra) -> bool:
-    from .modules import is_injective
-
     return is_injective(regular_module(a))
 
 

@@ -287,35 +287,24 @@ def direct_sum(ms: Sequence[Representation]) -> Representation:
     return Representation(a, dims, mats)
 
 
-# -- explicit sums of indecomposable projectives ------------------------
+# -- sums of indecomposable projectives, each given by its vertex list ---
 
 
-class _ProjSum:
-    """Direct sum of P(v) for a list of vertices, with generator positions.
+def _projective_sum(a: PresentedAlgebra, vertices: Sequence[int]) -> Representation:
+    """The sum of P(v) over vertices as a module; zero without vertices."""
+    if not vertices:
+        return Representation(a, [0] * a.num_vertices, [Matrix.zero(0, 0) for _ in a.quiver.arrows])
+    projs = indec_projectives(a)
+    return direct_sum([projs[v] for v in vertices])
 
-    Summand s occupies a contiguous row block at every vertex; its
-    generator (the trivial path of P(vertices[s])) sits at row
-    offsets[s][vertices[s]] of the vertex space, which is local index 0 of
-    the block because trivial paths head the algebra basis.
-    """
 
-    __slots__ = ("algebra", "vertices", "rep", "offsets")
-
-    def __init__(self, algebra: PresentedAlgebra, vertices: Sequence[int]):
-        self.algebra = algebra
-        self.vertices = list(vertices)
-        projs = indec_projectives(algebra)
-        parts = [projs[v] for v in self.vertices]
-        self.offsets: List[List[int]] = []
-        dims = [0] * algebra.num_vertices
-        for part in parts:
-            self.offsets.append(dims)
-            dims = [d + e for d, e in zip(dims, part.dims)]
-        mats = [
-            block_diagonal_rect([p.matrices[ar.index] for p in parts])
-            for ar in algebra.quiver.arrows
-        ]
-        self.rep = Representation(algebra, dims, mats)
+def _sum_rows(a: PresentedAlgebra, vertices: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """(summand, basis position) of each row of the sum of P(v) over
+    vertices, at each vertex: one block per summand, in order."""
+    return [
+        [(s, pos) for s, v in enumerate(vertices) for pos in a.endpoint_basis(v, w)]
+        for w in range(a.num_vertices)
+    ]
 
 
 def _paths_out_of(a: PresentedAlgebra, v: int, wanted: Optional[set] = None) -> List[int]:
@@ -355,16 +344,19 @@ def _fold_basis_paths(
 
 
 def _generator_maps(
-    psum: _ProjSum, n: Representation, images: Sequence[Sequence], positions: Sequence[Sequence[int]]
+    a: PresentedAlgebra,
+    vertices: Sequence[int],
+    n: Representation,
+    images: Sequence[Sequence],
+    positions: Sequence[Sequence[int]],
 ) -> List[Matrix]:
-    """Vertex maps of the hom out of a projective sum sending generator s
-    to the sparse row images[s] of n; only the rows at the basis
-    positions in positions[s] are folded through n's action, the others
-    are left zero."""
-    a = psum.algebra
+    """Vertex maps of the hom out of the sum of P(v) over vertices sending
+    generator s to the sparse row images[s] of n; only the rows at the
+    basis positions in positions[s] are folded through n's action, the
+    others are left zero."""
     times = lambda row, ai: _row_times(row, n.matrices[ai])
     rows: List[List[List]] = [[] for _ in range(a.num_vertices)]
-    for s, v_s in enumerate(psum.vertices):
+    for s, v_s in enumerate(vertices):
         folded = _fold_basis_paths(a, images[s], times, positions[s])
         for w in range(a.num_vertices):
             rows[w].extend(folded.get(pos, []) for pos in a.endpoint_basis(v_s, w))
@@ -372,14 +364,13 @@ def _generator_maps(
 
 
 def _hom_from_generators(
-    psum: _ProjSum, n: Representation, images: Sequence[Sequence]
-) -> ModuleHom:
-    """The hom out of a projective sum sending each generator to the given
-    sparse row of n at the matching vertex; basis paths fold through n's
-    action."""
-    paths = {v: _paths_out_of(psum.algebra, v) for v in set(psum.vertices)}
-    positions = [paths[v] for v in psum.vertices]
-    return ModuleHom(psum.rep, n, _generator_maps(psum, n, images, positions))
+    a: PresentedAlgebra, vertices: Sequence[int], n: Representation, images: Sequence[Sequence]
+) -> List[Matrix]:
+    """Vertex maps of the hom out of the sum of P(v) over vertices sending
+    each generator to the given sparse row of n at the matching vertex;
+    basis paths fold through n's action."""
+    paths = {v: _paths_out_of(a, v) for v in set(vertices)}
+    return _generator_maps(a, vertices, n, images, [paths[v] for v in vertices])
 
 
 # -- substructures and quotients ----------------------------------------
@@ -482,18 +473,17 @@ def _top(m: Representation) -> List[Tuple[int, int]]:
     return out
 
 
-def _cover_data(m: Representation, top: Sequence[Tuple[int, int]]) -> Tuple[_ProjSum, ModuleHom]:
-    """Projective cover as an explicit sum of P(v) with the covering epi:
-    one summand P(v) per vector (v, j) of top, which is _top(m), its
-    generator mapped to that vector."""
-    psum = _ProjSum(m.algebra, [v for v, _ in top])
-    return psum, _hom_from_generators(psum, m, [[(j, ONE)] for _, j in top])
+def _cover_data(m: Representation, top: Sequence[Tuple[int, int]]) -> List[Matrix]:
+    """Vertex maps of the projective cover's epi onto m, out of the sum
+    of P(v) with one summand per vector (v, j) of top, which is _top(m),
+    its generator mapped to that vector."""
+    return _hom_from_generators(m.algebra, [v for v, _ in top], m, [[(j, ONE)] for _, j in top])
 
 
 class _Resolution:
     """Lazily extended minimal projective resolution of m, past its cover
     in the algebra's own coordinates (Green-Solberg-Zacharia, Trans. AMS
-    2001).  cover() is m's cover with its epi.  A term P_k, the sum of
+    2001).  cover() is the epi's vertex maps.  A term P_k, the sum of
     e_v B over vertices(k), is only that list; column s * dim B + pos of
     a row of P_k is basis position pos of summand s, and arrows act on
     rows through the table (_table_times).  Omega_k, k >= 1, is kept by
@@ -507,11 +497,11 @@ class _Resolution:
 
     def __init__(self, m: Representation):
         self.module, self.algebra = m, m.algebra
-        self._cover: Optional[Tuple[_ProjSum, ModuleHom]] = None
+        self._cover: Optional[List[Matrix]] = None
         self._rows: List[List[List]] = []  # _rows[k - 1][w]: Omega_k at vertex w
         self._tops: List[List[Tuple[int, int]]] = [_top(m)]
 
-    def cover(self) -> Tuple[_ProjSum, ModuleHom]:
+    def cover(self) -> List[Matrix]:
         if self._cover is None:
             self._cover = _cover_data(self.module, self._tops[0])
         return self._cover
@@ -536,7 +526,7 @@ class _Resolution:
                 for t, v in enumerate(self.vertices(0)):
                     for w in range(nv):
                         cols[w] += [t * a.dim + pos for pos in a.endpoint_basis(v, w)]
-                images, tag = [f.pairs for f in self.cover()[1].vertex_maps], max(self.module.dims)
+                images, tag = [f.pairs for f in self.cover()], max(self.module.dims)
             elif not self.is_projective(s):
                 times = lambda row, ai: _table_times(a, row, ai)
                 for t, (v, g) in enumerate(zip(self.vertices(s), self.generator_rows(s - 1))):
@@ -598,17 +588,16 @@ def _table_times(a: PresentedAlgebra, row: List, ai: int) -> List:
 
 
 def projective_cover(m: Representation) -> Tuple[Representation, ModuleHom]:
-    psum, epi = _cover_data(m, _top(m))
-    return psum.rep, epi
+    top = _top(m)
+    cover = _projective_sum(m.algebra, [v for v, _ in top])
+    return cover, ModuleHom(cover, m, _cover_data(m, top))
 
 
 def injective_envelope(m: Representation) -> Tuple[Representation, ModuleHom]:
-    """Minimal injective extension, via the cover of the dual module."""
-    dm = dual(m)
-    psum, epi = _cover_data(dm, _top(dm))
-    env = dual(psum.rep)
-    mono = ModuleHom(m, env, [f.transpose() for f in epi.vertex_maps])
-    return env, mono
+    """Minimal injective extension, the dual of the cover of the dual."""
+    cover, epi = projective_cover(dual(m))
+    env = dual(cover)
+    return env, ModuleHom(m, env, [f.transpose() for f in epi.vertex_maps])
 
 
 def is_projective(m: Representation) -> bool:
@@ -636,26 +625,27 @@ def hom_basis(m: Representation, n: Representation) -> List[ModuleHom]:
         return []
     res = _Resolution(m)
     system = _induced_hom_matrix(res, 0, n)
-    psum0, epi = res.cover()
+    vertices = res.vertices(0)
     solutions = left_kernel_basis(system)
     # sections of the cover epi, one per vertex, to factor homs through m
-    sections = [solve_left(f, Matrix.identity(f.ncols)) for f in epi.vertex_maps]
+    sections = [solve_left(f, Matrix.identity(f.ncols)) for f in res.cover()]
     assert all(sec is not None for sec in sections)
     # fold only the rows of P0 that the sections read, and their prefixes
-    read = [{j for r in sec.pairs for j, _ in r} for sec in sections]
-    positions = []
-    for v_s, offsets in zip(psum0.vertices, psum0.offsets):
-        blocks = [(w, enumerate(a.endpoint_basis(v_s, w), start)) for w, start in enumerate(offsets)]
-        positions.append(_paths_out_of(a, v_s, {p for w, block in blocks for i, p in block if i in read[w]}))
+    wanted: List[set] = [set() for _ in vertices]
+    for sec, rows in zip(sections, _sum_rows(a, vertices)):
+        for j in {j for r in sec.pairs for j, _ in r}:
+            s, pos = rows[j]
+            wanted[s].add(pos)
+    positions = [_paths_out_of(a, v, want) for v, want in zip(vertices, wanted)]
     # solution column -> (summand, coordinate of its generator image)
-    owner = [(s, k) for s, v in enumerate(psum0.vertices) for k in range(n.dims[v])]
+    owner = [(s, k) for s, v in enumerate(vertices) for k in range(n.dims[v])]
     out = []
     for sol in solutions.pairs:
-        images: List[List] = [[] for _ in psum0.vertices]
+        images: List[List] = [[] for _ in vertices]
         for j, x in sol:
             s, k = owner[j]
             images[s].append((k, x))
-        g = _generator_maps(psum0, n, images, positions)
+        g = _generator_maps(a, vertices, n, images, positions)
         out.append(ModuleHom(m, n, [sec @ gv for sec, gv in zip(sections, g)]))
     return out
 

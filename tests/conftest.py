@@ -32,7 +32,7 @@ from quivalg import (
 from quivalg.algebra import _validate_relations
 from quivalg.endos import EndStructure
 from quivalg.linalg import row_space_basis
-from quivalg.modules import _hom_from_generators, _ProjSum
+from quivalg.modules import ModuleHom, _hom_from_generators, _projective_sum
 from quivalg.quiver import Path, PathAlgElement
 
 
@@ -77,17 +77,23 @@ def count_calls(monkeypatch):
 
 def resolution_differential(res, k):
     """The differential P_(k+1) -> P_k of a modules._Resolution, as a hom
-    between the projective sums' representations: each generator goes to
-    its generator row, moved from table columns to vertex coordinates,
-    and folds through the sums' own block matrices, not the table."""
+    between the projective sums as modules: each generator goes to its
+    generator row, moved from table columns to vertex coordinates, and
+    folds through the matrices of P_k, not the table."""
     a = res.algebra
-    lo, hi = _ProjSum(a, res.vertices(k)), _ProjSum(a, res.vertices(k + 1))
+    lo, hi = res.vertices(k), res.vertices(k + 1)
+    target = _projective_sum(a, lo)
     images = []
-    for v_t, row in zip(hi.vertices, res.generator_rows(k)):
-        cols = [s * a.dim + pos for s, v in enumerate(lo.vertices) for pos in a.endpoint_basis(v, v_t)]
+    for v_t, row in zip(hi, res.generator_rows(k)):
+        cols = [s * a.dim + pos for s, v in enumerate(lo) for pos in a.endpoint_basis(v, v_t)]
         at = {c: i for i, c in enumerate(cols)}
         images.append([(at[c], x) for c, x in row])
-    return _hom_from_generators(hi, lo.rep, images)
+    return ModuleHom(_projective_sum(a, hi), target, _hom_from_generators(a, hi, target, images))
+
+
+def resolution_cover(res):
+    """The epi P_0 -> m of a modules._Resolution of m, as a hom."""
+    return ModuleHom(_projective_sum(res.algebra, res.vertices(0)), res.module, res.cover())
 
 
 def element(quiver, *terms):

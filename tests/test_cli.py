@@ -61,6 +61,7 @@ def test_verify_paper_passes(capsys, count_calls):
     sweeps = count_calls(algebra, "_stabilize")
     covers = count_calls(modules, "_cover_data")
     radicals = count_calls(modules, "_radical_rows")
+    cokernels = count_calls(modules, "cokernel")
     cover_maps = count_calls(modules, "projective_cover")
     products = count_calls(modules.ModuleHom, "__mul__")
     hom_spaces = count_calls(modules, "hom_basis")
@@ -82,24 +83,27 @@ def test_verify_paper_passes(capsys, count_calls):
     assert whole_presentations["calls"] == 0
     assert presentations["calls"] == 1
     assert builds["calls"] == 1
-    # A, B's raw relations in minimize_relations (the kept set), the kept
-    # set rebuilt and the reference presentation; the Ext^2 total is read
-    # off the resolutions of B's simples that gldim builds
-    assert sweeps["calls"] == 4
+    # A, B's raw relations in minimize_relations (the kept set, which
+    # that sweep certifies) and the reference presentation; the Ext^2
+    # total is read off the resolutions of B's simples that gldim builds
+    assert sweeps["calls"] == 3
     # projectivity is read off the top, so covers are built only where
-    # their maps are read: a resolved module, Hom, transposes and
-    # envelopes; past the cover, syzygies and their tops are rows over
-    # the algebra's table
-    assert covers["calls"] == 27
-    assert radicals["calls"] == 36
+    # their maps are read: a resolved module, Hom and transposes; past
+    # the cover, syzygies and their tops are rows over the algebra's
+    # table, and domdim reads them off the resolution of D(B), so only
+    # the four translates' transposes take a cokernel
+    assert covers["calls"] == 25
+    assert radicals["calls"] == 33
+    assert cokernels["calls"] == 4
     assert cover_maps["calls"] == 0
     # the homs out of the translates are cut into blocks, not carried into
     # End(M) by products; decompose's products are pinned in
     # tests/test_endos.py
     assert products["calls"] == 0
-    # four regular modules and M, built once by end_of_summands; the
-    # verdict reads M off the presentation
-    assert sums["calls"] == 5
+    # four regular modules and M, built once by end_of_summands (the
+    # verdict reads M off the presentation), and the two projective sums
+    # of each of the four transposes
+    assert sums["calls"] == 5 + 2 * 4
 
 
 def test_verify_paper_report_bytes_pinned(capsys):

@@ -4,7 +4,7 @@ then the two-loop translate pipeline."""
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import element, ext2_codimension, resolution_differential, truncated_quotients
+from conftest import auslander_module, element, ext2_codimension, resolution_cover, resolution_differential, truncated_quotients
 
 from quivalg import (
     AtLeastBound,
@@ -18,6 +18,8 @@ from quivalg import (
     cartan_matrix,
     cluster_tilting_verdict,
     dominant_dimension,
+    end_as_quiver_algebra,
+    end_of_summands,
     ext_dim,
     global_dimension,
     indec_projectives,
@@ -90,26 +92,75 @@ def _dominant_dimension_by_envelopes(a, bound):
     return AtLeastBound(bound)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(truncated_quotients())
 def test_dominant_dimension_matches_whole_envelopes(data):
-    """dominant_dimension reads which I(v) are projective once; on small
-    random quotients it agrees with testing every envelope whole."""
+    """dominant_dimension reads which I(v) are projective once and the
+    coresolution's terms off one resolution of D(A); on small random
+    quotients it agrees with testing every envelope whole, at bounds 1-4."""
     q, rels, _n, _paths = data
     a = build_algebra(q, rels)
-    assert dominant_dimension(a, 4) == _dominant_dimension_by_envelopes(a, 4)
+    for bound in range(1, 5):
+        assert dominant_dimension(a, bound) == _dominant_dimension_by_envelopes(a, bound)
+
+
+def _kronecker_algebra():
+    return build_algebra(Quiver(["u", "w"], [("a", "u", "w"), ("b", "u", "w")]), [])
+
+
+def _truncated_polynomial(n):
+    q = Quiver(["v"], [("x", "v", "v")])
+    return build_algebra(q, [element(q, (1, ["x"] * n))])
+
+
+# (name, builder given the two-loop translates, domdim at the default bound)
+_DOMDIM_CASES = [
+    ("verify-paper-B", lambda translates: end_of_summands(translates).presented, 3),
+    ("reference-B", lambda _: reference_end_algebra(), 3),
+    *[
+        ("auslander-%d" % n, lambda _, n=n: end_as_quiver_algebra(auslander_module(n)).presented, 2)
+        for n in (4, 5, 6, 7)
+    ],
+    ("kronecker", lambda _: _kronecker_algebra(), 0),
+    ("selfinjective-x4", lambda _: _truncated_polynomial(4), AtLeastBound(6)),
+]
+
+
+@pytest.mark.parametrize("build, expected", [c[1:] for c in _DOMDIM_CASES], ids=[c[0] for c in _DOMDIM_CASES])
+def test_dominant_dimension_matches_whole_envelopes_on_fixed_algebras(build, expected, translates):
+    """The paper's B, both computed and frozen, the Auslander algebras of
+    K[x]/(x^n), the hereditary Kronecker algebra and the selfinjective
+    K[x]/(x^4), each against every envelope tested whole."""
+    a = build(translates)
+    for bound in (1, 2, 3, 4, 6):
+        assert dominant_dimension(a, bound) == _dominant_dimension_by_envelopes(a, bound)
+    assert dominant_dimension(a) == expected
 
 
 def test_dominant_dimension_finds_each_top_once(count_calls):
-    """On B, dominant_dimension finds the top of each of the 5 I(v), then
-    the top of dual(cur) once per coresolution term, 4 terms up to the
-    answer 3, and builds the 3 covers it continues through from those
-    tops: 9 radical-row echelons and 3 generator homs."""
+    """On B, dominant_dimension reads which of the 5 I(v) are projective
+    off their tops, then resolves D(B) over the opposite algebra: one more
+    top and one cover, and the later terms up to the answer 3 as rows
+    over the opposite's table, with no echelon, cover or cokernel: 6
+    radical-row echelons and 1 cover.  Taking cokernels of the envelopes
+    took 9 echelons, 3 covers and 3 cokernels."""
     b = reference_end_algebra()
     radical_rows = count_calls(modules, "_radical_rows")
-    covers = count_calls(modules, "_hom_from_generators")
+    covers = count_calls(modules, "_cover_data")
+    cokernels = count_calls(modules, "cokernel")
     assert dominant_dimension(b) == 3
-    assert (radical_rows["calls"], covers["calls"]) == (9, 3)
+    assert (radical_rows["calls"], covers["calls"], cokernels["calls"]) == (6, 1, 0)
+
+
+def test_dominant_dimension_stops_with_the_coresolution(count_calls):
+    """K[x]/(x^4) is selfinjective, so D(A) is projective and the
+    coresolution of A stops after its first term: no cover is built, at
+    any bound."""
+    a = _truncated_polynomial(4)
+    covers = count_calls(modules, "_cover_data")
+    for bound in (1, 6, 20):
+        assert dominant_dimension(a, bound) == AtLeastBound(bound)
+    assert covers["calls"] == 0
 
 
 def test_global_dimension_finds_each_top_once(count_calls):
@@ -242,7 +293,7 @@ def test_minimal_presentation_is_exact(a2, l2):
     for alg in (a2, l2):
         s = simples(alg)[0]
         res = _Resolution(s)
-        d, epi = resolution_differential(res, 0), res.cover()[1]
+        d, epi = resolution_differential(res, 0), resolution_cover(res)
         assert (d * epi).is_zero()
         c, _ = cokernel(d)
         assert bool(is_isomorphic(c, s))
@@ -371,7 +422,8 @@ def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2, count_call
     relation gives its one Ext^2 between simples.  The resolutions of B's
     simples cover the simples only: their syzygies, Ext^2 total included,
     are rows over B's table.  Covering every syzygy that is not
-    projective made 22 covers, and covering the projective ones too 25."""
+    projective made 22 covers, and covering the projective ones too 25;
+    dominant dimension read off one resolution of D(B) takes 12."""
     covers = count_calls(modules, "_cover_data")
     verdict = cluster_tilting_verdict(indec_projectives(a2) + simples(a2)[:1], 2, bound=6)
     assert verdict.conclusive
@@ -380,7 +432,7 @@ def test_cluster_tilting_verdict_on_a_connected_two_vertex_quiver(a2, count_call
     assert verdict.global_dimension == 2
     assert verdict.ext2_simples_total == 1
     assert verdict.dominant_dimension == 2
-    assert covers["calls"] == 13
+    assert covers["calls"] == 12
 
 
 def test_cluster_tilting_inconclusive_when_presentation_capped(translates):

@@ -40,7 +40,7 @@ from quivalg import Quiver, build_algebra, modules
 from quivalg.linalg import QQ, Matrix, left_kernel_basis, rank, row_space_basis, vstack
 from quivalg.modules import _indecomposable_iso, _radical_rows, _top
 
-from conftest import element, resolution_differential, truncated_quotients
+from conftest import element, resolution_cover, resolution_differential, truncated_quotients
 
 
 def test_validate_accepts_regular(two_loop, a2):
@@ -302,18 +302,18 @@ def test_hom_basis_folds_each_basis_path_from_its_prefix(count_calls, monkeypatc
     folds = {"generators": 0, "row_times": 0, "paths": 0, "covers": 0}
     generator_maps = modules._generator_maps
 
-    def counted(psum, target, images, positions):
+    def counted(alg, vertices, target, images, positions):
         before = row_times["calls"]
-        out = generator_maps(psum, target, images, positions)
+        out = generator_maps(alg, vertices, target, images, positions)
         folds["generators"] += len(images)
         folds["row_times"] += row_times["calls"] - before
         # the trivial path heads each list and takes no fold
-        for s, v in enumerate(psum.vertices):
+        rows = modules._sum_rows(a, vertices)
+        for s, v in enumerate(vertices):
             for pos in positions[s][1:]:
                 prefix = a._pos[v, a.basis[pos].arrows[:-1]]
                 w = a.basis[prefix].target
-                row = psum.offsets[s][w] + a.endpoint_basis(v, w).index(prefix)
-                folds["paths"] += bool(out[w].pairs[row])
+                folds["paths"] += bool(out[w].pairs[rows[w].index((s, prefix))])
         folds["covers"] += all(len(p) == a.dim for p in positions)
         return out
 
@@ -559,7 +559,7 @@ def test_generator_rows_read_the_whole_differential(data):
     base = simples(a) + indec_projectives(a) + indec_injectives(a)
     for x in base + [dual(y) for y in base]:
         res = modules._Resolution(x)
-        before = res.cover()[1]
+        before = resolution_cover(res)
         for k in (0, 1):
             d = resolution_differential(res, k)
             assert (d * before).is_zero()
